@@ -114,4 +114,5 @@ __all__ = [
     "signed_difference",
     "tp2_project",
     "truncate",
+    "uniform_convergence_check",
 ]

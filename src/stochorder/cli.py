@@ -14,6 +14,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import sys
 
 from . import __version__
@@ -83,8 +84,19 @@ def _parse_ints(text: str) -> list[int]:
 def _parse_seeds(text: str) -> list[int]:
     if ".." in text:
         lo, hi = text.split("..")
-        return list(range(int(lo), int(hi) + 1))
-    return _parse_ints(text)
+        seeds = list(range(int(lo), int(hi) + 1))
+    else:
+        seeds = _parse_ints(text)
+    if not seeds:
+        raise DomainError(f"--seeds {text!r} names no seeds")
+    return seeds
+
+
+def _tolerance(text: str) -> float:
+    tol = float(text)
+    if not math.isfinite(tol) or tol < 0:
+        raise argparse.ArgumentTypeError(f"must be finite and nonnegative, got {text!r}")
+    return tol
 
 
 def _mode(args) -> str:
@@ -333,7 +345,7 @@ def _cmd_fixture(args) -> int:
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--exact", action="store_true",
                         help="integer-weight mode: exact cross products, no slack")
-    parser.add_argument("--tolerance", type=float, default=PRODUCT_RTOL,
+    parser.add_argument("--tolerance", type=_tolerance, default=PRODUCT_RTOL,
                         help="relative slack for float product comparisons")
     parser.add_argument("--out", default=None, help="file artifact / report copy")
 

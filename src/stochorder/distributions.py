@@ -115,6 +115,17 @@ def _merge_pairs(values, masses):
     return merged_v, merged_m
 
 
+def _require_keys(payload, what: str, required: tuple[str, ...], masses: tuple[str, str]) -> None:
+    """Reject a JSON payload that lacks a required key or both mass keys."""
+    if not isinstance(payload, dict):
+        raise InvalidDistributionError(f"{what} JSON must be an object")
+    for key in required:
+        if key not in payload:
+            raise InvalidDistributionError(f"{what} JSON lacks the {key!r} key")
+    if all(payload.get(key) is None for key in masses):
+        raise InvalidDistributionError(f"{what} JSON needs a {masses[0]!r} or {masses[1]!r} key")
+
+
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
@@ -210,6 +221,7 @@ class UnivariateDist:
 
     @classmethod
     def from_dict(cls, payload: dict, *, exact: bool = False) -> "UnivariateDist":
+        _require_keys(payload, "univariate", ("support",), ("probs", "weights"))
         if "weights" in payload and payload["weights"] is not None:
             return cls.from_weights(payload["support"], payload["weights"])
         if exact:
@@ -447,6 +459,7 @@ class BivariateDist:
 
     @classmethod
     def from_dict(cls, payload: dict, *, exact: bool = False) -> "BivariateDist":
+        _require_keys(payload, "bivariate", ("x_support", "y_support"), ("pmf", "weights"))
         if "weights" in payload and payload["weights"] is not None:
             return cls.from_weights(payload["x_support"], payload["y_support"], payload["weights"])
         pmf = payload["pmf"]

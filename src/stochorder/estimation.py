@@ -189,6 +189,8 @@ def bracket_check(r_true: BivariateDist, samples_spec: dict, beta: float,
     if not x1 < x2:
         raise DomainError("x1 < x2 required")
     n_list = list(samples_spec["n_list"])
+    if not n_list:
+        raise DomainError("n_list names no sample sizes")
     seed = samples_spec["seed"]
     q_west_x1 = kernel_west(r_true, [x1]).rows[0].quantile(beta)
     q_east_x2 = kernel_east(r_true, [x2]).rows[0].max_quantile(beta)
@@ -260,6 +262,9 @@ def uniform_convergence_check(r_true: BivariateDist, beta: float, interval, n_li
     beta = float(beta)
     if not 0.0 < beta < 1.0:
         raise DomainError(f"beta must lie strictly inside (0, 1), got {beta!r}")
+    n_list, seeds = list(n_list), list(seeds)
+    if not n_list or not seeds:
+        raise DomainError("n_list and seeds must each be nonempty")
     a, b = float(interval[0]), float(interval[1])
     if not a < b:
         raise DomainError("interval must satisfy a < b")

@@ -7,6 +7,16 @@ O(l^2 m) by collapsing row ranges and running a 1-D maximum/minimum subarray
 scan over the columns; the two must agree and cross-check each other in the
 tests.
 
+The float brute path is O(l^2 m) in time and memory as well.  For a row
+range [i0, i1), let ``band = pref[i1] - pref[i0]`` over the m + 1 column
+prefixes; the rectangle [i0, i1) x [p, q) has mass ``band[q] - band[p]``, so
+the largest absolute mass over the range's column pairs is
+``band.max() - band.min()``.  This holds bit for bit, not just up to
+rounding: floating-point subtraction rounds monotonically (non-decreasing in
+its first operand, non-increasing in its second) and symmetrically under
+negation, so no rounded difference of two band entries exceeds the rounded
+difference of the extremes, which is itself one of the candidates.
+
 ``tp2_project`` searches for a TP2 distribution close to a given one in the
 Kuiper norm.  An exact minimizer exists on the midpoint-refined grid, but no
 closed form is available, so the solver contract is "certified feasible and
@@ -84,15 +94,23 @@ def signed_difference(a: BivariateDist, b: BivariateDist) -> GridSignedMeasure:
 # ---------------------------------------------------------------------------
 
 
-def _norm_brute_vectorized(delta: np.ndarray) -> float:
+def _row_ranges(nx: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index pair (ii, jj) of every row range [i0, i1) with 0 <= i0 < i1 <= nx."""
+    return np.triu_indices(nx + 1, k=1)
+
+
+def _norm_brute_vectorized(delta: np.ndarray, rows: tuple[np.ndarray, np.ndarray]) -> float:
+    """Largest |rectangle sum| of a float delta, given ``_row_ranges(nx)``.
+
+    Each row range's band of column prefixes scores its range max - min,
+    which is its largest |band[q] - band[p]| (see the module docstring).
+    """
     nx, ny = delta.shape
     pref = np.zeros((nx + 1, ny + 1), dtype=delta.dtype)
     np.cumsum(np.cumsum(delta, axis=0), axis=1, out=pref[1:, 1:])
-    ii, jj = np.triu_indices(nx + 1, k=1)  # all 0 <= i0 < i1 <= nx
-    pp, qq = np.triu_indices(ny + 1, k=1)
+    ii, jj = rows
     band = pref[jj] - pref[ii]  # (n_rowranges, ny+1): rows [i0, i1) per column prefix
-    rect = band[:, qq] - band[:, pp]  # every row-range x column-range combination
-    return abs(rect).max()
+    return (band.max(axis=1) - band.min(axis=1)).max()
 
 
 def _norm_brute_object(delta) -> object:
@@ -161,7 +179,7 @@ def kuiper_norm(sigma: GridSignedMeasure, method: str = "kadane"):
         return _norm_brute_object(delta.tolist())
     if delta.dtype.kind in "iu":
         return int(_norm_brute_object(delta.tolist()))
-    return float(_norm_brute_vectorized(delta))
+    return float(_norm_brute_vectorized(delta, _row_ranges(delta.shape[0])))
 
 
 # ---------------------------------------------------------------------------
@@ -308,6 +326,8 @@ def tp2_project(r_hat: BivariateDist, *, seed: int = 42, restarts: int = 8,
     distance; restart pattern searches may improve on it.  The output always
     passes the all-pairs TP2 check.
     """
+    if restarts < 0 or max_iters < 0:
+        raise DomainError(f"restarts and max_iters must be nonnegative, got {restarts} and {max_iters}")
     r0 = r_hat.canonical()
     embedded = refine_grid(r0)
     target = embedded.pmf
@@ -326,9 +346,10 @@ def tp2_project(r_hat: BivariateDist, *, seed: int = 42, restarts: int = 8,
     xg = embedded.x_support
     yg = embedded.y_support
     nx, ny = xg.size, yg.size
+    rows = _row_ranges(nx)
 
     def objective(pmf: np.ndarray) -> float:
-        return float(_norm_brute_vectorized(pmf - target))
+        return float(_norm_brute_vectorized(pmf - target, rows))
 
     px = target.sum(axis=1)
     qy = target.sum(axis=0)
@@ -368,7 +389,7 @@ def tp2_project(r_hat: BivariateDist, *, seed: int = 42, restarts: int = 8,
     if total > 0:
         thresholded = thresholded / total
         if check_tp2(BivariateDist(xg, yg, thresholded), "pmf-allpairs", MODE_FLOAT, tol).holds:
-            d2 = float(_norm_brute_vectorized(thresholded - target))
+            d2 = objective(thresholded)
             if d2 <= dist + tol:
                 pmf, dist = thresholded, min(dist, d2)
 

@@ -118,6 +118,74 @@ class TestExitCodes:
         assert json.loads(text)["result"]["distance"] == 0.0
 
 
+class TestInputErrors:
+    """Bad inputs end in exit 2 with a message, never a traceback or a verdict."""
+
+    @pytest.mark.parametrize("tol", ["-1", "nan", "inf"])
+    def test_bad_tolerance_exits_two(self, tol):
+        code, text = run_cli(
+            ["check-lr", "--q1", "q_low.csv", "--q2", "q_low.csv", "--tolerance", tol], cwd=DATA)
+        assert code == 2
+        assert text == ""
+
+    def test_zero_tolerance_keeps_reflexivity(self):
+        code, _ = run_cli(
+            ["check-lr", "--q1", "q_low.csv", "--q2", "q_low.csv", "--tolerance", "0"], cwd=DATA)
+        assert code == 0
+
+    @pytest.mark.parametrize("ns, seeds", [("", "1..3"), ("100", "5..1"), ("100", "")])
+    def test_converge_bracket_empty_lists_exit_two(self, ns, seeds):
+        code, _ = run_cli(
+            ["converge", "bracket", "--r", "r_band5.csv", "--beta", "0.5", "--ns", ns,
+             "--seeds", seeds, "--x1", "2", "--x2", "4"], cwd=DATA)
+        assert code == 2
+
+    @pytest.mark.parametrize("ns, seeds", [("", "1,2"), ("100", "")])
+    def test_converge_uniform_empty_lists_exit_two(self, ns, seeds):
+        code, _ = run_cli(
+            ["converge", "uniform", "--r", "r_diag3.csv", "--beta", "0.5", "--ns", ns,
+             "--seeds", seeds, "--a", "1", "--b", "3"], cwd=DATA)
+        assert code == 2
+
+    def test_negative_restarts_exits_two(self):
+        code, text = run_cli(
+            ["tp2", "project", "--r", "r_antidiag.csv", "--seed", "1", "--restarts", "-3"],
+            cwd=DATA)
+        assert code == 2
+        assert text == ""
+
+    @pytest.mark.parametrize("payload", [
+        {"support": [1, 2]},
+        {"support": [1, 2], "probs": None, "weights": None},
+        {"probs": [0.5, 0.5]},
+        [0.5, 0.5],
+    ])
+    def test_univariate_json_missing_keys_exits_two(self, tmp_path, payload):
+        bad = tmp_path / "q.json"
+        bad.write_text(json.dumps(payload))
+        code, _ = run_cli(["check-lr", "--q1", str(bad), "--q2", str(DATA / "q_low.csv")])
+        assert code == 2
+
+    @pytest.mark.parametrize("payload", [
+        {"x_support": [1], "pmf": [[1.0]]},
+        {"y_support": [1], "weights": [[1]]},
+        {"x_support": [1], "y_support": [1]},
+    ])
+    def test_bivariate_json_missing_keys_exits_two(self, tmp_path, payload):
+        bad = tmp_path / "r.json"
+        bad.write_text(json.dumps(payload))
+        code, _ = run_cli(["tp2", "check", "--r", str(bad)])
+        assert code == 2
+
+    def test_complete_json_inputs_load(self, tmp_path):
+        q = tmp_path / "q.json"
+        q.write_text(json.dumps({"support": [1, 2], "probs": [0.5, 0.5]}))
+        r = tmp_path / "r.json"
+        r.write_text(json.dumps({"x_support": [1], "y_support": [1], "weights": [[1]]}))
+        assert run_cli(["check-lr", "--q1", str(q), "--q2", str(q)])[0] == 0
+        assert run_cli(["tp2", "check", "--r", str(r)])[0] == 0
+
+
 class TestFileArtifacts:
     def test_roc_points_csv(self, tmp_path):
         out = tmp_path / "points.csv"

@@ -1,7 +1,10 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from stochorder import (
     BivariateDist,
@@ -16,13 +19,31 @@ from stochorder import (
     tp2_project,
 )
 from stochorder.fixtures import antidiag, diag_uniform
-from helpers import random_supermodular_tp2
+from helpers import all_rectangles_norm, random_supermodular_tp2
 
 
 def measure(delta) -> GridSignedMeasure:
     delta = np.asarray(delta)
     nx, ny = delta.shape
     return GridSignedMeasure(np.arange(float(nx)), np.arange(float(ny)), delta)
+
+
+@st.composite
+def float_deltas(draw):
+    """Float deltas from 1x1 to 13x13: mixed scales, sparse zeros, a zero block."""
+    nx = draw(st.integers(1, 13))
+    ny = draw(st.integers(1, 13))
+    n = nx * ny
+    mantissas = draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n))
+    exponents = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+    keep = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    delta = (np.array(mantissas) * 10.0 ** np.array(exponents) * np.array(keep)).reshape(nx, ny)
+    i0 = draw(st.integers(0, nx))
+    i1 = draw(st.integers(i0, nx))
+    j0 = draw(st.integers(0, ny))
+    j1 = draw(st.integers(j0, ny))
+    delta[i0:i1, j0:j1] = 0.0
+    return delta
 
 
 class TestKuiperNorm:
@@ -78,6 +99,26 @@ class TestKuiperNorm:
                 for j0 in range(4) for j1 in range(j0 + 1, 4)
             )
             assert (kuiper_norm(sigma, "brute") == 0) == rect_all_zero
+
+    @settings(max_examples=300, deadline=None)
+    @given(float_deltas())
+    @example(np.zeros((1, 1)))
+    @example(np.zeros((4, 7)))
+    @example(np.array([[0.3, -1e3, 2e-3, 0.0, 7.0]]))
+    @example(np.array([[0.3], [-1e3], [2e-3], [0.0], [7.0]]))
+    def test_brute_float_equals_all_rectangles_bitwise(self, delta):
+        assert kuiper_norm(measure(delta), "brute") == all_rectangles_norm(delta)
+
+    def test_brute_float_memory_is_bounded(self):
+        # materializing every rectangle of a 60x60 delta takes about 78 MB
+        sigma = measure(np.random.default_rng(104).normal(size=(60, 60)))
+        tracemalloc.start()
+        try:
+            kuiper_norm(sigma, "brute")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
     def test_triangle_and_homogeneity(self):
         rng = np.random.default_rng(103)
@@ -173,6 +214,14 @@ class TestProjection:
         res2 = tp2_project(r, seed=5, restarts=3)
         assert res1.distance == res2.distance
         np.testing.assert_array_equal(res1.distribution.pmf, res2.distribution.pmf)
+
+    @pytest.mark.parametrize("kwargs", [{"restarts": -3}, {"max_iters": -1}])
+    def test_negative_search_sizes_rejected(self, kwargs):
+        with pytest.raises(DomainError):
+            tp2_project(antidiag(), seed=1, **kwargs)
+        # also for inputs that are already TP2 and would short-circuit
+        with pytest.raises(DomainError):
+            tp2_project(diag_uniform(2), seed=1, **kwargs)
 
     def test_trace_monotone_per_restart(self):
         res = tp2_project(antidiag(), seed=3, restarts=3)
