@@ -297,6 +297,11 @@ def _cmd_converge(args) -> int:
     return EXIT_OK
 
 
+def _given(**options) -> dict:
+    """The options that were set; the fixture's own defaults cover the rest."""
+    return {k: v for k, v in options.items() if v is not None}
+
+
 def _cmd_fixture(args) -> int:
     import os
 
@@ -310,14 +315,9 @@ def _cmd_fixture(args) -> int:
         written.append(p)
         return p
 
-    if name == "gauss-pair":
-        q1, q2 = gaussian_pair(args.lo, args.hi, args.step)
-        write_univariate_csv(q1, path("q1"))
-        write_univariate_csv(q2, path("q2"))
-    elif name == "gamma-pair":
-        lo = 0.05 if args.lo == -15.0 else args.lo
-        hi = 9.95 if args.hi == 15.0 else args.hi
-        q1, q2 = gamma_pair(lo, hi, args.step)
+    if name in ("gauss-pair", "gamma-pair"):
+        pair = gaussian_pair if name == "gauss-pair" else gamma_pair
+        q1, q2 = pair(**_given(lo=args.lo, hi=args.hi), step=args.step)
         write_univariate_csv(q1, path("q1"))
         write_univariate_csv(q2, path("q2"))
     elif name == "odc-counterexample":
@@ -325,9 +325,9 @@ def _cmd_fixture(args) -> int:
         write_univariate_csv(q1, path("q1"))
         write_univariate_csv(q2, path("q2"))
     elif name == "unif-delta-kernel":
-        write_bivariate_csv(unif_delta_kernel(args.size if args.size % 3 == 0 else 30), path(""))
+        write_bivariate_csv(unif_delta_kernel(**_given(n=args.size)), path(""))
     elif name == "diag-uniform":
-        write_bivariate_csv(diag_uniform(args.size), path(""))
+        write_bivariate_csv(diag_uniform(**_given(k=args.size)), path(""))
     elif name == "antidiag":
         write_bivariate_csv(antidiag(), path(""))
     else:
@@ -460,11 +460,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fixture", help="write a named fixture to CSV files")
     p.add_argument("name", choices=list(FIXTURE_NAMES))
     p.add_argument("--dir", default=".")
-    p.add_argument("--lo", type=float, default=-15.0)
-    p.add_argument("--hi", type=float, default=15.0)
+    p.add_argument("--lo", type=float, default=None)
+    p.add_argument("--hi", type=float, default=None)
     p.add_argument("--step", type=float, default=0.1)
     p.add_argument("--points", type=int, default=200)
-    p.add_argument("--size", type=int, default=5)
+    p.add_argument("--size", type=int, default=None)
     _add_common(p)
     p.set_defaults(func=_cmd_fixture)
 

@@ -11,6 +11,9 @@ Two numeric regimes coexist:
 * exact mode: an optional tuple of integer weights accompanies the float
   masses.  Order and TP2 verdicts can then be computed with exact integer
   cross products (no rounding, no division).
+
+The mode picks the numbers a verdict reads (``UnivariateDist.masses`` and
+``BivariateDist.cells``); the verdict code itself is shared by both modes.
 """
 
 from __future__ import annotations
@@ -34,6 +37,9 @@ QUANTILE_ATOL = 1e-12
 
 NEG_INF = float("-inf")
 POS_INF = float("inf")
+
+MODE_FLOAT = "float"
+MODE_EXACT = "exact"
 
 
 # ---------------------------------------------------------------------------
@@ -115,20 +121,39 @@ def _merge_pairs(values, masses):
     return merged_v, merged_m
 
 
-def _require_keys(payload, what: str, required: tuple[str, ...], masses: tuple[str, str]) -> None:
-    """Reject a JSON payload that lacks a required key or both mass keys."""
+def _require_keys(payload, what: str, required: tuple[str, ...], masses: tuple[str, str],
+                  rows: bool = False) -> None:
+    """Reject a JSON payload that lacks a required key or both mass keys, or
+    whose values are not arrays (masses: arrays of arrays when ``rows``)."""
     if not isinstance(payload, dict):
         raise InvalidDistributionError(f"{what} JSON must be an object")
     for key in required:
-        if key not in payload:
-            raise InvalidDistributionError(f"{what} JSON lacks the {key!r} key")
+        if not isinstance(payload.get(key), list):
+            raise InvalidDistributionError(f"{what} JSON needs a {key!r} array")
     if all(payload.get(key) is None for key in masses):
         raise InvalidDistributionError(f"{what} JSON needs a {masses[0]!r} or {masses[1]!r} key")
+    for key in masses:
+        value = payload.get(key)
+        if value is not None and not (
+            isinstance(value, list) and (not rows or value and all(isinstance(r, list) for r in value))
+        ):
+            shape = "a nonempty array of arrays" if rows else "an array"
+            raise InvalidDistributionError(f"{what} JSON {key!r} must be {shape}")
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr.flags.writeable = False
     return arr
+
+
+def prefix_table(t: np.ndarray) -> np.ndarray:
+    """Zero-padded 2-D prefix sums in ``t``'s dtype: entry [i, j] sums t[:i, :j].
+
+    Object arrays of Python ints or Fractions stay exact.
+    """
+    out = np.zeros((t.shape[0] + 1, t.shape[1] + 1), dtype=t.dtype)
+    np.cumsum(np.cumsum(t, axis=0), axis=1, out=out[1:, 1:])
+    return out
 
 
 def _validate_support(values: np.ndarray, what: str) -> None:
@@ -275,13 +300,14 @@ class UnivariateDist:
             return float(self.probs[i])
         return 0.0
 
-    def atom_weight(self, x: float) -> int:
+    def masses(self, mode: str) -> list:
+        """Atom masses in the numbers of the comparison mode: the integer
+        weights in exact mode, the float probs otherwise."""
+        if mode != MODE_EXACT:
+            return self.probs.tolist()
         if self.weights is None:
-            raise DomainError("distribution carries no integer weights")
-        i = np.searchsorted(self.support, x)
-        if i < len(self) and self.support[i] == x:
-            return self.weights[i]
-        return 0
+            raise DomainError("exact mode requires integer weights")
+        return list(self.weights)
 
     def fractions(self) -> list[Fraction]:
         """Exact normalized masses; requires integer weights."""
@@ -415,13 +441,11 @@ class BivariateDist:
                 for w, p in zip(row, prow)
             ):
                 raise InvalidDistributionError("weights do not match pmf")
-        prefix = np.zeros((xs.size + 1, ys.size + 1))
-        np.cumsum(np.cumsum(pmf, axis=0), axis=1, out=prefix[1:, 1:])
         object.__setattr__(self, "x_support", _freeze(xs))
         object.__setattr__(self, "y_support", _freeze(ys))
         object.__setattr__(self, "pmf", _freeze(pmf))
         object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "_prefix", _freeze(prefix))
+        object.__setattr__(self, "_prefix", _freeze(prefix_table(pmf)))
 
     # -- constructors -------------------------------------------------------
 
@@ -459,7 +483,7 @@ class BivariateDist:
 
     @classmethod
     def from_dict(cls, payload: dict, *, exact: bool = False) -> "BivariateDist":
-        _require_keys(payload, "bivariate", ("x_support", "y_support"), ("pmf", "weights"))
+        _require_keys(payload, "bivariate", ("x_support", "y_support"), ("pmf", "weights"), rows=True)
         if "weights" in payload and payload["weights"] is not None:
             return cls.from_weights(payload["x_support"], payload["y_support"], payload["weights"])
         pmf = payload["pmf"]
@@ -496,6 +520,15 @@ class BivariateDist:
         if self.weights is None:
             raise DomainError("distribution carries no integer weights")
         return sum(w for row in self.weights for w in row)
+
+    def cells(self, mode: str) -> np.ndarray:
+        """Cell masses in the numbers of the comparison mode: an object array
+        of the integer weights in exact mode, the float pmf otherwise."""
+        if mode != MODE_EXACT:
+            return self.pmf
+        if self.weights is None:
+            raise DomainError("exact mode requires integer weights")
+        return np.array(self.weights, dtype=object)
 
     def canonical(self) -> "BivariateDist":
         """Drop x-atoms with zero row mass and y-atoms with zero column mass."""

@@ -6,6 +6,7 @@ import numpy as np
 
 from .distributions import BivariateDist, UnivariateDist
 from .errors import DomainError
+from .tp2 import supermodular_potential
 
 
 def _grid(lo: float, hi: float, step: float) -> np.ndarray:
@@ -120,13 +121,7 @@ def random_tp2(rng: np.random.Generator, nx: int, ny: int, band: bool = False) -
     a = rng.normal(0.0, 1.0, nx)
     b = rng.normal(0.0, 1.0, ny)
     s = rng.exponential(0.5, (max(nx - 1, 1), max(ny - 1, 1)))
-    phi = a[:, None] + b[None, :]
-    if nx > 1 and ny > 1:
-        bump = np.zeros((nx, ny))
-        bump[1:, 1:] = np.cumsum(np.cumsum(s[: nx - 1, : ny - 1], axis=0), axis=1)
-        phi = phi + bump
-    phi -= phi.max()
-    pmf = np.exp(phi)
+    pmf = np.exp(supermodular_potential(a, b, s[: nx - 1, : ny - 1]))
     if band:
         lo = np.sort(rng.integers(0, ny, nx))
         hi = np.maximum(np.sort(rng.integers(0, ny, nx)), lo)

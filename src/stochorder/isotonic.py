@@ -19,14 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import UnivariateDist
+from .distributions import MODE_EXACT, MODE_FLOAT, UnivariateDist
 from .errors import DomainError, InvalidDistributionError, PreconditionError
 
 #: Relative slack for float product comparisons.
 PRODUCT_RTOL = 1e-12
-
-MODE_FLOAT = "float"
-MODE_EXACT = "exact"
 
 
 def _check_mode(mode: str) -> str:
@@ -108,6 +105,31 @@ class IsotonicDensity:
     __call__ = evaluate
 
 
+def _cumulative(masses: list) -> list:
+    """Running totals with a leading zero of the masses' own type (0 or 0.0)."""
+    out = [masses[0] * 0]
+    for m in masses:
+        out.append(out[-1] + m)
+    return out
+
+
+def _interval_scan(c1: list, c2: list, mode: str, tol: float):
+    """First index triple a < b < c with c1(b,c] * c2(a,b] > c1(a,b] * c2(b,c], if any.
+
+    ``c1`` and ``c2`` are cumulative masses over shared boundaries, so
+    ``c[b] - c[a]`` is the mass between boundaries a and b.
+    """
+    n = len(c1)
+    for a in range(n):
+        for b in range(a + 1, n):
+            m1 = c1[b] - c1[a]
+            m2 = c2[b] - c2[a]
+            for c in range(b + 1, n):
+                if not products_le((c1[c] - c1[b]) * m2, m1 * (c2[c] - c2[b]), mode, tol):
+                    return a, b, c
+    return None
+
+
 def _interval_ratio_condition(mu: UnivariateDist, nu: UnivariateDist, mode: str, tol: float):
     """Find a triple x < y < z violating the interval ratio monotonicity, if any.
 
@@ -116,30 +138,12 @@ def _interval_ratio_condition(mu: UnivariateDist, nu: UnivariateDist, mode: str,
     atoms, so boundaries run over a sentinel below the support plus the atoms.
     """
     atoms = mu.support.tolist()
-    if mode == MODE_EXACT:
-        if mu.weights is None or nu.weights is None:
-            raise DomainError("exact mode requires integer-weight measures")
-        mu_m = [0]
-        for w in mu.weights:
-            mu_m.append(mu_m[-1] + w)
-        nu_m = [0]
-        for a in atoms:
-            nu_m.append(nu_m[-1] + nu.atom_weight(a))
-    else:
-        mu_m = [0.0] + np.cumsum(mu.probs).tolist()
-        nu_m = [0.0] + np.cumsum([nu.atom_prob(a) for a in atoms]).tolist()
-    k = len(atoms)
+    nu_at = dict(zip(nu.support.tolist(), nu.masses(mode)))
+    hit = _interval_scan(
+        _cumulative(mu.masses(mode)), _cumulative([nu_at.get(a, 0) for a in atoms]), mode, tol
+    )
     bounds = [atoms[0] - 1.0] + atoms
-    for a in range(k + 1):
-        for b in range(a + 1, k + 1):
-            mu_ab = mu_m[b] - mu_m[a]
-            nu_ab = nu_m[b] - nu_m[a]
-            for c in range(b + 1, k + 1):
-                mu_bc = mu_m[c] - mu_m[b]
-                nu_bc = nu_m[c] - nu_m[b]
-                if not products_le(mu_bc * nu_ab, mu_ab * nu_bc, mode, tol):
-                    return (bounds[a], bounds[b], bounds[c])
-    return None
+    return None if hit is None else tuple(bounds[i] for i in hit)
 
 
 def _atom_ratios(mu: UnivariateDist, nu: UnivariateDist, tol: float):
@@ -166,6 +170,18 @@ def _atom_ratios(mu: UnivariateDist, nu: UnivariateDist, tol: float):
     return mu, nu, np.array(ratios)
 
 
+def _isotonic_density(mu, nu, kind: str, verify: bool, mode: str, tol: float) -> IsotonicDensity:
+    _check_mode(mode)
+    mu, nu, ratios = _atom_ratios(mu, nu, tol)
+    if verify:
+        witness = _interval_ratio_condition(mu, nu, mode, tol)
+        if witness is not None:
+            raise PreconditionError(
+                f"interval ratio monotonicity fails at boundaries {witness}", witness=witness
+            )
+    return IsotonicDensity(mu.support, ratios, kind)
+
+
 def minimal_isotonic_density(
     mu: UnivariateDist,
     nu: UnivariateDist,
@@ -180,15 +196,7 @@ def minimal_isotonic_density(
     monotonicity precondition is checked over all atom-boundary triples and a
     violating triple is raised as a :class:`PreconditionError` witness.
     """
-    _check_mode(mode)
-    mu, nu, ratios = _atom_ratios(mu, nu, tol)
-    if verify:
-        witness = _interval_ratio_condition(mu, nu, mode, tol)
-        if witness is not None:
-            raise PreconditionError(
-                f"interval ratio monotonicity fails at boundaries {witness}", witness=witness
-            )
-    return IsotonicDensity(mu.support, ratios, "minimal")
+    return _isotonic_density(mu, nu, "minimal", verify, mode, tol)
 
 
 def maximal_isotonic_density(
@@ -204,12 +212,4 @@ def maximal_isotonic_density(
     Atom values agree with the minimal density; the two differ only in how
     they continue between and beyond atoms (0/0 resolves to 1 here).
     """
-    _check_mode(mode)
-    mu, nu, ratios = _atom_ratios(mu, nu, tol)
-    if verify:
-        witness = _interval_ratio_condition(mu, nu, mode, tol)
-        if witness is not None:
-            raise PreconditionError(
-                f"interval ratio monotonicity fails at boundaries {witness}", witness=witness
-            )
-    return IsotonicDensity(mu.support, ratios, "maximal")
+    return _isotonic_density(mu, nu, "maximal", verify, mode, tol)

@@ -7,15 +7,17 @@ O(l^2 m) by collapsing row ranges and running a 1-D maximum/minimum subarray
 scan over the columns; the two must agree and cross-check each other in the
 tests.
 
-The float brute path is O(l^2 m) in time and memory as well.  For a row
-range [i0, i1), let ``band = pref[i1] - pref[i0]`` over the m + 1 column
-prefixes; the rectangle [i0, i1) x [p, q) has mass ``band[q] - band[p]``, so
-the largest absolute mass over the range's column pairs is
-``band.max() - band.min()``.  This holds bit for bit, not just up to
-rounding: floating-point subtraction rounds monotonically (non-decreasing in
-its first operand, non-increasing in its second) and symmetrically under
-negation, so no rounded difference of two band entries exceeds the rounded
-difference of the extremes, which is itself one of the candidates.
+The brute path is O(l^2 m) in time and memory as well, for float, integer
+and rational deltas alike (the last two as object arrays of Python ints or
+Fractions, so they stay exact).  For a row range [i0, i1), let
+``band = pref[i1] - pref[i0]`` over the m + 1 column prefixes; the rectangle
+[i0, i1) x [p, q) has mass ``band[q] - band[p]``, so the largest absolute
+mass over the range's column pairs is ``band.max() - band.min()``.  For
+floats this holds bit for bit, not just up to rounding: floating-point
+subtraction rounds monotonically (non-decreasing in its first operand,
+non-increasing in its second) and symmetrically under negation, so no
+rounded difference of two band entries exceeds the rounded difference of
+the extremes, which is itself one of the candidates.
 
 ``tp2_project`` searches for a TP2 distribution close to a given one in the
 Kuiper norm.  An exact minimizer exists on the midpoint-refined grid, but no
@@ -33,10 +35,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import BivariateDist
+from .distributions import BivariateDist, prefix_table
 from .errors import DomainError, InvalidDistributionError
-from .isotonic import MODE_FLOAT, PRODUCT_RTOL
-from .tp2 import check_tp2
+from .isotonic import MODE_EXACT, MODE_FLOAT, PRODUCT_RTOL
+from .tp2 import _with_midpoints, check_tp2, supermodular_potential
 
 KUIPER_METHODS = ("brute", "kadane")
 
@@ -99,40 +101,16 @@ def _row_ranges(nx: int) -> tuple[np.ndarray, np.ndarray]:
     return np.triu_indices(nx + 1, k=1)
 
 
-def _norm_brute_vectorized(delta: np.ndarray, rows: tuple[np.ndarray, np.ndarray]) -> float:
-    """Largest |rectangle sum| of a float delta, given ``_row_ranges(nx)``.
+def _norm_brute_vectorized(delta: np.ndarray, rows: tuple[np.ndarray, np.ndarray]):
+    """Largest |rectangle sum| of a float or object delta, given ``_row_ranges(nx)``.
 
     Each row range's band of column prefixes scores its range max - min,
     which is its largest |band[q] - band[p]| (see the module docstring).
     """
-    nx, ny = delta.shape
-    pref = np.zeros((nx + 1, ny + 1), dtype=delta.dtype)
-    np.cumsum(np.cumsum(delta, axis=0), axis=1, out=pref[1:, 1:])
+    pref = prefix_table(delta)
     ii, jj = rows
     band = pref[jj] - pref[ii]  # (n_rowranges, ny+1): rows [i0, i1) per column prefix
     return (band.max(axis=1) - band.min(axis=1)).max()
-
-
-def _norm_brute_object(delta) -> object:
-    nx = len(delta)
-    ny = len(delta[0])
-    pref = [[0] * (ny + 1) for _ in range(nx + 1)]
-    for i in range(nx):
-        acc = 0
-        for j in range(ny):
-            acc = acc + delta[i][j]
-            pref[i + 1][j + 1] = pref[i][j + 1] + acc
-    best = 0
-    for i0 in range(nx + 1):
-        for i1 in range(i0 + 1, nx + 1):
-            for j0 in range(ny + 1):
-                for j1 in range(j0 + 1, ny + 1):
-                    s = pref[i1][j1] - pref[i0][j1] - pref[i1][j0] + pref[i0][j0]
-                    if s < 0:
-                        s = -s
-                    if s > best:
-                        best = s
-    return best
 
 
 def _norm_kadane(delta) -> object:
@@ -175,11 +153,9 @@ def kuiper_norm(sigma: GridSignedMeasure, method: str = "kadane"):
     if method == "kadane":
         out = _norm_kadane(delta.tolist())
         return float(out) if delta.dtype.kind == "f" else out
-    if delta.dtype == object:
-        return _norm_brute_object(delta.tolist())
-    if delta.dtype.kind in "iu":
-        return int(_norm_brute_object(delta.tolist()))
-    return float(_norm_brute_vectorized(delta, _row_ranges(delta.shape[0])))
+    if delta.dtype.kind == "f":
+        return float(_norm_brute_vectorized(delta, _row_ranges(delta.shape[0])))
+    return _norm_brute_vectorized(delta.astype(object), _row_ranges(delta.shape[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -188,14 +164,8 @@ def kuiper_norm(sigma: GridSignedMeasure, method: str = "kadane"):
 
 
 def _refined_axis(vals: np.ndarray) -> np.ndarray:
-    vals = vals.tolist()
-    out = [vals[0] - 1.0]
-    for a, b in zip(vals, vals[1:]):
-        out.append(a)
-        out.append((a + b) / 2.0)
-    out.append(vals[-1])
-    out.append(vals[-1] + 1.0)
-    return np.array(out)
+    inner = _with_midpoints(vals)
+    return np.array([inner[0] - 1.0, *inner, inner[-1] + 1.0])
 
 
 def refine_grid(r: BivariateDist) -> BivariateDist:
@@ -212,11 +182,9 @@ def refine_grid(r: BivariateDist) -> BivariateDist:
     pmf[1::2, 1::2] = r.pmf
     weights = None
     if r.weights is not None:
-        rows = [[0] * yg.size for _ in range(xg.size)]
-        for i, row in enumerate(r.weights):
-            for j, w in enumerate(row):
-                rows[2 * i + 1][2 * j + 1] = w
-        weights = tuple(tuple(row) for row in rows)
+        weights = np.zeros(pmf.shape, dtype=object)
+        weights[1::2, 1::2] = r.cells(MODE_EXACT)
+        weights = weights.tolist()
     return BivariateDist(xg, yg, pmf, weights)
 
 
@@ -246,12 +214,8 @@ class ProjectionResult:
 
 
 class _PotentialCandidate:
-    """Strictly positive pmf exp(a_i + b_j + cum2d(s)) / Z with s >= 0.
-
-    The double cumulative sum of the nonnegative curvature block makes every
-    adjacent second difference of the potential equal to an s entry, so the
-    normalized exponential is TP2 by construction.
-    """
+    """Strictly positive pmf exp(supermodular_potential(a, b, s)) / Z with
+    s >= 0, so TP2 by construction."""
 
     def __init__(self, a: np.ndarray, b: np.ndarray, s: np.ndarray):
         self.a = a
@@ -259,14 +223,7 @@ class _PotentialCandidate:
         self.s = s
 
     def pmf(self) -> np.ndarray:
-        nx = self.a.size
-        ny = self.b.size
-        phi = self.a[:, None] + self.b[None, :]
-        if nx > 1 and ny > 1:
-            bump = np.zeros((nx, ny))
-            bump[1:, 1:] = np.cumsum(np.cumsum(self.s, axis=0), axis=1)
-            phi = phi + bump
-        phi -= phi.max()
+        phi = supermodular_potential(self.a, self.b, self.s)
         # floor against exp underflow: strict positivity is what makes the
         # adjacent-minor construction sufficient for TP2
         w = np.maximum(np.exp(phi), 1e-300)
@@ -328,6 +285,9 @@ def tp2_project(r_hat: BivariateDist, *, seed: int = 42, restarts: int = 8,
     """
     if restarts < 0 or max_iters < 0:
         raise DomainError(f"restarts and max_iters must be nonnegative, got {restarts} and {max_iters}")
+    steps = [0.5 * 0.5**k for k in range(8)] if step_schedule is None else list(step_schedule)
+    if not steps:
+        raise DomainError("step_schedule must name at least one step")
     r0 = r_hat.canonical()
     embedded = refine_grid(r0)
     target = embedded.pmf
@@ -358,8 +318,6 @@ def tp2_project(r_hat: BivariateDist, *, seed: int = 42, restarts: int = 8,
         (objective(product), -1, product, "baseline-product")
     ]
 
-    if step_schedule is None:
-        step_schedule = [0.5 * 0.5**k for k in range(8)]
     floor = 1e-6  # keeps log() finite when seeding from marginals with zero cells
     best_per_restart = []
     iters_per_restart = []
@@ -375,7 +333,7 @@ def tp2_project(r_hat: BivariateDist, *, seed: int = 42, restarts: int = 8,
             b = rng.normal(0.0, 1.0, ny)
             s = rng.exponential(0.2, (nx - 1, ny - 1))
         cand = _PotentialCandidate(a, b, s)
-        best, accepted, iters = _pattern_search(cand, objective, step_schedule, max_iters)
+        best, accepted, iters = _pattern_search(cand, objective, steps, max_iters)
         best_per_restart.append(best)
         iters_per_restart.append(iters)
         accepted_per_restart.append(accepted)

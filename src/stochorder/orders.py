@@ -24,7 +24,8 @@ import numpy as np
 
 from .distributions import Interval, UnivariateDist
 from .errors import DomainError, InvalidDistributionError
-from .isotonic import MODE_EXACT, MODE_FLOAT, PRODUCT_RTOL, _check_mode, products_le
+from .isotonic import (MODE_EXACT, MODE_FLOAT, PRODUCT_RTOL, _check_mode, _cumulative,
+                       _interval_scan, products_le)
 
 LR_METHODS = ("ratio", "pairwise", "intervals", "conditional-st")
 
@@ -62,41 +63,18 @@ def _fails(method: str, witness: tuple) -> OrderVerdict:
 # ---------------------------------------------------------------------------
 
 
-def _merged_float(q1: UnivariateDist, q2: UnivariateDist):
-    merged = np.union1d(q1.support, q2.support)
-    g1 = np.zeros(merged.size)
-    g2 = np.zeros(merged.size)
-    g1[np.searchsorted(merged, q1.support)] = q1.probs
-    g2[np.searchsorted(merged, q2.support)] = q2.probs
-    return merged, g1.tolist(), g2.tolist()
-
-
-def _merged_exact(q1: UnivariateDist, q2: UnivariateDist):
-    if q1.weights is None or q2.weights is None:
-        raise DomainError("exact mode requires integer-weight distributions")
-    merged = np.union1d(q1.support, q2.support)
-    g1 = [0] * merged.size
-    g2 = [0] * merged.size
-    for i, w in zip(np.searchsorted(merged, q1.support).tolist(), q1.weights):
-        g1[i] = w
-    for i, w in zip(np.searchsorted(merged, q2.support).tolist(), q2.weights):
-        g2[i] = w
-    return merged, g1, g2
-
-
-def _merged_masses(q1, q2, mode):
+def _merged_masses(q1: UnivariateDist, q2: UnivariateDist, mode: str):
+    """Merged support of the canonical pair and both mass lists on it, in the
+    numbers of the mode (Python ints in exact mode, floats otherwise)."""
     q1 = q1.canonical()
     q2 = q2.canonical()
-    if mode == MODE_EXACT:
-        return _merged_exact(q1, q2)
-    return _merged_float(q1, q2)
-
-
-def _cumulative(masses):
-    out = [masses[0] * 0]  # typed zero: 0 for ints, 0.0 for floats
-    for m in masses:
-        out.append(out[-1] + m)
-    return out
+    merged = np.union1d(q1.support, q2.support)
+    out = []
+    for q in (q1, q2):
+        g = np.zeros(merged.size, dtype=object if mode == MODE_EXACT else np.float64)
+        g[np.searchsorted(merged, q.support)] = q.masses(mode)
+        out.append(g.tolist())
+    return merged, out[0], out[1]
 
 
 # ---------------------------------------------------------------------------
@@ -167,20 +145,9 @@ def _boundaries(merged) -> list[float]:
 
 
 def _lr_intervals(merged, g1, g2, mode, tol):
+    hit = _interval_scan(_cumulative(g1), _cumulative(g2), mode, tol)
     cuts = _boundaries(merged)
-    c1 = _cumulative(g1)
-    c2 = _cumulative(g2)
-    n = len(cuts)
-    for a in range(n):
-        for b in range(a + 1, n):
-            q1A = c1[b] - c1[a]
-            q2A = c2[b] - c2[a]
-            for c in range(b + 1, n):
-                q1B = c1[c] - c1[b]
-                q2B = c2[c] - c2[b]
-                if not products_le(q1B * q2A, q1A * q2B, mode, tol):
-                    return (cuts[a], cuts[b], cuts[c])
-    return None
+    return None if hit is None else tuple(cuts[i] for i in hit)
 
 
 def _lr_conditional_st(merged, g1, g2, mode, tol):

@@ -21,7 +21,7 @@ import numpy as np
 
 from .distributions import UnivariateDist
 from .errors import DomainError, InvalidDistributionError
-from .isotonic import MODE_EXACT, MODE_FLOAT, PRODUCT_RTOL, _check_mode, products_le
+from .isotonic import MODE_EXACT, MODE_FLOAT, PRODUCT_RTOL, _check_mode, _cumulative, products_le
 from .orders import OrderVerdict, _fails, _holds, _merged_masses
 
 
@@ -95,30 +95,22 @@ def roc_curve(q1: UnivariateDist, q2: UnivariateDist) -> RocCurve:
     of the preceding atom (or the corner (1, 1)), so evaluating at the atoms
     and adding both corners exhausts the point set.
     """
-    merged, g1, g2 = _merged_masses(q1, q2, MODE_FLOAT)
-    pts = {(0.0, 0.0), (1.0, 1.0)}
-    s1 = 0.0
-    s2 = 0.0
+    exact = q1.weights is not None and q2.weights is not None
+    _, g1, g2 = _merged_masses(q1, q2, MODE_EXACT if exact else MODE_FLOAT)
+    s1 = s2 = g1[0] * 0
+    sums = []
     # ascending survivals, accumulated from the top for tail accuracy
     for m1, m2 in zip(g1[::-1], g2[::-1]):
-        pts.add((_clip01(s1), _clip01(s2)))
+        sums.append((s1, s2))
         s1 += m1
         s2 += m2
-    exact = None
-    if q1.weights is not None and q2.weights is not None:
-        _, w1, w2 = _merged_masses(q1, q2, MODE_EXACT)
-        t1, t2 = sum(w1), sum(w2)
-        epts = {(Fraction(0), Fraction(0)), (Fraction(1), Fraction(1))}
-        a1 = 0
-        a2 = 0
-        for m1, m2 in zip(w1[::-1], w2[::-1]):
-            epts.add((Fraction(a1, t1), Fraction(a2, t2)))
-            a1 += m1
-            a2 += m2
-        exact = tuple(sorted(epts))
-        floats = tuple(sorted({(float(u), float(v)) for u, v in exact}))
-        return RocCurve(floats, exact)
-    return RocCurve(tuple(sorted(pts)), None)
+    if not exact:
+        pts = {(0.0, 0.0), (1.0, 1.0)} | {(_clip01(u), _clip01(v)) for u, v in sums}
+        return RocCurve(tuple(sorted(pts)), None)
+    # after the loop s1, s2 hold the total weights
+    epts = {(Fraction(0), Fraction(0)), (Fraction(1), Fraction(1))}
+    exact_pts = tuple(sorted(epts | {(Fraction(u, s1), Fraction(v, s2)) for u, v in sums}))
+    return RocCurve(tuple(sorted({(float(u), float(v)) for u, v in exact_pts})), exact_pts)
 
 
 def roc_is_concave(curve: RocCurve, mode: str = MODE_FLOAT, tol: float = PRODUCT_RTOL) -> OrderVerdict:
@@ -160,32 +152,22 @@ def odc_curve(q1: UnivariateDist, q2: UnivariateDist) -> OdcCurve:
     q1 = q1.canonical()
     q2 = q2.canonical()
     dominated = set(q2.support.tolist()) <= set(q1.support.tolist())
-    alphas = [0.0] + [min(a, 1.0) for a in np.cumsum(q1.probs).tolist()]
-    alphas[-1] = 1.0
-    values = [0.0] + [_clip01(q2.cdf(v)) for v in q1.support.tolist()]
+    exact = q1.weights is not None and q2.weights is not None
+    mode = MODE_EXACT if exact else MODE_FLOAT
+    c1 = _cumulative(q1.masses(mode))
+    c2 = _cumulative(q2.masses(mode))
+    # c2 index of G2 at each image level: 0 at level 0, then q2 atoms <= each q1 atom
+    at = [0] + np.searchsorted(q2.support, q1.support, side="right").tolist()
     exact_a = exact_v = None
-    if q1.weights is not None and q2.weights is not None:
-        t1 = q1.total_weight
-        t2 = q2.total_weight
-        acc = 0
-        exact_a = [Fraction(0)]
-        for w in q1.weights:
-            acc += w
-            exact_a.append(Fraction(acc, t1))
-        cum2 = []
-        acc2 = 0
-        for w in q2.weights:
-            acc2 += w
-            cum2.append(acc2)
-        exact_v = [Fraction(0)]
-        for v in q1.support.tolist():
-            j = int(np.searchsorted(q2.support, v, side="right"))
-            exact_v.append(Fraction(0 if j == 0 else cum2[j - 1], t2))
-        exact_a = tuple(exact_a)
-        exact_v = tuple(exact_v)
+    if exact:
+        exact_a = tuple(Fraction(c, c1[-1]) for c in c1)
+        exact_v = tuple(Fraction(c2[j], c2[-1]) for j in at)
         alphas = [float(a) for a in exact_a]
-        alphas[-1] = 1.0
         values = [float(v) for v in exact_v]
+    else:
+        alphas = [min(a, 1.0) for a in c1]
+        values = [_clip01(c2[j]) for j in at]
+    alphas[-1] = 1.0
     # distinct rationals can collapse to one float level: keep the later value
     ded_a: list[float] = []
     ded_v: list[float] = []

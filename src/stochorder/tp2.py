@@ -23,10 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import BivariateDist, Interval, UnivariateDist
+from .distributions import BivariateDist, Interval, UnivariateDist, prefix_table
 from .errors import DomainError, InvalidDistributionError, PreconditionError
-from .isotonic import MODE_EXACT, MODE_FLOAT, PRODUCT_RTOL, _check_mode, products_le
-from .orders import OrderVerdict, _fails, _holds
+from .isotonic import MODE_FLOAT, PRODUCT_RTOL, _check_mode, products_le
+from .orders import OrderVerdict, _boundaries, _fails, _holds
 
 TP2_METHODS = ("pmf-allpairs", "pmf-adjacent", "intervals")
 
@@ -109,15 +109,18 @@ class Boundaries:
         )
 
 
+def _with_midpoints(atoms: np.ndarray) -> list[float]:
+    """The atoms interleaved with the midpoints between consecutive atoms."""
+    vals = atoms.tolist()
+    out = vals[:1]
+    for a, b in zip(vals, vals[1:]):
+        out += [(a + b) / 2.0, b]
+    return out
+
+
 def default_grid(r: BivariateDist) -> list[float]:
     """First-marginal atoms plus the midpoints between consecutive atoms."""
-    atoms = r.canonical().x_support.tolist()
-    out = []
-    for a, b in zip(atoms, atoms[1:]):
-        out.append(a)
-        out.append((a + b) / 2.0)
-    out.append(atoms[-1])
-    return out
+    return _with_midpoints(r.canonical().x_support)
 
 
 def boundaries(r: BivariateDist, xs=None) -> Boundaries:
@@ -151,30 +154,22 @@ def boundaries(r: BivariateDist, xs=None) -> Boundaries:
 # ---------------------------------------------------------------------------
 
 
-def _cut_values(vals: np.ndarray) -> list[float]:
-    lst = vals.tolist()
-    out = [lst[0] - 1.0]
-    out += [(a + b) / 2.0 for a, b in zip(lst, lst[1:])]
-    out.append(lst[-1] + 1.0)
-    return out
+def _row_range_prefixes(cells: np.ndarray) -> dict:
+    """Column prefixes of every row range: ``out[a, b][j]`` is the mass of
+    rows [a, b) in columns [0, j), as Python numbers of the cells' type.
 
-
-def _prefix_float(r: BivariateDist):
-    return r._prefix
-
-
-def _prefix_exact(r: BivariateDist):
-    if r.weights is None:
-        raise DomainError("exact mode requires integer weights")
-    nx, ny = r.shape
-    pref = [[0] * (ny + 1) for _ in range(nx + 1)]
-    for i in range(nx):
-        row = r.weights[i]
-        acc = 0
-        for j in range(ny):
-            acc += row[j]
-            pref[i + 1][j + 1] = pref[i][j + 1] + acc
-    return pref
+    Each range's column sums are formed before the running total across
+    columns, so an empty block has mass exactly 0 in float mode too.  2-D
+    inclusion-exclusion on a prefix table can leave a rounding residue there,
+    which a product compared against an exact 0 turns into a false violation.
+    """
+    nx, ny = cells.shape
+    rows = np.zeros((nx + 1, ny), dtype=cells.dtype)
+    np.cumsum(cells, axis=0, out=rows[1:])
+    ii, jj = np.triu_indices(nx + 1, k=1)
+    bands = np.zeros((ii.size, ny + 1), dtype=cells.dtype)
+    np.cumsum(rows[jj] - rows[ii], axis=1, out=bands[:, 1:])
+    return dict(zip(zip(ii.tolist(), jj.tolist()), bands.tolist()))
 
 
 def check_st_condition(r: BivariateDist, mode: str = MODE_FLOAT, tol: float = PRODUCT_RTOL,
@@ -191,42 +186,32 @@ def check_st_condition(r: BivariateDist, mode: str = MODE_FLOAT, tol: float = PR
         raise DomainError(f"unknown form {form!r}")
     r = r.canonical()
     nx, ny = r.shape
-    pref = _prefix_exact(r) if mode == MODE_EXACT else _prefix_float(r)
-    xcuts = _cut_values(r.x_support)
-    ycuts = _cut_values(r.y_support)
-
-    def block_upper(a, b, j):
-        # mass of rows [a, b) with column index >= j
-        return (pref[b][ny] - pref[a][ny]) - (pref[b][j] - pref[a][j])
-
-    def block_total(a, b):
-        return pref[b][ny] - pref[a][ny]
-
+    pref = _row_range_prefixes(r.cells(mode))
+    xcuts = _boundaries(r.x_support)
+    ycuts = _boundaries(r.y_support)
     method = f"st-condition:{form}"
     for a in range(nx + 1):
         for b in range(a + 1, nx + 1):
+            left = pref[a, b]
             for c in range(b + 1, nx + 1):
+                right = pref[b, c]
                 for j in range(1, ny):
-                    up1 = block_upper(a, b, j)
-                    up2 = block_upper(b, c, j)
+                    # masses with column index >= j of the left and right blocks
+                    up1 = left[ny] - left[j]
+                    up2 = right[ny] - right[j]
                     if form == "marginal":
-                        lhs = up1 * block_total(b, c)
-                        rhs = block_total(a, b) * up2
+                        lhs = up1 * right[ny]
+                        rhs = left[ny] * up2
                     else:
-                        lo1 = block_total(a, b) - up1
-                        lo2 = block_total(b, c) - up2
-                        lhs = up1 * lo2
-                        rhs = lo1 * up2
+                        lhs = up1 * right[j]
+                        rhs = left[j] * up2
                     if not products_le(lhs, rhs, mode, tol):
                         return _fails(method, (xcuts[a], xcuts[b], xcuts[c], ycuts[j]))
     return _holds(method)
 
 
-def _tp2_pmf_witness(r, pairs, mode, tol):
-    """Scan 2x2 minors over the given (i1, i2) x (j1, j2) index pairs."""
-    h = r.weights if mode == MODE_EXACT else r.pmf.tolist()
-    if mode == MODE_EXACT and h is None:
-        raise DomainError("exact mode requires integer weights")
+def _tp2_pmf_witness(r, h, pairs, mode, tol):
+    """Scan 2x2 minors of the cell lists ``h`` over (i1, i2) x (j1, j2) index pairs."""
     xs = r.x_support.tolist()
     ys = r.y_support.tolist()
     for i1, i2, j1, j2 in pairs:
@@ -252,23 +237,17 @@ def check_tp2(r: BivariateDist, method: str = "pmf-allpairs", mode: str = MODE_F
         raise DomainError(f"unknown check_tp2 method {method!r}; choose from {TP2_METHODS}")
     r = r.canonical()
     nx, ny = r.shape
+    cells = r.cells(mode)
+    method_tag = f"tp2:{method}"
     if method == "pmf-adjacent":
-        strictly_positive = (
-            all(w > 0 for row in r.weights for w in row)
-            if mode == MODE_EXACT and r.weights is not None
-            else bool(np.all(r.pmf > 0))
-        )
-        if strictly_positive:
+        if bool(np.all(cells > 0)):
             pairs = [
                 (i, i + 1, j, j + 1) for i in range(nx - 1) for j in range(ny - 1)
             ]
-            witness = _tp2_pmf_witness(r, pairs, mode, tol)
-            tag = "tp2:pmf-adjacent"
-            return _holds(tag) if witness is None else _fails(tag, witness)
+            witness = _tp2_pmf_witness(r, cells.tolist(), pairs, mode, tol)
+            return _holds(method_tag) if witness is None else _fails(method_tag, witness)
         method_tag = "tp2:pmf-adjacent(fallback=pmf-allpairs)"
-    else:
-        method_tag = f"tp2:{method}"
-    if method in ("pmf-allpairs", "pmf-adjacent"):
+    if method != "intervals":
         pairs = (
             (i1, i2, j1, j2)
             for i1 in range(nx)
@@ -276,30 +255,39 @@ def check_tp2(r: BivariateDist, method: str = "pmf-allpairs", mode: str = MODE_F
             for j1 in range(ny)
             for j2 in range(j1 + 1, ny)
         )
-        witness = _tp2_pmf_witness(r, pairs, mode, tol)
+        witness = _tp2_pmf_witness(r, cells.tolist(), pairs, mode, tol)
         return _holds(method_tag) if witness is None else _fails(method_tag, witness)
-    # intervals oracle
-    pref = _prefix_exact(r) if mode == MODE_EXACT else _prefix_float(r)
-    xcuts = _cut_values(r.x_support)
-    ycuts = _cut_values(r.y_support)
-
-    def rect(a, b, c, d):
-        return pref[b][d] - pref[a][d] - pref[b][c] + pref[a][c]
-
+    # intervals oracle: rectangle masses are differences within a row range's prefixes
+    pref = _row_range_prefixes(cells)
+    xcuts = _boundaries(r.x_support)
+    ycuts = _boundaries(r.y_support)
     for a in range(nx + 1):
         for b in range(a + 1, nx + 1):
+            lo = pref[a, b]
             for c in range(b + 1, nx + 1):
+                hi = pref[b, c]
                 for p in range(ny + 1):
                     for q in range(p + 1, ny + 1):
                         for s in range(q + 1, ny + 1):
-                            lhs = rect(a, b, q, s) * rect(b, c, p, q)
-                            rhs = rect(a, b, p, q) * rect(b, c, q, s)
+                            lhs = (lo[s] - lo[q]) * (hi[q] - hi[p])
+                            rhs = (lo[q] - lo[p]) * (hi[s] - hi[q])
                             if not products_le(lhs, rhs, mode, tol):
                                 return _fails(
                                     method_tag,
                                     (xcuts[a], xcuts[b], xcuts[c], ycuts[p], ycuts[q], ycuts[s]),
                                 )
     return _holds(method_tag)
+
+
+def supermodular_potential(a: np.ndarray, b: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """Potential a_i + b_j + cum2d(s)_ij, shifted to maximum 0.
+
+    ``s`` is (len(a) - 1) x (len(b) - 1); its zero-padded double cumulative
+    sum makes every adjacent second difference of the potential equal an
+    ``s`` entry, so for s >= 0 the exponential is TP2 by construction.
+    """
+    phi = a[:, None] + b[None, :] + prefix_table(s)
+    return phi - phi.max()
 
 
 # ---------------------------------------------------------------------------

@@ -166,12 +166,13 @@ def measure_pair_with_isotonic_ratio(rng: np.random.Generator, max_atoms: int = 
     return mu, nu, r
 
 
-def all_rectangles_norm(delta: np.ndarray) -> float:
-    """Largest |rectangle sum| of a float delta, every rectangle materialized.
+def all_rectangles_norm(delta: np.ndarray):
+    """Largest |rectangle sum| of a delta, every rectangle materialized.
 
     The O(L^2 M^2) time and memory expression the float brute Kuiper norm used
     before scoring each row range by its band's range; kept to check that the
-    library returns the same float, bit for bit.
+    library returns the same float, bit for bit.  On object arrays of Python
+    ints or Fractions it computes the exact norm.
     """
     nx, ny = delta.shape
     pref = np.zeros((nx + 1, ny + 1), dtype=delta.dtype)
@@ -180,4 +181,4 @@ def all_rectangles_norm(delta: np.ndarray) -> float:
     pp, qq = np.triu_indices(ny + 1, k=1)
     band = pref[jj] - pref[ii]  # (n_rowranges, ny+1): rows [i0, i1) per column prefix
     rect = band[:, qq] - band[:, pp]  # every row-range x column-range combination
-    return float(abs(rect).max())
+    return abs(rect).max()

@@ -177,6 +177,32 @@ class TestInputErrors:
         code, _ = run_cli(["tp2", "check", "--r", str(bad)])
         assert code == 2
 
+    @pytest.mark.parametrize("payload", [
+        {"support": [1, 2], "probs": 5},
+        {"support": [1, 2], "weights": 5},
+        {"support": 3, "probs": [1]},
+    ])
+    def test_univariate_json_value_types_exit_two(self, tmp_path, payload):
+        bad = tmp_path / "q.json"
+        bad.write_text(json.dumps(payload))
+        code, _ = run_cli(["check-lr", "--q1", str(bad), "--q2", str(DATA / "q_low.csv")])
+        assert code == 2
+
+    @pytest.mark.parametrize("payload, flags", [
+        ({"x_support": [1, 2], "y_support": [1], "weights": 3}, []),
+        ({"x_support": [1], "y_support": [1, 2], "pmf": [0.5, 0.5]}, ["--exact"]),
+    ])
+    def test_bivariate_json_value_types_exit_two(self, tmp_path, payload, flags):
+        bad = tmp_path / "r.json"
+        bad.write_text(json.dumps(payload))
+        code, _ = run_cli(["tp2", "check", "--r", str(bad), *flags])
+        assert code == 2
+
+    def test_fixture_bad_size_exits_two(self, tmp_path):
+        code, _ = run_cli(["fixture", "unif-delta-kernel", "--size", "7", "--dir", str(tmp_path)])
+        assert code == 2
+        assert not (tmp_path / "unif-delta-kernel.csv").exists()
+
     def test_complete_json_inputs_load(self, tmp_path):
         q = tmp_path / "q.json"
         q.write_text(json.dumps({"support": [1, 2], "probs": [0.5, 0.5]}))
@@ -229,6 +255,15 @@ class TestFileArtifacts:
         assert len(files) == 2
         for f in files:
             assert os.path.exists(f)
+
+    def test_fixture_options_default_to_the_fixture_functions(self, tmp_path):
+        assert run_cli(["fixture", "unif-delta-kernel", "--dir", str(tmp_path)])[0] == 0
+        rows = (tmp_path / "unif-delta-kernel.csv").read_text().splitlines()[1:]
+        assert len({row.split(",")[0] for row in rows}) == 30
+        # a grid bound that equals another fixture's default is still used as given
+        assert run_cli(["fixture", "gamma-pair", "--hi", "15", "--dir", str(tmp_path)])[0] == 0
+        rows = (tmp_path / "gamma-pair-q1.csv").read_text().splitlines()
+        assert rows[1].split(",")[0] == "0.05" and rows[-1].split(",")[0] == "15.0"
 
     def test_fixture_roundtrip_preserves_verdicts(self, tmp_path):
         run_cli(["fixture", "gauss-pair", "--dir", str(tmp_path)])

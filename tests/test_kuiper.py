@@ -1,5 +1,6 @@
 import itertools
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -44,6 +45,25 @@ def float_deltas(draw):
     j1 = draw(st.integers(j0, ny))
     delta[i0:i1, j0:j1] = 0.0
     return delta
+
+
+@st.composite
+def int_deltas(draw):
+    nx = draw(st.integers(1, 8))
+    ny = draw(st.integers(1, 8))
+    values = draw(st.lists(st.integers(-50, 50), min_size=nx * ny, max_size=nx * ny))
+    return np.array(values, dtype=np.int64).reshape(nx, ny)
+
+
+@st.composite
+def fraction_deltas(draw):
+    nx = draw(st.integers(1, 6))
+    ny = draw(st.integers(1, 6))
+    values = draw(st.lists(st.fractions(-5, 5, max_denominator=12), min_size=nx * ny,
+                           max_size=nx * ny))
+    delta = np.empty(nx * ny, dtype=object)
+    delta[:] = values
+    return delta.reshape(nx, ny)
 
 
 class TestKuiperNorm:
@@ -108,6 +128,21 @@ class TestKuiperNorm:
     @example(np.array([[0.3], [-1e3], [2e-3], [0.0], [7.0]]))
     def test_brute_float_equals_all_rectangles_bitwise(self, delta):
         assert kuiper_norm(measure(delta), "brute") == all_rectangles_norm(delta)
+
+    @settings(max_examples=200, deadline=None)
+    @given(int_deltas())
+    @example(np.zeros((3, 2), dtype=np.int64))
+    def test_brute_int_equals_all_rectangles(self, delta):
+        norm = kuiper_norm(measure(delta), "brute")
+        assert type(norm) is int
+        assert norm == all_rectangles_norm(delta.astype(object))
+
+    @settings(max_examples=200, deadline=None)
+    @given(fraction_deltas())
+    def test_brute_fraction_equals_all_rectangles(self, delta):
+        norm = kuiper_norm(measure(delta), "brute")
+        assert isinstance(norm, (int, Fraction))
+        assert norm == all_rectangles_norm(delta)
 
     def test_brute_float_memory_is_bounded(self):
         # materializing every rectangle of a 60x60 delta takes about 78 MB
@@ -215,7 +250,7 @@ class TestProjection:
         assert res1.distance == res2.distance
         np.testing.assert_array_equal(res1.distribution.pmf, res2.distribution.pmf)
 
-    @pytest.mark.parametrize("kwargs", [{"restarts": -3}, {"max_iters": -1}])
+    @pytest.mark.parametrize("kwargs", [{"restarts": -3}, {"max_iters": -1}, {"step_schedule": []}])
     def test_negative_search_sizes_rejected(self, kwargs):
         with pytest.raises(DomainError):
             tp2_project(antidiag(), seed=1, **kwargs)

@@ -101,6 +101,14 @@ class TestCheckTp2:
         assert check_tp2(product_uniform_2x2(), "intervals").holds
         assert not check_tp2(antidiag_2x2(), "intervals").holds
 
+    def test_intervals_float_keeps_empty_rectangles_at_zero(self):
+        # TP2 (every minor holds); the empty rectangle rows [1, 2) x columns [2, 3)
+        # came out of 2-D inclusion-exclusion as a rounding residue, which
+        # flipped the float intervals verdict against the exact one
+        r = BivariateDist.from_weights([0, 1, 2], [0, 1, 2], [[1, 0, 0], [4, 1, 0], [0, 0, 3]])
+        for mode in ("float", "exact"):
+            assert check_tp2(r, "intervals", mode=mode).holds
+
 
 class TestBoundaries:
     def test_diagonal_uniform(self):
