@@ -22,7 +22,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass, field
-from decimal import Decimal
+from decimal import Decimal, InvalidOperation
 from fractions import Fraction
 
 import numpy as np
@@ -108,6 +108,8 @@ class Interval:
 def _merge_pairs(values, masses):
     """Sort atoms and merge duplicates by summing their masses."""
     values = np.asarray(values, dtype=np.float64)
+    if len(masses) != values.size:
+        raise InvalidDistributionError("support and masses must have equal length")
     order = np.argsort(values, kind="stable")
     values = values[order]
     merged_v: list[float] = []
@@ -124,7 +126,8 @@ def _merge_pairs(values, masses):
 def _require_keys(payload, what: str, required: tuple[str, ...], masses: tuple[str, str],
                   rows: bool = False) -> None:
     """Reject a JSON payload that lacks a required key or both mass keys, or
-    whose values are not arrays (masses: arrays of arrays when ``rows``)."""
+    whose values are not arrays (masses: equal-length arrays of arrays when
+    ``rows``)."""
     if not isinstance(payload, dict):
         raise InvalidDistributionError(f"{what} JSON must be an object")
     for key in required:
@@ -135,9 +138,10 @@ def _require_keys(payload, what: str, required: tuple[str, ...], masses: tuple[s
     for key in masses:
         value = payload.get(key)
         if value is not None and not (
-            isinstance(value, list) and (not rows or value and all(isinstance(r, list) for r in value))
+            isinstance(value, list) and (not rows or value and all(isinstance(r, list) for r in value)
+                                         and len({len(r) for r in value}) == 1)
         ):
-            shape = "a nonempty array of arrays" if rows else "an array"
+            shape = "a nonempty array of equal-length arrays" if rows else "an array"
             raise InvalidDistributionError(f"{what} JSON {key!r} must be {shape}")
 
 
@@ -165,8 +169,33 @@ def _validate_support(values: np.ndarray, what: str) -> None:
         raise InvalidDistributionError(f"{what} must be strictly increasing")
 
 
+def _int_weights(weights) -> list[int]:
+    """Weights as Python ints; booleans and values that are not integral
+    numbers are rejected instead of truncated."""
+    weights = list(weights)
+    types = set(map(type, weights))
+    if types <= {int}:
+        return weights
+    if bool in types or not all(
+        isinstance(w, (int, np.integer)) or isinstance(w, float) and w.is_integer() for w in weights
+    ):
+        raise InvalidDistributionError("weights must be integers")
+    return [int(w) for w in weights]
+
+
+def _float_masses(values) -> list[float]:
+    """Masses as floats; booleans, arrays and non-numeric text are rejected."""
+    values = list(values)
+    if not {bool, np.bool_} & set(map(type, values)):
+        try:
+            return [float(v) for v in values]
+        except (TypeError, ValueError):
+            pass
+    raise InvalidDistributionError("masses must be numbers")
+
+
 def _validate_weights(weights, n: int):
-    weights = tuple(int(w) for w in weights)
+    weights = tuple(_int_weights(weights))
     if len(weights) != n:
         raise InvalidDistributionError("weights length does not match support")
     if any(w < 0 for w in weights):
@@ -228,13 +257,13 @@ class UnivariateDist:
     @classmethod
     def from_pairs(cls, values, probs, *, is_probability: bool = True) -> "UnivariateDist":
         """Build from unsorted (value, mass) data; duplicates are merged."""
-        vals, masses = _merge_pairs(values, list(map(float, probs)))
+        vals, masses = _merge_pairs(values, _float_masses(probs))
         return cls(np.array(vals), np.array(masses), None, is_probability)
 
     @classmethod
     def from_weights(cls, values, weights, *, is_probability: bool = True) -> "UnivariateDist":
         """Build from integer weights; float probs are the normalized weights."""
-        vals, ws = _merge_pairs(values, [int(w) for w in weights])
+        vals, ws = _merge_pairs(values, _int_weights(weights))
         ws = _validate_weights(ws, len(vals))
         total = sum(ws)
         probs = np.array([w / total for w in ws], dtype=np.float64)
@@ -326,11 +355,6 @@ class UnivariateDist:
         i = int(np.searchsorted(self.support, y, side="right"))
         return 0.0 if i == len(self) else float(self._suffix[i])
 
-    def strict_lower_mass(self, y: float) -> float:
-        """Mass of (-inf, y)."""
-        i = int(np.searchsorted(self.support, y, side="left"))
-        return 0.0 if i == 0 else float(self._cum[i - 1])
-
     def quantile(self, alpha: float) -> float:
         """min{y in [-inf, inf] : cdf(y) >= alpha}.
 
@@ -408,8 +432,6 @@ class BivariateDist:
     weights: tuple[tuple[int, ...], ...] | None = None
     is_probability: bool = True
 
-    _prefix: np.ndarray = field(init=False, repr=False)
-
     def __post_init__(self):
         xs = np.asarray(self.x_support, dtype=np.float64).copy()
         ys = np.asarray(self.y_support, dtype=np.float64).copy()
@@ -427,7 +449,7 @@ class BivariateDist:
             raise InvalidDistributionError(f"pmf sums to {total!r}, not 1")
         weights = self.weights
         if weights is not None:
-            weights = tuple(tuple(int(w) for w in row) for row in weights)
+            weights = tuple(tuple(_int_weights(row)) for row in weights)
             if len(weights) != xs.size or any(len(r) != ys.size for r in weights):
                 raise InvalidDistributionError("weights shape does not match supports")
             if any(w < 0 for row in weights for w in row):
@@ -445,7 +467,6 @@ class BivariateDist:
         object.__setattr__(self, "y_support", _freeze(ys))
         object.__setattr__(self, "pmf", _freeze(pmf))
         object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "_prefix", _freeze(prefix_table(pmf)))
 
     # -- constructors -------------------------------------------------------
 
@@ -454,7 +475,7 @@ class BivariateDist:
         """Build from long-form (x, y, mass) triples; duplicate cells are summed."""
         xs = [float(v) for v in xs]
         ys = [float(v) for v in ys]
-        masses = [float(m) for m in masses]
+        masses = _float_masses(masses)
         if not (len(xs) == len(ys) == len(masses)):
             raise InvalidDistributionError("x, y and mass columns must have equal length")
         gx = sorted(set(xs))
@@ -468,7 +489,7 @@ class BivariateDist:
 
     @classmethod
     def from_weights(cls, x_support, y_support, weights, *, is_probability: bool = True) -> "BivariateDist":
-        rows = [[int(w) for w in row] for row in weights]
+        rows = [_int_weights(row) for row in weights]
         total = sum(sum(row) for row in rows)
         if total <= 0:
             raise InvalidDistributionError("weights must have positive total")
@@ -493,7 +514,8 @@ class BivariateDist:
             m = len(pmf[0])
             rows = [ws[i * m : (i + 1) * m] for i in range(len(pmf))]
             return cls.from_weights(payload["x_support"], payload["y_support"], rows)
-        return cls(payload["x_support"], payload["y_support"], np.asarray(pmf, dtype=np.float64))
+        pmf = np.array([_float_masses(row) for row in pmf])
+        return cls(payload["x_support"], payload["y_support"], pmf)
 
     def to_dict(self) -> dict:
         payload = {
@@ -513,7 +535,7 @@ class BivariateDist:
 
     @property
     def total_mass(self) -> float:
-        return float(self._prefix[-1, -1])
+        return float(self.pmf.sum())
 
     @property
     def total_weight(self) -> int:
@@ -598,24 +620,13 @@ class BivariateDist:
 
     # -- rectangle masses -----------------------------------------------------
 
-    def rect_mass_idx(self, i0: int, i1: int, j0: int, j1: int) -> float:
-        """Mass of the cell block with row indices [i0, i1) and columns [j0, j1)."""
-        p = self._prefix
-        return float(p[i1, j1] - p[i0, j1] - p[i1, j0] + p[i0, j0])
-
-    def rect_weight_idx(self, i0: int, i1: int, j0: int, j1: int) -> int:
-        if self.weights is None:
-            raise DomainError("distribution carries no integer weights")
-        return sum(sum(row[j0:j1]) for row in self.weights[i0:i1])
-
     def rect_prob(self, ix: Interval, iy: Interval) -> float:
+        """Mass of the rectangle, summed over its cell block (an empty block is 0.0)."""
         lo_i = int(np.searchsorted(self.x_support, ix.left, side="left" if ix.left_closed else "right"))
         hi_i = int(np.searchsorted(self.x_support, ix.right, side="right" if ix.right_closed else "left"))
         lo_j = int(np.searchsorted(self.y_support, iy.left, side="left" if iy.left_closed else "right"))
         hi_j = int(np.searchsorted(self.y_support, iy.right, side="right" if iy.right_closed else "left"))
-        if hi_i <= lo_i or hi_j <= lo_j:
-            return 0.0
-        return self.rect_mass_idx(lo_i, hi_i, lo_j, hi_j)
+        return float(self.pmf[lo_i:hi_i, lo_j:hi_j].sum())
 
 
 def marginals(r: BivariateDist) -> tuple[UnivariateDist, UnivariateDist]:
@@ -629,7 +640,10 @@ def marginals(r: BivariateDist) -> tuple[UnivariateDist, UnivariateDist]:
 
 def _weights_from_decimal_strings(values) -> list[int]:
     """Exact integer weights from decimal text (used by the CLI exact mode)."""
-    fracs = [Fraction(Decimal(str(v))) for v in values]
+    try:
+        fracs = [Fraction(Decimal(str(v))) for v in values]
+    except (InvalidOperation, OverflowError, ValueError):
+        raise InvalidDistributionError("masses must be finite decimal numbers") from None
     if any(f < 0 for f in fracs):
         raise InvalidDistributionError("masses must be nonnegative")
     denom = math.lcm(*(f.denominator for f in fracs)) if fracs else 1
@@ -648,19 +662,25 @@ def write_univariate_csv(q: UnivariateDist, path) -> None:
             writer.writerow([_fmt(v), _fmt(p)])
 
 
-def read_univariate_csv(path, *, exact: bool = False) -> UnivariateDist:
-    values: list[float] = []
-    probs: list[str] = []
+def _csv_columns(path, header: tuple[str, ...]) -> list[tuple[str, ...]]:
+    """The text columns of a CSV file with the given header (names compared
+    stripped).  Blank lines are skipped; a row with missing or extra fields
+    is rejected."""
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or [f.strip() for f in reader.fieldnames] != ["value", "prob"]:
-            raise InvalidDistributionError(f"{path}: expected header 'value,prob'")
-        for row in reader:
-            values.append(float(row["value"]))
-            probs.append(row["prob"])
+        rows = [row for row in csv.reader(fh) if row]
+    if not rows or [f.strip() for f in rows[0]] != list(header):
+        raise InvalidDistributionError(f"{path}: expected header {','.join(header)!r}")
+    if any(len(row) != len(header) for row in rows[1:]):
+        raise InvalidDistributionError(f"{path}: every row needs {len(header)} fields")
+    return list(zip(*rows[1:])) or [()] * len(header)
+
+
+def read_univariate_csv(path, *, exact: bool = False) -> UnivariateDist:
+    values, probs = _csv_columns(path, ("value", "prob"))
+    values = [float(v) for v in values]
     if exact:
         return UnivariateDist.from_weights(values, _weights_from_decimal_strings(probs))
-    return UnivariateDist.from_pairs(values, [float(p) for p in probs])
+    return UnivariateDist.from_pairs(values, probs)
 
 
 def write_bivariate_csv(r: BivariateDist, path) -> None:
@@ -675,17 +695,9 @@ def write_bivariate_csv(r: BivariateDist, path) -> None:
 
 
 def read_bivariate_csv(path, *, exact: bool = False) -> BivariateDist:
-    xs: list[float] = []
-    ys: list[float] = []
-    probs: list[str] = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None or [f.strip() for f in reader.fieldnames] != ["x", "y", "prob"]:
-            raise InvalidDistributionError(f"{path}: expected header 'x,y,prob'")
-        for row in reader:
-            xs.append(float(row["x"]))
-            ys.append(float(row["y"]))
-            probs.append(row["prob"])
+    xs, ys, probs = _csv_columns(path, ("x", "y", "prob"))
+    xs = [float(v) for v in xs]
+    ys = [float(v) for v in ys]
     if exact:
         ws = _weights_from_decimal_strings(probs)
         gx = sorted(set(xs))
@@ -696,7 +708,7 @@ def read_bivariate_csv(path, *, exact: bool = False) -> BivariateDist:
         for x, y, w in zip(xs, ys, ws):
             rows[ix[x]][iy[y]] += w
         return BivariateDist.from_weights(gx, gy, rows)
-    return BivariateDist.from_pairs(xs, ys, [float(p) for p in probs])
+    return BivariateDist.from_pairs(xs, ys, probs)
 
 
 def write_univariate_json(q: UnivariateDist, path) -> None:

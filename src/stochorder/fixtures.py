@@ -27,6 +27,8 @@ def gaussian_pair(lo: float = -15.0, hi: float = 15.0, step: float = 0.1):
 
 def gamma_pair(lo: float = 0.05, hi: float = 9.95, step: float = 0.1):
     """Discretized gamma pair with increasing density ratio on the grid."""
+    if lo < 0:
+        raise DomainError(f"gamma densities live on [0, inf); lo must be >= 0, got {lo!r}")
     ys = _grid(lo, hi, step)
     p1 = np.exp(-ys)  # shape 1, scale 1
     p2 = np.sqrt(ys) * np.exp(-ys / 2.0)  # shape 1.5, scale 2

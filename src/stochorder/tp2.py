@@ -3,9 +3,13 @@
 A bivariate pmf is totally positive of order two (TP2) when every 2x2 minor
 taken with increasing rows and columns is nonnegative; the distributional
 version replaces single cells by rectangle masses over increasing interval
-pairs.  For a TP2 distribution the conditional distributions of the second
-coordinate are isotonic in the first coordinate with respect to the
-likelihood ratio order, and they can be pinned down constructively:
+pairs.  A distribution is TP2 exactly when the conditional distributions of
+the second coordinate are isotonic in the first coordinate with respect to
+the likelihood ratio order, so ``check_tp2`` has one engine: its three
+methods run the LR scans of :mod:`stochorder.orders` on pairs of row blocks
+(every row pair, consecutive rows, or adjacent row ranges).  Consecutive rows
+suffice for every pmf, with or without zero cells, because the LR order is
+transitive.  The conditionals can be pinned down constructively:
 
 * ``kernel_west`` conditions on the nearest support atom at or below the
   evaluation point (the from-the-left extremal kernel);
@@ -20,13 +24,15 @@ Outside the first-marginal range every kernel returns the second marginal.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 import numpy as np
 
 from .distributions import BivariateDist, Interval, UnivariateDist, prefix_table
 from .errors import DomainError, InvalidDistributionError, PreconditionError
 from .isotonic import MODE_FLOAT, PRODUCT_RTOL, _check_mode, products_le
-from .orders import OrderVerdict, _boundaries, _fails, _holds
+from .orders import (OrderVerdict, _boundaries, _fails, _holds, _lr_intervals, _lr_pairwise,
+                     _lr_ratio)
 
 TP2_METHODS = ("pmf-allpairs", "pmf-adjacent", "intervals")
 
@@ -210,73 +216,48 @@ def check_st_condition(r: BivariateDist, mode: str = MODE_FLOAT, tol: float = PR
     return _holds(method)
 
 
-def _tp2_pmf_witness(r, h, pairs, mode, tol):
-    """Scan 2x2 minors of the cell lists ``h`` over (i1, i2) x (j1, j2) index pairs."""
-    xs = r.x_support.tolist()
-    ys = r.y_support.tolist()
-    for i1, i2, j1, j2 in pairs:
-        lhs = h[i2][j1] * h[i1][j2]
-        rhs = h[i1][j1] * h[i2][j2]
-        if not products_le(lhs, rhs, mode, tol):
-            return (xs[i1], xs[i2], ys[j1], ys[j2])
-    return None
-
-
 def check_tp2(r: BivariateDist, method: str = "pmf-allpairs", mode: str = MODE_FLOAT,
               tol: float = PRODUCT_RTOL) -> OrderVerdict:
     """Total positivity of order two of a bivariate distribution.
 
-    ``pmf-allpairs`` is the reference semantics: all 2x2 minors over support
-    pairs.  ``pmf-adjacent`` restricts to adjacent minors, which is
-    sufficient only for strictly positive pmf matrices; the guard is part of
-    the contract and any zero cell falls back to the all-pairs scan.
-    ``intervals`` is the rectangle-mass oracle over boundary sextuples.
+    A pmf is TP2 exactly when its rows increase in the likelihood ratio order,
+    so every method runs one ``check_lr`` scan of :mod:`stochorder.orders` on
+    the column masses of pairs of row blocks and reports the blocks' x labels
+    followed by the scan's witness:
+
+    * ``pmf-allpairs`` - every row pair through the ``pairwise`` scan, i.e.
+      all 2x2 minors over support pairs (the reference semantics);
+    * ``pmf-adjacent`` - consecutive rows through the ``ratio`` scan, O(l*m).
+      The LR order is transitive, so this is exact for every pmf, zero cells
+      included;
+    * ``intervals`` - the rectangle-mass oracle: the row ranges [a, b) and
+      [b, c) between x cuts through the ``intervals`` scan over y cuts.
     """
     _check_mode(mode)
     if method not in TP2_METHODS:
         raise DomainError(f"unknown check_tp2 method {method!r}; choose from {TP2_METHODS}")
     r = r.canonical()
-    nx, ny = r.shape
+    nx = r.shape[0]
     cells = r.cells(mode)
-    method_tag = f"tp2:{method}"
-    if method == "pmf-adjacent":
-        if bool(np.all(cells > 0)):
-            pairs = [
-                (i, i + 1, j, j + 1) for i in range(nx - 1) for j in range(ny - 1)
-            ]
-            witness = _tp2_pmf_witness(r, cells.tolist(), pairs, mode, tol)
-            return _holds(method_tag) if witness is None else _fails(method_tag, witness)
-        method_tag = "tp2:pmf-adjacent(fallback=pmf-allpairs)"
-    if method != "intervals":
-        pairs = (
-            (i1, i2, j1, j2)
-            for i1 in range(nx)
-            for i2 in range(i1 + 1, nx)
-            for j1 in range(ny)
-            for j2 in range(j1 + 1, ny)
-        )
-        witness = _tp2_pmf_witness(r, cells.tolist(), pairs, mode, tol)
-        return _holds(method_tag) if witness is None else _fails(method_tag, witness)
-    # intervals oracle: rectangle masses are differences within a row range's prefixes
-    pref = _row_range_prefixes(cells)
-    xcuts = _boundaries(r.x_support)
-    ycuts = _boundaries(r.y_support)
-    for a in range(nx + 1):
-        for b in range(a + 1, nx + 1):
-            lo = pref[a, b]
-            for c in range(b + 1, nx + 1):
-                hi = pref[b, c]
-                for p in range(ny + 1):
-                    for q in range(p + 1, ny + 1):
-                        for s in range(q + 1, ny + 1):
-                            lhs = (lo[s] - lo[q]) * (hi[q] - hi[p])
-                            rhs = (lo[q] - lo[p]) * (hi[s] - hi[q])
-                            if not products_le(lhs, rhs, mode, tol):
-                                return _fails(
-                                    method_tag,
-                                    (xcuts[a], xcuts[b], xcuts[c], ycuts[p], ycuts[q], ycuts[s]),
-                                )
-    return _holds(method_tag)
+    if method == "intervals":
+        xcuts = _boundaries(r.x_support)
+        blocks = (((xcuts[a], xcuts[b], xcuts[c]),
+                   cells[a:b].sum(axis=0).tolist(), cells[b:c].sum(axis=0).tolist())
+                  for a, b, c in combinations(range(nx + 1), 3))
+        lr_scan = _lr_intervals
+    else:
+        xs = r.x_support.tolist()
+        h = cells.tolist()
+        adjacent = method == "pmf-adjacent"
+        pairs = zip(range(nx), range(1, nx)) if adjacent else combinations(range(nx), 2)
+        blocks = (((xs[i], xs[k]), h[i], h[k]) for i, k in pairs)
+        lr_scan = _lr_ratio if adjacent else _lr_pairwise
+    tag = f"tp2:{method}"
+    for labels, lo, hi in blocks:
+        hit = lr_scan(r.y_support, lo, hi, mode, tol)
+        if hit is not None:
+            return _fails(tag, labels + hit)
+    return _holds(tag)
 
 
 def supermodular_potential(a: np.ndarray, b: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -356,7 +337,7 @@ def kernel_new(r: BivariateDist, xs=None, rule: str = "midpoint", selection=None
     running maximum) or explicitly as (x, value) pairs.  Elsewhere in range,
     the west row is conditioned on the closed boundary band.
     """
-    verdict = check_tp2(r, "pmf-allpairs", mode, tol)
+    verdict = check_tp2(r, "pmf-adjacent", mode, tol)
     if not verdict.holds:
         raise PreconditionError(
             f"input distribution is not TP2 (witness {verdict.witness})",

@@ -250,9 +250,8 @@ def test_criterion_06_discrete_tp2_equivalences():
                 disagreements += 1
             if _rows_lr_exact(weights) != tp2:
                 disagreements += 1
-            if all(w > 0 for row in weights for w in row):
-                if check_tp2(r, "pmf-adjacent", mode="exact").holds != tp2:
-                    disagreements += 1
+            if check_tp2(r, "pmf-adjacent", mode="exact").holds != tp2:
+                disagreements += 1
             # spot-check the fast row oracle against the public kernel path
             if total % 4096 == 0:
                 atoms = r.marginal_x().support.tolist()
@@ -283,6 +282,8 @@ def test_criterion_06_discrete_tp2_equivalences():
         )
         tp2 = check_tp2(r, "pmf-allpairs", mode="exact").holds
         if check_tp2(r, "intervals", mode="exact").holds != tp2:
+            disagreements += 1
+        if check_tp2(r, "pmf-adjacent", mode="exact").holds != tp2:
             disagreements += 1
         if _rows_lr_exact(weights) != tp2:
             disagreements += 1

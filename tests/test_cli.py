@@ -198,6 +198,37 @@ class TestInputErrors:
         code, _ = run_cli(["tp2", "check", "--r", str(bad), *flags])
         assert code == 2
 
+    @pytest.mark.parametrize("name, text, argv", [
+        ("q.json", '{"support": [1, 2], "probs": [[1], [2]]}', ["check-lr", "--q1"]),
+        ("q.json", '{"support": [1, 2], "weights": [1.5, 2.5]}', ["check-lr", "--q1"]),
+        ("q.json", '{"support": [1, 2], "weights": [1, 1, 5]}', ["check-lr", "--q1"]),
+        ("q.csv", "value,prob\n1\n2,0.5\n", ["check-lr", "--q1"]),
+        ("r.csv", "x,y,prob\n1,1,0.5,9\n2,1,0.5\n", ["tp2", "check", "--r"]),
+        ("q.csv", "value,prob\n1,abc\n2,0.5\n", ["check-lr", "--exact", "--q1"]),
+        ("q.json", '{"support": [1, 2], "probs": ["abc", 0.5]}', ["check-lr", "--exact", "--q1"]),
+        ("q.csv", "value,prob\n1,Infinity\n2,0.5\n", ["check-lr", "--exact", "--q1"]),
+        ("q.json", '{"support": [1, 2], "probs": [Infinity, 0.5]}', ["check-lr", "--exact", "--q1"]),
+        ("r.json", '{"x_support": [1, 2], "y_support": [1, 2], "weights": [[1, 0.5], [0, 1]]}',
+         ["tp2", "check", "--exact", "--r"]),
+        ("r.json", '{"x_support": [1, 2], "y_support": [1], "pmf": [[1], [2, 3]]}',
+         ["tp2", "check", "--exact", "--r"]),
+    ], ids=["nested-probs", "fractional-weights", "extra-weight", "short-csv-row", "extra-csv-field",
+            "exact-csv-text", "exact-json-text", "exact-csv-infinity", "exact-json-infinity",
+            "exact-bivariate-fractional-weights", "exact-ragged-pmf-rows"])
+    def test_malformed_masses_exit_two(self, tmp_path, name, text, argv):
+        bad = tmp_path / name
+        bad.write_text(text)
+        extra = [] if argv[0] == "tp2" else ["--q2", str(DATA / "q_low.csv")]
+        code, out = run_cli([*argv, str(bad), *extra])
+        assert code == 2
+        assert out == ""
+
+    def test_gamma_pair_below_zero_exits_two(self, tmp_path):
+        # exits before numpy evaluates sqrt on a negative grid (no RuntimeWarning)
+        code, _ = run_cli(["fixture", "gamma-pair", "--lo", "-15", "--dir", str(tmp_path)])
+        assert code == 2
+        assert not list(tmp_path.iterdir())
+
     def test_fixture_bad_size_exits_two(self, tmp_path):
         code, _ = run_cli(["fixture", "unif-delta-kernel", "--size", "7", "--dir", str(tmp_path)])
         assert code == 2

@@ -174,6 +174,23 @@ class TestRangeAndMarginals:
         assert p.total_mass == pytest.approx(r.total_mass, abs=1e-12)
         assert q.total_mass == pytest.approx(r.total_mass, abs=1e-12)
 
+    def test_rect_prob_empty_blocks_are_exactly_zero(self):
+        # 2-D inclusion-exclusion on a prefix table gave -5.55e-17 for the
+        # empty cell at rows [1, 1] x columns [2, 2]
+        weights = [[1, 0, 0], [4, 1, 0], [0, 0, 3]]
+        r = BivariateDist.from_weights([0, 1, 2], [0, 1, 2], weights)
+        empty = 0
+        for i0 in range(3):
+            for i1 in range(i0, 3):
+                for j0 in range(3):
+                    for j1 in range(j0, 3):
+                        if any(weights[i][j] for i in range(i0, i1 + 1) for j in range(j0, j1 + 1)):
+                            continue
+                        empty += 1
+                        mass = r.rect_prob(Interval.closed(i0, i1), Interval.closed(j0, j1))
+                        assert mass == 0.0 and not np.signbit(mass)
+        assert empty == 8
+
 
 class TestValidationAndCanonical:
     def test_support_must_increase(self):

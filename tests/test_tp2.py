@@ -74,23 +74,41 @@ class TestCheckTp2:
         assert not v.holds
         assert v.witness == (1.0, 2.0, 1.0, 2.0)
 
-    def test_methods_agree_on_random_positive_matrices(self):
+    def test_methods_agree_on_random_matrices(self):
+        # strictly positive matrices, banded TP2 ones with zero cells, and
+        # planted violations: pmf-adjacent needs no positivity guard
         rng = np.random.default_rng(14)
+        cases = []
         for _ in range(200):
             pmf = rng.random((3, 4)) + 0.01
-            r = BivariateDist(np.arange(3.0), np.arange(4.0), pmf / pmf.sum())
+            cases.append(BivariateDist(np.arange(3.0), np.arange(4.0), pmf / pmf.sum()))
+        for trial in range(200):
+            nx, ny = (int(v) for v in rng.integers(2, 6, size=2))
+            r = random_tp2(rng, nx, ny, band=True)
+            cases.append(r)
+            pmf = r.pmf.copy()
+            i, j = int(rng.integers(0, pmf.shape[0])), int(rng.integers(0, pmf.shape[1]))
+            pmf[i, j] = 0.0 if trial % 2 else pmf[i, j] + 1.0
+            cases.append(BivariateDist(r.x_support, r.y_support, pmf / pmf.sum()))
+        verdicts = set()
+        for r in cases:
             res = {m: check_tp2(r, m).holds for m in ("pmf-allpairs", "pmf-adjacent", "intervals")}
             assert len(set(res.values())) == 1
+            verdicts.add((res["pmf-allpairs"], bool(np.all(r.canonical().pmf > 0))))
+        # every combination of verdict and positivity occurs
+        assert len(verdicts) == 4
 
-    def test_adjacent_guard_falls_back_on_zero_cells(self):
-        # adjacent minors all hold here, but a column-gap minor fails: only the
-        # strict-positivity guard makes the adjacent method sound
+    def test_adjacent_fails_on_zero_cells_without_fallback(self):
+        # every adjacent 2x2 minor holds; the ratio scan of the consecutive rows
+        # x=1, 2 over their positive columns y=1, 3 finds the violated minor
+        # h(2,1) h(1,3) = 1 > 0 = h(1,1) h(2,3) without any fallback
         r = BivariateDist.from_weights(
             [1, 2, 3], [1, 2, 3], [[0, 0, 1], [1, 0, 0], [0, 1, 0]]
         )
         v = check_tp2(r, "pmf-adjacent")
         assert not v.holds
-        assert "fallback" in v.method
+        assert v.method == "tp2:pmf-adjacent"
+        assert v.witness == (1.0, 2.0, 1.0, 3.0)
         assert not check_tp2(r, "pmf-allpairs").holds
 
     def test_exact_mode(self):
