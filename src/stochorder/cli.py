@@ -282,7 +282,8 @@ def _cmd_converge(args) -> int:
     seeds = _parse_seeds(args.seeds)
     if args.variant == "bracket":
         reports = [
-            bracket_check(r, {"n_list": ns, "seed": s}, args.beta, args.x1, args.x2).to_dict()
+            bracket_check(r, {"n_list": ns, "seed": s}, args.beta, args.x1, args.x2,
+                          _mode(args), args.tolerance).to_dict()
             for s in seeds
         ]
         result = {"variant": "bracket", "reports": reports}

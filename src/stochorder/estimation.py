@@ -23,6 +23,7 @@ import numpy as np
 
 from .distributions import BivariateDist
 from .errors import DomainError, PreconditionError
+from .isotonic import MODE_FLOAT, PRODUCT_RTOL
 from .tp2 import check_st_condition, kernel_east, kernel_west
 
 QUANTILE_FLAVORS = ("west-min", "east-max", "empirical")
@@ -164,19 +165,21 @@ def _empirical_quantiles(emp: BivariateDist, beta: float, x: float) -> tuple[flo
 
 
 def bracket_check(r_true: BivariateDist, samples_spec: dict, beta: float,
-                  x1: float, x2: float) -> BracketReport:
+                  x1: float, x2: float, mode: str = MODE_FLOAT,
+                  tol: float = PRODUCT_RTOL) -> BracketReport:
     """Empirical-vs-extremal quantile bracketing at two interior points.
 
     For each sample size, draws a seeded sample, builds its empirical
     distribution, and verifies that the empirical quantile at the higher
     point does not undercut the west quantile at the lower point, and dually
     for the east quantile.  On finite support all quantiles are atom values,
-    so no slack is applied.  Stream i uses spawn key (seed, i).
+    so no slack is applied.  Stream i uses spawn key (seed, i).  ``mode``
+    and ``tol`` govern the stochastic-order precondition on ``r_true``.
     """
     beta = float(beta)
     if not 0.0 < beta < 1.0:
         raise DomainError(f"beta must lie strictly inside (0, 1), got {beta!r}")
-    st = check_st_condition(r_true)
+    st = check_st_condition(r_true, mode, tol)
     if not st.holds:
         raise PreconditionError(
             f"source distribution violates the stochastic-order condition at {st.witness}",

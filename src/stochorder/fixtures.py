@@ -10,6 +10,8 @@ from .tp2 import supermodular_potential
 
 
 def _grid(lo: float, hi: float, step: float) -> np.ndarray:
+    if not (np.isfinite(step) and step > 0):
+        raise DomainError(f"grid step must be finite and positive, got {step!r}")
     count = int(round((hi - lo) / step)) + 1
     return np.linspace(lo, hi, count)
 

@@ -9,7 +9,10 @@ the likelihood ratio order, so ``check_tp2`` has one engine: its three
 methods run the LR scans of :mod:`stochorder.orders` on pairs of row blocks
 (every row pair, consecutive rows, or adjacent row ranges).  Consecutive rows
 suffice for every pmf, with or without zero cells, because the LR order is
-transitive.  The conditionals can be pinned down constructively:
+transitive.  Likewise ``check_st_condition`` scans consecutive rows only: a
+chord slope of the path (sum of row totals, sum of upper masses) is a
+weighted mean of its segment slopes.  The conditionals can be pinned down
+constructively:
 
 * ``kernel_west`` conditions on the nearest support atom at or below the
   evaluation point (the from-the-left extremal kernel);
@@ -30,7 +33,7 @@ import numpy as np
 
 from .distributions import BivariateDist, Interval, UnivariateDist, prefix_table
 from .errors import DomainError, InvalidDistributionError, PreconditionError
-from .isotonic import MODE_FLOAT, PRODUCT_RTOL, _check_mode, products_le
+from .isotonic import MODE_FLOAT, PRODUCT_RTOL, _check_mode, _cumulative, products_le
 from .orders import (OrderVerdict, _boundaries, _fails, _holds, _lr_intervals, _lr_pairwise,
                      _lr_ratio)
 
@@ -129,12 +132,20 @@ def default_grid(r: BivariateDist) -> list[float]:
     return _with_midpoints(r.canonical().x_support)
 
 
+def _eval_points(r: BivariateDist, xs) -> list[float]:
+    """Sorted distinct evaluation points (default grid if None); +-inf lies outside the range."""
+    pts = default_grid(r) if xs is None else [float(v) for v in xs]
+    if not pts:
+        raise DomainError("at least one evaluation point is required")
+    if np.isnan(pts).any():
+        raise DomainError("evaluation points must not be NaN")
+    return sorted(set(pts))
+
+
 def boundaries(r: BivariateDist, xs=None) -> Boundaries:
     """Monotone support boundaries evaluated on a grid of x values."""
     r = r.canonical()
-    if xs is None:
-        xs = default_grid(r)
-    xs = np.asarray(sorted(set(float(v) for v in xs)), dtype=np.float64)
+    xs = np.asarray(_eval_points(r, xs), dtype=np.float64)
     atoms = r.x_support
     ys = r.y_support
     pmf = r.pmf
@@ -160,59 +171,41 @@ def boundaries(r: BivariateDist, xs=None) -> Boundaries:
 # ---------------------------------------------------------------------------
 
 
-def _row_range_prefixes(cells: np.ndarray) -> dict:
-    """Column prefixes of every row range: ``out[a, b][j]`` is the mass of
-    rows [a, b) in columns [0, j), as Python numbers of the cells' type.
-
-    Each range's column sums are formed before the running total across
-    columns, so an empty block has mass exactly 0 in float mode too.  2-D
-    inclusion-exclusion on a prefix table can leave a rounding residue there,
-    which a product compared against an exact 0 turns into a false violation.
-    """
-    nx, ny = cells.shape
-    rows = np.zeros((nx + 1, ny), dtype=cells.dtype)
-    np.cumsum(cells, axis=0, out=rows[1:])
-    ii, jj = np.triu_indices(nx + 1, k=1)
-    bands = np.zeros((ii.size, ny + 1), dtype=cells.dtype)
-    np.cumsum(rows[jj] - rows[ii], axis=1, out=bands[:, 1:])
-    return dict(zip(zip(ii.tolist(), jj.tolist()), bands.tolist()))
-
-
 def check_st_condition(r: BivariateDist, mode: str = MODE_FLOAT, tol: float = PRODUCT_RTOL,
                        form: str = "marginal") -> OrderVerdict:
-    """Stochastic-order condition on adjacent x-interval pairs.
+    """Stochastic-order condition on adjacent x blocks, as one O(l*m) scan.
 
-    ``form="marginal"`` checks upper mass of the left block times the right
-    block total against the symmetric product; ``form="joint"`` checks the
-    equivalent all-joint product form.  Boundary triples are cut between
-    atoms; the y threshold runs over cuts between y-atoms.
+    At each y cut, ``form="marginal"`` checks the left block's upper mass
+    times the right block's total against the symmetric product;
+    ``form="joint"`` is the equivalent all-joint product form.  With f_i the
+    upper mass and g_i > 0 the total of canonical row i, a block's ratio
+    sum(f)/sum(g) is a chord slope of the path (sum g, sum f), i.e. the
+    g-weighted mean of its segment slopes f_i/g_i.  So every block pair
+    passes exactly when every pair of consecutive rows does, and the witness
+    is the x cuts around two consecutive rows plus the y cut.
     """
     _check_mode(mode)
     if form not in ("marginal", "joint"):
         raise DomainError(f"unknown form {form!r}")
     r = r.canonical()
-    nx, ny = r.shape
-    pref = _row_range_prefixes(r.cells(mode))
+    ny = r.shape[1]
+    cum = [_cumulative(row) for row in r.cells(mode).tolist()]
     xcuts = _boundaries(r.x_support)
     ycuts = _boundaries(r.y_support)
     method = f"st-condition:{form}"
-    for a in range(nx + 1):
-        for b in range(a + 1, nx + 1):
-            left = pref[a, b]
-            for c in range(b + 1, nx + 1):
-                right = pref[b, c]
-                for j in range(1, ny):
-                    # masses with column index >= j of the left and right blocks
-                    up1 = left[ny] - left[j]
-                    up2 = right[ny] - right[j]
-                    if form == "marginal":
-                        lhs = up1 * right[ny]
-                        rhs = left[ny] * up2
-                    else:
-                        lhs = up1 * right[j]
-                        rhs = left[j] * up2
-                    if not products_le(lhs, rhs, mode, tol):
-                        return _fails(method, (xcuts[a], xcuts[b], xcuts[c], ycuts[j]))
+    for i, (left, right) in enumerate(zip(cum, cum[1:])):
+        for j in range(1, ny):
+            # masses with column index >= j of rows i and i + 1
+            up1 = left[ny] - left[j]
+            up2 = right[ny] - right[j]
+            if form == "marginal":
+                lhs = up1 * right[ny]
+                rhs = left[ny] * up2
+            else:
+                lhs = up1 * right[j]
+                rhs = left[j] * up2
+            if not products_le(lhs, rhs, mode, tol):
+                return _fails(method, (xcuts[i], xcuts[i + 1], xcuts[i + 2], ycuts[j]))
     return _holds(method)
 
 
@@ -288,11 +281,7 @@ def _classify(atoms: np.ndarray, x: float):
 
 def _build_kernel(r: BivariateDist, xs, flavor: str) -> Kernel:
     r = r.canonical()
-    if xs is None:
-        xs = default_grid(r)
-    xs = sorted(set(float(v) for v in xs))
-    if not xs:
-        raise DomainError("kernel needs at least one evaluation point")
+    xs = _eval_points(r, xs)
     atoms = r.x_support
     marginal = r.marginal_y()
     row_cache: dict[int, UnivariateDist] = {}
@@ -344,11 +333,7 @@ def kernel_new(r: BivariateDist, xs=None, rule: str = "midpoint", selection=None
             witness=verdict.witness,
         )
     r = r.canonical()
-    if xs is None:
-        xs = default_grid(r)
-    xs = sorted(set(float(v) for v in xs))
-    if not xs:
-        raise DomainError("kernel needs at least one evaluation point")
+    xs = _eval_points(r, xs)
     bnd = boundaries(r, xs)
     west = kernel_west(r, xs)
     marginal = r.marginal_y()

@@ -234,6 +234,52 @@ class TestInputErrors:
         assert code == 2
         assert not (tmp_path / "unif-delta-kernel.csv").exists()
 
+    @pytest.mark.parametrize("exact, code", [(True, 4), (False, 0)])
+    def test_converge_bracket_precondition_follows_mode(self, tmp_path, exact, code):
+        # rows (1e13, 1e13 + 1) and (1e13 + 1, 1e13 + 1): the upper conditional
+        # mass falls by about 2.5e-14 relative, inside the float slack only
+        r = tmp_path / "r.json"
+        big = 10 ** 13
+        r.write_text(json.dumps({"x_support": [1, 2], "y_support": [1, 2],
+                                 "weights": [[big, big + 1], [big + 1, big + 1]]}))
+        argv = ["converge", "bracket", "--r", str(r), "--beta", "0.5", "--ns", "10",
+                "--seeds", "1", "--x1", "1.2", "--x2", "1.8"]
+        assert run_cli(argv + ["--exact"] * exact)[0] == code
+
+    @pytest.mark.parametrize("argv", [
+        ["kernel", "--flavor", "e", "--x", "nan"],
+        ["kernel", "--flavor", "w", "--x", "nan"],
+        ["kernel", "--flavor", "new", "--x", "nan"],
+        ["boundaries", "--x", "nan"],
+        ["quantiles", "--beta", "0.5", "--flavor", "w", "--x", "nan"],
+        ["boundaries", "--x", ","],
+        ["kernel", "--flavor", "w", "--x", ","],
+    ], ids=["kernel-e-nan", "kernel-w-nan", "kernel-new-nan", "boundaries-nan", "quantiles-w-nan",
+            "boundaries-empty", "kernel-empty"])
+    def test_bad_evaluation_points_exit_two(self, capsys, argv):
+        code, out = run_cli([*argv, "--r", "r_band5.csv"], cwd=DATA)
+        assert code == 2
+        assert out == ""
+        assert "evaluation point" in capsys.readouterr().err
+
+    def test_infinite_evaluation_points_lie_outside_the_range(self):
+        code, out = run_cli(["kernel", "--r", "r_band5.csv", "--flavor", "w", "--x=-inf,inf"],
+                            cwd=DATA)
+        assert code == 0
+        low, high = json.loads(out)["result"]["rows"]
+        # both rows are the second marginal
+        assert [p[1:] for p in low] == [p[1:] for p in high]
+        code, out = run_cli(["boundaries", "--r", "r_band5.csv", "--x=-inf,inf"], cwd=DATA)
+        assert code == 0
+        assert [rec["in_range"] for rec in json.loads(out)["result"]["records"]] == [False, False]
+
+    @pytest.mark.parametrize("step", ["0", "-0.1", "nan", "inf"])
+    def test_fixture_bad_step_exits_two(self, tmp_path, capsys, step):
+        code, _ = run_cli(["fixture", "gauss-pair", "--step", step, "--dir", str(tmp_path)])
+        assert code == 2
+        assert "grid step must be finite and positive" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
     def test_complete_json_inputs_load(self, tmp_path):
         q = tmp_path / "q.json"
         q.write_text(json.dumps({"support": [1, 2], "probs": [0.5, 0.5]}))

@@ -18,6 +18,8 @@ from stochorder import (
 )
 from stochorder.fixtures import banded_tp2, diag_uniform, random_tp2, unif_delta_kernel
 
+from helpers import all_blocks_st_condition
+
 NEG_INF = float("-inf")
 POS_INF = float("inf")
 
@@ -28,6 +30,60 @@ def product_uniform_2x2() -> BivariateDist:
 
 def antidiag_2x2() -> BivariateDist:
     return BivariateDist.from_weights([1, 2], [1, 2], [[0, 1], [1, 0]])
+
+
+def integer_matrices(rng: np.random.Generator, n: int) -> list[BivariateDist]:
+    """Integer-weight matrices up to 6x6, many with zero cells: sparse random
+    ones, products (proportional rows, exact ties), and chains whose rows move
+    mass upward (stochastically increasing rows); half of the last two kinds
+    get one cell raised or lowered by 1."""
+    out = []
+    while len(out) < n:
+        nx, ny = (int(v) for v in rng.integers(1, 7, size=2))
+        kind = len(out) % 3
+        if kind == 0:
+            w = rng.integers(0, 4, (nx, ny)) * (rng.random((nx, ny)) < rng.random())
+        elif kind == 1:
+            w = np.outer(rng.integers(0, 3, nx), rng.integers(0, 3, ny))
+        else:
+            row = rng.integers(0, 4, ny)
+            rows = [row]
+            for _ in range(nx - 1):
+                row = row.copy()
+                src = [j for j in range(ny - 1) if row[j] > 0]
+                if src:
+                    j = int(rng.choice(src))
+                    m = int(rng.integers(1, row[j] + 1))
+                    row[j] -= m
+                    row[int(rng.integers(j + 1, ny))] += m
+                rows.append(row)
+            w = np.array(rows)
+        if kind and rng.random() < 0.5:
+            i, j = int(rng.integers(nx)), int(rng.integers(ny))
+            w[i, j] = max(0, w[i, j] + (1 if rng.random() < 0.5 else -1))
+        if w.sum() > 0:
+            out.append(BivariateDist.from_weights(range(nx), range(ny), w.tolist()))
+    return out
+
+
+def assert_st_witness_violated(r: BivariateDist, witness, form: str) -> None:
+    """The witness cuts hold exactly one mass-carrying row each, the two rows
+    are consecutive, and the form's inequality fails on the input's weights."""
+    x0, x1, x2, y = witness
+    atoms = r.canonical().x_support
+    lo = np.flatnonzero((atoms > x0) & (atoms < x1))
+    hi = np.flatnonzero((atoms > x1) & (atoms < x2))
+    assert lo.size == hi.size == 1 and hi[0] == lo[0] + 1
+    cells = r.cells("exact")
+    xs, up = r.x_support, r.y_support > y
+    left = cells[(xs > x0) & (xs < x1)]
+    right = cells[(xs > x1) & (xs < x2)]
+    up1, up2 = left[:, up].sum(), right[:, up].sum()
+    t1, t2 = left.sum(), right.sum()
+    if form == "marginal":
+        assert up1 * t2 > t1 * up2
+    else:
+        assert up1 * (t2 - up2) > (t1 - up1) * up2
 
 
 def skew_2x2() -> BivariateDist:
@@ -45,10 +101,34 @@ class TestStCondition:
         assert check_st_condition(r).holds
 
     def test_antidiagonal_fails_with_witness(self):
-        v = check_st_condition(antidiag_2x2())
+        r = antidiag_2x2()
+        v = check_st_condition(r)
         assert not v.holds
         x0, x1, x2, y = v.witness
         assert x0 < x1 < x2 and y == 1.5
+        assert_st_witness_violated(r, v.witness, "marginal")
+
+    @pytest.mark.parametrize("form", ["marginal", "joint"])
+    def test_witness_brackets_violated_consecutive_rows(self, form):
+        failing = [r for r in integer_matrices(np.random.default_rng(31), 300)
+                   if not check_st_condition(r, "exact", form=form).holds]
+        assert len(failing) > 50
+        for r in failing:
+            assert_st_witness_violated(r, check_st_condition(r, "exact", form=form).witness, form)
+
+    def test_matches_all_blocks_oracle(self):
+        # the condition on all adjacent block pairs reduces to consecutive rows:
+        # a chord slope of the path (sum g, sum f) is a weighted mean of segment slopes
+        cases = integer_matrices(np.random.default_rng(2024), 10_000)
+        assert sum(bool((r.pmf == 0).any()) for r in cases) > 5_000
+        verdicts = {True: 0, False: 0}
+        for r in cases:
+            for mode in ("exact", "float"):
+                for form in ("marginal", "joint"):
+                    holds = check_st_condition(r, mode, form=form).holds
+                    assert holds == all_blocks_st_condition(r, mode, form=form).holds
+                    verdicts[holds] += 1
+        assert min(verdicts.values()) > 5_000
 
     def test_joint_form_agrees(self):
         rng = np.random.default_rng(9)
