@@ -2,22 +2,19 @@
 
 The Kuiper norm of a signed measure on a finite grid is the largest absolute
 mass over all axis-aligned half-open rectangles.  ``kuiper_norm`` computes it
-either by brute enumeration of all rectangles through 2-D prefix sums, or in
-O(l^2 m) by collapsing row ranges and running a 1-D maximum/minimum subarray
-scan over the columns; the two must agree and cross-check each other in the
-tests.
-
-The brute path is O(l^2 m) in time and memory as well, for float, integer
-and rational deltas alike (the last two as object arrays of Python ints or
-Fractions, so they stay exact).  For a row range [i0, i1), let
-``band = pref[i1] - pref[i0]`` over the m + 1 column prefixes; the rectangle
-[i0, i1) x [p, q) has mass ``band[q] - band[p]``, so the largest absolute
-mass over the range's column pairs is ``band.max() - band.min()``.  For
-floats this holds bit for bit, not just up to rounding: floating-point
-subtraction rounds monotonically (non-decreasing in its first operand,
-non-increasing in its second) and symmetrically under negation, so no
-rounded difference of two band entries exceeds the rounded difference of
-the extremes, which is itself one of the candidates.
+with one O(l^2 m) kernel for float, integer and rational deltas alike (the
+last two as object arrays of Python ints or Fractions, so they stay exact).
+For a row range [i0, i1), let ``band = pref[i1] - pref[i0]`` over the m + 1
+column prefixes; the rectangle [i0, i1) x [p, q) has mass
+``band[q] - band[p]``, so the largest absolute mass over the range's column
+pairs is ``band.max() - band.min()``.  For floats this holds bit for bit, not
+just up to rounding: floating-point subtraction rounds monotonically
+(non-decreasing in its first operand, non-increasing in its second) and
+symmetrically under negation, so no rounded difference of two band entries
+exceeds the rounded difference of the extremes, which is itself one of the
+candidates.  The row ranges are scored in chunks of at most ``BAND_BUDGET``
+band entries, so memory stays bounded on large grids; the chunks do the same
+subtractions, and a grid that fits one chunk runs in a single call.
 
 ``tp2_project`` searches for a TP2 distribution close to a given one in the
 Kuiper norm.  An exact minimizer exists on the midpoint-refined grid, but no
@@ -40,7 +37,12 @@ from .errors import DomainError, InvalidDistributionError
 from .isotonic import MODE_EXACT, MODE_FLOAT, PRODUCT_RTOL
 from .tp2 import _with_midpoints, check_tp2, supermodular_potential
 
+#: names ``kuiper_norm`` accepts; both run the one band kernel
 KUIPER_METHODS = ("brute", "kadane")
+
+#: most prefix entries a chunk of row-range bands holds at once; with the chunk's
+#: own indices, this bounds the norm's working memory whatever the number of ranges
+BAND_BUDGET = 2**16
 
 #: cells below this value are zeroed in the final thresholding pass
 PROJECTION_ZERO_THRESHOLD = 1e-12
@@ -60,8 +62,8 @@ class GridSignedMeasure:
         delta = np.asarray(self.delta)
         if delta.dtype.kind not in "iuf" and delta.dtype != object:
             raise InvalidDistributionError("delta must be numeric")
-        if xg.ndim != 1 or yg.ndim != 1 or delta.shape != (xg.size, yg.size):
-            raise InvalidDistributionError("delta shape must match the grids")
+        if xg.ndim != 1 or yg.ndim != 1 or delta.shape != (xg.size, yg.size) or delta.size == 0:
+            raise InvalidDistributionError("delta must be nonempty and match the grids in shape")
         if xg.size > 1 and not np.all(np.diff(xg) > 0):
             raise InvalidDistributionError("x grid must be strictly increasing")
         if yg.size > 1 and not np.all(np.diff(yg) > 0):
@@ -96,66 +98,48 @@ def signed_difference(a: BivariateDist, b: BivariateDist) -> GridSignedMeasure:
 # ---------------------------------------------------------------------------
 
 
-def _row_ranges(nx: int) -> tuple[np.ndarray, np.ndarray]:
-    """Index pair (ii, jj) of every row range [i0, i1) with 0 <= i0 < i1 <= nx."""
-    return np.triu_indices(nx + 1, k=1)
+def _row_ranges(shape: tuple[int, int]):
+    """Yield the index pairs (ii, jj) of every row range [i0, i1), 0 <= i0 < i1 <= nx, in ``triu_indices``
+    order and in chunks whose bands hold at most ``BAND_BUDGET`` entries, one chunk's indices at a time."""
+    nx, ny = shape
+    step = max(1, BAND_BUDGET // (ny + 1))
+    offsets = np.concatenate(([0], np.cumsum(np.arange(nx, 0, -1))))  # first range of each start row
+    total = int(offsets[-1])  # nx (nx + 1) / 2 row ranges
+    for k in range(0, total, step):
+        flat = np.arange(k, min(k + step, total))
+        ii = np.searchsorted(offsets, flat, side="right") - 1
+        yield ii, ii + 1 + (flat - offsets[ii])
 
 
-def _norm_brute_vectorized(delta: np.ndarray, rows: tuple[np.ndarray, np.ndarray]):
-    """Largest |rectangle sum| of a float or object delta, given ``_row_ranges(nx)``.
+def _band_norm(delta: np.ndarray, chunks):
+    """Largest |rectangle sum| of a float or object delta, given ``_row_ranges(delta.shape)``.
 
     Each row range's band of column prefixes scores its range max - min,
     which is its largest |band[q] - band[p]| (see the module docstring).
     """
     pref = prefix_table(delta)
-    ii, jj = rows
-    band = pref[jj] - pref[ii]  # (n_rowranges, ny+1): rows [i0, i1) per column prefix
-    return (band.max(axis=1) - band.min(axis=1)).max()
-
-
-def _norm_kadane(delta) -> object:
-    """Max |rectangle sum| via row-range collapse plus 1-D scans per range."""
-    rows = [list(r) for r in delta]
-    nx = len(rows)
-    ny = len(rows[0])
-    best = 0
-    for i0 in range(nx):
-        col = [0] * ny
-        for i1 in range(i0, nx):
-            r = rows[i1]
-            for j in range(ny):
-                col[j] = col[j] + r[j]
-            # max and min subarray sums over col
-            cur_max = best_max = col[0]
-            cur_min = best_min = col[0]
-            for v in col[1:]:
-                cur_max = v if cur_max < 0 else cur_max + v
-                if cur_max > best_max:
-                    best_max = cur_max
-                cur_min = v if cur_min > 0 else cur_min + v
-                if cur_min < best_min:
-                    best_min = cur_min
-            cand = max(best_max, -best_min)
-            if cand > best:
-                best = cand
+    best = None
+    for ii, jj in chunks:
+        band = pref[jj] - pref[ii]  # (chunk, ny+1): rows [i0, i1) per column prefix
+        score = (band.max(axis=1) - band.min(axis=1)).max()
+        if best is None or score > best:
+            best = score
     return best
 
 
 def kuiper_norm(sigma: GridSignedMeasure, method: str = "kadane"):
     """Largest absolute rectangle mass of the signed measure.
 
+    Both method names run the same kernel; the name is only checked.
     Returns a float for float deltas, an int for integer deltas, and keeps
     exact types (e.g. Fraction) for object-dtype deltas.
     """
     if method not in KUIPER_METHODS:
         raise DomainError(f"unknown kuiper method {method!r}; choose from {KUIPER_METHODS}")
     delta = sigma.delta
-    if method == "kadane":
-        out = _norm_kadane(delta.tolist())
-        return float(out) if delta.dtype.kind == "f" else out
     if delta.dtype.kind == "f":
-        return float(_norm_brute_vectorized(delta, _row_ranges(delta.shape[0])))
-    return _norm_brute_vectorized(delta.astype(object), _row_ranges(delta.shape[0]))
+        return float(_band_norm(delta, _row_ranges(delta.shape)))
+    return _band_norm(delta.astype(object), _row_ranges(delta.shape))
 
 
 # ---------------------------------------------------------------------------
@@ -285,6 +269,8 @@ def tp2_project(r_hat: BivariateDist, *, seed: int = 42, restarts: int = 8,
     """
     if restarts < 0 or max_iters < 0:
         raise DomainError(f"restarts and max_iters must be nonnegative, got {restarts} and {max_iters}")
+    if seed < 0:
+        raise DomainError(f"seed must be nonnegative, got {seed}")
     steps = [0.5 * 0.5**k for k in range(8)] if step_schedule is None else list(step_schedule)
     if not steps:
         raise DomainError("step_schedule must name at least one step")
@@ -293,7 +279,7 @@ def tp2_project(r_hat: BivariateDist, *, seed: int = 42, restarts: int = 8,
     target = embedded.pmf
 
     if check_tp2(r0, "pmf-allpairs", MODE_FLOAT, tol).holds:
-        result = ProjectionResult(
+        return ProjectionResult(
             distribution=embedded,
             distance=0.0,
             tp2_certified=True,
@@ -301,15 +287,13 @@ def tp2_project(r_hat: BivariateDist, *, seed: int = 42, restarts: int = 8,
                    "best_per_restart": []},
             seed=seed,
         )
-        return result
 
-    xg = embedded.x_support
-    yg = embedded.y_support
+    xg, yg = embedded.x_support, embedded.y_support
     nx, ny = xg.size, yg.size
-    rows = _row_ranges(nx)
+    rows = list(_row_ranges(embedded.shape))  # one chunk on a projection grid
 
     def objective(pmf: np.ndarray) -> float:
-        return float(_norm_brute_vectorized(pmf - target, rows))
+        return float(_band_norm(pmf - target, rows))
 
     px = target.sum(axis=1)
     qy = target.sum(axis=0)
@@ -358,7 +342,7 @@ def tp2_project(r_hat: BivariateDist, *, seed: int = 42, restarts: int = 8,
         out = BivariateDist(xg, yg, product / product.sum())
         certificate = check_tp2(out, "pmf-allpairs", MODE_FLOAT, tol)
         source = "baseline-product(fallback)"
-    distance = float(kuiper_norm(signed_difference(out, embedded), "brute"))
+    distance = kuiper_norm(signed_difference(out, embedded))
     return ProjectionResult(
         distribution=out,
         distance=distance,

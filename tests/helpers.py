@@ -186,6 +186,39 @@ def all_rectangles_norm(delta: np.ndarray):
     return abs(rect).max()
 
 
+def _norm_kadane(delta) -> object:
+    """Max |rectangle sum| via row-range collapse plus 1-D scans per range.
+
+    The pure-Python O(l^2 m) scan ``kuiper_norm`` ran for the method name
+    "kadane" before both names ran the band kernel; kept as an independent
+    algorithm to check it against.  Takes nested lists (``delta.tolist()``).
+    """
+    rows = [list(r) for r in delta]
+    nx = len(rows)
+    ny = len(rows[0])
+    best = 0
+    for i0 in range(nx):
+        col = [0] * ny
+        for i1 in range(i0, nx):
+            r = rows[i1]
+            for j in range(ny):
+                col[j] = col[j] + r[j]
+            # max and min subarray sums over col
+            cur_max = best_max = col[0]
+            cur_min = best_min = col[0]
+            for v in col[1:]:
+                cur_max = v if cur_max < 0 else cur_max + v
+                if cur_max > best_max:
+                    best_max = cur_max
+                cur_min = v if cur_min > 0 else cur_min + v
+                if cur_min < best_min:
+                    best_min = cur_min
+            cand = max(best_max, -best_min)
+            if cand > best:
+                best = cand
+    return best
+
+
 def _row_range_prefixes(cells: np.ndarray) -> dict:
     """Column prefixes of every row range: ``out[a, b][j]`` is the mass of
     rows [a, b) in columns [0, j), as Python numbers of the cells' type.

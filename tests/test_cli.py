@@ -3,13 +3,16 @@ import io
 import json
 import os
 import pathlib
+import re
+import shlex
 
 import pytest
 
-from stochorder.cli import main
+from stochorder.cli import build_parser, main
 
 DATA = pathlib.Path(__file__).parent / "data"
 GOLDEN = pathlib.Path(__file__).parent / "golden"
+README = pathlib.Path(__file__).parents[1] / "README.md"
 
 GOLDEN_CASES = {
     "check_lr_holds": (["check-lr", "--q1", "q_low.csv", "--q2", "q_high.csv"], 0),
@@ -88,6 +91,23 @@ def test_module_entry_point_in_subprocess():
     assert json.loads(proc.stdout)["result"]["holds"] is True
 
 
+def readme_commands() -> list[str]:
+    """The ``stochorder`` lines of README's "Command line" sh block, with
+    backslash continuations joined."""
+    section = README.read_text().split("## Command line", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    return [line for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("stochorder ")]
+
+
+def test_readme_command_examples_parse():
+    commands = readme_commands()
+    assert len(commands) == 14
+    parser = build_parser()
+    for line in commands:
+        parser.parse_args(shlex.split(line)[1:])
+
+
 class TestExitCodes:
     def test_reflexive_lr_exits_zero(self):
         code, _ = run_cli(["check-lr", "--q1", "q_low.csv", "--q2", "q_low.csv"], cwd=DATA)
@@ -153,6 +173,13 @@ class TestInputErrors:
             cwd=DATA)
         assert code == 2
         assert text == ""
+
+    def test_negative_seed_exits_two(self, capsys):
+        # the input is TP2, so the search that would use the seed never runs
+        code, text = run_cli(["tp2", "project", "--r", "r_diag3.csv", "--seed", "-1"], cwd=DATA)
+        assert code == 2
+        assert text == ""
+        assert "seed" in capsys.readouterr().err
 
     @pytest.mark.parametrize("payload", [
         {"support": [1, 2]},
@@ -263,15 +290,24 @@ class TestInputErrors:
         assert "evaluation point" in capsys.readouterr().err
 
     def test_infinite_evaluation_points_lie_outside_the_range(self):
+        def strict(text):
+            def reject(constant):
+                raise ValueError(f"non-standard JSON constant {constant}")
+            return json.loads(text, parse_constant=reject)
+
         code, out = run_cli(["kernel", "--r", "r_band5.csv", "--flavor", "w", "--x=-inf,inf"],
                             cwd=DATA)
         assert code == 0
-        low, high = json.loads(out)["result"]["rows"]
+        result = strict(out)["result"]
+        assert result["eval_points"] == ["-inf", "inf"]
+        low, high = result["rows"]
         # both rows are the second marginal
         assert [p[1:] for p in low] == [p[1:] for p in high]
         code, out = run_cli(["boundaries", "--r", "r_band5.csv", "--x=-inf,inf"], cwd=DATA)
         assert code == 0
-        assert [rec["in_range"] for rec in json.loads(out)["result"]["records"]] == [False, False]
+        records = strict(out)["result"]["records"]
+        assert [rec["in_range"] for rec in records] == [False, False]
+        assert [rec["x"] for rec in records] == ["-inf", "inf"]
 
     @pytest.mark.parametrize("step", ["0", "-0.1", "nan", "inf"])
     def test_fixture_bad_step_exits_two(self, tmp_path, capsys, step):

@@ -1,6 +1,7 @@
 import itertools
 import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from stochorder import (
     DomainError,
     GridSignedMeasure,
     Interval,
+    InvalidDistributionError,
     check_tp2,
     consistency_bound,
     kuiper_norm,
@@ -19,14 +21,23 @@ from stochorder import (
     signed_difference,
     tp2_project,
 )
+from stochorder import kuiper
 from stochorder.fixtures import antidiag, diag_uniform
-from helpers import all_rectangles_norm, random_supermodular_tp2
+from helpers import _norm_kadane, all_rectangles_norm, random_supermodular_tp2
+
+METHODS = ("brute", "kadane")
 
 
 def measure(delta) -> GridSignedMeasure:
     delta = np.asarray(delta)
     nx, ny = delta.shape
     return GridSignedMeasure(np.arange(float(nx)), np.arange(float(ny)), delta)
+
+
+def small_chunks():
+    """Band chunks of a few prefix entries: every example with more than one
+    row range spans several chunks, and chunks split a start row's ranges."""
+    return mock.patch.object(kuiper, "BAND_BUDGET", 7)
 
 
 @st.composite
@@ -69,24 +80,29 @@ def fraction_deltas(draw):
 class TestKuiperNorm:
     def test_self_difference_is_zero(self):
         r = diag_uniform(3)
-        assert kuiper_norm(signed_difference(r, r), "brute") == 0.0
-        assert kuiper_norm(signed_difference(r, r), "kadane") == 0.0
+        for method in METHODS:
+            assert kuiper_norm(signed_difference(r, r), method) == 0.0
 
     def test_two_point_masses(self):
         a = BivariateDist.from_weights([0, 1], [0, 1], [[1, 0], [0, 0]])
         b = BivariateDist.from_weights([0, 1], [0, 1], [[0, 0], [0, 1]])
         sigma = signed_difference(a, b)
-        assert kuiper_norm(sigma, "brute") == 1.0
-        assert kuiper_norm(sigma, "kadane") == 1.0
+        for method in METHODS:
+            assert kuiper_norm(sigma, method) == 1.0
 
     def test_antidiagonal_vs_product(self):
         sigma = measure([[0.0 - 0.25, 0.5 - 0.25], [0.5 - 0.25, 0.0 - 0.25]])
-        assert kuiper_norm(sigma, "brute") == pytest.approx(0.25)
-        assert kuiper_norm(sigma, "kadane") == pytest.approx(0.25)
+        for method in METHODS:
+            assert kuiper_norm(sigma, method) == pytest.approx(0.25)
 
     def test_unknown_method(self):
         with pytest.raises(DomainError):
             kuiper_norm(measure([[0.0]]), "magic")
+
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
+    def test_empty_grid_rejected(self, shape):
+        with pytest.raises(InvalidDistributionError):
+            measure(np.zeros(shape))
 
     def test_kadane_equals_brute_exact_integers(self):
         rng = np.random.default_rng(100)
@@ -95,16 +111,18 @@ class TestKuiperNorm:
             ny = int(rng.integers(1, 9))
             delta = rng.integers(-50, 51, size=(nx, ny))
             sigma = measure(delta)
-            assert kuiper_norm(sigma, "kadane") == kuiper_norm(sigma, "brute")
+            oracle = _norm_kadane(delta.tolist())
+            for method in METHODS:
+                assert kuiper_norm(sigma, method) == oracle
 
     def test_kadane_equals_brute_floats(self):
         rng = np.random.default_rng(101)
         for _ in range(300):
             delta = rng.normal(size=(int(rng.integers(1, 9)), int(rng.integers(1, 9))))
             sigma = measure(delta)
-            assert kuiper_norm(sigma, "kadane") == pytest.approx(
-                kuiper_norm(sigma, "brute"), abs=1e-12
-            )
+            oracle = _norm_kadane(delta.tolist())
+            for method in METHODS:
+                assert kuiper_norm(sigma, method) == pytest.approx(oracle, abs=1e-12)
 
     def test_zero_iff_all_rectangle_sums_zero(self):
         rng = np.random.default_rng(102)
@@ -127,33 +145,62 @@ class TestKuiperNorm:
     @example(np.array([[0.3, -1e3, 2e-3, 0.0, 7.0]]))
     @example(np.array([[0.3], [-1e3], [2e-3], [0.0], [7.0]]))
     def test_brute_float_equals_all_rectangles_bitwise(self, delta):
-        assert kuiper_norm(measure(delta), "brute") == all_rectangles_norm(delta)
+        expected = all_rectangles_norm(delta)
+        assert kuiper_norm(measure(delta), "brute") == expected
+        with small_chunks():
+            assert kuiper_norm(measure(delta), "brute") == expected
 
     @settings(max_examples=200, deadline=None)
     @given(int_deltas())
     @example(np.zeros((3, 2), dtype=np.int64))
     def test_brute_int_equals_all_rectangles(self, delta):
+        expected = all_rectangles_norm(delta.astype(object))
         norm = kuiper_norm(measure(delta), "brute")
         assert type(norm) is int
-        assert norm == all_rectangles_norm(delta.astype(object))
+        assert norm == expected
+        with small_chunks():
+            norm = kuiper_norm(measure(delta), "brute")
+        assert type(norm) is int
+        assert norm == expected
 
     @settings(max_examples=200, deadline=None)
     @given(fraction_deltas())
     def test_brute_fraction_equals_all_rectangles(self, delta):
+        expected = all_rectangles_norm(delta)
         norm = kuiper_norm(measure(delta), "brute")
         assert isinstance(norm, (int, Fraction))
-        assert norm == all_rectangles_norm(delta)
+        assert norm == expected
+        with small_chunks():
+            norm = kuiper_norm(measure(delta), "brute")
+        assert isinstance(norm, (int, Fraction))
+        assert norm == expected
+
+    def test_row_ranges_cover_every_range_in_budgeted_chunks(self):
+        for shape in [(1, 1), (5, 1), (5, 6), (13, 2)]:
+            with small_chunks():
+                chunks = list(kuiper._row_ranges(shape))
+                step = max(1, kuiper.BAND_BUDGET // (shape[1] + 1))
+            ii, jj = np.triu_indices(shape[0] + 1, k=1)
+            np.testing.assert_array_equal(np.concatenate([c[0] for c in chunks]), ii)
+            np.testing.assert_array_equal(np.concatenate([c[1] for c in chunks]), jj)
+            assert all(len(c[0]) == step for c in chunks[:-1])
+        # a projection grid (at most 11 x 11 after refinement) is one chunk
+        assert len(list(kuiper._row_ranges((11, 11)))) == 1
 
     def test_brute_float_memory_is_bounded(self):
-        # materializing every rectangle of a 60x60 delta takes about 78 MB
-        sigma = measure(np.random.default_rng(104).normal(size=(60, 60)))
-        tracemalloc.start()
-        try:
-            kuiper_norm(sigma, "brute")
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 8 * 2**20
+        # materializing every rectangle of a 60x60 delta takes about 78 MB,
+        # every row range's band of a 300x300 delta about 209 MB, and the
+        # index pairs of every row range of a 2000x2 delta about 32 MB
+        for shape in ((60, 60), (300, 300), (2000, 2)):
+            sigma = measure(np.random.default_rng(104).normal(size=shape))
+            for method in METHODS:
+                tracemalloc.start()
+                try:
+                    kuiper_norm(sigma, method)
+                    _, peak = tracemalloc.get_traced_memory()
+                finally:
+                    tracemalloc.stop()
+                assert peak < 8 * 2**20, (shape, method, peak)
 
     def test_triangle_and_homogeneity(self):
         rng = np.random.default_rng(103)
@@ -250,13 +297,15 @@ class TestProjection:
         assert res1.distance == res2.distance
         np.testing.assert_array_equal(res1.distribution.pmf, res2.distribution.pmf)
 
-    @pytest.mark.parametrize("kwargs", [{"restarts": -3}, {"max_iters": -1}, {"step_schedule": []}])
+    @pytest.mark.parametrize("kwargs", [{"restarts": -3}, {"max_iters": -1}, {"step_schedule": []},
+                                        {"seed": -1}])
     def test_negative_search_sizes_rejected(self, kwargs):
+        kwargs = {"seed": 1, **kwargs}
         with pytest.raises(DomainError):
-            tp2_project(antidiag(), seed=1, **kwargs)
+            tp2_project(antidiag(), **kwargs)
         # also for inputs that are already TP2 and would short-circuit
         with pytest.raises(DomainError):
-            tp2_project(diag_uniform(2), seed=1, **kwargs)
+            tp2_project(diag_uniform(2), **kwargs)
 
     def test_trace_monotone_per_restart(self):
         res = tp2_project(antidiag(), seed=3, restarts=3)
