@@ -553,7 +553,23 @@ class BivariateDist:
         return np.array(self.weights, dtype=object)
 
     def canonical(self) -> "BivariateDist":
-        """Drop x-atoms with zero row mass and y-atoms with zero column mass."""
+        """Drop x-atoms with zero row mass and y-atoms with zero column mass.
+
+        Computed once per instance: the result is memoized, and it is marked
+        as its own canonical form (a flag rather than a self-reference, so no
+        reference cycle keeps it alive).
+        """
+        memo = getattr(self, "_canonical", None)
+        if memo is True:
+            return self
+        if memo is None:
+            memo = self._drop_empty_atoms()
+            object.__setattr__(memo, "_canonical", True)
+            if memo is not self:
+                object.__setattr__(self, "_canonical", memo)
+        return memo
+
+    def _drop_empty_atoms(self) -> "BivariateDist":
         if self.weights is not None:
             rows = [i for i, r in enumerate(self.weights) if sum(r) > 0]
             cols = [j for j in range(self.shape[1]) if sum(r[j] for r in self.weights) > 0]

@@ -6,6 +6,12 @@ so identical seeds reproduce identical streams on every platform.  Derived
 streams inside the diagnostic harnesses use spawn keys of the base seed and
 are documented next to each harness.
 
+One helper draws the flat cell indices of the stream.  ``sample`` maps them
+to (x, y) draws; the convergence harnesses instead count them per cell with
+``np.bincount`` into the integer-weight empirical distribution, which equals
+``empirical(sample(r, n, seed))`` exactly without building or sorting the
+float draws.  ``empirical`` stays public for arbitrary draw arrays.
+
 Conditional quantile curves come in three flavors:
 
 * ``west-min``: minimal quantile of the from-the-left kernel,
@@ -33,8 +39,9 @@ def _philox(seed) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
 
 
-def sample(r: BivariateDist, n: int, seed) -> np.ndarray:
-    """n i.i.d. draws as an (n, 2) array; deterministic per seed."""
+def _draw_cells(r: BivariateDist, n: int, seed) -> tuple[BivariateDist, np.ndarray]:
+    """The canonical ``r`` and n flat row-major cell indices drawn from its
+    seeded stream; the one implementation of the stream."""
     if n < 1:
         raise DomainError("sample size must be at least 1")
     r = r.canonical()
@@ -44,9 +51,24 @@ def sample(r: BivariateDist, n: int, seed) -> np.ndarray:
     rng = _philox(seed)
     u = rng.random(int(n))
     idx = np.searchsorted(cum, u, side="left")
-    idx = np.minimum(idx, flat.size - 1)
+    return r, np.minimum(idx, flat.size - 1)
+
+
+def sample(r: BivariateDist, n: int, seed) -> np.ndarray:
+    """n i.i.d. draws as an (n, 2) array; deterministic per seed."""
+    r, idx = _draw_cells(r, n, seed)
     i, j = np.divmod(idx, r.shape[1])
     return np.column_stack([r.x_support[i], r.y_support[j]])
+
+
+def _sample_counts(r: BivariateDist, n: int, seed) -> BivariateDist:
+    """``empirical(sample(r, n, seed))``, counted per cell without the draws."""
+    r, idx = _draw_cells(r, n, seed)
+    counts = np.bincount(idx, minlength=r.pmf.size).reshape(r.shape)
+    rows, cols = counts.any(axis=1), counts.any(axis=0)
+    return BivariateDist.from_weights(
+        r.x_support[rows], r.y_support[cols], counts[np.ix_(rows, cols)].tolist()
+    )
 
 
 def empirical(samples) -> BivariateDist:
@@ -54,15 +76,10 @@ def empirical(samples) -> BivariateDist:
     pts = np.asarray(samples, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] == 0:
         raise DomainError("samples must be a nonempty (n, 2) array")
-    uniq, counts = np.unique(pts, axis=0, return_counts=True)
-    gx = sorted(set(uniq[:, 0].tolist()))
-    gy = sorted(set(uniq[:, 1].tolist()))
-    ix = {v: i for i, v in enumerate(gx)}
-    iy = {v: j for j, v in enumerate(gy)}
-    rows = [[0] * len(gy) for _ in gx]
-    for (x, y), c in zip(uniq.tolist(), counts.tolist()):
-        rows[ix[x]][iy[y]] += int(c)
-    return BivariateDist.from_weights(gx, gy, rows)
+    gx, ix = np.unique(pts[:, 0], return_inverse=True)
+    gy, iy = np.unique(pts[:, 1], return_inverse=True)
+    counts = np.bincount(ix * gy.size + iy, minlength=gx.size * gy.size)
+    return BivariateDist.from_weights(gx, gy, counts.reshape(gx.size, gy.size).tolist())
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,11 +174,12 @@ class BracketReport:
         }
 
 
-def _empirical_quantiles(emp: BivariateDist, beta: float, x: float) -> tuple[float, float]:
-    """Minimal and maximal empirical conditional quantile at x (west kernel)."""
-    kern = kernel_west(emp, [x])
-    row = kern.rows[0]
-    return row.quantile(beta), row.max_quantile(beta)
+def _sample_sizes(n_list) -> list[int]:
+    """The sample sizes as ints, checked before anything is drawn."""
+    n_list = [int(n) for n in n_list]
+    if any(n < 1 for n in n_list):
+        raise DomainError("sample size must be at least 1")
+    return n_list
 
 
 def bracket_check(r_true: BivariateDist, samples_spec: dict, beta: float,
@@ -169,7 +187,7 @@ def bracket_check(r_true: BivariateDist, samples_spec: dict, beta: float,
                   tol: float = PRODUCT_RTOL) -> BracketReport:
     """Empirical-vs-extremal quantile bracketing at two interior points.
 
-    For each sample size, draws a seeded sample, builds its empirical
+    For each sample size, counts a seeded sample into its empirical
     distribution, and verifies that the empirical quantile at the higher
     point does not undercut the west quantile at the lower point, and dually
     for the east quantile.  On finite support all quantiles are atom values,
@@ -191,7 +209,7 @@ def bracket_check(r_true: BivariateDist, samples_spec: dict, beta: float,
         raise DomainError("x1 and x2 must be interior to the first-marginal range")
     if not x1 < x2:
         raise DomainError("x1 < x2 required")
-    n_list = list(samples_spec["n_list"])
+    n_list = _sample_sizes(samples_spec["n_list"])
     if not n_list:
         raise DomainError("n_list names no sample sizes")
     seed = samples_spec["seed"]
@@ -200,18 +218,16 @@ def bracket_check(r_true: BivariateDist, samples_spec: dict, beta: float,
     entries = []
     for i, n in enumerate(n_list):
         key = (int(seed), i)
-        draws = sample(r_true, int(n), key)
-        emp = empirical(draws)
-        q1_min, q1_max = _empirical_quantiles(emp, beta, x1)
-        q2_min, q2_max = _empirical_quantiles(emp, beta, x2)
+        row1, row2 = kernel_west(_sample_counts(r_true, n, key), [x1, x2]).rows
+        q1_min, q2_min = row1.quantile(beta), row2.quantile(beta)
         entries.append(
             BracketEntry(
-                n=int(n),
+                n=n,
                 seed_key=key,
                 q_emp_min_x1=q1_min,
-                q_emp_max_x1=q1_max,
+                q_emp_max_x1=row1.max_quantile(beta),
                 q_emp_min_x2=q2_min,
-                q_emp_max_x2=q2_max,
+                q_emp_max_x2=row2.max_quantile(beta),
                 lower_ok=bool(q2_min >= q_west_x1),
                 upper_ok=bool(q1_min <= q_east_x2),
             )
@@ -265,7 +281,7 @@ def uniform_convergence_check(r_true: BivariateDist, beta: float, interval, n_li
     beta = float(beta)
     if not 0.0 < beta < 1.0:
         raise DomainError(f"beta must lie strictly inside (0, 1), got {beta!r}")
-    n_list, seeds = list(n_list), list(seeds)
+    n_list, seeds = _sample_sizes(n_list), list(seeds)
     if not n_list or not seeds:
         raise DomainError("n_list and seeds must each be nonempty")
     a, b = float(interval[0]), float(interval[1])
@@ -286,11 +302,9 @@ def uniform_convergence_check(r_true: BivariateDist, beta: float, interval, n_li
     entries = []
     for seed in seeds:
         for i, n in enumerate(n_list):
-            draws = sample(r_true, int(n), (int(seed), i))
-            emp = empirical(draws)
+            kern = kernel_west(_sample_counts(r_true, n, (int(seed), i)), grid)
             sup = 0.0
-            for x, qw in west.points:
-                q_emp, _ = _empirical_quantiles(emp, beta, x)
-                sup = max(sup, abs(q_emp - qw))
-            entries.append(UniformConvergenceEntry(int(n), int(seed), sup))
+            for row, (_, qw) in zip(kern.rows, west.points):
+                sup = max(sup, abs(row.quantile(beta) - qw))
+            entries.append(UniformConvergenceEntry(n, int(seed), sup))
     return UniformConvergenceReport(beta, (a, b), tuple(grid), tuple(entries))

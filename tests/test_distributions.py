@@ -226,6 +226,30 @@ class TestValidationAndCanonical:
         assert c.x_support.tolist() == [1.0, 3.0]
         assert c.y_support.tolist() == [1.0, 2.0]
 
+    @pytest.mark.parametrize("exact", [True, False])
+    def test_bivariate_canonical_is_memoized(self, exact, monkeypatch):
+        weights = [[0, 0, 0, 0], [1, 0, 2, 0], [0, 0, 0, 0], [0, 0, 3, 0]]
+        r = BivariateDist.from_weights([1, 2, 3, 4], [1, 2, 3, 4], weights)
+        if not exact:
+            r = BivariateDist(r.x_support, r.y_support, r.pmf)
+        c = r.canonical()
+        with monkeypatch.context() as m:
+            m.setattr(BivariateDist, "_drop_empty_atoms", None)  # a recomputation raises
+            assert r.canonical() is c
+            assert c.canonical() is c
+        fresh = BivariateDist(r.x_support, r.y_support, r.pmf, r.weights).canonical()
+        assert fresh is not c
+        assert c.x_support.tolist() == fresh.x_support.tolist() == [2.0, 4.0]
+        assert c.y_support.tolist() == fresh.y_support.tolist() == [1.0, 3.0]
+        assert c.pmf.tobytes() == fresh.pmf.tobytes()
+        assert c.weights == fresh.weights
+
+    def test_canonical_instance_is_its_own_memo(self, monkeypatch):
+        r = BivariateDist.from_weights([1, 2], [1, 2], [[1, 0], [0, 1]])
+        assert r.canonical() is r
+        monkeypatch.setattr(BivariateDist, "_drop_empty_atoms", None)
+        assert r.canonical().canonical() is r
+
     def test_immutable_arrays(self):
         q = coin()
         with pytest.raises(ValueError):

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stochorder import (
     BivariateDist,
     DomainError,
+    InvalidDistributionError,
     PreconditionError,
     bracket_check,
     empirical,
@@ -11,12 +14,37 @@ from stochorder import (
     sample,
     uniform_convergence_check,
 )
+from stochorder import estimation
 from stochorder.fixtures import antidiag, banded_tp2, diag_uniform
-from helpers import random_supermodular_tp2
+from helpers import empirical_by_dict, random_supermodular_tp2
 
 
 def product_2x2() -> BivariateDist:
     return BivariateDist.from_weights([1, 2], [1, 2], [[1, 1], [1, 1]])
+
+
+def same_dist(a: BivariateDist, b: BivariateDist) -> bool:
+    return (a.x_support.tolist() == b.x_support.tolist()
+            and a.y_support.tolist() == b.y_support.tolist()
+            and a.weights == b.weights
+            and a.pmf.tobytes() == b.pmf.tobytes())
+
+
+@st.composite
+def sparse_dists(draw) -> BivariateDist:
+    """Integer-weight grids with many zero cells, often whole zero rows and
+    columns; every other grid drops its weights to exercise the float pmf."""
+    l, m = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    cells = draw(st.lists(st.sampled_from([0, 0, 0, 1, 2, 5]), min_size=l * m, max_size=l * m))
+    if not any(cells):
+        cells[draw(st.integers(0, l * m - 1))] = 1
+    rows = [cells[i * m:(i + 1) * m] for i in range(l)]
+    xs = sorted(draw(st.sets(st.integers(-50, 50), min_size=l, max_size=l)))
+    ys = sorted(draw(st.sets(st.integers(-50, 50), min_size=m, max_size=m)))
+    r = BivariateDist.from_weights([x / 4 for x in xs], [y / 8 for y in ys], rows)
+    if draw(st.booleans()):
+        r = BivariateDist(r.x_support, r.y_support, r.pmf)
+    return r
 
 
 class TestSampling:
@@ -50,6 +78,50 @@ class TestSampling:
     def test_sample_size_validated(self):
         with pytest.raises(DomainError):
             sample(diag_uniform(2), 0, 1)
+
+    @given(sparse_dists(), st.integers(1, 5000),
+           st.one_of(st.integers(0, 2**32), st.tuples(st.integers(0, 1000), st.integers(0, 5))))
+    @settings(max_examples=200, deadline=None)
+    def test_counts_equal_empirical_of_the_draws(self, r, n, seed):
+        assert same_dist(estimation._sample_counts(r, n, seed), empirical(sample(r, n, seed)))
+
+    @given(st.lists(st.tuples(st.sampled_from([-1.5, -0.0, 0.0, 0.25, 2.0, 1e300]),
+                              st.integers(-3, 3).map(float)), min_size=1, max_size=60))
+    @settings(max_examples=200, deadline=None)
+    def test_empirical_equals_the_dict_oracle(self, pts):
+        assert same_dist(empirical(pts), empirical_by_dict(pts))
+
+    def test_empirical_rejects_nan_draws(self):
+        for bad in ([[np.nan, 1.0]], [[1.0, 2.0], [1.0, np.nan]]):
+            with pytest.raises(InvalidDistributionError):
+                empirical(bad)
+
+
+class TestHarnessesCountCells:
+    """The harnesses count cells from the stream; no float draws are built."""
+
+    def test_reports_without_draw_arrays(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a harness built float draws")
+
+        monkeypatch.setattr(estimation, "sample", forbidden)
+        monkeypatch.setattr(estimation, "empirical", forbidden)
+        rep = bracket_check(banded_tp2(5), {"n_list": [10, 1000], "seed": 3}, 0.5, 2.0, 4.0)
+        assert len(rep.entries) == 2
+        rep = uniform_convergence_check(diag_uniform(5), 0.5, (2.0, 4.0), [100], [1, 2])
+        assert rep.sup_by_n()[100] == 0.0
+
+    @pytest.mark.parametrize("n_list", [[100_000, 0], [5, -1], [0]])
+    def test_sample_sizes_checked_before_any_draw(self, monkeypatch, n_list):
+        drawn = []
+        real = estimation._draw_cells
+        monkeypatch.setattr(estimation, "_draw_cells",
+                            lambda r, n, seed: drawn.append(n) or real(r, n, seed))
+        with pytest.raises(DomainError, match="sample size"):
+            bracket_check(diag_uniform(5), {"n_list": n_list, "seed": 1}, 0.5, 2.0, 4.0)
+        with pytest.raises(DomainError, match="sample size"):
+            uniform_convergence_check(diag_uniform(5), 0.5, (2.0, 4.0), n_list, [1])
+        assert drawn == []
 
 
 class TestQuantileCurve:
