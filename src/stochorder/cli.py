@@ -193,8 +193,10 @@ def _cmd_tp2_check(args) -> int:
 
 
 def _cmd_tp2_project(args) -> int:
-    r = load_bivariate(args.r, exact=args.exact)
-    res = tp2_project(r, seed=args.seed, restarts=args.restarts)
+    if args.exact:
+        raise DomainError("tp2 project searches in float arithmetic; --exact is not supported")
+    r = load_bivariate(args.r)
+    res = tp2_project(r, seed=args.seed, restarts=args.restarts, tol=args.tolerance)
     payload = res.to_dict()
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -151,12 +151,14 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 
 
 def prefix_table(t: np.ndarray) -> np.ndarray:
-    """Zero-padded 2-D prefix sums in ``t``'s dtype: entry [i, j] sums t[:i, :j].
+    """Zero-padded 2-D prefix sums over the last two axes, in ``t``'s dtype:
+    entry [..., i, j] sums t[..., :i, :j].
 
-    Object arrays of Python ints or Fractions stay exact.
+    Each slice of a stack gets the same adds as the 2-D call on it.  Object
+    arrays of Python ints or Fractions stay exact.
     """
-    out = np.zeros((t.shape[0] + 1, t.shape[1] + 1), dtype=t.dtype)
-    np.cumsum(np.cumsum(t, axis=0), axis=1, out=out[1:, 1:])
+    out = np.zeros((*t.shape[:-2], t.shape[-2] + 1, t.shape[-1] + 1), dtype=t.dtype)
+    np.cumsum(np.cumsum(t, axis=-2), axis=-1, out=out[..., 1:, 1:])
     return out
 
 

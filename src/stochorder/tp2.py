@@ -259,9 +259,11 @@ def supermodular_potential(a: np.ndarray, b: np.ndarray, s: np.ndarray) -> np.nd
     ``s`` is (len(a) - 1) x (len(b) - 1); its zero-padded double cumulative
     sum makes every adjacent second difference of the potential equal an
     ``s`` entry, so for s >= 0 the exponential is TP2 by construction.
+    Stacks of ``a``, ``b`` and ``s`` (shared leading axes) give a stack of
+    potentials, each built with the same adds as the unstacked call.
     """
-    phi = a[:, None] + b[None, :] + prefix_table(s)
-    return phi - phi.max()
+    phi = a[..., :, None] + b[..., None, :] + prefix_table(s)
+    return phi - phi.max(axis=(-2, -1), keepdims=True)
 
 
 # ---------------------------------------------------------------------------

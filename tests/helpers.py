@@ -287,3 +287,50 @@ def empirical_by_dict(samples) -> BivariateDist:
     for (x, y), c in zip(uniq.tolist(), counts.tolist()):
         rows[ix[x]][iy[y]] += int(c)
     return BivariateDist.from_weights(gx, gy, rows)
+
+
+def pattern_search_serial(cand, objective, steps, sweeps: int):
+    """Coordinate pattern search with multiplicative (log-space) steps.
+
+    Accepts strictly improving moves only, so the accepted objective values
+    are strictly decreasing; the step halves after a sweep with no accepted
+    move.
+
+    The one-trial-at-a-time loop ``kuiper._pattern_search`` ran before it
+    scored trials in stacked batches; kept to check that the batched search
+    takes the same path.  ``objective`` maps one pmf to a float.
+    """
+    best = objective(cand.pmf())
+    accepted = [best]
+    params: list[tuple[np.ndarray, tuple]] = []
+    for arr in (cand.a, cand.b):
+        params.extend((arr, (i,)) for i in range(arr.size))
+    params.extend((cand.s, idx) for idx in np.ndindex(cand.s.shape))
+    step_iter = list(steps)
+    step = step_iter.pop(0)
+    iters = 0
+    for _ in range(sweeps):
+        improved = False
+        for arr, idx in params:
+            base = arr[idx]
+            for delta in (step, -step):
+                trial = base + delta
+                if arr is cand.s and trial < 0.0:
+                    trial = 0.0
+                    if base == 0.0:
+                        continue
+                arr[idx] = trial
+                val = objective(cand.pmf())
+                iters += 1
+                if val < best:
+                    best = val
+                    accepted.append(best)
+                    improved = True
+                    break
+                arr[idx] = base
+        if not improved:
+            if step_iter:
+                step = step_iter.pop(0)
+            else:
+                break
+    return best, accepted, iters

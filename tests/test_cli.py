@@ -174,6 +174,24 @@ class TestInputErrors:
         assert code == 2
         assert text == ""
 
+    def test_project_rejects_exact(self, capsys):
+        code, text = run_cli(
+            ["tp2", "project", "--r", "r_antidiag.csv", "--seed", "1", "--exact"], cwd=DATA)
+        assert code == 2
+        assert text == ""
+        assert "--exact" in capsys.readouterr().err
+
+    def test_project_applies_tolerance(self):
+        # with this much slack the antidiagonal passes the TP2 check, so it projects to itself
+        argv = ["--r", "r_antidiag.csv", "--tolerance", "1e9"]
+        code, text = run_cli(["tp2", "check", *argv], cwd=DATA)
+        assert code == 0 and json.loads(text)["result"]["holds"] is True
+        code, text = run_cli(["tp2", "project", *argv, "--seed", "1", "--restarts", "2"], cwd=DATA)
+        assert code == 0
+        result = json.loads(text)["result"]
+        assert result["trace"]["source"] == "input-tp2"
+        assert result["distance"] == 0.0
+
     def test_negative_seed_exits_two(self, capsys):
         # the input is TP2, so the search that would use the seed never runs
         code, text = run_cli(["tp2", "project", "--r", "r_diag3.csv", "--seed", "-1"], cwd=DATA)

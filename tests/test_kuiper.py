@@ -1,4 +1,5 @@
 import itertools
+import json
 import tracemalloc
 from fractions import Fraction
 from unittest import mock
@@ -22,8 +23,9 @@ from stochorder import (
     tp2_project,
 )
 from stochorder import kuiper
+from stochorder.distributions import prefix_table
 from stochorder.fixtures import antidiag, diag_uniform
-from helpers import _norm_kadane, all_rectangles_norm, random_supermodular_tp2
+from helpers import _norm_kadane, all_rectangles_norm, pattern_search_serial, random_supermodular_tp2
 
 METHODS = ("brute", "kadane")
 
@@ -41,10 +43,10 @@ def small_chunks():
 
 
 @st.composite
-def float_deltas(draw):
-    """Float deltas from 1x1 to 13x13: mixed scales, sparse zeros, a zero block."""
-    nx = draw(st.integers(1, 13))
-    ny = draw(st.integers(1, 13))
+def float_deltas(draw, shape=None):
+    """Float deltas from 1x1 to 13x13 (or of the given shape): mixed scales,
+    sparse zeros, a zero block."""
+    nx, ny = shape or (draw(st.integers(1, 13)), draw(st.integers(1, 13)))
     n = nx * ny
     mantissas = draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n))
     exponents = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
@@ -56,6 +58,13 @@ def float_deltas(draw):
     j1 = draw(st.integers(j0, ny))
     delta[i0:i1, j0:j1] = 0.0
     return delta
+
+
+@st.composite
+def float_stacks(draw):
+    """(k, nx, ny) stacks of one to five float deltas of one shape."""
+    shape = (draw(st.integers(1, 13)), draw(st.integers(1, 13)))
+    return np.stack([draw(float_deltas(shape)) for _ in range(draw(st.integers(1, 5)))])
 
 
 @st.composite
@@ -311,6 +320,107 @@ class TestProjection:
         res = tp2_project(antidiag(), seed=3, restarts=3)
         for accepted in res.trace["accepted_per_restart"]:
             assert accepted == sorted(accepted, reverse=True)
+
+
+@st.composite
+def search_cases(draw):
+    """A target and a start on a 3x3 to 13x13 refined grid, with ``s`` holding
+    exact zeros, tiny entries and entries equal to the first step.  The target
+    is the start's pmf mixed with a sparse random pmf, so sweeps range from
+    rejecting every trial to accepting most parameters."""
+    nx = draw(st.integers(3, 13))
+    ny = draw(st.integers(3, 13))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    noise = rng.random((nx, ny)) * (rng.random((nx, ny)) < 0.7)
+    noise.flat[rng.integers(noise.size)] += 1.0
+    steps = draw(st.sampled_from([[0.5], [0.125], [-0.25], [0.5, 0.25, 0.125],
+                                  [0.5 * 0.5**k for k in range(8)]]))
+    s = rng.exponential(0.2, (nx - 1, ny - 1))
+    special = rng.choice(4, size=s.shape, p=draw(st.sampled_from(
+        [(1.0, 0.0, 0.0, 0.0), (0.4, 0.2, 0.2, 0.2), (0.0, 0.5, 0.5, 0.0)])))
+    s[special == 1] = 0.0
+    s[special == 2] = draw(st.sampled_from([5e-324, 1e-300, 1e-12]))
+    s[special == 3] = abs(steps[0])
+    start = (rng.normal(0.0, 1.0, nx), rng.normal(0.0, 1.0, ny), s)
+    mix = draw(st.sampled_from([1.0, 1e-3, 0.0]))
+    target = (1.0 - mix) * kuiper._PotentialCandidate(*start).pmf() + mix * noise / noise.sum()
+    # up to whole sweeps (2 * 13 * 13 * 2 trials) in one batch, so batches reach sweep ends
+    batch = draw(st.one_of(st.integers(1, 40), st.just(1000)))
+    return target, start, steps, draw(st.integers(0, 3)), batch
+
+
+class TestStackedSearch:
+    @settings(max_examples=100, deadline=None)
+    @given(float_stacks(), st.sampled_from([7, 40, kuiper.BAND_BUDGET]))
+    @example(np.zeros((3, 13, 13)), 40)
+    @example(np.arange(2 * 13 * 2, dtype=float).reshape(2, 13, 2) - 20.0, 7)
+    def test_stacked_kernel_equals_2d_calls_bitwise(self, stack, budget):
+        with mock.patch.object(kuiper, "BAND_BUDGET", budget):
+            rows = list(kuiper._row_ranges(stack.shape[1:]))
+        pref = prefix_table(stack)
+        norms = kuiper._band_norm(stack, rows)
+        assert norms.shape == (len(stack),)
+        for k, delta in enumerate(stack):
+            assert pref[k].tobytes() == prefix_table(delta).tobytes()
+            assert norms[k].tobytes() == np.float64(kuiper._band_norm(delta, rows)).tobytes()
+
+    def test_speculation_batch_fits_half_the_band_budget(self):
+        for budget in (7, 500, 4096, kuiper.BAND_BUDGET):
+            with mock.patch.object(kuiper, "BAND_BUDGET", budget):
+                for nx, ny in itertools.product(range(1, 60), (1, 2, 7, 23, 60)):
+                    k = kuiper._speculation_batch((nx, ny))
+                    band = nx * (nx + 1) // 2 * (ny + 1)
+                    assert 1 <= k <= kuiper.SPECULATION_BATCH
+                    assert 2 * k * band <= budget or k == 1
+                    assert k == kuiper.SPECULATION_BATCH or 2 * (k + 1) * band > budget
+        # the refined grids of 3x3 to 5x5 inputs take whole batches
+        assert kuiper._speculation_batch((11, 11)) == kuiper.SPECULATION_BATCH
+
+    @settings(max_examples=50, deadline=None)
+    @given(search_cases())
+    def test_batched_search_equals_serial_oracle(self, case):
+        target, (a, b, s), steps, sweeps, batch = case
+        rows = list(kuiper._row_ranges(target.shape))
+        serial = kuiper._PotentialCandidate(a.copy(), b.copy(), s.copy())
+        expected = pattern_search_serial(
+            serial, lambda pmf: float(kuiper._band_norm(pmf - target, rows)), steps, sweeps)
+        cand = kuiper._PotentialCandidate(a.copy(), b.copy(), s.copy())
+        got = kuiper._pattern_search(
+            cand, lambda pmfs: kuiper._band_norm(pmfs - target, rows), steps, sweeps, batch)
+        assert got == expected
+        assert type(got[0]) is float
+        assert cand.theta.tobytes() == serial.theta.tobytes()
+
+    @pytest.mark.parametrize("budget", [None, 4096])
+    def test_projection_within_budget_equals_serial_oracle(self, budget):
+        # an 11x11 input refines to 23x23, whose bands take 276 * 24 = 6624 entries per
+        # trial: the default budget caps the batch below SPECULATION_BATCH, and 4096
+        # leaves one trial per pass, its row ranges split into two chunks
+        rng = np.random.default_rng(11)
+        pmf = rng.random((11, 11))
+        r = BivariateDist(np.arange(11.0), np.arange(11.0), pmf / pmf.sum())
+        budget = budget or kuiper.BAND_BUDGET
+        entries = []
+        band_norm = kuiper._band_norm
+
+        def spy(delta, chunks):
+            chunks = list(chunks)
+            k = delta.shape[0] if delta.ndim == 3 else 1
+            entries.extend(k * len(ii) * (delta.shape[-1] + 1) for ii, _ in chunks)
+            return band_norm(delta, chunks)
+
+        def serial(cand, objective, steps, sweeps, batch):
+            return pattern_search_serial(cand, lambda pmf: float(objective(pmf[None])[0]), steps, sweeps)
+
+        with mock.patch.object(kuiper, "BAND_BUDGET", budget):
+            assert kuiper._speculation_batch((23, 23)) == max(1, budget // 2 // 6624)
+            with mock.patch.object(kuiper, "_band_norm", spy):
+                res = tp2_project(r, seed=3, restarts=1, max_iters=1)
+            with mock.patch.object(kuiper, "_pattern_search", serial):
+                expected = tp2_project(r, seed=3, restarts=1, max_iters=1)
+        assert max(entries) <= budget
+        assert res.trace["source"] != "input-tp2"
+        assert json.dumps(res.to_dict()) == json.dumps(expected.to_dict())
 
 
 class TestConsistencyBound:
