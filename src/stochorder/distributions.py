@@ -14,6 +14,9 @@ Two numeric regimes coexist:
 
 The mode picks the numbers a verdict reads (``UnivariateDist.masses`` and
 ``BivariateDist.cells``); the verdict code itself is shared by both modes.
+
+Constructors from unsorted (value, mass) or (x, y, mass) data sort the atoms
+and sum the masses of duplicate atoms or cells, in input order.
 """
 
 from __future__ import annotations
@@ -103,24 +106,53 @@ class Interval:
 # ---------------------------------------------------------------------------
 # Construction helpers
 # ---------------------------------------------------------------------------
+# Every constructor from unsorted data (``from_pairs``, ``from_weights``, the
+# CSV readers and ``estimation.empirical``) builds its atoms with
+# ``_atom_grid``; the class constructors take supports that are already
+# sorted and distinct, and validate them.
 
 
-def _merge_pairs(values, masses):
-    """Sort atoms and merge duplicates by summing their masses."""
-    values = np.asarray(values, dtype=np.float64)
-    if len(masses) != values.size:
-        raise InvalidDistributionError("support and masses must have equal length")
-    order = np.argsort(values, kind="stable")
-    values = values[order]
-    merged_v: list[float] = []
-    merged_m: list = []
-    for v, m in zip(values.tolist(), (masses[i] for i in order.tolist())):
-        if merged_v and v == merged_v[-1]:
-            merged_m[-1] = merged_m[-1] + m
-        else:
-            merged_v.append(v)
-            merged_m.append(m)
-    return merged_v, merged_m
+def _float_array(values, what: str) -> np.ndarray:
+    """A float64 copy of ``values``; entries that are not real numbers (text,
+    containers, ragged rows, ints beyond the float range) are rejected."""
+    try:
+        return np.array(values, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError):
+        raise InvalidDistributionError(f"{what} values must be numbers") from None
+
+
+def _atom_grid(coords, masses, dtype=np.float64):
+    """The sorted atom grid of (coordinate, ..., mass) data.
+
+    Returns one strictly increasing float64 support per coordinate column
+    and an array of ``dtype`` indexed by those supports, holding the masses
+    summed per cell in input order onto zeros; duplicate atoms or cells are
+    therefore merged.  Every column must be 1-D and as long as ``masses``,
+    and no mass may be negative (not even one that a duplicate would offset).
+    ``dtype=object`` keeps Python-int masses exact at any size.
+    """
+    masses = np.asarray(masses, dtype=dtype)
+    if (masses < 0).any():
+        raise InvalidDistributionError("masses must be nonnegative")
+    axes = [_float_array(c, "support") for c in coords]
+    if any(a.ndim != 1 or a.size != masses.size for a in axes):
+        raise InvalidDistributionError("supports and masses must be 1-D and of equal length")
+    # An axis that is already strictly increasing is its own support.  The
+    # marginals and conditional rows rebuild such grids, and np.unique's fixed
+    # cost (about 18 us a call) made them 1.5 times slower than a merge loop.
+    supports, index = zip(*((a, np.arange(a.size)) if (a[1:] > a[:-1]).all()
+                            else np.unique(a, return_inverse=True) for a in axes))
+    shape = tuple(s.size for s in supports)
+    grid = np.zeros(shape, dtype=dtype)
+    np.add.at(grid.reshape(-1), np.ravel_multi_index(index, shape), masses)
+    return supports, grid
+
+
+def _interval_slice(support: np.ndarray, iv: Interval) -> tuple[int, int]:
+    """Index range [lo, hi) of the atoms of a sorted support inside ``iv``."""
+    lo = int(np.searchsorted(support, iv.left, side="left" if iv.left_closed else "right"))
+    hi = int(np.searchsorted(support, iv.right, side="right" if iv.right_closed else "left"))
+    return lo, max(lo, hi)
 
 
 def _require_keys(payload, what: str, required: tuple[str, ...], masses: tuple[str, str],
@@ -191,7 +223,7 @@ def _float_masses(values) -> list[float]:
     if not {bool, np.bool_} & set(map(type, values)):
         try:
             return [float(v) for v in values]
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             pass
     raise InvalidDistributionError("masses must be numbers")
 
@@ -232,8 +264,8 @@ class UnivariateDist:
     _suffix: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        support = np.asarray(self.support, dtype=np.float64).copy()
-        probs = np.asarray(self.probs, dtype=np.float64).copy()
+        support = _float_array(self.support, "support")
+        probs = _float_array(self.probs, "probs")
         _validate_support(support, "support")
         if probs.shape != support.shape:
             raise InvalidDistributionError("support and probs must have equal length")
@@ -259,17 +291,18 @@ class UnivariateDist:
     @classmethod
     def from_pairs(cls, values, probs, *, is_probability: bool = True) -> "UnivariateDist":
         """Build from unsorted (value, mass) data; duplicates are merged."""
-        vals, masses = _merge_pairs(values, _float_masses(probs))
-        return cls(np.array(vals), np.array(masses), None, is_probability)
+        (support,), masses = _atom_grid([values], _float_masses(probs))
+        return cls(support, masses, None, is_probability)
 
     @classmethod
     def from_weights(cls, values, weights, *, is_probability: bool = True) -> "UnivariateDist":
-        """Build from integer weights; float probs are the normalized weights."""
-        vals, ws = _merge_pairs(values, _int_weights(weights))
-        ws = _validate_weights(ws, len(vals))
+        """Build from unsorted (value, integer weight) data; duplicates are
+        merged, and float probs are the normalized weights."""
+        (support,), ws = _atom_grid([values], _int_weights(weights), object)
+        ws = _validate_weights(ws.tolist(), support.size)
         total = sum(ws)
         probs = np.array([w / total for w in ws], dtype=np.float64)
-        return cls(np.array(vals), probs, ws, is_probability)
+        return cls(support, probs, ws, is_probability)
 
     @classmethod
     def delta(cls, x: float) -> "UnivariateDist":
@@ -388,13 +421,8 @@ class UnivariateDist:
 
     # -- interval masses ----------------------------------------------------
 
-    def _interval_slice(self, iv: Interval) -> tuple[int, int]:
-        lo = int(np.searchsorted(self.support, iv.left, side="left" if iv.left_closed else "right"))
-        hi = int(np.searchsorted(self.support, iv.right, side="right" if iv.right_closed else "left"))
-        return lo, max(lo, hi)
-
     def interval_mass(self, iv: Interval) -> float:
-        lo, hi = self._interval_slice(iv)
+        lo, hi = _interval_slice(self.support, iv)
         if lo == hi:
             return 0.0
         base = 0.0 if lo == 0 else float(self._cum[lo - 1])
@@ -403,7 +431,7 @@ class UnivariateDist:
     def interval_weight(self, iv: Interval) -> int:
         if self.weights is None:
             raise DomainError("distribution carries no integer weights")
-        lo, hi = self._interval_slice(iv)
+        lo, hi = _interval_slice(self.support, iv)
         return sum(self.weights[lo:hi])
 
     def normalized(self) -> "UnivariateDist":
@@ -435,9 +463,9 @@ class BivariateDist:
     is_probability: bool = True
 
     def __post_init__(self):
-        xs = np.asarray(self.x_support, dtype=np.float64).copy()
-        ys = np.asarray(self.y_support, dtype=np.float64).copy()
-        pmf = np.asarray(self.pmf, dtype=np.float64).copy()
+        xs = _float_array(self.x_support, "x_support")
+        ys = _float_array(self.y_support, "y_support")
+        pmf = _float_array(self.pmf, "pmf")
         _validate_support(xs, "x_support")
         _validate_support(ys, "y_support")
         if pmf.shape != (xs.size, ys.size):
@@ -475,19 +503,8 @@ class BivariateDist:
     @classmethod
     def from_pairs(cls, xs, ys, masses, *, is_probability: bool = True) -> "BivariateDist":
         """Build from long-form (x, y, mass) triples; duplicate cells are summed."""
-        xs = [float(v) for v in xs]
-        ys = [float(v) for v in ys]
-        masses = _float_masses(masses)
-        if not (len(xs) == len(ys) == len(masses)):
-            raise InvalidDistributionError("x, y and mass columns must have equal length")
-        gx = sorted(set(xs))
-        gy = sorted(set(ys))
-        ix = {v: i for i, v in enumerate(gx)}
-        iy = {v: j for j, v in enumerate(gy)}
-        pmf = np.zeros((len(gx), len(gy)))
-        for x, y, m in zip(xs, ys, masses):
-            pmf[ix[x], iy[y]] += m
-        return cls(np.array(gx), np.array(gy), pmf, None, is_probability)
+        (gx, gy), pmf = _atom_grid((xs, ys), _float_masses(masses))
+        return cls(gx, gy, pmf, None, is_probability)
 
     @classmethod
     def from_weights(cls, x_support, y_support, weights, *, is_probability: bool = True) -> "BivariateDist":
@@ -496,13 +513,7 @@ class BivariateDist:
         if total <= 0:
             raise InvalidDistributionError("weights must have positive total")
         pmf = np.array([[w / total for w in row] for row in rows], dtype=np.float64)
-        return cls(
-            np.asarray(x_support, dtype=np.float64),
-            np.asarray(y_support, dtype=np.float64),
-            pmf,
-            tuple(tuple(row) for row in rows),
-            is_probability,
-        )
+        return cls(x_support, y_support, pmf, tuple(tuple(row) for row in rows), is_probability)
 
     @classmethod
     def from_dict(cls, payload: dict, *, exact: bool = False) -> "BivariateDist":
@@ -640,10 +651,8 @@ class BivariateDist:
 
     def rect_prob(self, ix: Interval, iy: Interval) -> float:
         """Mass of the rectangle, summed over its cell block (an empty block is 0.0)."""
-        lo_i = int(np.searchsorted(self.x_support, ix.left, side="left" if ix.left_closed else "right"))
-        hi_i = int(np.searchsorted(self.x_support, ix.right, side="right" if ix.right_closed else "left"))
-        lo_j = int(np.searchsorted(self.y_support, iy.left, side="left" if iy.left_closed else "right"))
-        hi_j = int(np.searchsorted(self.y_support, iy.right, side="right" if iy.right_closed else "left"))
+        lo_i, hi_i = _interval_slice(self.x_support, ix)
+        lo_j, hi_j = _interval_slice(self.y_support, iy)
         return float(self.pmf[lo_i:hi_i, lo_j:hi_j].sum())
 
 
@@ -717,15 +726,8 @@ def read_bivariate_csv(path, *, exact: bool = False) -> BivariateDist:
     xs = [float(v) for v in xs]
     ys = [float(v) for v in ys]
     if exact:
-        ws = _weights_from_decimal_strings(probs)
-        gx = sorted(set(xs))
-        gy = sorted(set(ys))
-        ix = {v: i for i, v in enumerate(gx)}
-        iy = {v: j for j, v in enumerate(gy)}
-        rows = [[0] * len(gy) for _ in gx]
-        for x, y, w in zip(xs, ys, ws):
-            rows[ix[x]][iy[y]] += w
-        return BivariateDist.from_weights(gx, gy, rows)
+        (gx, gy), ws = _atom_grid((xs, ys), _weights_from_decimal_strings(probs), object)
+        return BivariateDist.from_weights(gx, gy, ws.tolist())
     return BivariateDist.from_pairs(xs, ys, probs)
 
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import BivariateDist
+from .distributions import BivariateDist, _atom_grid
 from .errors import DomainError, PreconditionError
 from .isotonic import MODE_FLOAT, PRODUCT_RTOL
 from .tp2 import check_st_condition, kernel_east, kernel_west
@@ -76,10 +76,8 @@ def empirical(samples) -> BivariateDist:
     pts = np.asarray(samples, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] == 0:
         raise DomainError("samples must be a nonempty (n, 2) array")
-    gx, ix = np.unique(pts[:, 0], return_inverse=True)
-    gy, iy = np.unique(pts[:, 1], return_inverse=True)
-    counts = np.bincount(ix * gy.size + iy, minlength=gx.size * gy.size)
-    return BivariateDist.from_weights(gx, gy, counts.reshape(gx.size, gy.size).tolist())
+    (gx, gy), counts = _atom_grid(pts.T, np.ones(pts.shape[0], dtype=np.int64), np.int64)
+    return BivariateDist.from_weights(gx, gy, counts.tolist())
 
 
 @dataclass(frozen=True, eq=False)

@@ -45,7 +45,8 @@ import numpy as np
 from .distributions import BivariateDist, prefix_table
 from .errors import DomainError, InvalidDistributionError
 from .isotonic import MODE_EXACT, MODE_FLOAT, PRODUCT_RTOL
-from .tp2 import _with_midpoints, check_tp2, supermodular_potential
+from .orders import _refined_axis
+from .tp2 import check_tp2, supermodular_potential
 
 #: names ``kuiper_norm`` accepts; both run the one band kernel
 KUIPER_METHODS = ("brute", "kadane")
@@ -164,11 +165,6 @@ def kuiper_norm(sigma: GridSignedMeasure, method: str = "kadane"):
 # ---------------------------------------------------------------------------
 
 
-def _refined_axis(vals: np.ndarray) -> np.ndarray:
-    inner = _with_midpoints(vals)
-    return np.array([inner[0] - 1.0, *inner, inner[-1] + 1.0])
-
-
 def refine_grid(r: BivariateDist) -> BivariateDist:
     """Embed on the interleaved (2l+1) x (2m+1) grid.
 
@@ -177,8 +173,8 @@ def refine_grid(r: BivariateDist) -> BivariateDist:
     candidate supported on this grid are unchanged by the embedding.
     """
     r = r.canonical()
-    xg = _refined_axis(r.x_support)
-    yg = _refined_axis(r.y_support)
+    xg = np.array(_refined_axis(r.x_support))
+    yg = np.array(_refined_axis(r.y_support))
     pmf = np.zeros((xg.size, yg.size))
     pmf[1::2, 1::2] = r.pmf
     weights = None

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import Interval, UnivariateDist
+from .distributions import Interval, UnivariateDist, _interval_slice
 from .errors import DomainError, InvalidDistributionError
 from .isotonic import (MODE_EXACT, MODE_FLOAT, PRODUCT_RTOL, _check_mode, _cumulative,
                        _interval_scan, products_le)
@@ -135,19 +135,30 @@ def _lr_pairwise(merged, g1, g2, mode, tol):
     return None
 
 
-def _boundaries(merged) -> list[float]:
-    """Cut points between atoms plus outer sentinels; index c splits before atom c."""
-    vals = merged.tolist()
-    out = [vals[0] - 1.0]
-    out += [(a + b) / 2.0 for a, b in zip(vals, vals[1:])]
+def _refined_axis(atoms) -> list[float]:
+    """The sorted atoms interleaved with the midpoints between consecutive
+    atoms, inside outer sentinels one unit beyond the end atoms:
+    [v0 - 1, v0, (v0 + v1) / 2, v1, ..., vn, vn + 1]."""
+    vals = atoms.tolist()
+    out = [vals[0] - 1.0, vals[0]]
+    for a, b in zip(vals, vals[1:]):
+        out += [(a + b) / 2.0, b]
     out.append(vals[-1] + 1.0)
     return out
 
 
+def _boundaries(merged) -> list[float]:
+    """Cut points between atoms plus outer sentinels (the even positions of
+    the refined axis); index c splits before atom c."""
+    return _refined_axis(merged)[::2]
+
+
 def _lr_intervals(merged, g1, g2, mode, tol):
     hit = _interval_scan(_cumulative(g1), _cumulative(g2), mode, tol)
+    if hit is None:
+        return None
     cuts = _boundaries(merged)
-    return None if hit is None else tuple(cuts[i] for i in hit)
+    return tuple(cuts[i] for i in hit)
 
 
 def _lr_conditional_st(merged, g1, g2, mode, tol):
@@ -197,7 +208,7 @@ def check_lr(q1: UnivariateDist, q2: UnivariateDist, method: str = "ratio",
 def truncate(q: UnivariateDist, iv: Interval) -> UnivariateDist:
     """Conditional distribution of q given the interval, renormalized."""
     q = q.canonical()
-    lo, hi = q._interval_slice(iv)
+    lo, hi = _interval_slice(q.support, iv)
     if lo == hi:
         raise DomainError(f"interval {iv} carries zero mass")
     support = q.support[lo:hi]

@@ -35,7 +35,7 @@ from .distributions import BivariateDist, Interval, UnivariateDist, prefix_table
 from .errors import DomainError, InvalidDistributionError, PreconditionError
 from .isotonic import MODE_FLOAT, PRODUCT_RTOL, _check_mode, _cumulative, products_le
 from .orders import (OrderVerdict, _boundaries, _fails, _holds, _lr_intervals, _lr_pairwise,
-                     _lr_ratio)
+                     _lr_ratio, _refined_axis, truncate)
 
 TP2_METHODS = ("pmf-allpairs", "pmf-adjacent", "intervals")
 
@@ -118,18 +118,10 @@ class Boundaries:
         )
 
 
-def _with_midpoints(atoms: np.ndarray) -> list[float]:
-    """The atoms interleaved with the midpoints between consecutive atoms."""
-    vals = atoms.tolist()
-    out = vals[:1]
-    for a, b in zip(vals, vals[1:]):
-        out += [(a + b) / 2.0, b]
-    return out
-
-
 def default_grid(r: BivariateDist) -> list[float]:
-    """First-marginal atoms plus the midpoints between consecutive atoms."""
-    return _with_midpoints(r.canonical().x_support)
+    """First-marginal atoms plus the midpoints between consecutive atoms (the
+    interior of the refined axis)."""
+    return _refined_axis(r.canonical().x_support)[1:-1]
 
 
 def _eval_points(r: BivariateDist, xs) -> list[float]:
@@ -326,7 +318,8 @@ def kernel_new(r: BivariateDist, xs=None, rule: str = "midpoint", selection=None
     an isotonic selection between the two boundaries, given either by a rule
     ("nw", "se", "midpoint"; midpoints are repaired to isotonic with a
     running maximum) or explicitly as (x, value) pairs.  Elsewhere in range,
-    the west row is conditioned on the closed boundary band.
+    the west row is conditioned on the closed boundary band by
+    ``orders.truncate``, which sums the band's masses directly.
     """
     verdict = check_tp2(r, "pmf-adjacent", mode, tol)
     if not verdict.holds:
@@ -372,24 +365,14 @@ def kernel_new(r: BivariateDist, xs=None, rule: str = "midpoint", selection=None
 
     sel_at = dict(zip(crossing_idx, sel))
     rows = []
-    for i, x in enumerate(xs):
+    for i in range(len(xs)):
         if not bnd.in_range[i]:
             rows.append(marginal)
         elif bnd.in_crossing[i]:
             rows.append(UnivariateDist.delta(sel_at[i]))
         else:
             band = Interval.closed(float(bnd.s_se[i]), float(bnd.s_nw[i]))
-            base = west.rows[i]
-            mass = base.interval_mass(band)
-            if mass <= 0.0:
-                raise InvalidDistributionError(
-                    f"boundary band at x={x!r} carries no mass; input not TP2?"
-                )
-            lo, hi = base._interval_slice(band)
-            weights = None if base.weights is None else base.weights[lo:hi]
-            rows.append(
-                UnivariateDist(base.support[lo:hi], base.probs[lo:hi] / mass, weights)
-            )
+            rows.append(truncate(west.rows[i], band))
     return Kernel(np.array(xs), tuple(rows), "new")
 
 

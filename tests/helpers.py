@@ -12,7 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from stochorder import BivariateDist, Interval, UnivariateDist
+from stochorder import BivariateDist, Interval, InvalidDistributionError, UnivariateDist
 from stochorder.isotonic import MODE_FLOAT, PRODUCT_RTOL, products_le
 from stochorder.orders import _boundaries, _fails, _holds
 
@@ -268,6 +268,51 @@ def all_blocks_st_condition(r: BivariateDist, mode: str = MODE_FLOAT, tol: float
                     if not products_le(lhs, rhs, mode, tol):
                         return _fails(method, (xcuts[a], xcuts[b], xcuts[c], ycuts[j]))
     return _holds(method)
+
+
+def merge_pairs_by_loop(values, masses):
+    """Sort atoms and merge duplicates by summing their masses.
+
+    The argsort-and-merge loop ``UnivariateDist.from_pairs`` and
+    ``from_weights`` ran before they built their grid with
+    ``distributions._atom_grid``; kept to check that both give the same
+    atoms and masses.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    if len(masses) != values.size:
+        raise InvalidDistributionError("support and masses must have equal length")
+    order = np.argsort(values, kind="stable")
+    values = values[order]
+    merged_v: list[float] = []
+    merged_m: list = []
+    for v, m in zip(values.tolist(), (masses[i] for i in order.tolist())):
+        if merged_v and v == merged_v[-1]:
+            merged_m[-1] = merged_m[-1] + m
+        else:
+            merged_v.append(v)
+            merged_m.append(m)
+    return merged_v, merged_m
+
+
+def grid_by_dict(xs, ys, masses, dtype=np.float64):
+    """Sorted distinct coordinates and the per-cell mass sums of long-form
+    (x, y, mass) triples, through dict lookups and one ``+=`` per triple.
+
+    The loop ``BivariateDist.from_pairs`` (float masses) and the exact
+    branch of ``read_bivariate_csv`` (Python ints, ``dtype=object``) ran
+    before they built their grid with ``distributions._atom_grid``; kept to
+    check that both give the same grid.
+    """
+    xs = [float(v) for v in xs]
+    ys = [float(v) for v in ys]
+    gx = sorted(set(xs))
+    gy = sorted(set(ys))
+    ix = {v: i for i, v in enumerate(gx)}
+    iy = {v: j for j, v in enumerate(gy)}
+    pmf = np.zeros((len(gx), len(gy)), dtype=dtype)
+    for x, y, m in zip(xs, ys, masses):
+        pmf[ix[x], iy[y]] += m
+    return np.array(gx), np.array(gy), pmf
 
 
 def empirical_by_dict(samples) -> BivariateDist:

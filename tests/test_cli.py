@@ -9,6 +9,7 @@ import shlex
 import pytest
 
 from stochorder.cli import build_parser, main
+from stochorder.distributions import MASS_TOL
 
 DATA = pathlib.Path(__file__).parent / "data"
 GOLDEN = pathlib.Path(__file__).parent / "golden"
@@ -268,6 +269,24 @@ class TestInputErrors:
         assert code == 2
         assert out == ""
 
+    @pytest.mark.parametrize("masses", [
+        {"probs": [0.25, 0.25, 0.25, 0.25]},
+        {"weights": [1, 1, 1, 1]},
+        {"probs": [0.5, 0.5]},
+    ], ids=["probs-per-entry", "weights-per-entry", "probs-per-row"])
+    def test_nested_univariate_support_exits_two(self, tmp_path, capsys, masses):
+        # a 2x2 support is not flattened into four atoms, nor indexed as one
+        bad = tmp_path / "q.json"
+        bad.write_text(json.dumps({"support": [[1, 2], [3, 4]], **masses}))
+        ok = tmp_path / "ok.json"
+        ok.write_text(json.dumps({"support": [1, 2], "probs": [0.5, 0.5]}))
+        code, out = run_cli(["check-st", "--q1", str(bad), "--q2", str(ok)])
+        assert code == 2
+        assert out == ""
+        err = capsys.readouterr().err
+        assert err.startswith("input error:")
+        assert "Traceback" not in err
+
     def test_gamma_pair_below_zero_exits_two(self, tmp_path):
         # exits before numpy evaluates sqrt on a negative grid (no RuntimeWarning)
         code, _ = run_cli(["fixture", "gamma-pair", "--lo", "-15", "--dir", str(tmp_path)])
@@ -341,6 +360,24 @@ class TestInputErrors:
         r.write_text(json.dumps({"x_support": [1], "y_support": [1], "weights": [[1]]}))
         assert run_cli(["check-lr", "--q1", str(q), "--q2", str(q)])[0] == 0
         assert run_cli(["tp2", "check", "--r", str(r)])[0] == 0
+
+
+class TestKernelNew:
+    def test_tiny_band_mass_keeps_rows_normalized(self, tmp_path):
+        # Row x=0 keeps the band [1, 2], which holds about 1.3e-9 of its
+        # conditional mass.  Taken as a difference of cumulative sums near 1,
+        # that mass cancels badly, and the row summed to 1.00000002, outside
+        # MASS_TOL; summed over the band, it is exact to rounding.
+        r = tmp_path / "r.csv"
+        r.write_text("x,y,prob\n0,0,0.4999999993495\n0,1,6.5e-10\n0,2,5e-13\n"
+                     "1,1,0.35\n1,2,0.15\n")
+        assert run_cli(["tp2", "check", "--r", str(r)])[0] == 0
+        code, out = run_cli(["kernel", "--r", str(r), "--flavor", "new"])
+        assert code == 0
+        rows = json.loads(out)["result"]["rows"]
+        assert rows
+        for row in rows:
+            assert abs(sum(p for _, _, p in row) - 1.0) <= MASS_TOL
 
 
 class TestFileArtifacts:

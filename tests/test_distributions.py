@@ -1,4 +1,6 @@
 import json
+import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -15,6 +17,7 @@ from stochorder import (
     marginals,
 )
 from stochorder.distributions import (
+    _atom_grid,
     load_bivariate,
     load_univariate,
     read_bivariate_csv,
@@ -23,6 +26,7 @@ from stochorder.distributions import (
     write_univariate_csv,
     write_univariate_json,
 )
+from helpers import grid_by_dict, merge_pairs_by_loop
 
 NEG_INF = float("-inf")
 POS_INF = float("inf")
@@ -302,3 +306,119 @@ class TestIO:
         path.write_text(json.dumps(r.to_dict()))
         back = load_bivariate(path)
         assert back.weights == ((1, 0), (0, 1))
+
+
+# Coordinates with duplicates, both signed zeros and extreme magnitudes, drawn
+# in any order; masses with exact zeros of both signs and tiny and huge values.
+COORDS = st.sampled_from([-0.0, 0.0, 0.25, -1.5, 3.0, 1e300, -1e-300, 5e-324, 7.0])
+MASSES = st.one_of(st.sampled_from([0.0, -0.0, 0.1, 1 / 3, 5e-324, 1e-300, 1e300]),
+                   st.floats(0.0, 1e6))
+WEIGHTS = st.one_of(st.integers(0, 3), st.integers(0, 2**70), st.just(10**33))
+
+
+def _differing(new: np.ndarray, old: np.ndarray) -> np.ndarray:
+    """Positions where two float64 arrays of one shape differ in their bytes."""
+    assert new.shape == old.shape
+    return np.flatnonzero(new.view(np.int64) != old.view(np.int64))
+
+
+def _assert_support_matches(new: np.ndarray, old: np.ndarray, column) -> None:
+    """Supports equal byte for byte, except which zero stands for a column
+    holding both -0.0 and +0.0: the loops kept the first in input order,
+    ``np.unique`` keeps the one its sort puts first."""
+    d = _differing(new, old)
+    assert (new[d] == 0).all() and (old[d] == 0).all()
+    if d.size:
+        signs = {bool(np.signbit(v)) for v in column if v == 0}
+        assert signs == {False, True}
+
+
+class TestAtomGrid:
+    """The constructors equal the loops they replaced, byte for byte."""
+
+    @given(st.lists(st.tuples(COORDS, MASSES), min_size=1, max_size=30))
+    @settings(max_examples=300, deadline=None)
+    def test_univariate_from_pairs_equals_the_merge_loop(self, pairs):
+        values, masses = [v for v, _ in pairs], [m for _, m in pairs]
+        q = UnivariateDist.from_pairs(values, masses, is_probability=False)
+        vals, ms = merge_pairs_by_loop(values, masses)
+        _assert_support_matches(q.support, np.array(vals), values)
+        # The one mass difference: a cell whose masses are all -0.0 kept -0.0
+        # in the loop and sums to +0.0 onto the zero-initialized grid.
+        old = np.array(ms, dtype=np.float64)
+        d = _differing(q.probs, old)
+        assert (old[d] == 0).all() and np.signbit(old[d]).all()
+        assert (q.probs[d] == 0).all() and not np.signbit(q.probs[d]).any()
+
+    def test_all_negative_zero_masses_sum_to_positive_zero(self):
+        q = UnivariateDist.from_pairs([1.0, 2.0, 1.0], [-0.0, 1.0, -0.0], is_probability=False)
+        vals, ms = merge_pairs_by_loop([1.0, 2.0, 1.0], [-0.0, 1.0, -0.0])
+        assert np.signbit(ms[0]) and not np.signbit(q.probs[0])
+
+    @given(st.lists(st.tuples(COORDS, WEIGHTS), min_size=1, max_size=30))
+    @settings(max_examples=300, deadline=None)
+    def test_univariate_from_weights_equals_the_merge_loop(self, pairs):
+        values, weights = [v for v, _ in pairs], [w for _, w in pairs]
+        if not any(weights):
+            weights[0] = 1
+        q = UnivariateDist.from_weights(values, weights, is_probability=False)
+        vals, ws = merge_pairs_by_loop(values, weights)
+        _assert_support_matches(q.support, np.array(vals), values)
+        assert type(q.weights) is tuple and all(type(w) is int for w in q.weights)
+        assert q.weights == tuple(ws)
+        total = sum(ws)
+        assert q.probs.tobytes() == np.array([w / total for w in ws]).tobytes()
+
+    @given(st.lists(st.tuples(COORDS, COORDS, MASSES), min_size=1, max_size=40))
+    @settings(max_examples=300, deadline=None)
+    def test_bivariate_from_pairs_equals_the_dict_loop(self, cells):
+        xs, ys, masses = (list(c) for c in zip(*cells))
+        r = BivariateDist.from_pairs(xs, ys, masses, is_probability=False)
+        gx, gy, pmf = grid_by_dict(xs, ys, masses)
+        _assert_support_matches(r.x_support, gx, xs)
+        _assert_support_matches(r.y_support, gy, ys)
+        assert r.pmf.tobytes() == pmf.tobytes()
+
+    @given(st.lists(st.tuples(COORDS, COORDS, WEIGHTS), min_size=1, max_size=40))
+    @settings(max_examples=200, deadline=None)
+    def test_exact_bivariate_csv_equals_the_dict_loop(self, cells):
+        xs, ys, weights = (list(c) for c in zip(*cells))
+        if not any(weights):
+            weights[0] = 1
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "r.csv")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write("x,y,prob\n")
+                fh.writelines(f"{x!r},{y!r},{w}\n" for x, y, w in zip(xs, ys, weights))
+            r = read_bivariate_csv(path, exact=True)
+        gx, gy, grid = grid_by_dict(xs, ys, weights, dtype=object)
+        _assert_support_matches(r.x_support, gx, xs)
+        _assert_support_matches(r.y_support, gy, ys)
+        assert type(r.weights) is tuple
+        assert all(type(row) is tuple and all(type(w) is int for w in row) for row in r.weights)
+        assert r.weights == tuple(map(tuple, grid.tolist()))
+        ref = BivariateDist.from_weights(gx, gy, grid.tolist(), is_probability=False)
+        assert r.pmf.tobytes() == ref.pmf.tobytes()
+
+    def test_negative_mass_offset_by_a_duplicate_is_rejected(self):
+        # the merge loops summed first and accepted the nonnegative total
+        with pytest.raises(InvalidDistributionError):
+            UnivariateDist.from_pairs([1.0, 1.0, 2.0], [-0.5, 1.0, 0.5])
+        with pytest.raises(InvalidDistributionError):
+            UnivariateDist.from_weights([0.0, 0.0, 1.0], [-1, 1, 1])
+        with pytest.raises(InvalidDistributionError):
+            BivariateDist.from_pairs([1.0, 1.0], [2.0, 2.0], [-0.5, 1.5])
+
+    @pytest.mark.parametrize("coords, masses", [
+        ([[[1.0, 2.0], [3.0, 4.0]]], [0.5, 0.5]),
+        ([[[1.0, 2.0], [3.0, 4.0]]], [0.25, 0.25, 0.25, 0.25]),
+        ([[1.0, 2.0], [1.0]], [0.5, 0.5]),
+        ([[1.0, 2.0, 3.0]], [0.5, 0.5]),
+        ([[[1.0], [2.0, 3.0]]], [0.5, 0.5]),
+        ([[{}, 1.0]], [0.5, 0.5]),
+        ([["a", 1.0]], [0.5, 0.5]),
+    ], ids=["nested", "nested-flat-length", "short-column", "long-column", "ragged", "dict",
+            "text"])
+    def test_rejects_columns_that_are_not_flat_and_as_long_as_the_masses(self, coords, masses):
+        with pytest.raises(InvalidDistributionError):
+            _atom_grid(coords, masses)

@@ -1,0 +1,283 @@
+"""The loaders' input contract at the CLI, as hypothesis properties.
+
+Malformed JSON and CSV inputs to ``check-st`` and ``tp2 check`` (nested,
+ragged or empty supports, entries that are not numbers or are NaN, supports
+and masses of different lengths, broken CSV rows) exit 2 with a message on
+stderr, print no report and raise nothing out of ``main``.  Well-formed
+inputs whose atoms or cells are duplicated and unsorted give the same report
+as their merged form.
+"""
+
+import contextlib
+import io
+import json
+import os
+import pathlib
+import tempfile
+from decimal import Decimal
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from stochorder.cli import main
+
+DATA = pathlib.Path(__file__).parent / "data"
+NAN = float("nan")
+
+#: Entries that are not numbers: text, containers, NaN and null.
+NOT_NUMBERS = st.sampled_from(["abc", "", None, [], [1.0], {}, {"a": 1}, NAN])
+#: Support entries add an integer beyond the float range.
+BAD_VALUES = st.one_of(NOT_NUMBERS, st.just(10**400))
+#: Masses add booleans, negative and infinite numbers.  An integer beyond the
+#: float range is a bad float mass, but exact mode reads it as a decimal.
+BAD_MASSES = st.one_of(NOT_NUMBERS, st.sampled_from([True, -0.5, float("inf")]))
+#: Integer weights add fractions, negative integers and numeric text.
+BAD_WEIGHTS = st.one_of(BAD_MASSES, st.sampled_from([1.5, -1, "1"]))
+#: CSV fields that do not parse as finite numbers; exact mode reads "1e400"
+#: as a decimal, so it is a bad mass in float mode only.
+BAD_FIELDS = st.sampled_from(["abc", "", "nan", "NaN", "inf", "-inf", "[1]", "0x10"])
+
+
+def bad_masses(key: str, exact: bool):
+    if key == "weights":
+        return BAD_WEIGHTS
+    return BAD_MASSES if exact else st.one_of(BAD_MASSES, st.just(10**400))
+
+
+def run_on(name: str, text: str, argv) -> tuple[int, str, str]:
+    """Run the CLI on one input file; ``argv`` names the file as ``{}``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, name)
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([path if a == "{}" else a for a in argv])
+    return code, out.getvalue(), err.getvalue()
+
+
+def check_st_argv(exact: bool) -> list:
+    return ["check-st", "--q1", "{}", "--q2", str(DATA / "q_low.csv")] + ["--exact"] * exact
+
+
+def tp2_argv(exact: bool) -> list:
+    return ["tp2", "check", "--r", "{}"] + ["--exact"] * exact
+
+
+def assert_input_error(code: int, out: str, err: str) -> None:
+    assert code == 2
+    assert out == ""
+    assert err.startswith("input error: ") and len(err) > len("input error: \n")
+    assert "Traceback" not in err
+
+
+def report_of(code: int, out: str, err: str) -> tuple:
+    """The exit code and the report without its input digests."""
+    assert err == "" and code in (0, 3)
+    payload = json.loads(out)
+    del payload["inputs"]
+    return code, payload
+
+
+# ---------------------------------------------------------------------------
+# malformed inputs
+# ---------------------------------------------------------------------------
+
+
+def _replace_one(draw, seq: list, bad) -> list:
+    seq = list(seq)
+    seq[draw(st.integers(0, len(seq) - 1))] = draw(bad)
+    return seq
+
+
+def _bad_length(draw, seq: list) -> list:
+    """``seq`` with one entry dropped or one appended."""
+    if len(seq) > 1 and draw(st.booleans()):
+        return seq[:-1]
+    return seq + [seq[-1]]
+
+
+@st.composite
+def bad_univariate_json(draw, exact: bool):
+    n = draw(st.integers(1, 5))
+    support = draw(st.lists(st.integers(-9, 9).map(float), min_size=n, max_size=n))
+    key = draw(st.sampled_from(["probs", "weights"]))
+    masses = [1 / n] * n if key == "probs" else [1] * n
+    defect = draw(st.sampled_from(["nested", "nested-pairs", "ragged", "empty", "bad-value",
+                                   "length", "bad-mass", "nested-masses"]))
+    if defect == "nested":
+        support = [support]
+    elif defect == "nested-pairs":
+        support = [[v, v + 1.0] for v in support]
+        masses = masses * 2 if draw(st.booleans()) else masses
+    elif defect == "ragged":
+        support = [support, support[:-1]] if n > 1 else [[support[0], 0.0], [support[0]]]
+    elif defect == "empty":
+        support, masses = [], []
+    elif defect == "bad-value":
+        support = _replace_one(draw, support, BAD_VALUES)
+    elif defect == "length":
+        masses = _bad_length(draw, masses)
+    elif defect == "bad-mass":
+        masses = _replace_one(draw, masses, bad_masses(key, exact))
+    else:
+        masses = [[m] for m in masses]
+    return json.dumps({"support": support, key: masses})
+
+
+@st.composite
+def bad_bivariate_json(draw, exact: bool):
+    l, m = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    xs = [float(i) for i in range(l)]
+    ys = [float(j) for j in range(m)]
+    key = draw(st.sampled_from(["pmf", "weights"]))
+    rows = [[1 / (l * m)] * m for _ in range(l)] if key == "pmf" else [[1] * m for _ in range(l)]
+    axis = draw(st.sampled_from(["x_support", "y_support"]))
+    defect = draw(st.sampled_from(["nested", "ragged", "empty", "bad-value", "length",
+                                   "bad-mass", "ragged-rows", "row-count"]))
+    payload = {"x_support": xs, "y_support": ys, key: rows}
+    if defect == "nested":
+        payload[axis] = [[v] for v in payload[axis]]
+    elif defect == "ragged":
+        payload[axis] = [payload[axis], []]
+    elif defect == "empty":
+        payload[axis] = []
+    elif defect == "bad-value":
+        payload[axis] = _replace_one(draw, payload[axis], BAD_VALUES)
+    elif defect == "length":
+        payload[axis] = _bad_length(draw, payload[axis])
+    elif defect == "bad-mass":
+        i = draw(st.integers(0, l - 1))
+        rows[i] = _replace_one(draw, rows[i], bad_masses(key, exact))
+    elif defect == "ragged-rows":
+        rows.append(rows[0][:-1] if m > 1 else rows[0] * 2)
+    else:
+        payload[key] = _bad_length(draw, rows)
+    return json.dumps(payload)
+
+
+def _csv(header: str, rows) -> str:
+    return header + "\n" + "".join(",".join(r) + "\n" for r in rows)
+
+
+@st.composite
+def bad_csv(draw, header: str, exact: bool):
+    """A CSV for ``header`` with one broken field or row, or no rows."""
+    width = header.count(",") + 1
+    n = draw(st.integers(1, 5))
+    rows = [[str(float(i + k)) for k in range(width - 1)] + [repr(1 / n)] for i in range(n)]
+    defect = draw(st.sampled_from(["bad-field", "short-row", "long-row", "empty"]))
+    i = draw(st.integers(0, n - 1))
+    if defect == "bad-field":
+        j = draw(st.integers(0, width - 1))
+        bad = BAD_FIELDS
+        if j < width - 1 or not exact:
+            bad = st.one_of(bad, st.just("1e400"))
+        rows[i][j] = draw(bad if j < width - 1 else st.one_of(bad, st.just("-0.5")))
+    elif defect == "short-row":
+        rows[i] = rows[i][:-1]
+    elif defect == "long-row":
+        rows[i] = rows[i] + ["1"]
+    else:
+        rows = []
+    return _csv(header, rows)
+
+
+class TestMalformedInputsExitTwo:
+    @given(st.booleans(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_check_st_json(self, exact, data):
+        text = data.draw(bad_univariate_json(exact))
+        assert_input_error(*run_on("q.json", text, check_st_argv(exact)))
+
+    @given(st.booleans(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_check_st_csv(self, exact, data):
+        text = data.draw(bad_csv("value,prob", exact))
+        assert_input_error(*run_on("q.csv", text, check_st_argv(exact)))
+
+    @given(st.booleans(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_tp2_check_json(self, exact, data):
+        text = data.draw(bad_bivariate_json(exact))
+        assert_input_error(*run_on("r.json", text, tp2_argv(exact)))
+
+    @given(st.booleans(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_tp2_check_csv(self, exact, data):
+        text = data.draw(bad_csv("x,y,prob", exact))
+        assert_input_error(*run_on("r.csv", text, tp2_argv(exact)))
+
+
+# ---------------------------------------------------------------------------
+# duplicated and unsorted well-formed inputs
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def split_masses(draw, cells: int):
+    """Integer weights for ``cells`` cells, each split into 1-3 parts, as
+    (cell, part) pairs in a shuffled order; every weight is a multiple of
+    1/1000 of the total 1000."""
+    weights = draw(st.lists(st.integers(0, 9), min_size=cells, max_size=cells).filter(any))
+    total = sum(weights)
+    units = [1000 * w // total for w in weights]
+    units[max(range(cells), key=weights.__getitem__)] += 1000 - sum(units)
+    parts = []
+    for c, u in enumerate(units):
+        k = draw(st.integers(1, 3))
+        cuts = sorted(draw(st.lists(st.integers(0, u), min_size=k - 1, max_size=k - 1)))
+        parts += [(c, b - a) for a, b in zip([0, *cuts], [*cuts, u])]
+    return draw(st.permutations(parts))
+
+
+def _merged(parts, cells: int, exact: bool) -> list:
+    """Per-cell mass text of the split parts: exact decimal sums, or float
+    sums in input order (the order in which the grid adds them)."""
+    sums = [Decimal(0) if exact else 0.0 for _ in range(cells)]
+    for c, u in parts:
+        sums[c] += Decimal(u) / 1000 if exact else u / 1000
+    return [str(s) if exact else repr(s) for s in sums]
+
+
+def _mass_text(u: int, exact: bool) -> str:
+    return str(Decimal(u) / 1000) if exact else repr(u / 1000)
+
+
+class TestDuplicatesReportAsMerged:
+    @given(st.lists(st.integers(-6, 6), min_size=1, max_size=5, unique=True),
+           st.data(), st.booleans())
+    @settings(max_examples=150, deadline=None)
+    def test_check_st_csv(self, atoms, data, exact):
+        parts = data.draw(split_masses(len(atoms)))
+        dup = _csv("value,prob", ([repr(atoms[c] / 2), _mass_text(u, exact)] for c, u in parts))
+        merged = _csv("value,prob", ([repr(a / 2), s] for a, s in
+                                     zip(atoms, _merged(parts, len(atoms), exact))))
+        argv = check_st_argv(exact)
+        assert (report_of(*run_on("q.csv", dup, argv))
+                == report_of(*run_on("q.csv", merged, argv)))
+
+    @given(st.lists(st.integers(-6, 6), min_size=1, max_size=5, unique=True), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_check_st_json_weights(self, atoms, data):
+        parts = data.draw(split_masses(len(atoms)))
+        sums = [0] * len(atoms)
+        for c, u in parts:
+            sums[c] += u
+        dup = {"support": [atoms[c] for c, _ in parts], "weights": [u for _, u in parts]}
+        merged = {"support": atoms, "weights": sums}
+        argv = check_st_argv(True)
+        assert (report_of(*run_on("q.json", json.dumps(dup), argv))
+                == report_of(*run_on("q.json", json.dumps(merged), argv)))
+
+    @given(st.integers(1, 4), st.integers(1, 4), st.data(), st.booleans(),
+           st.sampled_from(["pmf-adjacent", "pmf-allpairs", "intervals"]))
+    @settings(max_examples=150, deadline=None)
+    def test_tp2_check_csv(self, l, m, data, exact, method):
+        parts = data.draw(split_masses(l * m))
+        cell = [(repr(i / 4), repr(j - 1.5)) for i in range(l) for j in range(m)]
+        dup = _csv("x,y,prob", ([*cell[c], _mass_text(u, exact)] for c, u in parts))
+        merged = _csv("x,y,prob", ([*xy, s] for xy, s in zip(cell, _merged(parts, l * m, exact))))
+        argv = tp2_argv(exact) + ["--method", method]
+        assert (report_of(*run_on("r.csv", dup, argv))
+                == report_of(*run_on("r.csv", merged, argv)))
