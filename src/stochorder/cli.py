@@ -125,28 +125,25 @@ def _mode(args) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_check_st(args) -> int:
+def _cmd_check_order(args) -> int:
+    """``check-st`` and ``check-lr``."""
     q1 = load_univariate(args.q1, exact=args.exact)
     q2 = load_univariate(args.q2, exact=args.exact)
-    verdict = check_st(q1, q2, _mode(args), args.tolerance)
-    _emit(_report("check-st", {"q1": args.q1, "q2": args.q2}, _verdict_payload(verdict)), args.out)
+    if args.cmd == "check-st":
+        verdict = check_st(q1, q2, _mode(args), args.tolerance)
+    else:
+        verdict = check_lr(q1, q2, args.method, _mode(args), args.tolerance)
+    _emit(_report(args.cmd, {"q1": args.q1, "q2": args.q2}, _verdict_payload(verdict)), args.out)
     return EXIT_OK if verdict.holds else EXIT_FAILS
 
 
-def _cmd_check_lr(args) -> int:
-    q1 = load_univariate(args.q1, exact=args.exact)
-    q2 = load_univariate(args.q2, exact=args.exact)
-    verdict = check_lr(q1, q2, args.method, _mode(args), args.tolerance)
-    _emit(_report("check-lr", {"q1": args.q1, "q2": args.q2}, _verdict_payload(verdict)), args.out)
-    return EXIT_OK if verdict.holds else EXIT_FAILS
-
-
-def _write_points_csv(path: str, header: tuple[str, str], pts) -> None:
+def _write_csv(path: str, header, rows) -> None:
+    """A CSV artifact: booleans as 0/1, every other field as ``repr(float(v))``."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for u, v in pts:
-            writer.writerow([repr(float(u)), repr(float(v))])
+        writer.writerows([int(v) if isinstance(v, bool) else repr(float(v)) for v in row]
+                         for row in rows)
 
 
 def _cmd_roc(args) -> int:
@@ -160,7 +157,7 @@ def _cmd_roc(args) -> int:
         result["concave"] = _verdict_payload(verdict)
         code = EXIT_OK if verdict.holds else EXIT_FAILS
     if args.out:
-        _write_points_csv(args.out, ("u", "v"), curve.points)
+        _write_csv(args.out, ("u", "v"), curve.points)
     _emit(_report("roc", {"q1": args.q1, "q2": args.q2}, result))
     return code
 
@@ -180,7 +177,7 @@ def _cmd_odc(args) -> int:
         result["convex"] = _verdict_payload(verdict)
         code = EXIT_OK if verdict.holds else EXIT_FAILS
     if args.out:
-        _write_points_csv(args.out, ("alpha", "H"), zip(curve.alphas, curve.values))
+        _write_csv(args.out, ("alpha", "H"), zip(curve.alphas, curve.values))
     _emit(_report("odc", {"q1": args.q1, "q2": args.q2}, result))
     return code
 
@@ -214,21 +211,11 @@ def _cmd_kernel(args) -> int:
         kern = kernel_east(r, xs)
     else:
         kern = kernel_new(r, xs, rule=args.rule, mode=_mode(args), tol=args.tolerance)
-    rows = []
-    for x, row in zip(kern.eval_points.tolist(), kern.rows):
-        for y, p in zip(row.support.tolist(), row.probs.tolist()):
-            rows.append((x, y, p))
+    rows = [[[x, y, p] for y, p in zip(row.support.tolist(), row.probs.tolist())]
+            for x, row in zip(kern.eval_points.tolist(), kern.rows)]
     if args.out:
-        with open(args.out, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["x", "y", "prob"])
-            for x, y, p in rows:
-                writer.writerow([repr(x), repr(y), repr(p)])
-    result = {
-        "flavor": kern.flavor,
-        "eval_points": kern.eval_points.tolist(),
-        "rows": [[list(t) for t in rows if t[0] == x] for x in kern.eval_points.tolist()],
-    }
+        _write_csv(args.out, ("x", "y", "prob"), (t for per_x in rows for t in per_x))
+    result = {"flavor": kern.flavor, "eval_points": kern.eval_points.tolist(), "rows": rows}
     _emit(_report("kernel", {"r": args.r}, result))
     return EXIT_OK
 
@@ -248,14 +235,8 @@ def _cmd_boundaries(args) -> int:
         for x, nw, se, c, ir in zip(b.xs, b.s_nw, b.s_se, b.in_crossing, b.in_range)
     ]
     if args.out:
-        with open(args.out, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["x", "s_nw", "s_se", "crossing", "in_range"])
-            for rec in records:
-                writer.writerow([
-                    repr(rec["x"]), repr(rec["s_nw"]), repr(rec["s_se"]),
-                    int(rec["crossing"]), int(rec["in_range"]),
-                ])
+        _write_csv(args.out, ("x", "s_nw", "s_se", "crossing", "in_range"),
+                   (rec.values() for rec in records))
     _emit(_report("boundaries", {"r": args.r}, {"records": records}))
     return EXIT_OK
 
@@ -273,11 +254,7 @@ def _cmd_sample(args) -> int:
     r = load_bivariate(args.r, exact=args.exact)
     draws = sample(r, args.n, args.seed)
     if args.out:
-        with open(args.out, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["x", "y"])
-            for x, y in draws.tolist():
-                writer.writerow([repr(x), repr(y)])
+        _write_csv(args.out, ("x", "y"), draws.tolist())
     _emit(_report("sample", {"r": args.r}, {"n": args.n, "seed": args.seed,
                                             "first": draws[0].tolist()}))
     return EXIT_OK
@@ -377,7 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--q1", required=True)
     p.add_argument("--q2", required=True)
     _add_common(p)
-    p.set_defaults(func=_cmd_check_st)
+    p.set_defaults(func=_cmd_check_order)
 
     p = sub.add_parser("check-lr", help="likelihood ratio order verdict")
     p.add_argument("--q1", required=True)
@@ -385,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", default="ratio",
                    choices=["ratio", "pairwise", "intervals", "conditional-st"])
     _add_common(p)
-    p.set_defaults(func=_cmd_check_lr)
+    p.set_defaults(func=_cmd_check_order)
 
     p = sub.add_parser("roc", help="ROC points and concavity verdict")
     p.add_argument("--q1", required=True)

@@ -734,12 +734,6 @@ def write_univariate_json(q: UnivariateDist, path) -> None:
         fh.write("\n")
 
 
-def write_bivariate_json(r: BivariateDist, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(r.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-
-
 def load_univariate(path, *, exact: bool = False) -> UnivariateDist:
     path = str(path)
     if path.endswith(".json"):

@@ -102,18 +102,10 @@ def quantile_curve(r: BivariateDist, beta: float, flavor: str = "west-min", xs=N
         raise DomainError(f"beta must lie strictly inside (0, 1), got {beta!r}")
     if flavor not in QUANTILE_FLAVORS:
         raise DomainError(f"unknown flavor {flavor!r}; choose from {QUANTILE_FLAVORS}")
-    if flavor == "east-max":
-        kern = kernel_east(r, xs)
-        pts = tuple(
-            (float(x), row.max_quantile(beta))
-            for x, row in zip(kern.eval_points.tolist(), kern.rows)
-        )
-    else:
-        kern = kernel_west(r, xs)
-        pts = tuple(
-            (float(x), row.quantile(beta))
-            for x, row in zip(kern.eval_points.tolist(), kern.rows)
-        )
+    east = flavor == "east-max"
+    kern = kernel_east(r, xs) if east else kernel_west(r, xs)
+    pts = tuple((float(x), row.max_quantile(beta) if east else row.quantile(beta))
+                for x, row in zip(kern.eval_points.tolist(), kern.rows))
     return QuantileCurve(beta, pts, flavor)
 
 
@@ -134,16 +126,7 @@ class BracketEntry:
     upper_ok: bool
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "seed_key": list(self.seed_key),
-            "q_emp_min_x1": self.q_emp_min_x1,
-            "q_emp_max_x1": self.q_emp_max_x1,
-            "q_emp_min_x2": self.q_emp_min_x2,
-            "q_emp_max_x2": self.q_emp_max_x2,
-            "lower_ok": self.lower_ok,
-            "upper_ok": self.upper_ok,
-        }
+        return {**vars(self), "seed_key": list(self.seed_key)}
 
 
 @dataclass(frozen=True)
@@ -161,15 +144,8 @@ class BracketReport:
         return ok / len(self.entries)
 
     def to_dict(self) -> dict:
-        return {
-            "beta": self.beta,
-            "x1": self.x1,
-            "x2": self.x2,
-            "q_west_x1": self.q_west_x1,
-            "q_east_x2": self.q_east_x2,
-            "pass_rate": self.pass_rate,
-            "entries": [e.to_dict() for e in self.entries],
-        }
+        return {**vars(self), "pass_rate": self.pass_rate,
+                "entries": [e.to_dict() for e in self.entries]}
 
 
 def _sample_sizes(n_list) -> list[int]:
@@ -240,7 +216,7 @@ class UniformConvergenceEntry:
     sup_distance: float
 
     def to_dict(self) -> dict:
-        return {"n": self.n, "seed": self.seed, "sup_distance": self.sup_distance}
+        return dict(vars(self))
 
 
 @dataclass(frozen=True)
@@ -257,13 +233,9 @@ class UniformConvergenceReport:
         return out
 
     def to_dict(self) -> dict:
-        return {
-            "beta": self.beta,
-            "interval": list(self.interval),
-            "grid": list(self.grid),
-            "sup_by_n": {str(k): v for k, v in sorted(self.sup_by_n().items())},
-            "entries": [e.to_dict() for e in self.entries],
-        }
+        return {**vars(self), "interval": list(self.interval), "grid": list(self.grid),
+                "sup_by_n": {str(k): v for k, v in sorted(self.sup_by_n().items())},
+                "entries": [e.to_dict() for e in self.entries]}
 
 
 def uniform_convergence_check(r_true: BivariateDist, beta: float, interval, n_list,

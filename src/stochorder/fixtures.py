@@ -9,22 +9,41 @@ from .errors import DomainError
 from .tp2 import supermodular_potential
 
 
+#: most points (or cells) a fixture holds; a finer grid is an input error
+MAX_FIXTURE_POINTS = 10**6
+
+
 def _grid(lo: float, hi: float, step: float) -> np.ndarray:
+    """Equally spaced points from lo to hi; every bad bound is named."""
+    for name, value in (("lo", lo), ("hi", hi)):
+        if not np.isfinite(value):
+            raise DomainError(f"grid bound {name} must be finite, got {value!r}")
     if not (np.isfinite(step) and step > 0):
         raise DomainError(f"grid step must be finite and positive, got {step!r}")
-    count = int(round((hi - lo) / step)) + 1
-    return np.linspace(lo, hi, count)
+    if hi < lo:
+        raise DomainError(f"grid bound hi={hi!r} lies below lo={lo!r}")
+    span = (hi - lo) / step  # inf when hi - lo overflows
+    if not span <= MAX_FIXTURE_POINTS - 1:
+        raise DomainError(f"a grid from {lo!r} to {hi!r} in steps of {step!r} "
+                          f"exceeds {MAX_FIXTURE_POINTS} points")
+    return np.linspace(lo, hi, round(span) + 1)
+
+
+def _on_grid(ys: np.ndarray, *densities) -> tuple:
+    """The densities normalized on the grid, each of which must carry mass there."""
+    for p in densities:
+        if not p.sum() > 0:
+            raise DomainError(f"the grid from {float(ys[0])!r} to {float(ys[-1])!r} carries no mass")
+    return tuple(UnivariateDist(ys, p / p.sum()) for p in densities)
 
 
 def gaussian_pair(lo: float = -15.0, hi: float = 15.0, step: float = 0.1):
     """Discretized normal pair with equal grids; not likelihood-ratio ordered."""
     ys = _grid(lo, hi, step)
-    p1 = np.exp(-0.5 * (ys - 1.0) ** 2)
-    p2 = np.exp(-0.5 * (ys - 1.5) ** 2 / 6.0)
-    return (
-        UnivariateDist(ys, p1 / p1.sum()),
-        UnivariateDist(ys, p2 / p2.sum()),
-    )
+    with np.errstate(over="ignore"):  # far from the means the density is 0
+        p1 = np.exp(-0.5 * (ys - 1.0) ** 2)
+        p2 = np.exp(-0.5 * (ys - 1.5) ** 2 / 6.0)
+    return _on_grid(ys, p1, p2)
 
 
 def gamma_pair(lo: float = 0.05, hi: float = 9.95, step: float = 0.1):
@@ -34,14 +53,13 @@ def gamma_pair(lo: float = 0.05, hi: float = 9.95, step: float = 0.1):
     ys = _grid(lo, hi, step)
     p1 = np.exp(-ys)  # shape 1, scale 1
     p2 = np.sqrt(ys) * np.exp(-ys / 2.0)  # shape 1.5, scale 2
-    return (
-        UnivariateDist(ys, p1 / p1.sum()),
-        UnivariateDist(ys, p2 / p2.sum()),
-    )
+    return _on_grid(ys, p1, p2)
 
 
 def odc_counterexample(n: int = 200):
     """Two-point lattice vs. uniform grid: convex dominance curve without LR order."""
+    if not 1 <= n <= MAX_FIXTURE_POINTS:
+        raise DomainError(f"the uniform grid needs 1 to {MAX_FIXTURE_POINTS} points, got {n!r}")
     q1 = UnivariateDist.from_weights([0.0, 1.0], [1, 1])
     pts = (np.arange(n) + 0.5) / n
     q2 = UnivariateDist.from_weights(pts, [1] * n)
@@ -56,30 +74,23 @@ def unif_delta_kernel(n: int = 30) -> BivariateDist:
     the upper third it is uniform over the upper third.  The result is TP2
     with a nontrivial crossing region on the middle third.
     """
-    if n % 3 != 0 or n < 3:
-        raise DomainError("grid size must be a positive multiple of 3")
-    pts = ((np.arange(n) + 0.5) / n).tolist()
-    third = n // 3
-    rows = [[0] * n for _ in range(n)]
-    for i, x in enumerate(pts):
-        if x <= 1.0 / 3.0:
-            for j in range(third):
-                rows[i][j] = 3
-        elif x < 2.0 / 3.0:
-            rows[i][i] = 3 * third
-        else:
-            for j in range(2 * third, n):
-                rows[i][j] = 3
-    return BivariateDist.from_weights(pts, pts, rows)
+    if n % 3 != 0 or n < 3 or n * n > MAX_FIXTURE_POINTS:
+        raise DomainError(f"grid size must be a positive multiple of 3 with at most "
+                          f"{MAX_FIXTURE_POINTS} cells, got {n!r}")
+    pts = (np.arange(n) + 0.5) / n
+    lower, upper = (pts <= 1.0 / 3.0)[:, None], (pts >= 2.0 / 3.0)[:, None]
+    col_third = np.arange(n) // (n // 3)
+    rows = np.where(lower, 3 * (col_third == 0),
+                    np.where(upper, 3 * (col_third == 2), 3 * (n // 3) * np.eye(n, dtype=int)))
+    return BivariateDist.from_weights(pts, pts, rows.tolist())
 
 
 def diag_uniform(k: int = 5) -> BivariateDist:
     """Uniform distribution on the diagonal of {1..k}^2."""
-    if k < 1:
-        raise DomainError("k must be positive")
-    rows = [[1 if i == j else 0 for j in range(k)] for i in range(k)]
+    if k < 1 or k * k > MAX_FIXTURE_POINTS:
+        raise DomainError(f"k must be positive with at most {MAX_FIXTURE_POINTS} cells, got {k!r}")
     pts = [float(i + 1) for i in range(k)]
-    return BivariateDist.from_weights(pts, pts, rows)
+    return BivariateDist.from_weights(pts, pts, np.eye(k, dtype=int).tolist())
 
 
 def antidiag() -> BivariateDist:
@@ -99,20 +110,10 @@ def banded_tp2(k: int = 5) -> BivariateDist:
     """
     if k < 2:
         raise DomainError("k must be at least 2")
-    rows = [[0] * k for _ in range(k)]
-    for i in range(k):
-        if i == 0:
-            rows[0][0] = 17
-            rows[0][1] = 3
-        elif i == k - 1:
-            rows[i][i - 1] = 3
-            rows[i][i] = 17
-        else:
-            rows[i][i - 1] = 3
-            rows[i][i] = 14
-            rows[i][i + 1] = 3
+    rows = 14 * np.eye(k, dtype=int) + 3 * (np.eye(k, k=1, dtype=int) + np.eye(k, k=-1, dtype=int))
+    rows[0, 0] = rows[-1, -1] = 17
     pts = [float(i + 1) for i in range(k)]
-    return BivariateDist.from_weights(pts, pts, rows)
+    return BivariateDist.from_weights(pts, pts, rows.tolist())
 
 
 def random_tp2(rng: np.random.Generator, nx: int, ny: int, band: bool = False) -> BivariateDist:
@@ -129,10 +130,8 @@ def random_tp2(rng: np.random.Generator, nx: int, ny: int, band: bool = False) -
     if band:
         lo = np.sort(rng.integers(0, ny, nx))
         hi = np.maximum(np.sort(rng.integers(0, ny, nx)), lo)
-        mask = np.zeros_like(pmf)
-        for i in range(nx):
-            mask[i, lo[i] : hi[i] + 1] = 1.0
-        pmf = pmf * mask
+        cols = np.arange(ny)
+        pmf = pmf * ((cols >= lo[:, None]) & (cols <= hi[:, None]))
     pmf = pmf / pmf.sum()
     xs = np.arange(1.0, nx + 1.0)
     ys = np.arange(1.0, ny + 1.0)

@@ -9,7 +9,9 @@ always carries a witness from which the violated inequality can be recomputed.
 ratio order on finite support:
 
 * ``ratio`` - the pointwise mass ratio is isotonic where defined;
-* ``pairwise`` - two-point cross products for every pair of support points;
+* ``pairwise`` - two-point cross products for every pair of support points,
+  scored by the all-pairs minor scan that also backs ``check_tp2``: one
+  chunked array pass whose witness is the first violation in serial order;
 * ``intervals`` - cross products of adjacent-interval masses over all
   boundary triples cut between atoms;
 * ``conditional-st`` - stochastic dominance of the two conditional
@@ -19,6 +21,8 @@ ratio order on finite support:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from math import isqrt
 
 import numpy as np
 
@@ -126,13 +130,58 @@ def _lr_ratio(merged, g1, g2, mode, tol):
     return None
 
 
-def _lr_pairwise(merged, g1, g2, mode, tol):
-    k = len(merged)
-    for i in range(k):
-        for j in range(i + 1, k):
-            if not products_le(g1[j] * g2[i], g1[i] * g2[j], mode, tol):
-                return (float(merged[i]), float(merged[j]))
+#: minors scored per array pass of the all-pairs scan; bounds its working memory
+MINOR_BUDGET = 2**14
+
+#: largest weight whose products with any other such weight fit in int64
+INT64_FACTOR_MAX = isqrt(2**63 - 1)
+
+
+@lru_cache(maxsize=8)
+def _pairs(n: int, lo: int, hi: int):
+    """The pairs i < j < n at positions [lo, hi) of ``combinations`` order."""
+    starts = np.arange(n) * (2 * n - np.arange(n) - 1) // 2  # first position of each i
+    flat = np.arange(lo, hi)
+    i = np.searchsorted(starts, flat, side="right") - 1
+    j = flat - starts[i] + i + 1
+    i.flags.writeable = j.flags.writeable = False  # every caller of the cache shares them
+    return i, j
+
+
+def _minor_scan(h: np.ndarray, mode: str, tol: float):
+    """First minor (i, k, j, l), row pairs i < k then column pairs j < l in
+    ``combinations`` order, failing ``products_le(h[i,l]*h[k,j], h[i,j]*h[k,l])``.
+
+    Array passes score at most ``MINOR_BUDGET`` minors each, in serial order,
+    with the same IEEE operations as ``products_le``; exact grids run on int64
+    when every product fits, else on the object array of Python ints.
+    """
+    if mode == MODE_EXACT and h.max() <= INT64_FACTOR_MAX:
+        h = h.astype(np.int64)
+    nx, ny = h.shape
+    n_rows, n_cols = nx * (nx - 1) // 2, ny * (ny - 1) // 2
+    rows_step = max(1, MINOR_BUDGET // max(n_cols, 1))  # 1 when column pairs need slices
+    for r0 in range(0, n_rows if n_cols else 0, rows_step):
+        i, k = _pairs(nx, r0, min(r0 + rows_step, n_rows))
+        top, bot = h.take(i, 0), h.take(k, 0)
+        for c0 in range(0, n_cols, MINOR_BUDGET):
+            j, l = _pairs(ny, c0, min(c0 + MINOR_BUDGET, n_cols))
+            lhs = top.take(l, 1) * bot.take(j, 1)
+            rhs = top.take(j, 1) * bot.take(l, 1)
+            if mode != MODE_EXACT:
+                rhs = rhs + tol * np.maximum(np.abs(lhs), np.abs(rhs))
+            bad = ~(lhs <= rhs)
+            first = int(bad.argmax())  # the first failure of the pass, if any
+            if bad.flat[first]:
+                r, c = divmod(first, bad.shape[1])
+                return int(i[r]), int(k[r]), int(j[c]), int(l[c])
     return None
+
+
+def _lr_pairwise(merged, g1, g2, mode, tol):
+    h = np.array([g1, g2], dtype=object if mode == MODE_EXACT else np.float64)
+    hit = _minor_scan(h, mode, tol)
+    return None if hit is None else (float(merged[hit[2]]), float(merged[hit[3]]))
 
 
 def _refined_axis(atoms) -> list[float]:

@@ -7,12 +7,12 @@ pairs.  A distribution is TP2 exactly when the conditional distributions of
 the second coordinate are isotonic in the first coordinate with respect to
 the likelihood ratio order, so ``check_tp2`` has one engine: its three
 methods run the LR scans of :mod:`stochorder.orders` on pairs of row blocks
-(every row pair, consecutive rows, or adjacent row ranges).  Consecutive rows
-suffice for every pmf, with or without zero cells, because the LR order is
-transitive.  Likewise ``check_st_condition`` scans consecutive rows only: a
-chord slope of the path (sum of row totals, sum of upper masses) is a
-weighted mean of its segment slopes.  The conditionals can be pinned down
-constructively:
+(all row pairs at once, as chunked array passes over the minors; consecutive
+rows; or adjacent row ranges).  Consecutive rows suffice for every pmf, with
+or without zero cells, because the LR order is transitive.  Likewise
+``check_st_condition`` scans consecutive rows only: a chord slope of the path
+(sum of row totals, sum of upper masses) is a weighted mean of its segment
+slopes.  The conditionals can be pinned down constructively:
 
 * ``kernel_west`` conditions on the nearest support atom at or below the
   evaluation point (the from-the-left extremal kernel);
@@ -34,8 +34,8 @@ import numpy as np
 from .distributions import BivariateDist, Interval, UnivariateDist, prefix_table
 from .errors import DomainError, InvalidDistributionError, PreconditionError
 from .isotonic import MODE_FLOAT, PRODUCT_RTOL, _check_mode, _cumulative, products_le
-from .orders import (OrderVerdict, _boundaries, _fails, _holds, _lr_intervals, _lr_pairwise,
-                     _lr_ratio, _refined_axis, truncate)
+from .orders import (OrderVerdict, _boundaries, _fails, _holds, _lr_intervals, _lr_ratio,
+                     _minor_scan, _refined_axis, truncate)
 
 TP2_METHODS = ("pmf-allpairs", "pmf-adjacent", "intervals")
 
@@ -206,12 +206,15 @@ def check_tp2(r: BivariateDist, method: str = "pmf-allpairs", mode: str = MODE_F
     """Total positivity of order two of a bivariate distribution.
 
     A pmf is TP2 exactly when its rows increase in the likelihood ratio order,
-    so every method runs one ``check_lr`` scan of :mod:`stochorder.orders` on
+    so every method runs a ``check_lr`` scan of :mod:`stochorder.orders` on
     the column masses of pairs of row blocks and reports the blocks' x labels
-    followed by the scan's witness:
+    followed by the scan's y witness:
 
-    * ``pmf-allpairs`` - every row pair through the ``pairwise`` scan, i.e.
-      all 2x2 minors over support pairs (the reference semantics);
+    * ``pmf-allpairs`` - all 2x2 minors over row pairs and column pairs (the
+      reference semantics), scored by the minor scan behind the ``pairwise``
+      method as one chunked array pass; the witness is the first violation
+      in serial order (row pairs, then column pairs, in ``combinations``
+      order);
     * ``pmf-adjacent`` - consecutive rows through the ``ratio`` scan, O(l*m).
       The LR order is transitive, so this is exact for every pmf, zero cells
       included;
@@ -224,6 +227,14 @@ def check_tp2(r: BivariateDist, method: str = "pmf-allpairs", mode: str = MODE_F
     r = r.canonical()
     nx = r.shape[0]
     cells = r.cells(mode)
+    tag = f"tp2:{method}"
+    if method == "pmf-allpairs":
+        hit = _minor_scan(cells, mode, tol)
+        if hit is None:
+            return _holds(tag)
+        i, k, j, l = hit
+        xs, ys = r.x_support, r.y_support
+        return _fails(tag, (float(xs[i]), float(xs[k]), float(ys[j]), float(ys[l])))
     if method == "intervals":
         xcuts = _boundaries(r.x_support)
         blocks = (((xcuts[a], xcuts[b], xcuts[c]),
@@ -233,11 +244,8 @@ def check_tp2(r: BivariateDist, method: str = "pmf-allpairs", mode: str = MODE_F
     else:
         xs = r.x_support.tolist()
         h = cells.tolist()
-        adjacent = method == "pmf-adjacent"
-        pairs = zip(range(nx), range(1, nx)) if adjacent else combinations(range(nx), 2)
-        blocks = (((xs[i], xs[k]), h[i], h[k]) for i, k in pairs)
-        lr_scan = _lr_ratio if adjacent else _lr_pairwise
-    tag = f"tp2:{method}"
+        blocks = (((xs[i], xs[i + 1]), h[i], h[i + 1]) for i in range(nx - 1))
+        lr_scan = _lr_ratio
     for labels, lo, hi in blocks:
         hit = lr_scan(r.y_support, lo, hi, mode, tol)
         if hit is not None:

@@ -334,6 +334,21 @@ def empirical_by_dict(samples) -> BivariateDist:
     return BivariateDist.from_weights(gx, gy, rows)
 
 
+def allpairs_minors_serial(r: BivariateDist, mode: str = MODE_FLOAT, tol: float = PRODUCT_RTOL):
+    """The all-pairs TP2 check as a serial loop: every row pair, then every
+    column pair, one ``products_le`` per 2x2 minor; the witness is the first
+    failing minor's (x_i, x_k, y_j, y_l)."""
+    r = r.canonical()
+    xs, ys = r.x_support.tolist(), r.y_support.tolist()
+    h = r.cells(mode).tolist()
+    for i, k in itertools.combinations(range(len(xs)), 2):
+        g1, g2 = h[i], h[k]
+        for j, l in itertools.combinations(range(len(ys)), 2):
+            if not products_le(g1[l] * g2[j], g1[j] * g2[l], mode, tol):
+                return _fails("tp2:pmf-allpairs", (xs[i], xs[k], ys[j], ys[l]))
+    return _holds("tp2:pmf-allpairs")
+
+
 def pattern_search_serial(cand, objective, steps, sweeps: int):
     """Coordinate pattern search with multiplicative (log-space) steps.
 

@@ -281,3 +281,63 @@ class TestDuplicatesReportAsMerged:
         argv = tp2_argv(exact) + ["--method", method]
         assert (report_of(*run_on("r.csv", dup, argv))
                 == report_of(*run_on("r.csv", merged, argv)))
+
+
+# ---------------------------------------------------------------------------
+# fixture options
+# ---------------------------------------------------------------------------
+
+INF = float("inf")
+MAX_POINTS = 10**6  # fixtures.MAX_FIXTURE_POINTS
+
+#: grid bounds: modest finite values, and values that are not finite or
+#: whose grid overflows or carries no mass
+BOUNDS = st.one_of(st.floats(-40, 40),
+                   st.sampled_from([NAN, INF, -INF, 1e308, -1e308, 1e300, -0.0, 5e-324]))
+STEPS = st.one_of(st.floats(0.05, 10),
+                  st.sampled_from([0.0, -0.1, NAN, INF, -INF, 5e-324, 1e-300, 1e-9]))
+#: counts: small ones (zero and negative included) and ones beyond the limit
+COUNTS = st.one_of(st.integers(-5, 40), st.sampled_from([MAX_POINTS + 1, 3000, 10**30]))
+
+
+def run_fixture(argv) -> tuple[int, str, str, list]:
+    with tempfile.TemporaryDirectory() as tmp:
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["fixture", *argv, "--dir", tmp])
+        return code, out.getvalue(), err.getvalue(), sorted(os.listdir(tmp))
+
+
+class TestFixtureOptions:
+    @given(st.sampled_from(["gauss-pair", "gamma-pair", "odc-counterexample",
+                            "unif-delta-kernel", "diag-uniform"]),
+           st.fixed_dictionaries({}, optional={"lo": BOUNDS, "hi": BOUNDS, "step": STEPS,
+                                               "points": COUNTS, "size": COUNTS}))
+    @settings(max_examples=300, deadline=None)
+    def test_every_option_value_writes_or_exits_two(self, name, options):
+        argv = [name] + [f"--{k}={v!r}" for k, v in options.items()]
+        code, out, err, files = run_fixture(argv)
+        if code == 0:
+            assert err == "" and files == sorted(os.path.basename(f)
+                                                 for f in json.loads(out)["result"]["files"])
+        else:
+            assert_input_error(code, out, err)
+            assert files == []
+
+    def test_reported_bad_values_are_named(self):
+        cases = [
+            (["gauss-pair", "--hi=inf"], "hi must be finite, got inf"),
+            (["gauss-pair", "--lo=nan"], "lo must be finite, got nan"),
+            (["gauss-pair", "--lo=5", "--hi=1"], "hi=1.0 lies below lo=5.0"),
+            (["gauss-pair", "--step=1e-300"], "in steps of 1e-300 exceeds"),
+            (["gauss-pair", "--lo=1000", "--hi=1001"], "from 1000.0 to 1001.0 carries no mass"),
+            (["gamma-pair", "--lo=0", "--hi=0"], "from 0.0 to 0.0 carries no mass"),
+            (["odc-counterexample", "--points=0"], "got 0"),
+            (["odc-counterexample", "--points=-3"], "got -3"),
+            (["unif-delta-kernel", "--size=3003"], "got 3003"),
+            (["diag-uniform", "--size=-2"], "got -2"),
+        ]
+        for argv, message in cases:
+            code, out, err, files = run_fixture(argv)
+            assert_input_error(code, out, err)
+            assert message in err, (argv, err)
