@@ -15,6 +15,7 @@ import csv
 import hashlib
 import json
 import math
+import os
 import sys
 
 from . import __version__
@@ -27,7 +28,6 @@ from .distributions import (
 from .errors import DomainError, InvalidDistributionError, PreconditionError
 from .estimation import bracket_check, quantile_curve, sample, uniform_convergence_check
 from .fixtures import (
-    FIXTURE_NAMES,
     antidiag,
     diag_uniform,
     gamma_pair,
@@ -45,6 +45,9 @@ EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_FAILS = 3
 EXIT_PRECONDITION = 4
+
+#: most seeds one convergence run may name
+MAX_SEEDS = 10**4
 
 
 def _digest(path: str) -> str:
@@ -101,12 +104,12 @@ def _parse_ints(text: str) -> list[int]:
 def _parse_seeds(text: str) -> list[int]:
     if ".." in text:
         lo, hi = text.split("..")
-        seeds = list(range(int(lo), int(hi) + 1))
+        seeds = range(int(lo), int(hi) + 1)  # a lazy range: counted before it is built
     else:
         seeds = _parse_ints(text)
-    if not seeds:
-        raise DomainError(f"--seeds {text!r} names no seeds")
-    return seeds
+    if not seeds or seeds[MAX_SEEDS:]:
+        raise DomainError(f"--seeds {text!r} must name 1 to {MAX_SEEDS} seeds")
+    return list(seeds)
 
 
 def _tolerance(text: str) -> float:
@@ -292,42 +295,35 @@ def _cmd_converge(args) -> int:
     return EXIT_OK
 
 
-def _given(**options) -> dict:
-    """The options that were set; the fixture's own defaults cover the rest."""
-    return {k: v for k, v in options.items() if v is not None}
+#: each fixture's function and the grid options it takes, by the parameter each sets
+_FIXTURES = {
+    "gauss-pair": (gaussian_pair, {"lo": "lo", "hi": "hi", "step": "step"}),
+    "gamma-pair": (gamma_pair, {"lo": "lo", "hi": "hi", "step": "step"}),
+    "odc-counterexample": (odc_counterexample, {"points": "n"}),
+    "unif-delta-kernel": (unif_delta_kernel, {"size": "n"}),
+    "diag-uniform": (diag_uniform, {"size": "k"}),
+    "antidiag": (antidiag, {}),
+}
 
 
 def _cmd_fixture(args) -> int:
-    import os
-
-    name = args.name
-    outdir = args.dir
-    os.makedirs(outdir, exist_ok=True)
+    build, params = _FIXTURES[args.name]
+    given = {opt: getattr(args, opt) for opt in ("lo", "hi", "step", "points", "size")
+             if getattr(args, opt) is not None}
+    unused = sorted(given.keys() - params.keys())
+    if unused:
+        raise DomainError(f"fixture {args.name} takes no " + ", ".join(f"--{o}" for o in unused))
+    made = build(**{params[opt]: value for opt, value in given.items()})
+    os.makedirs(args.dir, exist_ok=True)
     written: list[str] = []
-
-    def path(suffix: str) -> str:
-        p = os.path.join(outdir, f"{name}-{suffix}.csv" if suffix else f"{name}.csv")
-        written.append(p)
-        return p
-
-    if name in ("gauss-pair", "gamma-pair"):
-        pair = gaussian_pair if name == "gauss-pair" else gamma_pair
-        q1, q2 = pair(**_given(lo=args.lo, hi=args.hi), step=args.step)
-        write_univariate_csv(q1, path("q1"))
-        write_univariate_csv(q2, path("q2"))
-    elif name == "odc-counterexample":
-        q1, q2 = odc_counterexample(args.points)
-        write_univariate_csv(q1, path("q1"))
-        write_univariate_csv(q2, path("q2"))
-    elif name == "unif-delta-kernel":
-        write_bivariate_csv(unif_delta_kernel(**_given(n=args.size)), path(""))
-    elif name == "diag-uniform":
-        write_bivariate_csv(diag_uniform(**_given(k=args.size)), path(""))
-    elif name == "antidiag":
-        write_bivariate_csv(antidiag(), path(""))
+    if isinstance(made, tuple):
+        for q, part in zip(made, ("q1", "q2")):
+            written.append(os.path.join(args.dir, f"{args.name}-{part}.csv"))
+            write_univariate_csv(q, written[-1])
     else:
-        raise DomainError(f"unknown fixture {name!r}; choose from {FIXTURE_NAMES}")
-    _emit(_report("fixture", {}, {"name": name, "files": written,
+        written.append(os.path.join(args.dir, f"{args.name}.csv"))
+        write_bivariate_csv(made, written[-1])
+    _emit(_report("fixture", {}, {"name": args.name, "files": written,
                                   "digests": {p: _digest(p) for p in written}}))
     return EXIT_OK
 
@@ -453,12 +449,12 @@ def build_parser() -> argparse.ArgumentParser:
     cu.set_defaults(func=_cmd_converge)
 
     p = sub.add_parser("fixture", help="write a named fixture to CSV files")
-    p.add_argument("name", choices=list(FIXTURE_NAMES))
+    p.add_argument("name", choices=list(_FIXTURES))
     p.add_argument("--dir", default=".")
     p.add_argument("--lo", type=float, default=None)
     p.add_argument("--hi", type=float, default=None)
-    p.add_argument("--step", type=float, default=0.1)
-    p.add_argument("--points", type=int, default=200)
+    p.add_argument("--step", type=float, default=None)
+    p.add_argument("--points", type=int, default=None)
     p.add_argument("--size", type=int, default=None)
     _add_common(p)
     p.set_defaults(func=_cmd_fixture)

@@ -195,7 +195,7 @@ def _validate_support(values: np.ndarray, what: str) -> None:
         raise InvalidDistributionError(f"{what} must be a nonempty 1-D sequence")
     if not np.all(np.isfinite(values)):
         raise InvalidDistributionError(f"{what} must be finite")
-    if values.size > 1 and not np.all(np.diff(values) > 0):
+    if values.size > 1 and not np.all(values[1:] > values[:-1]):
         raise InvalidDistributionError(f"{what} must be strictly increasing")
 
 
@@ -373,11 +373,6 @@ class UnivariateDist:
         if self.weights is None:
             raise DomainError("exact mode requires integer weights")
         return list(self.weights)
-
-    def fractions(self) -> list[Fraction]:
-        """Exact normalized masses; requires integer weights."""
-        total = self.total_weight
-        return [Fraction(w, total) for w in self.weights]
 
     # -- distribution function machinery ------------------------------------
 

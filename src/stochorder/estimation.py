@@ -33,6 +33,8 @@ from .isotonic import MODE_FLOAT, PRODUCT_RTOL
 from .tp2 import check_st_condition, kernel_east, kernel_west
 
 QUANTILE_FLAVORS = ("west-min", "east-max", "empirical")
+#: most draws one sample may hold; the stream keeps two 8-byte arrays per draw
+MAX_SAMPLE_SIZE = 10**7
 
 
 def _philox(seed) -> np.random.Generator:
@@ -42,14 +44,13 @@ def _philox(seed) -> np.random.Generator:
 def _draw_cells(r: BivariateDist, n: int, seed) -> tuple[BivariateDist, np.ndarray]:
     """The canonical ``r`` and n flat row-major cell indices drawn from its
     seeded stream; the one implementation of the stream."""
-    if n < 1:
-        raise DomainError("sample size must be at least 1")
+    (n,) = _sample_sizes([n])
     r = r.canonical()
     flat = r.pmf.reshape(-1)
     cum = np.cumsum(flat)
     cum = cum / cum[-1]
     rng = _philox(seed)
-    u = rng.random(int(n))
+    u = rng.random(n)
     idx = np.searchsorted(cum, u, side="left")
     return r, np.minimum(idx, flat.size - 1)
 
@@ -151,8 +152,9 @@ class BracketReport:
 def _sample_sizes(n_list) -> list[int]:
     """The sample sizes as ints, checked before anything is drawn."""
     n_list = [int(n) for n in n_list]
-    if any(n < 1 for n in n_list):
-        raise DomainError("sample size must be at least 1")
+    for n in n_list:
+        if not 1 <= n <= MAX_SAMPLE_SIZE:
+            raise DomainError(f"sample size must lie in 1..{MAX_SAMPLE_SIZE}, got {n}")
     return n_list
 
 

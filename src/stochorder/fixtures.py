@@ -137,12 +137,3 @@ def random_tp2(rng: np.random.Generator, nx: int, ny: int, band: bool = False) -
     ys = np.arange(1.0, ny + 1.0)
     return BivariateDist(xs, ys, pmf).canonical()
 
-
-FIXTURE_NAMES = (
-    "gauss-pair",
-    "gamma-pair",
-    "odc-counterexample",
-    "unif-delta-kernel",
-    "diag-uniform",
-    "antidiag",
-)

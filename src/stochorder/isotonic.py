@@ -39,6 +39,16 @@ def products_le(lhs, rhs, mode: str = MODE_FLOAT, tol: float = PRODUCT_RTOL) -> 
     return lhs <= rhs + tol * max(abs(lhs), abs(rhs))
 
 
+def first_violation(lhs: np.ndarray, rhs: np.ndarray, mode: str = MODE_FLOAT,
+                    tol: float = PRODUCT_RTOL) -> int | None:
+    """Flat index of the first entry where ``products_le`` fails, if any,
+    evaluated over whole arrays with the same IEEE operations."""
+    if mode != MODE_EXACT:
+        rhs = rhs + tol * np.maximum(np.abs(lhs), np.abs(rhs))
+    bad = ~(lhs <= rhs)
+    return int(bad.argmax()) if bad.any() else None
+
+
 @dataclass(frozen=True)
 class CrossCompareResult:
     """Outcome of a cross-multiplied ratio comparison.

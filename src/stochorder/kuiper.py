@@ -79,9 +79,9 @@ class GridSignedMeasure:
             raise InvalidDistributionError("delta must be numeric")
         if xg.ndim != 1 or yg.ndim != 1 or delta.shape != (xg.size, yg.size) or delta.size == 0:
             raise InvalidDistributionError("delta must be nonempty and match the grids in shape")
-        if xg.size > 1 and not np.all(np.diff(xg) > 0):
+        if xg.size > 1 and not np.all(xg[1:] > xg[:-1]):
             raise InvalidDistributionError("x grid must be strictly increasing")
-        if yg.size > 1 and not np.all(np.diff(yg) > 0):
+        if yg.size > 1 and not np.all(yg[1:] > yg[:-1]):
             raise InvalidDistributionError("y grid must be strictly increasing")
         if delta.dtype.kind == "f" and not np.all(np.isfinite(delta)):
             raise InvalidDistributionError("delta entries must be finite")

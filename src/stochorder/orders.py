@@ -29,7 +29,7 @@ import numpy as np
 from .distributions import Interval, UnivariateDist, _interval_slice
 from .errors import DomainError, InvalidDistributionError
 from .isotonic import (MODE_EXACT, MODE_FLOAT, PRODUCT_RTOL, _check_mode, _cumulative,
-                       _interval_scan, products_le)
+                       _interval_scan, first_violation, products_le)
 
 LR_METHODS = ("ratio", "pairwise", "intervals", "conditional-st")
 
@@ -168,12 +168,9 @@ def _minor_scan(h: np.ndarray, mode: str, tol: float):
             j, l = _pairs(ny, c0, min(c0 + MINOR_BUDGET, n_cols))
             lhs = top.take(l, 1) * bot.take(j, 1)
             rhs = top.take(j, 1) * bot.take(l, 1)
-            if mode != MODE_EXACT:
-                rhs = rhs + tol * np.maximum(np.abs(lhs), np.abs(rhs))
-            bad = ~(lhs <= rhs)
-            first = int(bad.argmax())  # the first failure of the pass, if any
-            if bad.flat[first]:
-                r, c = divmod(first, bad.shape[1])
+            first = first_violation(lhs, rhs, mode, tol)
+            if first is not None:
+                r, c = divmod(first, lhs.shape[1])
                 return int(i[r]), int(k[r]), int(j[c]), int(l[c])
     return None
 

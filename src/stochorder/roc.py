@@ -10,19 +10,29 @@ quantiles of the first, restricted to the image of the first distribution
 function; convexity there is equivalent to the likelihood ratio order as
 soon as q2 is absolutely continuous with respect to q1 (for finite support:
 support inclusion), and the flag for that condition is carried on the curve.
+
+Exact mode works on the integer weights: each axis is an integer weight over
+a positive total, and both sides of the triple test scale by the same positive
+factor, so the verdict on the integers is the verdict on the rationals.  The
+floats are ``int / int``, which Python rounds correctly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, groupby
 
 import numpy as np
 
 from .distributions import UnivariateDist
 from .errors import DomainError, InvalidDistributionError
-from .isotonic import MODE_EXACT, MODE_FLOAT, PRODUCT_RTOL, _check_mode, _cumulative, products_le
-from .orders import OrderVerdict, _fails, _holds, _merged_masses
+from .isotonic import MODE_EXACT, MODE_FLOAT, PRODUCT_RTOL, _check_mode, _cumulative, first_violation
+from .orders import INT64_FACTOR_MAX, OrderVerdict, _fails, _holds, _merged_masses
+
+
+def _exact_view(weights, axis: int) -> tuple[Fraction, ...] | None:
+    return None if weights is None else tuple(Fraction(w, weights[2 + axis]) for w in weights[axis])
 
 
 @dataclass(frozen=True, eq=False)
@@ -30,12 +40,13 @@ class RocCurve:
     """Sorted, deduplicated ROC points in the unit square.
 
     Both coordinates are nondecreasing along the sorted sequence and the
-    corners (0, 0) and (1, 1) are always present.  ``exact_points`` mirrors
-    ``points`` as exact rationals when both inputs carried integer weights.
+    corners (0, 0) and (1, 1) are always present.  For integer-weight inputs
+    ``weights`` holds the exact points as q1's and q2's survival weights, then
+    the two totals; ``exact_points`` reads them as rationals.
     """
 
     points: tuple[tuple[float, float], ...]
-    exact_points: tuple[tuple[Fraction, Fraction], ...] | None = None
+    weights: tuple[tuple[int, ...], tuple[int, ...], int, int] | None = None
 
     def __post_init__(self):
         pts = tuple((float(u), float(v)) for u, v in self.points)
@@ -49,8 +60,12 @@ class RocCurve:
         if any(not (0.0 <= u <= 1.0 and 0.0 <= v <= 1.0) for u, v in pts):
             raise InvalidDistributionError("ROC points must lie in the unit square")
         object.__setattr__(self, "points", pts)
-        if self.exact_points is not None:
-            object.__setattr__(self, "exact_points", tuple(self.exact_points))
+
+    @property
+    def exact_points(self) -> tuple[tuple[Fraction, Fraction], ...] | None:
+        if self.weights is None:
+            return None
+        return tuple(zip(_exact_view(self.weights, 0), _exact_view(self.weights, 1)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,14 +75,16 @@ class OdcCurve:
     ``alphas`` is {0} followed by the cumulative masses of q1 (strictly
     increasing, ending at the total mass, clamped to 1); ``values`` holds the
     second distribution function at the corresponding quantiles of the first.
-    ``dominated`` reports whether every q2 atom is a q1 atom.
+    ``dominated`` reports whether every q2 atom is a q1 atom.  For
+    integer-weight inputs ``weights`` holds q1's and q2's cumulative weights
+    at the levels, then the totals (q2's last level falls short of its total
+    when q2 has atoms above q1's); ``exact_alphas`` / ``exact_values`` divide.
     """
 
     alphas: tuple[float, ...]
     values: tuple[float, ...]
     dominated: bool
-    exact_alphas: tuple[Fraction, ...] | None = None
-    exact_values: tuple[Fraction, ...] | None = None
+    weights: tuple[tuple[int, ...], tuple[int, ...], int, int] | None = None
 
     def __post_init__(self):
         alphas = tuple(float(a) for a in self.alphas)
@@ -83,9 +100,35 @@ class OdcCurve:
         object.__setattr__(self, "alphas", alphas)
         object.__setattr__(self, "values", values)
 
+    exact_alphas = property(lambda self: _exact_view(self.weights, 0))
+    exact_values = property(lambda self: _exact_view(self.weights, 1))
+
 
 def _clip01(x: float) -> float:
     return 0.0 if x < 0.0 else 1.0 if x > 1.0 else x
+
+
+def _axes(curve, floats, mode: str):
+    """The axes a verdict scans and their totals: the integer weights in
+    exact mode, else the floats over unit totals."""
+    if _check_mode(mode) != MODE_EXACT:
+        return (*floats, 1, 1)
+    if curve.weights is None:
+        raise DomainError("exact mode requires a curve built from integer-weight inputs")
+    return curve.weights
+
+
+def _first_bend(x, y, mode: str, tol: float) -> int | None:
+    """First k whose triple k, k+1, k+2 fails ``products_le`` on
+    (y[k+2]-y[k+1])*(x[k+1]-x[k]) <= (y[k+1]-y[k])*(x[k+2]-x[k+1]), in one
+    array pass over nondecreasing, nonnegative ``x`` and ``y``; exact mode
+    runs on int64 when every value is at most ``INT64_FACTOR_MAX``."""
+    dtype = np.float64 if mode != MODE_EXACT else object
+    if mode == MODE_EXACT and max(x[-1], y[-1]) <= INT64_FACTOR_MAX:
+        dtype = np.int64
+    dx = np.diff(np.array(x, dtype=dtype))
+    dy = np.diff(np.array(y, dtype=dtype))
+    return first_violation(dy[1:] * dx[:-1], dy[:-1] * dx[1:], mode, tol)
 
 
 def roc_curve(q1: UnivariateDist, q2: UnivariateDist) -> RocCurve:
@@ -93,24 +136,21 @@ def roc_curve(q1: UnivariateDist, q2: UnivariateDist) -> RocCurve:
 
     For finite support the left-limit points coincide with the survival pair
     of the preceding atom (or the corner (1, 1)), so evaluating at the atoms
-    and adding both corners exhausts the point set.
+    and adding both corners exhausts the point set.  Survivals accumulated
+    from the top (for tail accuracy) come out sorted.
     """
     exact = q1.weights is not None and q2.weights is not None
     _, g1, g2 = _merged_masses(q1, q2, MODE_EXACT if exact else MODE_FLOAT)
-    s1 = s2 = g1[0] * 0
-    sums = []
-    # ascending survivals, accumulated from the top for tail accuracy
-    for m1, m2 in zip(g1[::-1], g2[::-1]):
-        sums.append((s1, s2))
-        s1 += m1
-        s2 += m2
+    u = list(accumulate(g1[::-1], initial=g1[0] * 0))
+    v = list(accumulate(g2[::-1], initial=g2[0] * 0))
     if not exact:
-        pts = {(0.0, 0.0), (1.0, 1.0)} | {(_clip01(u), _clip01(v)) for u, v in sums}
-        return RocCurve(tuple(sorted(pts)), None)
-    # after the loop s1, s2 hold the total weights
-    epts = {(Fraction(0), Fraction(0)), (Fraction(1), Fraction(1))}
-    exact_pts = tuple(sorted(epts | {(Fraction(u, s1), Fraction(v, s2)) for u, v in sums}))
-    return RocCurve(tuple(sorted({(float(u), float(v)) for u, v in exact_pts})), exact_pts)
+        # the corner (1, 1) in place of the float totals
+        pts = [(_clip01(a), _clip01(b)) for a, b in zip(u[:-1], v[:-1])] + [(1.0, 1.0)]
+        return RocCurve(tuple(k for k, _ in groupby(pts)), None)
+    # every merged atom carries weight in q1 or q2, so the integer pairs are distinct
+    s1, s2 = u[-1], v[-1]
+    pts = tuple(k for k, _ in groupby(zip((a / s1 for a in u), (b / s2 for b in v))))
+    return RocCurve(pts, (tuple(u), tuple(v), s1, s2))
 
 
 def roc_is_concave(curve: RocCurve, mode: str = MODE_FLOAT, tol: float = PRODUCT_RTOL) -> OrderVerdict:
@@ -121,24 +161,11 @@ def roc_is_concave(curve: RocCurve, mode: str = MODE_FLOAT, tol: float = PRODUCT
     vertical segments of a jump; consecutive triples suffice on a
     componentwise monotone point sequence.
     """
-    _check_mode(mode)
-    if mode == MODE_EXACT:
-        if curve.exact_points is None:
-            raise DomainError("exact mode requires a curve built from integer-weight inputs")
-        pts = curve.exact_points
-    else:
-        pts = curve.points
-    for (a1, a2), (b1, b2), (c1, c2) in zip(pts, pts[1:], pts[2:]):
-        lhs = (c2 - b2) * (b1 - a1)
-        rhs = (b2 - a2) * (c1 - b1)
-        if not products_le(lhs, rhs, mode, tol):
-            witness = (
-                (float(a1), float(a2)),
-                (float(b1), float(b2)),
-                (float(c1), float(c2)),
-            )
-            return _fails("roc:concavity", witness)
-    return _holds("roc:concavity")
+    u, v, s1, s2 = _axes(curve, zip(*curve.points), mode)
+    k = _first_bend(u, v, mode, tol)
+    if k is None:
+        return _holds("roc:concavity")
+    return _fails("roc:concavity", tuple((u[i] / s1, v[i] / s2) for i in range(k, k + 3)))
 
 
 def odc_curve(q1: UnivariateDist, q2: UnivariateDist) -> OdcCurve:
@@ -158,45 +185,25 @@ def odc_curve(q1: UnivariateDist, q2: UnivariateDist) -> OdcCurve:
     c2 = _cumulative(q2.masses(mode))
     # c2 index of G2 at each image level: 0 at level 0, then q2 atoms <= each q1 atom
     at = [0] + np.searchsorted(q2.support, q1.support, side="right").tolist()
-    exact_a = exact_v = None
+    weights = None
     if exact:
-        exact_a = tuple(Fraction(c, c1[-1]) for c in c1)
-        exact_v = tuple(Fraction(c2[j], c2[-1]) for j in at)
-        alphas = [float(a) for a in exact_a]
-        values = [float(v) for v in exact_v]
+        weights = (tuple(c1), tuple(c2[j] for j in at), c1[-1], c2[-1])
+        alphas = [c / c1[-1] for c in c1]
+        values = [c / c2[-1] for c in weights[1]]
     else:
         alphas = [min(a, 1.0) for a in c1]
         values = [_clip01(c2[j]) for j in at]
     alphas[-1] = 1.0
     # distinct rationals can collapse to one float level: keep the later value
-    ded_a: list[float] = []
-    ded_v: list[float] = []
-    for a, v in zip(alphas, values):
-        if ded_a and a == ded_a[-1]:
-            ded_v[-1] = v
-        else:
-            ded_a.append(a)
-            ded_v.append(v)
-    return OdcCurve(tuple(ded_a), tuple(ded_v), bool(dominated), exact_a, exact_v)
+    curve = dict(zip(alphas, values))
+    return OdcCurve(tuple(curve), tuple(curve.values()), bool(dominated), weights)
 
 
 def odc_is_convex(curve: OdcCurve, mode: str = MODE_FLOAT, tol: float = PRODUCT_RTOL) -> OrderVerdict:
-    """Convexity of the ordinal dominance curve on its finite image set."""
-    _check_mode(mode)
-    if mode == MODE_EXACT:
-        if curve.exact_alphas is None:
-            raise DomainError("exact mode requires a curve built from integer-weight inputs")
-        alphas = curve.exact_alphas
-        values = curve.exact_values
-    else:
-        alphas = curve.alphas
-        values = curve.values
-    triples = zip(
-        zip(alphas, values), zip(alphas[1:], values[1:]), zip(alphas[2:], values[2:])
-    )
-    for (r, hr), (s, hs), (t, ht) in triples:
-        lhs = (hs - hr) * (t - s)
-        rhs = (ht - hs) * (s - r)
-        if not products_le(lhs, rhs, mode, tol):
-            return _fails("odc:convexity", (float(r), float(s), float(t)))
-    return _holds("odc:convexity")
+    """Convexity of the ordinal dominance curve on its finite image set: the
+    ROC triple test with the axes swapped."""
+    alphas, values, s1, _ = _axes(curve, (curve.alphas, curve.values), mode)
+    k = _first_bend(values, alphas, mode, tol)
+    if k is None:
+        return _holds("odc:convexity")
+    return _fails("odc:convexity", tuple(alphas[i] / s1 for i in range(k, k + 3)))

@@ -60,7 +60,7 @@ class Kernel:
         pts = np.asarray(self.eval_points, dtype=np.float64)
         if pts.ndim != 1 or pts.size == 0:
             raise DomainError("kernel needs at least one evaluation point")
-        if pts.size > 1 and not np.all(np.diff(pts) > 0):
+        if pts.size > 1 and not np.all(pts[1:] > pts[:-1]):
             raise InvalidDistributionError("evaluation points must be strictly increasing")
         if len(self.rows) != pts.size:
             raise InvalidDistributionError("one row per evaluation point required")

@@ -13,8 +13,8 @@ from fractions import Fraction
 import numpy as np
 
 from stochorder import BivariateDist, Interval, InvalidDistributionError, UnivariateDist
-from stochorder.isotonic import MODE_FLOAT, PRODUCT_RTOL, products_le
-from stochorder.orders import _boundaries, _fails, _holds
+from stochorder.isotonic import MODE_EXACT, MODE_FLOAT, PRODUCT_RTOL, _cumulative, products_le
+from stochorder.orders import _boundaries, _fails, _holds, _merged_masses
 
 
 # ---------------------------------------------------------------------------
@@ -78,10 +78,15 @@ def random_supermodular_tp2(rng: np.random.Generator, nx: int, ny: int) -> Bivar
 # ---------------------------------------------------------------------------
 
 
+def fractions(q: UnivariateDist) -> list[Fraction]:
+    """Exact normalized masses; requires integer weights."""
+    return [Fraction(w, q.total_weight) for w in q.weights]
+
+
 def exact_lr_oracle(q1: UnivariateDist, q2: UnivariateDist) -> bool:
     """LR order by exact rational ratio monotonicity on the merged support."""
-    w1 = dict(zip(q1.support.tolist(), q1.fractions()))
-    w2 = dict(zip(q2.support.tolist(), q2.fractions()))
+    w1 = dict(zip(q1.support.tolist(), fractions(q1)))
+    w2 = dict(zip(q2.support.tolist(), fractions(q2)))
     merged = sorted(set(w1) | set(w2))
     prev = None
     for v in merged:
@@ -100,8 +105,8 @@ def exact_lr_oracle(q1: UnivariateDist, q2: UnivariateDist) -> bool:
 
 
 def exact_st_oracle(q1: UnivariateDist, q2: UnivariateDist) -> bool:
-    w1 = dict(zip(q1.support.tolist(), q1.fractions()))
-    w2 = dict(zip(q2.support.tolist(), q2.fractions()))
+    w1 = dict(zip(q1.support.tolist(), fractions(q1)))
+    w2 = dict(zip(q2.support.tolist(), fractions(q2)))
     merged = sorted(set(w1) | set(w2))
     s1 = Fraction(1)
     s2 = Fraction(1)
@@ -394,3 +399,80 @@ def pattern_search_serial(cand, objective, steps, sweeps: int):
             else:
                 break
     return best, accepted, iters
+
+
+def _clip01(x: float) -> float:
+    return 0.0 if x < 0.0 else 1.0 if x > 1.0 else x
+
+
+def roc_curve_fractions(q1: UnivariateDist, q2: UnivariateDist):
+    """``(points, exact_points)`` of the ROC as built in ``Fraction``
+    arithmetic: every survival pair plus both corners, as a sorted set of
+    rationals and, separately, of floats; ``exact_points`` is None unless
+    both inputs carry integer weights."""
+    exact = q1.weights is not None and q2.weights is not None
+    _, g1, g2 = _merged_masses(q1, q2, MODE_EXACT if exact else MODE_FLOAT)
+    s1 = s2 = g1[0] * 0
+    sums = []
+    for m1, m2 in zip(g1[::-1], g2[::-1]):
+        sums.append((s1, s2))
+        s1 += m1
+        s2 += m2
+    if not exact:
+        pts = {(0.0, 0.0), (1.0, 1.0)} | {(_clip01(u), _clip01(v)) for u, v in sums}
+        return tuple(sorted(pts)), None
+    epts = {(Fraction(0), Fraction(0)), (Fraction(1), Fraction(1))}
+    exact_pts = tuple(sorted(epts | {(Fraction(u, s1), Fraction(v, s2)) for u, v in sums}))
+    return tuple(sorted({(float(u), float(v)) for u, v in exact_pts})), exact_pts
+
+
+def roc_concave_by_triples(pts, mode: str = MODE_FLOAT, tol: float = PRODUCT_RTOL):
+    """ROC concavity as a loop over consecutive triples of ``pts`` (floats,
+    or ``Fraction`` pairs in exact mode), one ``products_le`` each."""
+    for (a1, a2), (b1, b2), (c1, c2) in zip(pts, pts[1:], pts[2:]):
+        if not products_le((c2 - b2) * (b1 - a1), (b2 - a2) * (c1 - b1), mode, tol):
+            witness = ((float(a1), float(a2)), (float(b1), float(b2)), (float(c1), float(c2)))
+            return _fails("roc:concavity", witness)
+    return _holds("roc:concavity")
+
+
+def odc_curve_fractions(q1: UnivariateDist, q2: UnivariateDist):
+    """``(alphas, values, dominated, exact_alphas, exact_values)`` of the
+    ordinal dominance curve as built in ``Fraction`` arithmetic; the exact
+    views are None unless both inputs carry integer weights."""
+    q1, q2 = q1.canonical(), q2.canonical()
+    dominated = set(q2.support.tolist()) <= set(q1.support.tolist())
+    exact = q1.weights is not None and q2.weights is not None
+    mode = MODE_EXACT if exact else MODE_FLOAT
+    c1 = _cumulative(q1.masses(mode))
+    c2 = _cumulative(q2.masses(mode))
+    at = [0] + np.searchsorted(q2.support, q1.support, side="right").tolist()
+    exact_a = exact_v = None
+    if exact:
+        exact_a = tuple(Fraction(c, c1[-1]) for c in c1)
+        exact_v = tuple(Fraction(c2[j], c2[-1]) for j in at)
+        alphas = [float(a) for a in exact_a]
+        values = [float(v) for v in exact_v]
+    else:
+        alphas = [min(a, 1.0) for a in c1]
+        values = [_clip01(c2[j]) for j in at]
+    alphas[-1] = 1.0
+    ded_a: list[float] = []
+    ded_v: list[float] = []
+    for a, v in zip(alphas, values):
+        if ded_a and a == ded_a[-1]:
+            ded_v[-1] = v
+        else:
+            ded_a.append(a)
+            ded_v.append(v)
+    return tuple(ded_a), tuple(ded_v), dominated, exact_a, exact_v
+
+
+def odc_convex_by_triples(alphas, values, mode: str = MODE_FLOAT, tol: float = PRODUCT_RTOL):
+    """ODC convexity as a loop over consecutive (alpha, value) triples, one
+    ``products_le`` each; the witness is the triple's three alphas."""
+    pts = list(zip(alphas, values))
+    for (r, hr), (s, hs), (t, ht) in zip(pts, pts[1:], pts[2:]):
+        if not products_le((hs - hr) * (t - s), (ht - hs) * (s - r), mode, tol):
+            return _fails("odc:convexity", (float(r), float(s), float(t)))
+    return _holds("odc:convexity")

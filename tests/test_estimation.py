@@ -76,8 +76,9 @@ class TestSampling:
         assert not np.array_equal(a, sample(r, 50, 100))
 
     def test_sample_size_validated(self):
-        with pytest.raises(DomainError):
-            sample(diag_uniform(2), 0, 1)
+        for n in (0, -1, estimation.MAX_SAMPLE_SIZE + 1, 10**13):
+            with pytest.raises(DomainError, match="sample size"):
+                sample(diag_uniform(2), n, 1)
 
     @given(sparse_dists(), st.integers(1, 5000),
            st.one_of(st.integers(0, 2**32), st.tuples(st.integers(0, 1000), st.integers(0, 5))))
@@ -111,7 +112,7 @@ class TestHarnessesCountCells:
         rep = uniform_convergence_check(diag_uniform(5), 0.5, (2.0, 4.0), [100], [1, 2])
         assert rep.sup_by_n()[100] == 0.0
 
-    @pytest.mark.parametrize("n_list", [[100_000, 0], [5, -1], [0]])
+    @pytest.mark.parametrize("n_list", [[100_000, 0], [5, -1], [0], [5, 10**13]])
     def test_sample_sizes_checked_before_any_draw(self, monkeypatch, n_list):
         drawn = []
         real = estimation._draw_cells

@@ -16,7 +16,7 @@ import pathlib
 import tempfile
 from decimal import Decimal
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stochorder.cli import main
@@ -44,16 +44,20 @@ def bad_masses(key: str, exact: bool):
     return BAD_MASSES if exact else st.one_of(BAD_MASSES, st.just(10**400))
 
 
+def run_main(argv) -> tuple[int, str, str]:
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
 def run_on(name: str, text: str, argv) -> tuple[int, str, str]:
     """Run the CLI on one input file; ``argv`` names the file as ``{}``."""
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, name)
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main([path if a == "{}" else a for a in argv])
-    return code, out.getvalue(), err.getvalue()
+        return run_main([path if a == "{}" else a for a in argv])
 
 
 def check_st_argv(exact: bool) -> list:
@@ -302,21 +306,26 @@ COUNTS = st.one_of(st.integers(-5, 40), st.sampled_from([MAX_POINTS + 1, 3000, 1
 
 def run_fixture(argv) -> tuple[int, str, str, list]:
     with tempfile.TemporaryDirectory() as tmp:
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(["fixture", *argv, "--dir", tmp])
-        return code, out.getvalue(), err.getvalue(), sorted(os.listdir(tmp))
+        return (*run_main(["fixture", *argv, "--dir", tmp]), sorted(os.listdir(tmp)))
+
+
+#: the grid options each fixture takes; any other one is an input error
+TAKES = {"gauss-pair": {"lo", "hi", "step"}, "gamma-pair": {"lo", "hi", "step"},
+         "odc-counterexample": {"points"}, "unif-delta-kernel": {"size"},
+         "diag-uniform": {"size"}, "antidiag": set()}
 
 
 class TestFixtureOptions:
-    @given(st.sampled_from(["gauss-pair", "gamma-pair", "odc-counterexample",
-                            "unif-delta-kernel", "diag-uniform"]),
+    @given(st.sampled_from(sorted(TAKES)),
            st.fixed_dictionaries({}, optional={"lo": BOUNDS, "hi": BOUNDS, "step": STEPS,
                                                "points": COUNTS, "size": COUNTS}))
     @settings(max_examples=300, deadline=None)
     def test_every_option_value_writes_or_exits_two(self, name, options):
         argv = [name] + [f"--{k}={v!r}" for k, v in options.items()]
         code, out, err, files = run_fixture(argv)
+        unused = sorted(options.keys() - TAKES[name])
+        if unused:
+            assert code == 2 and f"takes no {', '.join('--' + o for o in unused)}" in err
         if code == 0:
             assert err == "" and files == sorted(os.path.basename(f)
                                                  for f in json.loads(out)["result"]["files"])
@@ -336,8 +345,85 @@ class TestFixtureOptions:
             (["odc-counterexample", "--points=-3"], "got -3"),
             (["unif-delta-kernel", "--size=3003"], "got 3003"),
             (["diag-uniform", "--size=-2"], "got -2"),
+            (["odc-counterexample", "--step=nan"], "odc-counterexample takes no --step"),
+            (["antidiag", "--size=-5", "--lo=nan"], "antidiag takes no --lo, --size"),
         ]
         for argv, message in cases:
             code, out, err, files = run_fixture(argv)
+            assert_input_error(code, out, err)
+            assert message in err, (argv, err)
+
+
+# ---------------------------------------------------------------------------
+# sample sizes, seeds and evaluation points
+# ---------------------------------------------------------------------------
+
+MAX_DRAWS = 10**7  # estimation.MAX_SAMPLE_SIZE
+MAX_SEEDS = 10**4  # cli.MAX_SEEDS
+
+#: list entries that are not integers, or name nothing
+NOT_INTS = st.sampled_from(["", " ", "abc", "1e3", "1.5", "nan", "0x10", "[1]"])
+#: sample sizes: small ones (zero and negative included) and ones beyond the cap
+SIZES = st.one_of(st.integers(-3, 300), st.sampled_from([MAX_DRAWS + 1, 10**13, 10**30]))
+NS = st.lists(st.one_of(SIZES.map(str), NOT_INTS), min_size=1, max_size=3).map(",".join)
+#: seed lists, short ranges (empty and negative included), ranges beyond the
+#: cap, and malformed ranges
+SEEDS = st.one_of(
+    st.lists(st.one_of(st.integers(-2, 10**30).map(str), NOT_INTS), min_size=1,
+             max_size=4).map(",".join),
+    st.tuples(st.integers(-3, 6), st.integers(-3, 8)).map(lambda t: f"{t[0]}..{t[1]}"),
+    st.sampled_from([f"1..{MAX_SEEDS + 1}", f"0..{MAX_SEEDS}", "1..1000000000", f"0..{10**30}",
+                     "1..2..3", "..3", "1..", "a..b"]),
+)
+#: evaluation points: finite, huge, tiny, infinite, NaN and not numbers
+XS = st.lists(st.one_of(st.floats(-10, 10).map(repr),
+                        st.sampled_from(["1e308", "-1e308", "1e400", "5e-324", "inf", "-inf",
+                                         "nan", "abc", ""])),
+              min_size=1, max_size=4).map(",".join)
+
+R_BAND = str(DATA / "r_band5.csv")
+
+
+def assert_report_or_input_error(code: int, out: str, err: str) -> None:
+    if code == 0:
+        assert err == "" and json.loads(out)["result"] is not None
+    else:
+        assert_input_error(code, out, err)
+
+
+class TestCommandOptions:
+    @given(st.sampled_from(["bracket", "uniform"]), NS, SEEDS)
+    @settings(max_examples=150, deadline=None)
+    def test_converge_sizes_and_seeds(self, variant, ns, seeds):
+        where = ["--x1=2", "--x2=4"] if variant == "bracket" else ["--a=2", "--b=4"]
+        assert_report_or_input_error(*run_main(
+            ["converge", variant, "--r", R_BAND, "--beta=0.5", f"--ns={ns}", f"--seeds={seeds}",
+             *where]))
+
+    @given(SIZES)
+    @settings(max_examples=50, deadline=None)
+    def test_sample_size(self, n):
+        assert_report_or_input_error(*run_main(["sample", "--r", R_BAND, f"--n={n}", "--seed=1"]))
+
+    @given(st.sampled_from([["kernel", "--flavor=w"], ["kernel", "--flavor=e"],
+                            ["kernel", "--flavor=new"], ["boundaries"],
+                            ["quantiles", "--beta=0.5", "--flavor=emp"]]), XS)
+    @settings(max_examples=150, deadline=None)
+    # a sorted pair whose difference overflows once printed a numpy RuntimeWarning
+    @example(["kernel", "--flavor=w"], "1e308,-1e308")
+    def test_evaluation_points(self, command, xs):
+        assert_report_or_input_error(*run_main([*command, "--r", R_BAND, f"--x={xs}"]))
+
+    def test_caps_are_named(self):
+        cases = [
+            (["sample", "--r", R_BAND, "--n=10000000000000", "--seed=1"],
+             "sample size must lie in 1..10000000, got 10000000000000"),
+            (["converge", "bracket", "--r", R_BAND, "--beta=0.5", "--ns=10000000000000",
+              "--seeds=1", "--x1=2", "--x2=4"], "got 10000000000000"),
+            (["converge", "uniform", "--r", R_BAND, "--beta=0.5", "--ns=10",
+              "--seeds=1..1000000000", "--a=2", "--b=4"], "must name 1 to 10000 seeds"),
+        ]
+        for argv, message in cases:
+            code, out, err = run_main(argv)
             assert_input_error(code, out, err)
             assert message in err, (argv, err)

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from stochorder import (
     DomainError,
@@ -13,8 +15,18 @@ from stochorder import (
     roc_is_concave,
 )
 from stochorder.fixtures import gamma_pair, gaussian_pair, odc_counterexample
+from stochorder.isotonic import MODE_EXACT, MODE_FLOAT, PRODUCT_RTOL
+from stochorder.orders import INT64_FACTOR_MAX
 from stochorder.roc import RocCurve
-from helpers import all_triples_concave, enumerate_weight_dists, random_univariate
+from helpers import (
+    all_triples_concave,
+    enumerate_weight_dists,
+    odc_convex_by_triples,
+    odc_curve_fractions,
+    random_univariate,
+    roc_concave_by_triples,
+    roc_curve_fractions,
+)
 
 
 class TestRocCurve:
@@ -135,3 +147,80 @@ class TestEquivalences:
             q1 = random_univariate(rng)
             q2 = random_univariate(rng)
             assert check_lr(q1, q2).holds == roc_is_concave(roc_curve(q1, q2)).holds
+
+
+# ---------------------------------------------------------------------------
+# the integer-weight curves against the Fraction code they replaced
+# ---------------------------------------------------------------------------
+
+#: zero and small weights, weights up to 1e20 (whose neighbors in a sum give
+#: distinct rationals that round to one float), and weights on both sides of
+#: the largest factor whose products fit in int64
+WEIGHTS = st.one_of(st.integers(0, 9), st.integers(0, 10**20),
+                    st.sampled_from([INT64_FACTOR_MAX, INT64_FACTOR_MAX + 1, 2**53, 10**20]))
+BIG = INT64_FACTOR_MAX + 1
+
+
+@st.composite
+def weighted(draw):
+    """One to eight atoms on a shared small lattice, so supports nest, overlap,
+    are disjoint or lie above each other; zero weights included."""
+    support = draw(st.lists(st.integers(-6, 6), min_size=1, max_size=8, unique=True))
+    weights = draw(st.lists(WEIGHTS, min_size=len(support), max_size=len(support)))
+    if not any(weights):
+        weights[0] = draw(st.integers(1, 10**20))
+    return UnivariateDist.from_weights([float(x) for x in support], weights)
+
+
+def verdict(v):
+    return v.holds, v.method, v.witness
+
+
+def modes_of(exact_view):
+    return [MODE_FLOAT] + [MODE_EXACT] * (exact_view is not None)
+
+
+#: two distributions, whether to read them as floats, and the float slack
+PAIRS = (weighted(), weighted(), st.booleans(), st.sampled_from([0.0, PRODUCT_RTOL]))
+
+
+class TestAgainstFractionOracles:
+    @given(*PAIRS)
+    @settings(max_examples=400, deadline=None)
+    # spans one above the int64 limit: the failing triple's product is BIG**2
+    @example(UnivariateDist.from_weights([2.0], [BIG]), UnivariateDist.from_weights([1.0], [BIG]),
+             False, 0.0)
+    @example(UnivariateDist.from_weights([2.0], [BIG - 1]),
+             UnivariateDist.from_weights([1.0], [BIG - 1]), False, 0.0)
+    def test_roc(self, q1, q2, floats, tol):
+        if floats:
+            q1, q2 = UnivariateDist(q1.support, q1.probs), UnivariateDist(q2.support, q2.probs)
+        curve = roc_curve(q1, q2)
+        points, exact_points = roc_curve_fractions(q1, q2)
+        assert repr(curve.points) == repr(points)
+        assert curve.exact_points == exact_points
+        for mode in modes_of(exact_points):
+            pts = exact_points if mode == MODE_EXACT else points
+            assert (verdict(roc_is_concave(curve, mode, tol))
+                    == verdict(roc_concave_by_triples(pts, mode, tol)))
+
+    @given(*PAIRS)
+    @settings(max_examples=400, deadline=None)
+    @example(UnivariateDist.from_weights([1.0, 2.0], [1, BIG]),
+             UnivariateDist.from_weights([1.0], [BIG]), False, 0.0)
+    @example(UnivariateDist.from_weights([1.0, 2.0], [1, BIG - 2]),
+             UnivariateDist.from_weights([1.0], [BIG - 2]), False, 0.0)
+    # q2 mass above q1's largest atom: the last level is not q2's total
+    @example(UnivariateDist.from_weights([0.0], [3]), UnivariateDist.from_weights([5.0], [2]),
+             False, 0.0)
+    def test_odc(self, q1, q2, floats, tol):
+        if floats:
+            q1, q2 = UnivariateDist(q1.support, q1.probs), UnivariateDist(q2.support, q2.probs)
+        curve = odc_curve(q1, q2)
+        alphas, values, dominated, exact_a, exact_v = odc_curve_fractions(q1, q2)
+        assert repr((curve.alphas, curve.values, curve.dominated)) == repr((alphas, values, dominated))
+        assert (curve.exact_alphas, curve.exact_values) == (exact_a, exact_v)
+        for mode in modes_of(exact_a):
+            a, v = (exact_a, exact_v) if mode == MODE_EXACT else (alphas, values)
+            assert (verdict(odc_is_convex(curve, mode, tol))
+                    == verdict(odc_convex_by_triples(a, v, mode, tol)))
