@@ -26,7 +26,7 @@ from .distributions import (
     write_univariate_csv,
 )
 from .errors import DomainError, InvalidDistributionError, PreconditionError
-from .estimation import bracket_check, quantile_curve, sample, uniform_convergence_check
+from .estimation import _seeds, bracket_check, quantile_curve, sample, uniform_convergence_check
 from .fixtures import (
     antidiag,
     diag_uniform,
@@ -109,7 +109,7 @@ def _parse_seeds(text: str) -> list[int]:
         seeds = _parse_ints(text)
     if not seeds or seeds[MAX_SEEDS:]:
         raise DomainError(f"--seeds {text!r} must name 1 to {MAX_SEEDS} seeds")
-    return list(seeds)
+    return _seeds(seeds)  # every seed, before the first one draws
 
 
 def _tolerance(text: str) -> float:

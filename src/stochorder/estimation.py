@@ -1,10 +1,11 @@
 """Sampling, empirical distributions, and conditional quantile diagnostics.
 
 Sampling uses the Philox 4x32-10 counter-based generator (numpy
-implementation) with inverse-CDF lookup over the row-major cumulative pmf,
-so identical seeds reproduce identical streams on every platform.  Derived
-streams inside the diagnostic harnesses use spawn keys of the base seed and
-are documented next to each harness.
+implementation) with a guide-table lookup over the row-major cumulative pmf,
+the same indices as inverse-CDF ``searchsorted``, so identical seeds
+reproduce identical streams on every platform.  Derived streams inside the
+diagnostic harnesses use spawn keys of the base seed and are documented next
+to each harness.
 
 One helper draws the flat cell indices of the stream.  ``sample`` maps them
 to (x, y) draws; the convergence harnesses instead count them per cell with
@@ -41,18 +42,50 @@ def _philox(seed) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
 
 
+def _cell_index(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """For each u in [0, 1), the first index i with ``cum[i] >= u``, where
+    ``cum`` is nondecreasing and ends in exactly 1.0: the indices of
+    ``np.searchsorted(cum, u, side="left")``, found through a guide table
+    (Chen & Asau's indexed search).
+
+    With K = ``cum.size``, u falls in bucket b = floor(u·K) < K, and
+    ``guide[b]`` counts the entries with floor(cum·K) < b, for b = 0..K.
+    Scaling and ``floor`` are monotone, so the first ``guide[b]`` entries lie
+    below every u in bucket b and the entries from ``guide[b + 1]`` on lie
+    above it: the answer lies in ``[guide[b], guide[b + 1]]``, zero-mass
+    cells included, and ``guide[K] < K`` since ``cum[-1]`` falls in bucket K.
+    Most draws stop at the start of their bucket or one cell past it; the
+    rest bisect what is left of their bucket, so a bucket holding many cells
+    costs passes logarithmic in their number, not one pass per cell.
+    """
+    k = cum.size
+    guide = np.zeros(k + 1, dtype=np.intp)
+    np.cumsum(np.bincount((cum * k).astype(np.intp), minlength=k + 1)[:k], out=guide[1:])
+    # no per-draw bucket array is kept, since each n-sized array adds to the
+    # peak RSS; the few draws that bisect recompute their buckets
+    idx = guide[(u * k).astype(np.intp)]
+    active = np.flatnonzero(cum[idx] < u)
+    idx[active] += 1
+    active = active[cum[idx[active]] < u[active]]
+    ua = u[active]
+    lo, hi = idx[active] + 1, guide[(ua * k).astype(np.intp) + 1]
+    for _ in range(int((hi - lo).max(initial=0)).bit_length()):
+        mid = (lo + hi) >> 1
+        below = cum[mid] < ua
+        lo = np.where(below, mid + 1, lo)
+        hi = np.where(below, hi, mid)
+    idx[active] = lo
+    return idx
+
+
 def _draw_cells(r: BivariateDist, n: int, seed) -> tuple[BivariateDist, np.ndarray]:
     """The canonical ``r`` and n flat row-major cell indices drawn from its
     seeded stream; the one implementation of the stream."""
-    (n,) = _sample_sizes([n])
+    (n,), (seed,) = _sample_sizes([n]), _seeds([seed])
     r = r.canonical()
-    flat = r.pmf.reshape(-1)
-    cum = np.cumsum(flat)
+    cum = np.cumsum(r.pmf.reshape(-1))
     cum = cum / cum[-1]
-    rng = _philox(seed)
-    u = rng.random(n)
-    idx = np.searchsorted(cum, u, side="left")
-    return r, np.minimum(idx, flat.size - 1)
+    return r, _cell_index(cum, _philox(seed).random(n))
 
 
 def sample(r: BivariateDist, n: int, seed) -> np.ndarray:
@@ -158,6 +191,16 @@ def _sample_sizes(n_list) -> list[int]:
     return n_list
 
 
+def _seeds(seeds) -> list:
+    """The seeds, checked before anything is drawn: each an int or a sequence
+    of ints (such as a spawn key), with no negative part."""
+    seeds = list(seeds)
+    for seed in seeds:
+        if min(np.ravel(seed).tolist(), default=0) < 0:
+            raise DomainError(f"seed must be nonnegative, got {seed!r}")
+    return seeds
+
+
 def bracket_check(r_true: BivariateDist, samples_spec: dict, beta: float,
                   x1: float, x2: float, mode: str = MODE_FLOAT,
                   tol: float = PRODUCT_RTOL) -> BracketReport:
@@ -188,12 +231,12 @@ def bracket_check(r_true: BivariateDist, samples_spec: dict, beta: float,
     n_list = _sample_sizes(samples_spec["n_list"])
     if not n_list:
         raise DomainError("n_list names no sample sizes")
-    seed = samples_spec["seed"]
+    (seed,) = _seeds([int(samples_spec["seed"])])
     q_west_x1 = kernel_west(r_true, [x1]).rows[0].quantile(beta)
     q_east_x2 = kernel_east(r_true, [x2]).rows[0].max_quantile(beta)
     entries = []
     for i, n in enumerate(n_list):
-        key = (int(seed), i)
+        key = (seed, i)
         row1, row2 = kernel_west(_sample_counts(r_true, n, key), [x1, x2]).rows
         q1_min, q2_min = row1.quantile(beta), row2.quantile(beta)
         entries.append(
@@ -253,7 +296,7 @@ def uniform_convergence_check(r_true: BivariateDist, beta: float, interval, n_li
     beta = float(beta)
     if not 0.0 < beta < 1.0:
         raise DomainError(f"beta must lie strictly inside (0, 1), got {beta!r}")
-    n_list, seeds = _sample_sizes(n_list), list(seeds)
+    n_list, seeds = _sample_sizes(n_list), _seeds(int(s) for s in seeds)
     if not n_list or not seeds:
         raise DomainError("n_list and seeds must each be nonempty")
     a, b = float(interval[0]), float(interval[1])
@@ -274,9 +317,9 @@ def uniform_convergence_check(r_true: BivariateDist, beta: float, interval, n_li
     entries = []
     for seed in seeds:
         for i, n in enumerate(n_list):
-            kern = kernel_west(_sample_counts(r_true, n, (int(seed), i)), grid)
+            kern = kernel_west(_sample_counts(r_true, n, (seed, i)), grid)
             sup = 0.0
             for row, (_, qw) in zip(kern.rows, west.points):
                 sup = max(sup, abs(row.quantile(beta) - qw))
-            entries.append(UniformConvergenceEntry(n, int(seed), sup))
+            entries.append(UniformConvergenceEntry(n, seed, sup))
     return UniformConvergenceReport(beta, (a, b), tuple(grid), tuple(entries))

@@ -59,6 +59,10 @@ BAND_BUDGET = 2**16
 #: waste the trials after an accept (about 7% of trials are accepted)
 SPECULATION_BATCH = 12
 
+#: most pattern-search restarts one projection may run; each costs up to
+#: ``max_iters`` sweeps over the refined grid
+MAX_RESTARTS = 10**3
+
 #: cells below this value are zeroed in the final thresholding pass
 PROJECTION_ZERO_THRESHOLD = 1e-12
 
@@ -325,6 +329,8 @@ def tp2_project(r_hat: BivariateDist, *, seed: int = 42, restarts: int = 8,
     """
     if restarts < 0 or max_iters < 0:
         raise DomainError(f"restarts and max_iters must be nonnegative, got {restarts} and {max_iters}")
+    if restarts > MAX_RESTARTS:
+        raise DomainError(f"restarts must be at most {MAX_RESTARTS}, got {restarts}")
     if seed < 0:
         raise DomainError(f"seed must be nonnegative, got {seed}")
     steps = [0.5 * 0.5**k for k in range(8)] if step_schedule is None else list(step_schedule)

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import isqrt
+from math import isfinite, isqrt
 
 import numpy as np
 
@@ -181,6 +181,12 @@ def _lr_pairwise(merged, g1, g2, mode, tol):
     return None if hit is None else (float(merged[hit[2]]), float(merged[hit[3]]))
 
 
+def _midpoint(a: float, b: float) -> float:
+    """(a + b) / 2, or a / 2 + b / 2 where the sum overflows."""
+    mid = (a + b) / 2.0
+    return mid if isfinite(mid) else a / 2.0 + b / 2.0
+
+
 def _refined_axis(atoms) -> list[float]:
     """The sorted atoms interleaved with the midpoints between consecutive
     atoms, inside outer sentinels one unit beyond the end atoms:
@@ -188,7 +194,7 @@ def _refined_axis(atoms) -> list[float]:
     vals = atoms.tolist()
     out = [vals[0] - 1.0, vals[0]]
     for a, b in zip(vals, vals[1:]):
-        out += [(a + b) / 2.0, b]
+        out += [_midpoint(a, b), b]
     out.append(vals[-1] + 1.0)
     return out
 

@@ -35,7 +35,7 @@ from .distributions import BivariateDist, Interval, UnivariateDist, prefix_table
 from .errors import DomainError, InvalidDistributionError, PreconditionError
 from .isotonic import MODE_FLOAT, PRODUCT_RTOL, _check_mode, _cumulative, products_le
 from .orders import (OrderVerdict, _boundaries, _fails, _holds, _lr_intervals, _lr_ratio,
-                     _minor_scan, _refined_axis, truncate)
+                     _midpoint, _minor_scan, _refined_axis, truncate)
 
 TP2_METHODS = ("pmf-allpairs", "pmf-adjacent", "intervals")
 
@@ -353,7 +353,7 @@ def kernel_new(r: BivariateDist, xs=None, rule: str = "midpoint", selection=None
     elif rule == "se":
         sel = [float(bnd.s_se[i]) for i in crossing_idx]
     elif rule == "midpoint":
-        sel = [(float(bnd.s_nw[i]) + float(bnd.s_se[i])) / 2.0 for i in crossing_idx]
+        sel = [_midpoint(float(bnd.s_nw[i]), float(bnd.s_se[i])) for i in crossing_idx]
         sel = np.maximum.accumulate(sel).tolist() if sel else []
     else:
         raise DomainError(f"unknown selection rule {rule!r}; choose from {SELECTION_RULES}")

@@ -476,3 +476,9 @@ def odc_convex_by_triples(alphas, values, mode: str = MODE_FLOAT, tol: float = P
         if not products_le((hs - hr) * (t - s), (ht - hs) * (s - r), mode, tol):
             return _fails("odc:convexity", (float(r), float(s), float(t)))
     return _holds("odc:convexity")
+
+
+def cell_index_searchsorted(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The inverse-CDF cell lookup as a binary search: the first index i with
+    ``cum[i] >= u``."""
+    return np.searchsorted(cum, u, side="left")

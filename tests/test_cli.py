@@ -380,6 +380,33 @@ class TestKernelNew:
             assert abs(sum(p for _, _, p in row) - 1.0) <= MASS_TOL
 
 
+class TestAtomsNearTheFloatLimit:
+    """The midpoint between atoms whose sum overflows is taken half by half, so
+    this diagonal pmf reports as it does on the atoms 1 and 2."""
+
+    CSV = "x,y,prob\n1e308,1e308,0.5\n1.7e308,1.7e308,0.5\n"
+
+    def test_boundaries(self, tmp_path):
+        r = tmp_path / "r.csv"
+        r.write_text(self.CSV)
+        code, out = run_cli(["boundaries", "--r", str(r)])
+        assert code == 0
+        records = json.loads(out)["result"]["records"]
+        assert [rec["x"] for rec in records] == [1e308, 1.35e308, 1.7e308]
+        assert [(rec["s_nw"], rec["s_se"]) for rec in records] == [
+            (1e308, 1e308), (1e308, 1.7e308), (1.7e308, 1.7e308)]
+
+    def test_kernel_new(self, tmp_path):
+        r = tmp_path / "r.csv"
+        r.write_text(self.CSV)
+        code, out = run_cli(["kernel", "--r", str(r), "--flavor", "new"])
+        assert code == 0
+        result = json.loads(out)["result"]
+        assert result["eval_points"] == [1e308, 1.35e308, 1.7e308]
+        assert result["rows"] == [[[1e308, 1e308, 1.0]], [[1.35e308, 1.35e308, 1.0]],
+                                  [[1.7e308, 1.7e308, 1.0]]]
+
+
 class TestFileArtifacts:
     def test_roc_points_csv(self, tmp_path):
         out = tmp_path / "points.csv"

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -16,7 +18,7 @@ from stochorder import (
 )
 from stochorder import estimation
 from stochorder.fixtures import antidiag, banded_tp2, diag_uniform
-from helpers import empirical_by_dict, random_supermodular_tp2
+from helpers import cell_index_searchsorted, empirical_by_dict, random_supermodular_tp2
 
 
 def product_2x2() -> BivariateDist:
@@ -75,6 +77,11 @@ class TestSampling:
         np.testing.assert_array_equal(a, b)
         assert not np.array_equal(a, sample(r, 50, 100))
 
+    def test_negative_seeds_are_named(self):
+        for seed in (-1, (3, -1), (-2,), [5, -4], -(10**30)):
+            with pytest.raises(DomainError, match=re.escape(f"seed must be nonnegative, got {seed!r}")):
+                sample(diag_uniform(2), 5, seed)
+
     def test_sample_size_validated(self):
         for n in (0, -1, estimation.MAX_SAMPLE_SIZE + 1, 10**13):
             with pytest.raises(DomainError, match="sample size"):
@@ -96,6 +103,67 @@ class TestSampling:
         for bad in ([[np.nan, 1.0]], [[1.0, 2.0], [1.0, np.nan]]):
             with pytest.raises(InvalidDistributionError):
                 empirical(bad)
+
+
+#: cell masses: zero cells are common, so zero runs form anywhere
+CELL_MASSES = st.sampled_from([0.0, 0.0, 0.0, 1.0, 2.0, 0.5, 7.0, 1e-9, 3e5])
+
+
+@st.composite
+def cell_masses(draw) -> np.ndarray:
+    """Flat cell masses: general ones with zero cells first, last or in runs,
+    a 1x1 grid, or one cell of mass 1 - 1e-12 beside many tiny ones."""
+    kind = draw(st.sampled_from(["cells", "one", "skewed"]))
+    if kind == "one":
+        return np.ones(1)
+    if kind == "skewed":
+        k = draw(st.integers(2, 400))
+        masses = np.full(k, 1e-12 / (k - 1))
+        masses[draw(st.integers(0, k - 1))] = 1.0 - 1e-12
+        return masses
+    body = draw(st.lists(CELL_MASSES, min_size=1, max_size=80).filter(any))
+    lead, run, trail = (draw(st.integers(0, 12)) for _ in range(3))
+    at = draw(st.integers(0, len(body)))
+    return np.array([0.0] * lead + body[:at] + [0.0] * run + body[at:] + [0.0] * trail)
+
+
+def cumulative(masses: np.ndarray) -> np.ndarray:
+    """The normalized cumulative pmf, built as ``_draw_cells`` builds it."""
+    cum = np.cumsum(masses)
+    return cum / cum[-1]
+
+
+def edge_draws(cum: np.ndarray) -> np.ndarray:
+    """0, the largest float below 1, and every cumulative value with both of
+    its float neighbours, kept inside [0, 1)."""
+    u = np.concatenate([[0.0, np.nextafter(1.0, 0.0)], cum,
+                        np.nextafter(cum, -np.inf), np.nextafter(cum, np.inf)])
+    return u[(u >= 0.0) & (u < 1.0)]
+
+
+class TestCellIndex:
+    """The guide-table lookup gives the indices of the binary search."""
+
+    @given(cell_masses(), st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=50),
+           st.integers(0, 2**32))
+    @settings(max_examples=400, deadline=None)
+    def test_equals_the_searchsorted_oracle(self, masses, drawn, seed):
+        cum = cumulative(masses)
+        assert cum[-1] == 1.0
+        u = np.concatenate([edge_draws(cum), drawn, np.random.default_rng(seed).random(300)])
+        got = estimation._cell_index(cum, u)
+        np.testing.assert_array_equal(got, cell_index_searchsorted(cum, u))
+
+    def test_one_cell(self):
+        u = np.array([0.0, 0.5, np.nextafter(1.0, 0.0)])
+        assert estimation._cell_index(np.ones(1), u).tolist() == [0, 0, 0]
+
+    @given(sparse_dists(), st.integers(1, 3000), st.integers(0, 2**32))
+    @settings(max_examples=100, deadline=None)
+    def test_stream_cells_equal_the_oracle(self, r, n, seed):
+        canon, idx = estimation._draw_cells(r, n, seed)
+        u = estimation._philox(seed).random(n)
+        np.testing.assert_array_equal(idx, cell_index_searchsorted(cumulative(canon.pmf.ravel()), u))
 
 
 class TestHarnessesCountCells:
@@ -122,6 +190,18 @@ class TestHarnessesCountCells:
             bracket_check(diag_uniform(5), {"n_list": n_list, "seed": 1}, 0.5, 2.0, 4.0)
         with pytest.raises(DomainError, match="sample size"):
             uniform_convergence_check(diag_uniform(5), 0.5, (2.0, 4.0), n_list, [1])
+        assert drawn == []
+
+
+    def test_seeds_checked_before_any_draw(self, monkeypatch):
+        drawn = []
+        real = estimation._draw_cells
+        monkeypatch.setattr(estimation, "_draw_cells",
+                            lambda r, n, seed: drawn.append(seed) or real(r, n, seed))
+        with pytest.raises(DomainError, match="seed must be nonnegative, got -3"):
+            bracket_check(diag_uniform(5), {"n_list": [10], "seed": -3}, 0.5, 2.0, 4.0)
+        with pytest.raises(DomainError, match="seed must be nonnegative, got -1"):
+            uniform_convergence_check(diag_uniform(5), 0.5, (2.0, 4.0), [10], [1, 2, -1])
         assert drawn == []
 
 

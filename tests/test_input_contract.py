@@ -16,10 +16,13 @@ import pathlib
 import tempfile
 from decimal import Decimal
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from stochorder import kuiper
 from stochorder.cli import main
+from stochorder.fixtures import antidiag
 
 DATA = pathlib.Path(__file__).parent / "data"
 NAN = float("nan")
@@ -382,6 +385,20 @@ XS = st.lists(st.one_of(st.floats(-10, 10).map(repr),
               min_size=1, max_size=4).map(",".join)
 
 R_BAND = str(DATA / "r_band5.csv")
+R_ANTIDIAG = str(DATA / "r_antidiag.csv")
+MAX_RESTARTS = 10**3  # kuiper.MAX_RESTARTS
+
+#: float options: ordinary and boundary values, huge, tiny, infinite, NaN
+#: and text that is no number
+NUMBERS = st.one_of(st.floats(-10, 10).map(repr),
+                    st.sampled_from(["0", "1", "0.5", "-0.0", "1e308", "-1e308", "1e400",
+                                     "5e-324", "inf", "-inf", "nan", "abc", ""]))
+#: seeds: small ones (negative included), huge ones and text that is no integer
+SEED_VALUES = st.one_of(st.integers(-3, 10**30).map(str), NOT_INTS)
+#: restarts: few (negative included), beyond the cap, and text; never many
+#: below the cap, since each one runs a search
+RESTARTS = st.one_of(st.integers(-3, 2).map(str),
+                     st.sampled_from([str(MAX_RESTARTS + 1), str(10**30)]), NOT_INTS)
 
 
 def assert_report_or_input_error(code: int, out: str, err: str) -> None:
@@ -389,6 +406,16 @@ def assert_report_or_input_error(code: int, out: str, err: str) -> None:
         assert err == "" and json.loads(out)["result"] is not None
     else:
         assert_input_error(code, out, err)
+
+
+def assert_exit_documented(code: int, out: str, err: str) -> None:
+    """A report and exit 0, or exit 2 (input) or 4 (precondition) with a
+    message and no report; never a traceback."""
+    assert "Traceback" not in err
+    if code == 0:
+        assert err == "" and json.loads(out)["result"] is not None
+    else:
+        assert code in (2, 4) and out == "" and err.strip()
 
 
 class TestCommandOptions:
@@ -414,6 +441,51 @@ class TestCommandOptions:
     def test_evaluation_points(self, command, xs):
         assert_report_or_input_error(*run_main([*command, "--r", R_BAND, f"--x={xs}"]))
 
+    @given(st.sampled_from(["quantiles", "bracket", "uniform"]), NUMBERS)
+    @settings(max_examples=100, deadline=None)
+    def test_beta(self, command, beta):
+        argv = {"quantiles": ["quantiles", "--flavor=w"],
+                "bracket": ["converge", "bracket", "--ns=50", "--seeds=1", "--x1=2", "--x2=4"],
+                "uniform": ["converge", "uniform", "--ns=50", "--seeds=1", "--a=2", "--b=4"]}
+        assert_exit_documented(*run_main([*argv[command], "--r", R_BAND, f"--beta={beta}"]))
+
+    @given(NUMBERS, NUMBERS)
+    @settings(max_examples=100, deadline=None)
+    def test_bracket_points(self, x1, x2):
+        assert_exit_documented(*run_main(
+            ["converge", "bracket", "--r", R_BAND, "--beta=0.5", "--ns=50", "--seeds=1",
+             f"--x1={x1}", f"--x2={x2}"]))
+
+    @given(NUMBERS, NUMBERS)
+    @settings(max_examples=100, deadline=None)
+    def test_uniform_window(self, a, b):
+        assert_exit_documented(*run_main(
+            ["converge", "uniform", "--r", R_BAND, "--beta=0.5", "--ns=50", "--seeds=1",
+             f"--a={a}", f"--b={b}"]))
+
+    @given(RESTARTS, SEED_VALUES)
+    @settings(max_examples=40, deadline=None)
+    def test_project_restarts_and_seed(self, restarts, seed):
+        assert_exit_documented(*run_main(
+            ["tp2", "project", "--r", R_ANTIDIAG, f"--restarts={restarts}", f"--seed={seed}"]))
+
+    @given(SEED_VALUES)
+    @settings(max_examples=50, deadline=None)
+    def test_sample_seed(self, seed):
+        assert_exit_documented(*run_main(["sample", "--r", R_BAND, "--n=5", f"--seed={seed}"]))
+
+    def test_restarts_capped_before_any_search(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the pattern search ran")
+
+        monkeypatch.setattr(kuiper, "_pattern_search", forbidden)
+        code, out, err = run_main(["tp2", "project", "--r", R_ANTIDIAG, "--seed=1",
+                                   f"--restarts={MAX_RESTARTS + 1}"])
+        assert_input_error(code, out, err)
+        assert f"restarts must be at most {MAX_RESTARTS}, got {MAX_RESTARTS + 1}" in err
+        with pytest.raises(AssertionError, match="the pattern search ran"):  # the cap itself runs
+            kuiper.tp2_project(antidiag(), seed=1, restarts=MAX_RESTARTS)
+
     def test_caps_are_named(self):
         cases = [
             (["sample", "--r", R_BAND, "--n=10000000000000", "--seed=1"],
@@ -422,6 +494,14 @@ class TestCommandOptions:
               "--seeds=1", "--x1=2", "--x2=4"], "got 10000000000000"),
             (["converge", "uniform", "--r", R_BAND, "--beta=0.5", "--ns=10",
               "--seeds=1..1000000000", "--a=2", "--b=4"], "must name 1 to 10000 seeds"),
+            (["sample", "--r", R_BAND, "--n=5", "--seed=-1"], "seed must be nonnegative, got -1"),
+            (["converge", "bracket", "--r", R_BAND, "--beta=0.5", "--ns=10", "--seeds=-3",
+              "--x1=2", "--x2=4"], "seed must be nonnegative, got -3"),
+            (["converge", "bracket", "--r", R_BAND, "--beta=0.5", "--ns=10", "--seeds=-3..-1",
+              "--x1=2", "--x2=4"], "seed must be nonnegative, got -3"),
+            (["converge", "uniform", "--r", R_BAND, "--beta=0.5", "--ns=10", "--seeds=1,-2",
+              "--a=2", "--b=4"], "seed must be nonnegative, got -2"),
+            (["tp2", "project", "--r", R_ANTIDIAG, "--seed=-1"], "seed must be nonnegative, got -1"),
         ]
         for argv, message in cases:
             code, out, err = run_main(argv)

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stochorder import (
     DomainError,
@@ -12,7 +14,7 @@ from stochorder import (
     truncate,
 )
 from stochorder.fixtures import gamma_pair, gaussian_pair
-from stochorder.orders import LR_METHODS
+from stochorder.orders import LR_METHODS, _midpoint, _refined_axis
 from helpers import (
     enumerate_weight_dists,
     exact_lr_oracle,
@@ -239,3 +241,19 @@ class TestWeakConvergenceStability:
             qn2 = UnivariateDist(support, p2 / p2.sum())
             assert check_lr(qn1, qn2).holds
         assert check_lr(base1, base2).holds
+
+
+class TestMidpoint:
+    @given(st.floats(allow_nan=False, allow_infinity=False),
+           st.floats(allow_nan=False, allow_infinity=False))
+    @settings(max_examples=500, deadline=None)
+    def test_finite_and_between_and_unchanged_where_the_sum_is_finite(self, a, b):
+        a, b = min(a, b), max(a, b)
+        mid = _midpoint(a, b)
+        assert a <= mid <= b
+        if np.isfinite(a + b):
+            assert mid == (a + b) / 2.0
+
+    def test_atoms_near_the_float_limit(self):
+        axis = _refined_axis(np.array([1e308, 1.7e308]))
+        assert axis == [1e308 - 1.0, 1e308, 1.35e308, 1.7e308, 1.7e308 + 1.0]
