@@ -12,8 +12,16 @@ Two numeric regimes coexist:
   masses.  Order and TP2 verdicts can then be computed with exact integer
   cross products (no rounding, no division).
 
-The mode picks the numbers a verdict reads (``UnivariateDist.masses`` and
-``BivariateDist.cells``); the verdict code itself is shared by both modes.
+Each distribution knows its ``mode``: ``MODE_EXACT`` when it carries integer
+weights, ``MODE_FLOAT`` otherwise.  The mode picks the numbers a verdict reads
+(``UnivariateDist.masses`` and ``BivariateDist.cells``); the verdict code
+itself is shared by both modes.  ``canonical``, the marginals, conditional
+rows and ``kuiper.refine_grid`` read the masses in their own mode once and
+build the result through each class's ``_on_sorted``: integer weights get the
+float masses w / total, float masses are used as given.  Every constructor
+here sets the floats of integer weights to w / total, so dropping zero atoms
+or embedding in a larger grid gives the floats that slicing the stored ones
+gave.  ``orders.truncate`` keeps its renormalized floats instead.
 
 Constructors from unsorted (value, mass) or (x, y, mass) data sort the atoms
 and sum the masses of duplicate atoms or cells, in input order.
@@ -224,15 +232,25 @@ def _float_masses(values) -> list[float]:
     raise InvalidDistributionError("masses must be numbers")
 
 
-def _validate_weights(weights, n: int):
-    weights = tuple(_int_weights(weights))
-    if len(weights) != n:
-        raise InvalidDistributionError("weights length does not match support")
-    if any(w < 0 for w in weights):
+def _checked_weights(weights, shape: tuple[int, ...], floats: np.ndarray | None = None):
+    """Integer weights as Python ints (a tuple per x-atom for a 2-D ``shape``)
+    and their total.  They must give one weight per atom or cell, none
+    negative, with a positive total; given the float masses ``floats``, each
+    weight over the total must lie within ``MASS_TOL`` of its float mass."""
+    rows = [tuple(_int_weights(row)) for row in (weights if len(shape) == 2 else [weights])]
+    if [len(row) for row in rows] != [shape[-1]] * (shape[0] if len(shape) == 2 else 1):
+        raise InvalidDistributionError("weights shape does not match the support")
+    flat = [w for row in rows for w in row]
+    if min(flat, default=0) < 0:
         raise InvalidDistributionError("weights must be nonnegative integers")
-    if sum(weights) <= 0:
+    total = sum(flat)
+    if total <= 0:
         raise InvalidDistributionError("weights must have positive total")
-    return weights
+    if floats is not None and any(
+        abs(w / total - p) > MASS_TOL for w, p in zip(flat, floats.ravel().tolist())
+    ):
+        raise InvalidDistributionError("weights do not match the float masses")
+    return (tuple(rows) if len(shape) == 2 else rows[0]), total
 
 
 # ---------------------------------------------------------------------------
@@ -270,15 +288,10 @@ class UnivariateDist:
         total = float(probs.sum())
         if self.is_probability and abs(total - 1.0) > MASS_TOL:
             raise InvalidDistributionError(f"probabilities sum to {total!r}, not 1")
-        weights = self.weights
-        if weights is not None:
-            weights = _validate_weights(weights, support.size)
-            wt = sum(weights)
-            if any(abs(w / wt - p) > MASS_TOL for w, p in zip(weights, probs.tolist())):
-                raise InvalidDistributionError("weights do not match probs")
+        if self.weights is not None:
+            object.__setattr__(self, "weights", _checked_weights(self.weights, probs.shape, probs)[0])
         object.__setattr__(self, "support", _freeze(support))
         object.__setattr__(self, "probs", _freeze(probs))
-        object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "_cum", _freeze(np.cumsum(probs)))
         object.__setattr__(self, "_suffix", _freeze(np.cumsum(probs[::-1])[::-1].copy()))
 
@@ -295,14 +308,16 @@ class UnivariateDist:
         """Build from unsorted (value, integer weight) data; duplicates are
         merged, and float probs are the normalized weights."""
         (support,), ws = _atom_grid([values], _int_weights(weights), object)
-        return cls._on_sorted_weights(support, ws.tolist(), is_probability)
+        return cls._on_sorted(support, ws.tolist(), MODE_EXACT, is_probability)
 
     @classmethod
-    def _on_sorted_weights(cls, support, weights, is_probability: bool = True) -> "UnivariateDist":
-        """Build on a support that is already sorted and distinct; float probs
-        are the normalized integer weights."""
-        weights = _validate_weights(weights, len(support))
-        total = sum(weights)
+    def _on_sorted(cls, support, masses, mode: str, is_probability: bool = True) -> "UnivariateDist":
+        """Build on a sorted, distinct float support array from masses in
+        the numbers of ``mode``: integer weights get the float probs
+        w / total, float masses are the probs as given."""
+        if mode != MODE_EXACT:
+            return cls(support, masses, None, is_probability)
+        weights, total = _checked_weights(masses, (support.size,))
         return cls(support, [w / total for w in weights], weights, is_probability)
 
     @classmethod
@@ -335,29 +350,25 @@ class UnivariateDist:
         return float(self._cum[-1])
 
     @property
+    def mode(self) -> str:
+        """``MODE_EXACT`` when integer weights are carried, else ``MODE_FLOAT``."""
+        return MODE_FLOAT if self.weights is None else MODE_EXACT
+
+    @property
     def total_weight(self) -> int:
-        if self.weights is None:
-            raise DomainError("distribution carries no integer weights")
-        return sum(self.weights)
+        return sum(self.masses(MODE_EXACT))
 
     def canonical(self) -> "UnivariateDist":
         """Drop zero-mass atoms (duplicates are already merged on construction)."""
-        if self.weights is not None:
-            keep = [i for i, w in enumerate(self.weights) if w > 0]
-            if len(keep) == len(self.weights):
-                return self
-            return UnivariateDist(
-                self.support[keep],
-                self.probs[keep],
-                tuple(self.weights[i] for i in keep),
-                self.is_probability,
-            )
-        keep = self.probs > 0
-        if bool(keep.all()):
+        masses = self.masses(self.mode)
+        if min(masses) > 0:
             return self
-        if not keep.any():
+        keep = [i for i, m in enumerate(masses) if m > 0]
+        if not keep:
             raise InvalidDistributionError("no positive mass left after canonicalization")
-        return UnivariateDist(self.support[keep], self.probs[keep], None, self.is_probability)
+        return UnivariateDist._on_sorted(
+            self.support[keep], [masses[i] for i in keep], self.mode, self.is_probability
+        )
 
     def atom_prob(self, x: float) -> float:
         i = np.searchsorted(self.support, x)
@@ -425,17 +436,8 @@ class UnivariateDist:
         return float(self._cum[hi - 1]) - base
 
     def interval_weight(self, iv: Interval) -> int:
-        if self.weights is None:
-            raise DomainError("distribution carries no integer weights")
         lo, hi = _interval_slice(self.support, iv)
-        return sum(self.weights[lo:hi])
-
-    def normalized(self) -> "UnivariateDist":
-        """Renormalize a positive finite measure into a probability."""
-        total = self.total_mass
-        if total <= 0:
-            raise DomainError("cannot normalize a zero measure")
-        return UnivariateDist(self.support, self.probs / total, self.weights, True)
+        return sum(self.masses(MODE_EXACT)[lo:hi])
 
 
 def left_support(q: UnivariateDist) -> tuple[float, ...]:
@@ -473,26 +475,11 @@ class BivariateDist:
         total = float(pmf.sum())
         if self.is_probability and abs(total - 1.0) > MASS_TOL:
             raise InvalidDistributionError(f"pmf sums to {total!r}, not 1")
-        weights = self.weights
-        if weights is not None:
-            weights = tuple(tuple(_int_weights(row)) for row in weights)
-            if len(weights) != xs.size or any(len(r) != ys.size for r in weights):
-                raise InvalidDistributionError("weights shape does not match supports")
-            if any(w < 0 for row in weights for w in row):
-                raise InvalidDistributionError("weights must be nonnegative integers")
-            wt = sum(w for row in weights for w in row)
-            if wt <= 0:
-                raise InvalidDistributionError("weights must have positive total")
-            if any(
-                abs(w / wt - p) > MASS_TOL
-                for row, prow in zip(weights, pmf.tolist())
-                for w, p in zip(row, prow)
-            ):
-                raise InvalidDistributionError("weights do not match pmf")
+        if self.weights is not None:
+            object.__setattr__(self, "weights", _checked_weights(self.weights, pmf.shape, pmf)[0])
         object.__setattr__(self, "x_support", _freeze(xs))
         object.__setattr__(self, "y_support", _freeze(ys))
         object.__setattr__(self, "pmf", _freeze(pmf))
-        object.__setattr__(self, "weights", weights)
 
     # -- constructors -------------------------------------------------------
 
@@ -504,12 +491,20 @@ class BivariateDist:
 
     @classmethod
     def from_weights(cls, x_support, y_support, weights, *, is_probability: bool = True) -> "BivariateDist":
-        rows = [_int_weights(row) for row in weights]
-        total = sum(sum(row) for row in rows)
-        if total <= 0:
-            raise InvalidDistributionError("weights must have positive total")
-        pmf = np.array([[w / total for w in row] for row in rows], dtype=np.float64)
-        return cls(x_support, y_support, pmf, tuple(tuple(row) for row in rows), is_probability)
+        xs, ys = _float_array(x_support, "x_support"), _float_array(y_support, "y_support")
+        return cls._on_sorted(xs, ys, weights, MODE_EXACT, is_probability)
+
+    @classmethod
+    def _on_sorted(cls, x_support, y_support, cells, mode: str,
+                   is_probability: bool = True) -> "BivariateDist":
+        """Build on sorted, distinct float support arrays from cell masses in
+        the numbers of ``mode``: integer weights get the float pmf
+        w / total, float masses are the pmf as given."""
+        if mode != MODE_EXACT:
+            return cls(x_support, y_support, cells, None, is_probability)
+        weights, total = _checked_weights(cells, (x_support.size, y_support.size))
+        pmf = [[w / total for w in row] for row in weights]
+        return cls(x_support, y_support, pmf, weights, is_probability)
 
     @classmethod
     def from_dict(cls, payload: dict, *, exact: bool = False) -> "BivariateDist":
@@ -547,10 +542,13 @@ class BivariateDist:
         return float(self.pmf.sum())
 
     @property
+    def mode(self) -> str:
+        """``MODE_EXACT`` when integer weights are carried, else ``MODE_FLOAT``."""
+        return MODE_FLOAT if self.weights is None else MODE_EXACT
+
+    @property
     def total_weight(self) -> int:
-        if self.weights is None:
-            raise DomainError("distribution carries no integer weights")
-        return sum(w for row in self.weights for w in row)
+        return self.cells(MODE_EXACT).sum()
 
     def cells(self, mode: str) -> np.ndarray:
         """Cell masses in the numbers of the comparison mode: an object array
@@ -579,26 +577,16 @@ class BivariateDist:
         return memo
 
     def _drop_empty_atoms(self) -> "BivariateDist":
-        if self.weights is not None:
-            rows = [i for i, r in enumerate(self.weights) if sum(r) > 0]
-            cols = [j for j in range(self.shape[1]) if sum(r[j] for r in self.weights) > 0]
-            if len(rows) == self.shape[0] and len(cols) == self.shape[1]:
-                return self
-            ws = tuple(tuple(self.weights[i][j] for j in cols) for i in rows)
-            return BivariateDist(
-                self.x_support[rows], self.y_support[cols],
-                self.pmf[np.ix_(rows, cols)], ws, self.is_probability,
-            )
-        rows = self.pmf.sum(axis=1) > 0
-        cols = self.pmf.sum(axis=0) > 0
-        if bool(rows.all()) and bool(cols.all()):
+        cells = self.cells(self.mode)
+        rows = np.flatnonzero(cells.sum(axis=1) > 0)
+        cols = np.flatnonzero(cells.sum(axis=0) > 0)
+        if (rows.size, cols.size) == self.shape:
             return self
-        if not rows.any():
+        if not rows.size:
             raise InvalidDistributionError("no positive mass left after canonicalization")
-        return BivariateDist(
-            self.x_support[rows], self.y_support[cols],
-            self.pmf[np.ix_(np.flatnonzero(rows), np.flatnonzero(cols))],
-            None, self.is_probability,
+        return BivariateDist._on_sorted(
+            self.x_support[rows], self.y_support[cols], cells[np.ix_(rows, cols)],
+            self.mode, self.is_probability,
         )
 
     # -- marginals, conditionals, range --------------------------------------
@@ -607,30 +595,25 @@ class BivariateDist:
     # conditional rows are built on them directly, without ``_atom_grid``.
 
     def marginal_x(self) -> UnivariateDist:
-        if self.weights is not None:
-            return UnivariateDist._on_sorted_weights(
-                self.x_support, [sum(r) for r in self.weights], self.is_probability
-            ).canonical()
-        return UnivariateDist(self.x_support, self.pmf.sum(axis=1), None, self.is_probability).canonical()
+        masses = self.cells(self.mode).sum(axis=1)
+        return UnivariateDist._on_sorted(self.x_support, masses, self.mode, self.is_probability).canonical()
 
     def marginal_y(self) -> UnivariateDist:
-        if self.weights is not None:
-            cols = [sum(r[j] for r in self.weights) for j in range(self.shape[1])]
-            return UnivariateDist._on_sorted_weights(self.y_support, cols, self.is_probability).canonical()
-        return UnivariateDist(self.y_support, self.pmf.sum(axis=0), None, self.is_probability).canonical()
+        masses = self.cells(self.mode).sum(axis=0)
+        return UnivariateDist._on_sorted(self.y_support, masses, self.mode, self.is_probability).canonical()
 
     def conditional_row(self, x: float) -> UnivariateDist:
-        """Conditional distribution of the second coordinate given the first equals x."""
+        """Conditional distribution of the second coordinate given the first
+        equals x: integer weights as they are, float masses over their sum."""
         i = int(np.searchsorted(self.x_support, x))
         if i == self.shape[0] or self.x_support[i] != x:
             raise DomainError(f"{x!r} is not an atom of the first marginal")
-        row = self.pmf[i]
-        mass = float(row.sum())
-        if mass <= 0.0:
+        row = self.cells(self.mode)[i]
+        mass = row.sum()
+        if not mass > 0:
             raise DomainError(f"first-marginal atom {x!r} has zero mass")
-        if self.weights is not None:
-            return UnivariateDist._on_sorted_weights(self.y_support, self.weights[i]).canonical()
-        return UnivariateDist(self.y_support, row / mass).canonical()
+        masses = row if self.mode == MODE_EXACT else row / mass
+        return UnivariateDist._on_sorted(self.y_support, masses, self.mode).canonical()
 
     def range_x(self) -> Interval:
         """Smallest closed interval carrying all first-marginal mass."""

@@ -85,7 +85,12 @@ def _draw_cells(r: BivariateDist, n: int, seed) -> tuple[BivariateDist, np.ndarr
     r = r.canonical()
     cum = np.cumsum(r.pmf.reshape(-1))
     cum = cum / cum[-1]
-    return r, _cell_index(cum, _philox(seed).random(n))
+    u = _philox(seed).random(n)
+    # u = 0.0 would take cell 0 even when it has no mass; the smallest
+    # positive float takes the first cell with mass instead.  Every other
+    # draw is a multiple of 2**-53, so it is left as it is.
+    np.maximum(u, np.nextafter(0.0, 1.0), out=u)
+    return r, _cell_index(cum, u)
 
 
 def sample(r: BivariateDist, n: int, seed) -> np.ndarray:

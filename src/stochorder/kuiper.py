@@ -44,7 +44,8 @@ import numpy as np
 
 from .distributions import BivariateDist, prefix_table
 from .errors import DomainError, InvalidDistributionError
-from .isotonic import MODE_EXACT, MODE_FLOAT, PRODUCT_RTOL
+from .estimation import _seeds
+from .isotonic import MODE_FLOAT, PRODUCT_RTOL
 from .orders import _refined_axis
 from .tp2 import check_tp2, supermodular_potential
 
@@ -179,14 +180,10 @@ def refine_grid(r: BivariateDist) -> BivariateDist:
     r = r.canonical()
     xg = np.array(_refined_axis(r.x_support))
     yg = np.array(_refined_axis(r.y_support))
-    pmf = np.zeros((xg.size, yg.size))
-    pmf[1::2, 1::2] = r.pmf
-    weights = None
-    if r.weights is not None:
-        weights = np.zeros(pmf.shape, dtype=object)
-        weights[1::2, 1::2] = r.cells(MODE_EXACT)
-        weights = weights.tolist()
-    return BivariateDist(xg, yg, pmf, weights)
+    masses = r.cells(r.mode)
+    cells = np.zeros((xg.size, yg.size), dtype=masses.dtype)
+    cells[1::2, 1::2] = masses
+    return BivariateDist._on_sorted(xg, yg, cells, r.mode)
 
 
 @dataclass(frozen=True, eq=False)
@@ -331,8 +328,7 @@ def tp2_project(r_hat: BivariateDist, *, seed: int = 42, restarts: int = 8,
         raise DomainError(f"restarts and max_iters must be nonnegative, got {restarts} and {max_iters}")
     if restarts > MAX_RESTARTS:
         raise DomainError(f"restarts must be at most {MAX_RESTARTS}, got {restarts}")
-    if seed < 0:
-        raise DomainError(f"seed must be nonnegative, got {seed}")
+    (seed,) = _seeds([seed])
     steps = [0.5 * 0.5**k for k in range(8)] if step_schedule is None else list(step_schedule)
     if not steps:
         raise DomainError("step_schedule must name at least one step")

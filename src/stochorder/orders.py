@@ -91,8 +91,11 @@ def check_st(q1: UnivariateDist, q2: UnivariateDist, mode: str = MODE_FLOAT,
     """Usual stochastic order: the survival of q1 never exceeds that of q2.
 
     The survival functions are step functions, so comparing them at every
-    merged-support atom covers all real thresholds.  The witness is the
-    violating threshold.
+    merged-support atom covers all real thresholds.  The witness is a
+    violating threshold, and which one depends on the mode: float mode
+    accumulates the survivals from the top (for tail accuracy) and reports
+    the largest violating threshold, exact mode cross-multiplies from the
+    bottom and reports the smallest.
     """
     _check_mode(mode)
     merged, g1, g2 = _merged_masses(q1, q2, mode)
@@ -268,5 +271,6 @@ def truncate(q: UnivariateDist, iv: Interval) -> UnivariateDist:
     mass = float(probs.sum())
     if mass <= 0.0:
         raise DomainError(f"interval {iv} carries zero mass")
-    weights = None if q.weights is None else q.weights[lo:hi]
+    # the floats stay probs / mass, which is not w / total in the last bits
+    weights = q.masses(MODE_EXACT)[lo:hi] if q.mode == MODE_EXACT else None
     return UnivariateDist(support, probs / mass, weights)

@@ -139,7 +139,7 @@ def roc_curve(q1: UnivariateDist, q2: UnivariateDist) -> RocCurve:
     and adding both corners exhausts the point set.  Survivals accumulated
     from the top (for tail accuracy) come out sorted.
     """
-    exact = q1.weights is not None and q2.weights is not None
+    exact = q1.mode == q2.mode == MODE_EXACT
     _, g1, g2 = _merged_masses(q1, q2, MODE_EXACT if exact else MODE_FLOAT)
     u = list(accumulate(g1[::-1], initial=g1[0] * 0))
     v = list(accumulate(g2[::-1], initial=g2[0] * 0))
@@ -179,7 +179,7 @@ def odc_curve(q1: UnivariateDist, q2: UnivariateDist) -> OdcCurve:
     q1 = q1.canonical()
     q2 = q2.canonical()
     dominated = set(q2.support.tolist()) <= set(q1.support.tolist())
-    exact = q1.weights is not None and q2.weights is not None
+    exact = q1.mode == q2.mode == MODE_EXACT
     mode = MODE_EXACT if exact else MODE_FLOAT
     c1 = _cumulative(q1.masses(mode))
     c2 = _cumulative(q2.masses(mode))

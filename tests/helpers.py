@@ -12,9 +12,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from stochorder import BivariateDist, Interval, InvalidDistributionError, UnivariateDist
+from stochorder import BivariateDist, DomainError, Interval, InvalidDistributionError, UnivariateDist
+from stochorder.distributions import _interval_slice
 from stochorder.isotonic import MODE_EXACT, MODE_FLOAT, PRODUCT_RTOL, _cumulative, products_le
-from stochorder.orders import _boundaries, _fails, _holds, _merged_masses
+from stochorder.orders import _boundaries, _fails, _holds, _merged_masses, _refined_axis
 
 
 # ---------------------------------------------------------------------------
@@ -482,3 +483,103 @@ def cell_index_searchsorted(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
     """The inverse-CDF cell lookup as a binary search: the first index i with
     ``cum[i] >= u``."""
     return np.searchsorted(cum, u, side="left")
+
+
+# ---------------------------------------------------------------------------
+# per-mode distribution builders
+# ---------------------------------------------------------------------------
+# The bodies that branched on ``weights is None`` before each class read its
+# masses through ``masses(mode)`` / ``cells(mode)`` and built on one
+# ``_on_sorted`` path; kept to check that the one path gives the same bytes.
+
+
+def _on_sorted_weights(support, weights, is_probability: bool = True) -> UnivariateDist:
+    total = sum(weights)
+    return UnivariateDist(support, [w / total for w in weights], tuple(weights), is_probability)
+
+
+def canonical_by_mode(q: UnivariateDist) -> UnivariateDist:
+    if q.weights is not None:
+        keep = [i for i, w in enumerate(q.weights) if w > 0]
+        if len(keep) == len(q.weights):
+            return q
+        return UnivariateDist(q.support[keep], q.probs[keep], tuple(q.weights[i] for i in keep),
+                              q.is_probability)
+    keep = q.probs > 0
+    if bool(keep.all()):
+        return q
+    if not keep.any():
+        raise InvalidDistributionError("no positive mass left after canonicalization")
+    return UnivariateDist(q.support[keep], q.probs[keep], None, q.is_probability)
+
+
+def drop_empty_atoms_by_mode(r: BivariateDist) -> BivariateDist:
+    if r.weights is not None:
+        rows = [i for i, row in enumerate(r.weights) if sum(row) > 0]
+        cols = [j for j in range(r.shape[1]) if sum(row[j] for row in r.weights) > 0]
+        if len(rows) == r.shape[0] and len(cols) == r.shape[1]:
+            return r
+        ws = tuple(tuple(r.weights[i][j] for j in cols) for i in rows)
+        return BivariateDist(r.x_support[rows], r.y_support[cols], r.pmf[np.ix_(rows, cols)], ws,
+                             r.is_probability)
+    rows = r.pmf.sum(axis=1) > 0
+    cols = r.pmf.sum(axis=0) > 0
+    if bool(rows.all()) and bool(cols.all()):
+        return r
+    if not rows.any():
+        raise InvalidDistributionError("no positive mass left after canonicalization")
+    return BivariateDist(r.x_support[rows], r.y_support[cols],
+                         r.pmf[np.ix_(np.flatnonzero(rows), np.flatnonzero(cols))],
+                         None, r.is_probability)
+
+
+def marginal_x_by_mode(r: BivariateDist) -> UnivariateDist:
+    if r.weights is not None:
+        return canonical_by_mode(
+            _on_sorted_weights(r.x_support, [sum(row) for row in r.weights], r.is_probability))
+    return canonical_by_mode(UnivariateDist(r.x_support, r.pmf.sum(axis=1), None, r.is_probability))
+
+
+def marginal_y_by_mode(r: BivariateDist) -> UnivariateDist:
+    if r.weights is not None:
+        cols = [sum(row[j] for row in r.weights) for j in range(r.shape[1])]
+        return canonical_by_mode(_on_sorted_weights(r.y_support, cols, r.is_probability))
+    return canonical_by_mode(UnivariateDist(r.y_support, r.pmf.sum(axis=0), None, r.is_probability))
+
+
+def conditional_row_by_mode(r: BivariateDist, i: int) -> UnivariateDist:
+    """The conditional distribution of the second coordinate at the i-th x-atom."""
+    row = r.pmf[i]
+    mass = float(row.sum())
+    if mass <= 0.0:
+        raise DomainError(f"first-marginal atom {r.x_support[i]!r} has zero mass")
+    if r.weights is not None:
+        return canonical_by_mode(_on_sorted_weights(r.y_support, r.weights[i]))
+    return canonical_by_mode(UnivariateDist(r.y_support, row / mass))
+
+
+def refine_grid_by_mode(r: BivariateDist) -> BivariateDist:
+    r = drop_empty_atoms_by_mode(r)
+    xg = np.array(_refined_axis(r.x_support))
+    yg = np.array(_refined_axis(r.y_support))
+    pmf = np.zeros((xg.size, yg.size))
+    pmf[1::2, 1::2] = r.pmf
+    weights = None
+    if r.weights is not None:
+        weights = np.zeros(pmf.shape, dtype=object)
+        weights[1::2, 1::2] = np.array(r.weights, dtype=object)
+        weights = weights.tolist()
+    return BivariateDist(xg, yg, pmf, weights)
+
+
+def truncate_by_mode(q: UnivariateDist, iv: Interval) -> UnivariateDist:
+    q = canonical_by_mode(q)
+    lo, hi = _interval_slice(q.support, iv)
+    if lo == hi:
+        raise DomainError(f"interval {iv} carries zero mass")
+    probs = q.probs[lo:hi]
+    mass = float(probs.sum())
+    if mass <= 0.0:
+        raise DomainError(f"interval {iv} carries zero mass")
+    weights = None if q.weights is None else q.weights[lo:hi]
+    return UnivariateDist(q.support[lo:hi], probs / mass, weights)

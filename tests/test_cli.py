@@ -65,6 +65,15 @@ def test_golden_reports_are_byte_stable(name):
     assert set(payload) == {"command", "version", "inputs", "result"}
 
 
+def test_check_st_witness_follows_the_mode():
+    # float mode reports the largest violating threshold, exact mode the smallest
+    argv = ["check-st", "--q1", "q_high.csv", "--q2", "q_low.csv"]
+    for flags, witness in (([], [2.0]), (["--exact"], [1.0])):
+        code, text = run_cli(argv + flags, cwd=DATA)
+        assert code == 3
+        assert json.loads(text)["result"]["witness"] == witness
+
+
 def test_golden_fixture_report(tmp_path):
     code, text = run_cli(["fixture", "antidiag", "--dir", "."], cwd=tmp_path)
     assert code == 0

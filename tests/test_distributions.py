@@ -4,7 +4,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stochorder import (
@@ -18,6 +18,7 @@ from stochorder import (
 )
 from stochorder.distributions import (
     _atom_grid,
+    _interval_slice,
     load_bivariate,
     load_univariate,
     read_bivariate_csv,
@@ -26,7 +27,11 @@ from stochorder.distributions import (
     write_univariate_csv,
     write_univariate_json,
 )
-from helpers import grid_by_dict, merge_pairs_by_loop
+from stochorder.kuiper import refine_grid
+from stochorder.orders import truncate
+from helpers import (canonical_by_mode, conditional_row_by_mode, drop_empty_atoms_by_mode,
+                     grid_by_dict, marginal_x_by_mode, marginal_y_by_mode, merge_pairs_by_loop,
+                     refine_grid_by_mode, truncate_by_mode)
 
 NEG_INF = float("-inf")
 POS_INF = float("inf")
@@ -422,3 +427,100 @@ class TestAtomGrid:
     def test_rejects_columns_that_are_not_flat_and_as_long_as_the_masses(self, coords, masses):
         with pytest.raises(InvalidDistributionError):
             _atom_grid(coords, masses)
+
+
+# Cell masses with exact zeros, tiny and huge values; weights up to 3**45,
+# which no float holds exactly.
+CELL_FLOATS = st.one_of(st.just(0.0), st.sampled_from([1e-300, 1 / 3, 1e300]), st.floats(0.0, 1e3))
+CELL_WEIGHTS = st.one_of(st.just(0), st.integers(0, 9), st.just(3**45))
+#: interval endpoints around the atoms 1..6
+ENDS = st.sampled_from([-np.inf, 0.5, 1.0, 2.0, 2.5, 4.0, 6.0, 7.0, np.inf])
+
+
+@st.composite
+def mode_grids(draw, ndim: int):
+    """A weighted or float distribution on atoms 1, 2, ...: whole rows and
+    columns (or atoms) may be zero, and the masses may form a finite measure
+    (``is_probability=False``) that is not normalized."""
+    exact = draw(st.booleans())
+    is_probability = draw(st.booleans())
+    shape = tuple(draw(st.integers(1, 5)) for _ in range(ndim))
+    cells = np.array(draw(st.lists(CELL_WEIGHTS if exact else CELL_FLOATS,
+                                   min_size=int(np.prod(shape)), max_size=int(np.prod(shape)))),
+                     dtype=object if exact else np.float64).reshape(shape)
+    for axis in range(ndim):
+        for i in draw(st.sets(st.integers(0, shape[axis] - 1), max_size=shape[axis] - 1)):
+            np.moveaxis(cells, axis, 0)[i] = 0
+    if not cells.any():
+        cells[(0,) * ndim] = 1
+    if not exact and is_probability:
+        cells = cells / cells.sum()
+    atoms = [np.arange(1.0, n + 1.0) for n in shape]
+    if exact:
+        build = UnivariateDist.from_weights if ndim == 1 else BivariateDist.from_weights
+        return build(*atoms, cells.tolist(), is_probability=is_probability)
+    return (UnivariateDist if ndim == 1 else BivariateDist)(*atoms, cells, None, is_probability)
+
+
+def outcome(f, *args):
+    """``f(*args)``, or the type of the error it raises."""
+    try:
+        return f(*args)
+    except (DomainError, InvalidDistributionError) as exc:
+        return type(exc)
+
+
+def assert_same(new, old) -> None:
+    """Equal results: the same error type, or the same class, supports,
+    float masses byte for byte, integer weights and ``is_probability``."""
+    assert type(new) is type(old)
+    if isinstance(new, type):
+        return
+    arrays = ("support", "probs") if isinstance(new, UnivariateDist) else ("x_support", "y_support", "pmf")
+    for name in arrays:
+        a, b = getattr(new, name), getattr(old, name)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+    assert new.weights == old.weights and new.is_probability == old.is_probability
+    if new.weights is not None:
+        flat = new.weights if isinstance(new, UnivariateDist) else [w for row in new.weights for w in row]
+        assert all(type(w) is int for w in flat)
+
+
+class TestOneMassPath:
+    """Each class reads its masses in its own mode once and builds on one
+    path; the results equal the per-mode bodies that path replaced."""
+
+    @given(mode_grids(2))
+    @settings(max_examples=300, deadline=None)
+    def test_bivariate_equals_the_per_mode_bodies(self, r):
+        assert r.mode == ("float" if r.weights is None else "exact")
+        assert_same(outcome(BivariateDist.canonical, r), outcome(drop_empty_atoms_by_mode, r))
+        assert_same(outcome(BivariateDist.marginal_x, r), outcome(marginal_x_by_mode, r))
+        assert_same(outcome(BivariateDist.marginal_y, r), outcome(marginal_y_by_mode, r))
+        for i, x in enumerate(r.x_support.tolist()):
+            assert_same(outcome(r.conditional_row, x), outcome(conditional_row_by_mode, r, i))
+        assert_same(outcome(refine_grid, r), outcome(refine_grid_by_mode, r))
+        if r.weights is None:
+            assert outcome(lambda: r.total_weight) is DomainError
+        else:
+            assert r.total_weight == sum(map(sum, r.weights))
+
+    @given(mode_grids(1), st.lists(st.tuples(ENDS, ENDS, st.booleans(), st.booleans()), max_size=4))
+    # truncated to [1, 2], (1/5) / (4/5) is 0.25 and (3/5) / (4/5) is 0.7499999999999999,
+    # not the 0.75 of 3 / 4: truncate keeps the renormalized floats
+    @example(UnivariateDist.from_weights([1.0, 2.0, 3.0], [1, 3, 1]), [(1.0, 2.0, True, True)])
+    @settings(max_examples=300, deadline=None)
+    def test_univariate_equals_the_per_mode_bodies(self, q, ends):
+        assert q.mode == ("float" if q.weights is None else "exact")
+        assert_same(outcome(UnivariateDist.canonical, q), outcome(canonical_by_mode, q))
+        intervals = [Interval(a, b, lc and abs(a) < np.inf, rc and abs(b) < np.inf)
+                     for a, b, lc, rc in ends if a <= b]
+        for iv in intervals:
+            assert_same(outcome(truncate, q, iv), outcome(truncate_by_mode, q, iv))
+            if q.weights is not None:
+                lo, hi = _interval_slice(q.support, iv)
+                assert q.interval_weight(iv) == sum(q.weights[lo:hi])
+        if q.weights is None:
+            assert outcome(lambda: q.total_weight) is DomainError
+        else:
+            assert q.total_weight == sum(q.weights)

@@ -165,6 +165,18 @@ class TestCellIndex:
         u = estimation._philox(seed).random(n)
         np.testing.assert_array_equal(idx, cell_index_searchsorted(cumulative(canon.pmf.ravel()), u))
 
+    def test_zero_draws_take_the_first_cell_with_mass(self, monkeypatch):
+        # antidiag's first cell (1, 1) has no mass; u = 0.0 must not land there
+        class Zeros:
+            def random(self, n):
+                return np.zeros(n)
+
+        monkeypatch.setattr(estimation, "_philox", lambda seed: Zeros())
+        assert sample(antidiag(), 3, 0).tolist() == [[1.0, 2.0]] * 3
+        counts = estimation._sample_counts(antidiag(), 3, 0)
+        assert (counts.x_support.tolist(), counts.y_support.tolist()) == ([1.0], [2.0])
+        assert counts.weights == ((3,),)
+
 
 class TestHarnessesCountCells:
     """The harnesses count cells from the stream; no float draws are built."""
