@@ -456,7 +456,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--step", type=float, default=None)
     p.add_argument("--points", type=int, default=None)
     p.add_argument("--size", type=int, default=None)
-    _add_common(p)
     p.set_defaults(func=_cmd_fixture)
 
     return parser

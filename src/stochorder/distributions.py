@@ -15,13 +15,16 @@ Two numeric regimes coexist:
 Each distribution knows its ``mode``: ``MODE_EXACT`` when it carries integer
 weights, ``MODE_FLOAT`` otherwise.  The mode picks the numbers a verdict reads
 (``UnivariateDist.masses`` and ``BivariateDist.cells``); the verdict code
-itself is shared by both modes.  ``canonical``, the marginals, conditional
-rows and ``kuiper.refine_grid`` read the masses in their own mode once and
-build the result through each class's ``_on_sorted``: integer weights get the
-float masses w / total, float masses are used as given.  Every constructor
-here sets the floats of integer weights to w / total, so dropping zero atoms
-or embedding in a larger grid gives the floats that slicing the stored ones
-gave.  ``orders.truncate`` keeps its renormalized floats instead.
+itself is shared by both modes.  The class constructors are the one mass
+check: given integer weights and no float masses, they check the weights once
+and derive the floats w / total from the weights alone.  ``canonical``, the
+marginals, conditional rows and ``kuiper.refine_grid`` hand masses in the
+numbers of their mode to one builder, ``_on_sorted``, and the univariate ones
+keep only their positive-mass atoms, so each result is built once.  Dropping
+zero atoms or embedding in a larger grid keeps the total, so w / total gives
+the floats that slicing the stored ones gave.  ``orders.truncate`` passes its
+renormalized floats with the weights instead; the constructor checks that
+they match.
 
 Constructors from unsorted (value, mass) or (x, y, mass) data sort the atoms
 and sum the masses of duplicate atoms or cells, in input order.
@@ -120,11 +123,20 @@ class Interval:
 # sorted and distinct, and validate them.
 
 
+def _frozen(values, dtype=np.float64) -> np.ndarray:
+    """A read-only copy of ``values`` as an array of ``dtype`` (inferred when
+    None); the caller's own array stays writeable."""
+    arr = np.array(values, dtype=dtype)
+    arr.flags.writeable = False
+    return arr
+
+
 def _float_array(values, what: str) -> np.ndarray:
-    """A float64 copy of ``values``; entries that are not real numbers (text,
-    containers, ragged rows, ints beyond the float range) are rejected."""
+    """A read-only float64 copy of ``values``; entries that are not real
+    numbers (text, containers, ragged rows, ints beyond the float range) are
+    rejected."""
     try:
-        return np.array(values, dtype=np.float64)
+        return _frozen(values)
     except (TypeError, ValueError, OverflowError):
         raise InvalidDistributionError(f"{what} values must be numbers") from None
 
@@ -181,11 +193,6 @@ def _require_keys(payload, what: str, required: tuple[str, ...], masses: tuple[s
             raise InvalidDistributionError(f"{what} JSON {key!r} must be {shape}")
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
-    arr.flags.writeable = False
-    return arr
-
-
 def prefix_table(t: np.ndarray) -> np.ndarray:
     """Zero-padded 2-D prefix sums over the last two axes, in ``t``'s dtype:
     entry [..., i, j] sums t[..., :i, :j].
@@ -209,7 +216,10 @@ def _validate_support(values: np.ndarray, what: str) -> None:
 
 def _int_weights(weights) -> list[int]:
     """Weights as Python ints; booleans and values that are not integral
-    numbers are rejected instead of truncated."""
+    numbers are rejected instead of truncated, and a number where a sequence
+    of weights belongs is a shape error."""
+    if not np.iterable(weights):
+        raise InvalidDistributionError("weights shape does not match the support")
     weights = list(weights)
     types = set(map(type, weights))
     if types <= {int}:
@@ -232,12 +242,14 @@ def _float_masses(values) -> list[float]:
     raise InvalidDistributionError("masses must be numbers")
 
 
-def _checked_weights(weights, shape: tuple[int, ...], floats: np.ndarray | None = None):
+def _checked_weights(weights, shape: tuple[int, ...]):
     """Integer weights as Python ints (a tuple per x-atom for a 2-D ``shape``)
-    and their total.  They must give one weight per atom or cell, none
-    negative, with a positive total; given the float masses ``floats``, each
-    weight over the total must lie within ``MASS_TOL`` of its float mass."""
-    rows = [tuple(_int_weights(row)) for row in (weights if len(shape) == 2 else [weights])]
+    and the flat list of their float masses w / total.  They must give one
+    weight per atom or cell, none negative, with a positive total."""
+    nested = weights if len(shape) == 2 else [weights]
+    if not np.iterable(nested):
+        raise InvalidDistributionError("weights shape does not match the support")
+    rows = [tuple(_int_weights(row)) for row in nested]
     if [len(row) for row in rows] != [shape[-1]] * (shape[0] if len(shape) == 2 else 1):
         raise InvalidDistributionError("weights shape does not match the support")
     flat = [w for row in rows for w in row]
@@ -246,11 +258,54 @@ def _checked_weights(weights, shape: tuple[int, ...], floats: np.ndarray | None 
     total = sum(flat)
     if total <= 0:
         raise InvalidDistributionError("weights must have positive total")
-    if floats is not None and any(
-        abs(w / total - p) > MASS_TOL for w, p in zip(flat, floats.ravel().tolist())
+    return (tuple(rows) if len(shape) == 2 else rows[0]), [w / total for w in flat]
+
+
+def _checked_masses(floats, weights, shape: tuple[int, ...], what: str, is_probability: bool):
+    """The one mass check of both classes: the float masses ``floats`` (named
+    ``what``) as a read-only float64 array of ``shape``, finite and
+    nonnegative, summing to 1 within ``MASS_TOL`` for a probability, and the
+    integer weights, if any, as ``_checked_weights`` returns them.  Without
+    float masses the floats are w / total; given both, each w / total must
+    lie within ``MASS_TOL`` of its float mass."""
+    derived = None
+    if weights is not None:
+        weights, derived = _checked_weights(weights, shape)
+        if floats is None:
+            floats, derived = np.reshape(derived, shape), None
+    floats = _float_array(floats, what)
+    if floats.shape != shape:
+        raise InvalidDistributionError(f"{what} shape {floats.shape} does not match the support {shape}")
+    if not np.all(np.isfinite(floats)) or np.any(floats < 0):
+        raise InvalidDistributionError(f"{what} must be finite and >= 0")
+    total = float(floats.sum())
+    if is_probability and abs(total - 1.0) > MASS_TOL:
+        raise InvalidDistributionError(f"{what} sum to {total!r}, not 1")
+    if derived is not None and any(
+        abs(w - p) > MASS_TOL for w, p in zip(derived, floats.ravel().tolist())
     ):
         raise InvalidDistributionError("weights do not match the float masses")
-    return (tuple(rows) if len(shape) == 2 else rows[0]), total
+    return floats, weights
+
+
+def _on_sorted(cls, supports, masses, mode: str, is_probability: bool = True):
+    """A ``cls`` distribution on sorted, distinct float ``supports`` from
+    masses in the numbers of ``mode``: integer weights, whose float masses
+    the constructor derives, or the float masses themselves."""
+    floats, weights = (None, masses) if mode == MODE_EXACT else (masses, None)
+    return cls(*supports, floats, weights, is_probability)
+
+
+def _on_positive_atoms(support: np.ndarray, masses, mode: str,
+                       is_probability: bool = True) -> "UnivariateDist":
+    """A ``UnivariateDist`` on the atoms of a sorted, distinct float support
+    whose masses, in the numbers of ``mode``, are positive."""
+    masses = np.asarray(masses, dtype=object if mode == MODE_EXACT else np.float64)
+    keep = masses > 0
+    support = support[keep]
+    if not support.size:
+        raise InvalidDistributionError("no positive mass left after canonicalization")
+    return _on_sorted(UnivariateDist, (support,), masses[keep], mode, is_probability)
 
 
 # ---------------------------------------------------------------------------
@@ -265,11 +320,13 @@ class UnivariateDist:
     ``support`` is strictly increasing; ``probs`` are nonnegative masses.  When
     ``is_probability`` is true the total mass must be 1 within ``MASS_TOL``.
     ``weights`` optionally carries exact integer masses (same atoms, any
-    positive total); they feed the exact comparison mode.
+    positive total); they feed the exact comparison mode.  Given ``weights``
+    with ``probs=None``, the probs are derived from the weights alone as
+    w / total.
     """
 
     support: np.ndarray
-    probs: np.ndarray
+    probs: np.ndarray | None
     weights: tuple[int, ...] | None = None
     is_probability: bool = True
 
@@ -279,21 +336,14 @@ class UnivariateDist:
 
     def __post_init__(self):
         support = _float_array(self.support, "support")
-        probs = _float_array(self.probs, "probs")
         _validate_support(support, "support")
-        if probs.shape != support.shape:
-            raise InvalidDistributionError("support and probs must have equal length")
-        if not np.all(np.isfinite(probs)) or np.any(probs < 0):
-            raise InvalidDistributionError("probs must be finite and >= 0")
-        total = float(probs.sum())
-        if self.is_probability and abs(total - 1.0) > MASS_TOL:
-            raise InvalidDistributionError(f"probabilities sum to {total!r}, not 1")
-        if self.weights is not None:
-            object.__setattr__(self, "weights", _checked_weights(self.weights, probs.shape, probs)[0])
-        object.__setattr__(self, "support", _freeze(support))
-        object.__setattr__(self, "probs", _freeze(probs))
-        object.__setattr__(self, "_cum", _freeze(np.cumsum(probs)))
-        object.__setattr__(self, "_suffix", _freeze(np.cumsum(probs[::-1])[::-1].copy()))
+        probs, weights = _checked_masses(self.probs, self.weights, support.shape, "probs",
+                                         self.is_probability)
+        object.__setattr__(self, "support", support)
+        object.__setattr__(self, "probs", probs)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "_cum", _frozen(np.cumsum(probs)))
+        object.__setattr__(self, "_suffix", _frozen(np.cumsum(probs[::-1])[::-1]))
 
     # -- constructors -----------------------------------------------------
 
@@ -308,21 +358,11 @@ class UnivariateDist:
         """Build from unsorted (value, integer weight) data; duplicates are
         merged, and float probs are the normalized weights."""
         (support,), ws = _atom_grid([values], _int_weights(weights), object)
-        return cls._on_sorted(support, ws.tolist(), MODE_EXACT, is_probability)
-
-    @classmethod
-    def _on_sorted(cls, support, masses, mode: str, is_probability: bool = True) -> "UnivariateDist":
-        """Build on a sorted, distinct float support array from masses in
-        the numbers of ``mode``: integer weights get the float probs
-        w / total, float masses are the probs as given."""
-        if mode != MODE_EXACT:
-            return cls(support, masses, None, is_probability)
-        weights, total = _checked_weights(masses, (support.size,))
-        return cls(support, [w / total for w in weights], weights, is_probability)
+        return cls(support, None, ws.tolist(), is_probability)
 
     @classmethod
     def delta(cls, x: float) -> "UnivariateDist":
-        return cls(np.array([float(x)]), np.array([1.0]), (1,))
+        return cls([float(x)], None, (1,))
 
     @classmethod
     def from_dict(cls, payload: dict, *, exact: bool = False) -> "UnivariateDist":
@@ -363,12 +403,7 @@ class UnivariateDist:
         masses = self.masses(self.mode)
         if min(masses) > 0:
             return self
-        keep = [i for i, m in enumerate(masses) if m > 0]
-        if not keep:
-            raise InvalidDistributionError("no positive mass left after canonicalization")
-        return UnivariateDist._on_sorted(
-            self.support[keep], [masses[i] for i in keep], self.mode, self.is_probability
-        )
+        return _on_positive_atoms(self.support, masses, self.mode, self.is_probability)
 
     def atom_prob(self, x: float) -> float:
         i = np.searchsorted(self.support, x)
@@ -452,34 +487,30 @@ def left_support(q: UnivariateDist) -> tuple[float, ...]:
 
 @dataclass(frozen=True, eq=False)
 class BivariateDist:
-    """Finite-support distribution on the plane as an atom-grid pmf matrix."""
+    """Finite-support distribution on the plane as an atom-grid pmf matrix.
+
+    ``weights`` optionally carries exact integer cell masses, one row per
+    x-atom; given ``weights`` with ``pmf=None``, the pmf is derived from the
+    weights alone as w / total.
+    """
 
     x_support: np.ndarray
     y_support: np.ndarray
-    pmf: np.ndarray
+    pmf: np.ndarray | None
     weights: tuple[tuple[int, ...], ...] | None = None
     is_probability: bool = True
 
     def __post_init__(self):
         xs = _float_array(self.x_support, "x_support")
         ys = _float_array(self.y_support, "y_support")
-        pmf = _float_array(self.pmf, "pmf")
         _validate_support(xs, "x_support")
         _validate_support(ys, "y_support")
-        if pmf.shape != (xs.size, ys.size):
-            raise InvalidDistributionError(
-                f"pmf shape {pmf.shape} does not match supports ({xs.size}, {ys.size})"
-            )
-        if not np.all(np.isfinite(pmf)) or np.any(pmf < 0):
-            raise InvalidDistributionError("pmf entries must be finite and >= 0")
-        total = float(pmf.sum())
-        if self.is_probability and abs(total - 1.0) > MASS_TOL:
-            raise InvalidDistributionError(f"pmf sums to {total!r}, not 1")
-        if self.weights is not None:
-            object.__setattr__(self, "weights", _checked_weights(self.weights, pmf.shape, pmf)[0])
-        object.__setattr__(self, "x_support", _freeze(xs))
-        object.__setattr__(self, "y_support", _freeze(ys))
-        object.__setattr__(self, "pmf", _freeze(pmf))
+        pmf, weights = _checked_masses(self.pmf, self.weights, (xs.size, ys.size), "pmf",
+                                       self.is_probability)
+        object.__setattr__(self, "x_support", xs)
+        object.__setattr__(self, "y_support", ys)
+        object.__setattr__(self, "pmf", pmf)
+        object.__setattr__(self, "weights", weights)
 
     # -- constructors -------------------------------------------------------
 
@@ -491,20 +522,7 @@ class BivariateDist:
 
     @classmethod
     def from_weights(cls, x_support, y_support, weights, *, is_probability: bool = True) -> "BivariateDist":
-        xs, ys = _float_array(x_support, "x_support"), _float_array(y_support, "y_support")
-        return cls._on_sorted(xs, ys, weights, MODE_EXACT, is_probability)
-
-    @classmethod
-    def _on_sorted(cls, x_support, y_support, cells, mode: str,
-                   is_probability: bool = True) -> "BivariateDist":
-        """Build on sorted, distinct float support arrays from cell masses in
-        the numbers of ``mode``: integer weights get the float pmf
-        w / total, float masses are the pmf as given."""
-        if mode != MODE_EXACT:
-            return cls(x_support, y_support, cells, None, is_probability)
-        weights, total = _checked_weights(cells, (x_support.size, y_support.size))
-        pmf = [[w / total for w in row] for row in weights]
-        return cls(x_support, y_support, pmf, weights, is_probability)
+        return cls(x_support, y_support, None, weights, is_probability)
 
     @classmethod
     def from_dict(cls, payload: dict, *, exact: bool = False) -> "BivariateDist":
@@ -584,36 +602,35 @@ class BivariateDist:
             return self
         if not rows.size:
             raise InvalidDistributionError("no positive mass left after canonicalization")
-        return BivariateDist._on_sorted(
-            self.x_support[rows], self.y_support[cols], cells[np.ix_(rows, cols)],
-            self.mode, self.is_probability,
-        )
+        return _on_sorted(BivariateDist, (self.x_support[rows], self.y_support[cols]),
+                          cells[np.ix_(rows, cols)], self.mode, self.is_probability)
 
     # -- marginals, conditionals, range --------------------------------------
 
     # The supports are already sorted and distinct, so the marginals and
-    # conditional rows are built on them directly, without ``_atom_grid``.
+    # conditional rows are built once on their positive-mass atoms.
 
     def marginal_x(self) -> UnivariateDist:
         masses = self.cells(self.mode).sum(axis=1)
-        return UnivariateDist._on_sorted(self.x_support, masses, self.mode, self.is_probability).canonical()
+        return _on_positive_atoms(self.x_support, masses, self.mode, self.is_probability)
 
     def marginal_y(self) -> UnivariateDist:
         masses = self.cells(self.mode).sum(axis=0)
-        return UnivariateDist._on_sorted(self.y_support, masses, self.mode, self.is_probability).canonical()
+        return _on_positive_atoms(self.y_support, masses, self.mode, self.is_probability)
 
     def conditional_row(self, x: float) -> UnivariateDist:
         """Conditional distribution of the second coordinate given the first
-        equals x: integer weights as they are, float masses over their sum."""
+        equals x: integer weights as they are, float masses over their sum.
+        Only row x of the grid is read."""
         i = int(np.searchsorted(self.x_support, x))
         if i == self.shape[0] or self.x_support[i] != x:
             raise DomainError(f"{x!r} is not an atom of the first marginal")
-        row = self.cells(self.mode)[i]
+        exact = self.mode == MODE_EXACT
+        row = np.array(self.weights[i], dtype=object) if exact else self.pmf[i]
         mass = row.sum()
         if not mass > 0:
             raise DomainError(f"first-marginal atom {x!r} has zero mass")
-        masses = row if self.mode == MODE_EXACT else row / mass
-        return UnivariateDist._on_sorted(self.y_support, masses, self.mode).canonical()
+        return _on_positive_atoms(self.y_support, row if exact else row / mass, self.mode)
 
     def range_x(self) -> Interval:
         """Smallest closed interval carrying all first-marginal mass."""

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import MODE_EXACT, MODE_FLOAT, UnivariateDist
+from .distributions import MODE_EXACT, MODE_FLOAT, UnivariateDist, _frozen
 from .errors import DomainError, InvalidDistributionError, PreconditionError
 
 #: Relative slack for float product comparisons.
@@ -90,8 +90,8 @@ class IsotonicDensity:
     kind: str
 
     def __post_init__(self):
-        points = np.asarray(self.points, dtype=np.float64)
-        values = np.asarray(self.values, dtype=np.float64)
+        points = _frozen(self.points)
+        values = _frozen(self.values)
         if points.shape != values.shape or points.ndim != 1:
             raise InvalidDistributionError("points and values must be equal-length 1-D arrays")
         if self.kind not in ("minimal", "maximal"):
@@ -100,8 +100,6 @@ class IsotonicDensity:
             raise InvalidDistributionError("density values must lie in [0, 1]")
         if np.any(np.diff(values) < 0):
             raise InvalidDistributionError("density values must be nondecreasing")
-        points.flags.writeable = False
-        values.flags.writeable = False
         object.__setattr__(self, "points", points)
         object.__setattr__(self, "values", values)
 

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import BivariateDist, prefix_table
+from .distributions import BivariateDist, _frozen, _on_sorted, prefix_table
 from .errors import DomainError, InvalidDistributionError
 from .estimation import _seeds
 from .isotonic import MODE_FLOAT, PRODUCT_RTOL
@@ -77,9 +77,9 @@ class GridSignedMeasure:
     delta: np.ndarray
 
     def __post_init__(self):
-        xg = np.asarray(self.x_grid, dtype=np.float64)
-        yg = np.asarray(self.y_grid, dtype=np.float64)
-        delta = np.asarray(self.delta)
+        xg = _frozen(self.x_grid)
+        yg = _frozen(self.y_grid)
+        delta = _frozen(self.delta, None)
         if delta.dtype.kind not in "iuf" and delta.dtype != object:
             raise InvalidDistributionError("delta must be numeric")
         if xg.ndim != 1 or yg.ndim != 1 or delta.shape != (xg.size, yg.size) or delta.size == 0:
@@ -90,13 +90,9 @@ class GridSignedMeasure:
             raise InvalidDistributionError("y grid must be strictly increasing")
         if delta.dtype.kind == "f" and not np.all(np.isfinite(delta)):
             raise InvalidDistributionError("delta entries must be finite")
-        xg.flags.writeable = False
-        yg.flags.writeable = False
-        d = delta.copy()
-        d.flags.writeable = False
         object.__setattr__(self, "x_grid", xg)
         object.__setattr__(self, "y_grid", yg)
-        object.__setattr__(self, "delta", d)
+        object.__setattr__(self, "delta", delta)
 
 
 def signed_difference(a: BivariateDist, b: BivariateDist) -> GridSignedMeasure:
@@ -183,7 +179,7 @@ def refine_grid(r: BivariateDist) -> BivariateDist:
     masses = r.cells(r.mode)
     cells = np.zeros((xg.size, yg.size), dtype=masses.dtype)
     cells[1::2, 1::2] = masses
-    return BivariateDist._on_sorted(xg, yg, cells, r.mode)
+    return _on_sorted(BivariateDist, (xg, yg), cells, r.mode)
 
 
 @dataclass(frozen=True, eq=False)

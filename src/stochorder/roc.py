@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, groupby
+from itertools import groupby
 
 import numpy as np
 
@@ -141,8 +141,8 @@ def roc_curve(q1: UnivariateDist, q2: UnivariateDist) -> RocCurve:
     """
     exact = q1.mode == q2.mode == MODE_EXACT
     _, g1, g2 = _merged_masses(q1, q2, MODE_EXACT if exact else MODE_FLOAT)
-    u = list(accumulate(g1[::-1], initial=g1[0] * 0))
-    v = list(accumulate(g2[::-1], initial=g2[0] * 0))
+    u = _cumulative(g1[::-1])
+    v = _cumulative(g2[::-1])
     if not exact:
         # the corner (1, 1) in place of the float totals
         pts = [(_clip01(a), _clip01(b)) for a, b in zip(u[:-1], v[:-1])] + [(1.0, 1.0)]

@@ -31,16 +31,14 @@ from itertools import combinations
 
 import numpy as np
 
-from .distributions import BivariateDist, Interval, UnivariateDist, prefix_table
+from .distributions import (NEG_INF, POS_INF, BivariateDist, Interval, UnivariateDist, _frozen,
+                            prefix_table)
 from .errors import DomainError, InvalidDistributionError, PreconditionError
 from .isotonic import MODE_FLOAT, PRODUCT_RTOL, _check_mode, _cumulative, products_le
 from .orders import (OrderVerdict, _boundaries, _fails, _holds, _lr_intervals, _lr_ratio,
                      _midpoint, _minor_scan, _refined_axis, truncate)
 
 TP2_METHODS = ("pmf-allpairs", "pmf-adjacent", "intervals")
-
-NEG_INF = float("-inf")
-POS_INF = float("inf")
 
 
 # ---------------------------------------------------------------------------
@@ -57,14 +55,13 @@ class Kernel:
     flavor: str
 
     def __post_init__(self):
-        pts = np.asarray(self.eval_points, dtype=np.float64)
+        pts = _frozen(self.eval_points)
         if pts.ndim != 1 or pts.size == 0:
             raise DomainError("kernel needs at least one evaluation point")
         if pts.size > 1 and not np.all(pts[1:] > pts[:-1]):
             raise InvalidDistributionError("evaluation points must be strictly increasing")
         if len(self.rows) != pts.size:
             raise InvalidDistributionError("one row per evaluation point required")
-        pts.flags.writeable = False
         object.__setattr__(self, "eval_points", pts)
         object.__setattr__(self, "rows", tuple(self.rows))
 
@@ -97,14 +94,9 @@ class Boundaries:
     in_range: np.ndarray
 
     def __post_init__(self):
-        for name in ("xs", "s_nw", "s_se"):
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-        for name in ("in_crossing", "in_range"):
-            arr = np.asarray(getattr(self, name), dtype=bool)
-            arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
+        for name, dtype in (("xs", np.float64), ("s_nw", np.float64), ("s_se", np.float64),
+                            ("in_crossing", bool), ("in_range", bool)):
+            object.__setattr__(self, name, _frozen(getattr(self, name), dtype))
 
     def at(self, x: float) -> tuple[float, float, bool, bool]:
         i = int(np.searchsorted(self.xs, x))
@@ -393,12 +385,8 @@ class ConditionalDensity:
     bound: float
 
     def __post_init__(self):
-        ys = np.asarray(self.ys, dtype=np.float64)
-        values = np.asarray(self.values, dtype=np.float64)
-        ys.flags.writeable = False
-        values.flags.writeable = False
-        object.__setattr__(self, "ys", ys)
-        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "ys", _frozen(self.ys))
+        object.__setattr__(self, "values", _frozen(self.values))
 
     def pairs(self) -> list[tuple[float, float]]:
         return list(zip(self.ys.tolist(), self.values.tolist()))

@@ -460,6 +460,11 @@ class TestFileArtifacts:
         for f in files:
             assert os.path.exists(f)
 
+    @pytest.mark.parametrize("flag", [["--out", "x.json"], ["--exact"], ["--tolerance", "0"]])
+    def test_fixture_takes_no_global_flags(self, tmp_path, flag):
+        code, text = run_cli(["fixture", "antidiag", "--dir", ".", *flag], cwd=tmp_path)
+        assert (code, text, os.listdir(tmp_path)) == (2, "", [])
+
     def test_fixture_options_default_to_the_fixture_functions(self, tmp_path):
         assert run_cli(["fixture", "unif-delta-kernel", "--dir", str(tmp_path)])[0] == 0
         rows = (tmp_path / "unif-delta-kernel.csv").read_text().splitlines()[1:]

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import tempfile
@@ -16,6 +17,7 @@ from stochorder import (
     left_support,
     marginals,
 )
+from stochorder import distributions, estimation
 from stochorder.distributions import (
     _atom_grid,
     _interval_slice,
@@ -27,8 +29,10 @@ from stochorder.distributions import (
     write_univariate_csv,
     write_univariate_json,
 )
-from stochorder.kuiper import refine_grid
+from stochorder.isotonic import IsotonicDensity
+from stochorder.kuiper import GridSignedMeasure, refine_grid
 from stochorder.orders import truncate
+from stochorder.tp2 import Boundaries, ConditionalDensity, Kernel
 from helpers import (canonical_by_mode, conditional_row_by_mode, drop_empty_atoms_by_mode,
                      grid_by_dict, marginal_x_by_mode, marginal_y_by_mode, merge_pairs_by_loop,
                      refine_grid_by_mode, truncate_by_mode)
@@ -267,6 +271,44 @@ class TestValidationAndCanonical:
     def test_weights_must_match_probs(self):
         with pytest.raises(InvalidDistributionError):
             UnivariateDist(np.array([0.0, 1.0]), np.array([0.5, 0.5]), (3, 1))
+
+    def test_weights_alone_give_the_floats(self):
+        q = UnivariateDist([1.0, 2.0, 3.0], None, (1, 3, 1))
+        assert q.probs.tolist() == [1 / 5, 3 / 5, 1 / 5] and q.weights == (1, 3, 1)
+        r = BivariateDist([1.0, 2.0], [1.0, 2.0], None, [[1, 0], [2, 4]])
+        assert r.pmf.tolist() == [[1 / 7, 0.0], [2 / 7, 4 / 7]] and r.weights == ((1, 0), (2, 4))
+        with pytest.raises(InvalidDistributionError):
+            UnivariateDist([1.0, 2.0], None)
+
+    @pytest.mark.parametrize("build", [
+        lambda: BivariateDist.from_weights([1, 2], [1, 2], 5),
+        lambda: BivariateDist.from_weights([1, 2], [1, 2], [5, 6]),
+        lambda: UnivariateDist.from_weights([1, 2], 5),
+        lambda: UnivariateDist([1, 2], [0.5, 0.5], 5),
+        lambda: BivariateDist([1, 2], [1, 2], np.full((2, 2), 0.25), 5),
+    ], ids=["bivariate-number", "bivariate-flat", "univariate-number", "univariate-class",
+            "bivariate-class"])
+    def test_weights_that_are_not_sequences_are_a_shape_error(self, build):
+        with pytest.raises(InvalidDistributionError, match="weights shape does not match the support"):
+            build()
+
+    @pytest.mark.parametrize("cls, arrays, rest", [
+        (GridSignedMeasure, lambda g: [g, g.copy(), np.array([[0.5, -0.5], [0.0, 0.0]])], []),
+        (IsotonicDensity, lambda g: [g, np.array([0.25, 0.5])], ["minimal"]),
+        (Kernel, lambda g: [g], [(coin(), coin()), "west"]),
+        (Boundaries, lambda g: [g, g.copy(), g.copy(), np.array([True, False]), np.array([True, True])], []),
+        (ConditionalDensity, lambda g: [g, np.array([0.25, 0.5])], [0.5]),
+        (UnivariateDist, lambda g: [g, np.array([0.5, 0.5])], []),
+        (BivariateDist, lambda g: [g, g.copy(), np.full((2, 2), 0.25)], []),
+    ], ids=["GridSignedMeasure", "IsotonicDensity", "Kernel", "Boundaries", "ConditionalDensity",
+            "UnivariateDist", "BivariateDist"])
+    def test_stored_arrays_are_frozen_copies(self, cls, arrays, rest):
+        given = arrays(np.array([0.0, 1.0]))
+        built = cls(*given, *rest)
+        for a, f in zip(given, dataclasses.fields(cls)):
+            stored = getattr(built, f.name)
+            assert a.flags.writeable and not stored.flags.writeable
+            assert not np.shares_memory(a, stored)
 
 
 class TestIO:
@@ -524,3 +566,47 @@ class TestOneMassPath:
             assert outcome(lambda: q.total_weight) is DomainError
         else:
             assert q.total_weight == sum(q.weights)
+
+
+def _empty_parts() -> BivariateDist:
+    """A weighted grid with an empty row, an empty column and an empty cell."""
+    return BivariateDist.from_weights([1.0, 2.0, 3.0], [1.0, 2.0, 3.0],
+                                      [[1, 0, 2], [0, 0, 0], [3, 0, 1]])
+
+
+#: (setup, exact build): the setup runs before the checks are counted
+ONE_CHECK_BUILDS = {
+    "univariate-from-weights": (lambda: None,
+                                lambda _: UnivariateDist.from_weights([2.0, 1.0, 2.0], [1, 2, 3])),
+    "bivariate-from-weights": (lambda: None, lambda _: _empty_parts()),
+    "univariate-from-dict": (lambda: {"support": [2, 1], "probs": ["0.25", "0.75"]},
+                             lambda d: UnivariateDist.from_dict(d, exact=True)),
+    "bivariate-from-dict": (lambda: {"x_support": [1, 2], "y_support": [1, 2],
+                                     "pmf": [["0.1", "0.2"], ["0.3", "0.4"]]},
+                            lambda d: BivariateDist.from_dict(d, exact=True)),
+    "univariate-canonical": (lambda: UnivariateDist.from_weights([1.0, 2.0, 3.0], [1, 0, 2]),
+                             UnivariateDist.canonical),
+    "bivariate-canonical": (_empty_parts, BivariateDist.canonical),
+    "marginal-x": (_empty_parts, BivariateDist.marginal_x),
+    "marginal-y": (_empty_parts, BivariateDist.marginal_y),
+    "conditional-row-zero-cell": (_empty_parts, lambda r: r.conditional_row(1.0)),
+    # these two canonicalize their input first, as a build of its own
+    "refine-grid": (lambda: _empty_parts().canonical(), refine_grid),
+    "sample-counts": (lambda: _empty_parts().canonical(), lambda r: estimation._sample_counts(r, 50, 3)),
+}
+
+
+class TestOneWeightCheck:
+    """Every exact build checks its integer weights once: the constructor is
+    the one check, and no builder checks them first or rebuilds its result."""
+
+    @pytest.mark.parametrize("name", sorted(ONE_CHECK_BUILDS))
+    def test_one_check_per_build(self, name, monkeypatch):
+        setup, build = ONE_CHECK_BUILDS[name]
+        made = setup()
+        calls = []
+        check = distributions._checked_weights
+        monkeypatch.setattr(distributions, "_checked_weights",
+                            lambda *args: calls.append(args) or check(*args))
+        out = build(made)
+        assert len(calls) == 1 and out.weights == check(*calls[0])[0]
