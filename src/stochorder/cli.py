@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import json
 import math
@@ -82,11 +83,12 @@ def _json_text(payload) -> str:
 
 
 def _emit(report: dict, out_path: str | None = None) -> None:
+    """The report to stdout and ``out_path``: the file first, so a failed write prints nothing."""
     text = _json_text(report)
-    sys.stdout.write(text)
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
+    sys.stdout.write(text)
 
 
 def _verdict_payload(v) -> dict:
@@ -461,10 +463,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_parser = functools.cache(build_parser)  # main reuses one parser: parse_args leaves no state in it
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run one command, return its exit code; may be called repeatedly in one process.
+    Writes to the current sys.stdout / sys.stderr; a command that exits 2 prints no report."""
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_INPUT if exc.code not in (0, None) else 0
     try:

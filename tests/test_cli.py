@@ -8,6 +8,7 @@ import shlex
 
 import pytest
 
+from stochorder import cli
 from stochorder.cli import build_parser, main
 from stochorder.distributions import MASS_TOL
 
@@ -118,6 +119,44 @@ def test_readme_command_examples_parse():
         parser.parse_args(shlex.split(line)[1:])
 
 
+def run_captured(argv):
+    """``main(argv)`` with stdout and stderr captured: (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_cached_parser_matches_a_fresh_parser_per_call(tmp_path, monkeypatch):
+    """``main`` reuses one parser; each call must read as if it had built its own."""
+    monkeypatch.chdir(DATA)
+    # the golden commands, a failing verdict (3), a precondition error (4),
+    # usage errors (2), and help and version (0)
+    calls = [argv for argv, _ in GOLDEN_CASES.values()] + [
+        ["fixture", "antidiag", "--dir", str(tmp_path)],
+        ["check-st", "--q1", "q_high.csv", "--q2", "q_low.csv", "--exact"],
+        ["kernel", "--r", "r_antidiag.csv", "--flavor", "new"],
+        ["frobnicate"],
+        ["check-lr", "--q1", "q_low.csv"],
+        ["check-lr", "--q1", "q_low.csv", "--q2", "q_low.csv", "--tolerance", "-1"],
+        ["--version"],
+        ["--help"],
+        ["tp2", "check", "--help"],
+        ["check-lr", "--q1", "q_low.csv", "--q2", "q_high.csv", "--method", "intervals"],
+    ]
+    cached = [[run_captured(argv) for argv in calls] for _ in range(2)]
+    assert cli._parser() is cli._parser()
+    monkeypatch.setattr(cli, "_parser", build_parser)  # the oracle: a new parser per call
+    fresh = [run_captured(argv) for argv in calls]
+    assert cached == [fresh, fresh]
+    assert {code for code, _, _ in fresh} == {0, 2, 3, 4}
+    assert build_parser() is not build_parser()
+    # each call wrote to the streams redirected for it: a report, help or
+    # version to stdout, or a message to stderr
+    for code, out, err in cached[1]:
+        assert (bool(out), bool(err)) == (code in (0, 3), code in (2, 4))
+
+
 class TestExitCodes:
     def test_reflexive_lr_exits_zero(self):
         code, _ = run_cli(["check-lr", "--q1", "q_low.csv", "--q2", "q_low.csv"], cwd=DATA)
@@ -183,6 +222,18 @@ class TestInputErrors:
             cwd=DATA)
         assert code == 2
         assert text == ""
+
+    @pytest.mark.parametrize("argv", [
+        ["check-st", "--q1", "q_low.csv", "--q2", "q_high.csv"],
+        ["check-lr", "--q1", "q_low.csv", "--q2", "q_high.csv"],
+        ["tp2", "check", "--r", "r_band5.csv"],
+        ["kuiper", "dist", "--a", "r_antidiag.csv", "--b", "r_diag2.csv"],
+        ["quantiles", "--r", "r_band5.csv", "--beta", "0.5", "--flavor", "w"],
+    ])
+    def test_unwritable_report_copy_prints_no_report(self, tmp_path, capsys, argv):
+        code, text = run_cli([*argv, "--out", str(tmp_path / "missing" / "x.json")], cwd=DATA)
+        assert (code, text) == (2, "")
+        assert "input error" in capsys.readouterr().err
 
     def test_project_rejects_exact(self, capsys):
         code, text = run_cli(
