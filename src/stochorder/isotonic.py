@@ -1,9 +1,13 @@
-"""Division-free ratio comparison and extremal isotonic densities.
+"""Division-free ratio comparison, the product scan and extremal isotonic densities.
 
 ``cross_compare`` decides r2/r1 <= s2/s1 on the extended half-line [0, inf]
 through the cross products r2*s1 <= r1*s2, so no division (and no 0/0 or
 inf) ever occurs.  The same product comparison backs every order verdict in
 the package, either with a relative float slack or exactly on integers.
+
+Every minor and interval verdict is one chunked scan, ``_scan``.  Its masses
+are direct sums, never differences of cumulative sums: a float mass on n atoms
+is off by about n*eps relative, which ``PRODUCT_RTOL`` absorbs to ~2,000 atoms.
 
 ``minimal_isotonic_density`` / ``maximal_isotonic_density`` construct the
 smallest and largest isotonic density of a finite measure nu with respect to
@@ -16,6 +20,8 @@ nearest atom above (with off-support defaults 0 and 1 respectively).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from math import comb, isqrt
 
 import numpy as np
 
@@ -47,6 +53,104 @@ def first_violation(lhs: np.ndarray, rhs: np.ndarray, mode: str = MODE_FLOAT,
         rhs = rhs + tol * np.maximum(np.abs(lhs), np.abs(rhs))
     bad = ~(lhs <= rhs)
     return int(bad.argmax()) if bad.any() else None
+
+
+#: products scored per array pass of a scan; bounds its working memory
+MINOR_BUDGET = 2**14
+
+#: largest weight whose products with any other such weight fit in int64
+INT64_FACTOR_MAX = isqrt(2**63 - 1)
+
+
+def _scan(n_rows: int, rows, n_cols: int, cols, mode: str, tol: float):
+    """Labels of the first (row item, column item), rows outer, failing
+    ``products_le(top[P] * bot[Q], top[Q] * bot[P])``: ``rows(lo, hi)`` gives the
+    labels (one array per label) and factor rows (top, bot) of items [lo, hi),
+    ``cols`` the labels and positions (P, Q); a pass scores <= MINOR_BUDGET."""
+    rows_step = max(1, MINOR_BUDGET // max(n_cols, 1))  # 1 when column items need slices
+    for r0 in range(0, n_rows if n_cols else 0, rows_step):
+        row_ids, top, bot = rows(r0, min(r0 + rows_step, n_rows))
+        for c0 in range(0, n_cols, MINOR_BUDGET):
+            col_ids, p, q = cols(c0, min(c0 + MINOR_BUDGET, n_cols))
+            lhs = top.take(p, 1) * bot.take(q, 1)
+            rhs = top.take(q, 1) * bot.take(p, 1)
+            first = first_violation(lhs, rhs, mode, tol)
+            if first is not None:
+                r, c = divmod(first, lhs.shape[1])
+                return tuple(int(a[r]) for a in row_ids), tuple(int(a[c]) for a in col_ids)
+    return None
+
+
+@lru_cache(maxsize=8)
+def _triples(n: int, lo: int, hi: int, by_last: bool = False):
+    """Rows (d, e, f): the triples d < e < f < n at positions [lo, hi) of
+    ``combinations`` order (``by_last``: rows (d, f, e), in the order by them),
+    and the flat positions of the cells (e, f-1) and (d, e-1) of an (n-1)^2 table."""
+    tri = np.arange(n) * (np.arange(n) - 1) // 2  # C(v, 2): colex position of the pair (0, v)
+    sizes = tri[::-1]  # C(n-1-d, 2) triples start at d
+    flat = np.arange(lo, hi)
+    d = np.searchsorted(np.cumsum(sizes), flat, side="right")
+    rem = flat - (np.cumsum(sizes) - sizes)[d]
+    # pairs (e, f) after d by colex order, or by its reverse on the mirrored (n-1-f, n-1-e)
+    pos = rem if by_last else sizes[d] - 1 - rem
+    v = np.searchsorted(tri, pos, side="right") - 1
+    u = pos - tri[v]
+    e, f = (d + 1 + u, d + 1 + v) if by_last else (n - 1 - v, n - 1 - u)
+    return tuple(_frozen(a, None) for a in ([d, f, e] if by_last else [d, e, f],
+                                            e * (n - 1) + f - 1, d * (n - 1) + e - 1))
+
+
+@lru_cache(maxsize=8)
+def _pairs(n: int, lo: int, hi: int):
+    """The pairs i < j < n at positions [lo, hi) of ``combinations`` order."""
+    starts = np.arange(n) * (2 * n - np.arange(n) - 1) // 2  # first position of each i
+    flat = np.arange(lo, hi)
+    i = np.searchsorted(starts, flat, side="right") - 1
+    j = flat - starts[i] + i + 1
+    i.flags.writeable = j.flags.writeable = False  # every caller of the cache shares them
+    return i, j
+
+
+def _minor_scan(h: np.ndarray, mode: str, tol: float):
+    """First minor ((i, k), (j, l)), row pairs i < k then column pairs j < l in
+    ``combinations`` order, failing ``products_le(h[i,l]*h[k,j], h[i,j]*h[k,l])``;
+    exact grids run on int64 when every product fits, else on Python ints."""
+    if mode == MODE_EXACT and h.max() <= INT64_FACTOR_MAX:
+        h = h.astype(np.int64)
+    nx, ny = h.shape
+
+    def rows(lo, hi):
+        i, k = _pairs(nx, lo, hi)
+        return (i, k), h.take(i, 0), h.take(k, 0)
+
+    def cols(lo, hi):
+        j, l = _pairs(ny, lo, hi)
+        return (j, l), l, j
+
+    return _scan(comb(nx, 2), rows, comb(ny, 2), cols, mode, tol)
+
+
+def _interval_scan(h: np.ndarray, mode: str, tol: float, by_last: bool = False):
+    """First ((a, b, c), (d, e, f)), row triples then column triples in
+    ``combinations`` order (``by_last``: (d, f, e), in that order), failing
+    ``products_le(M1(e,f] * M2(d,e], M1(d,e] * M2(e,f])`` for the column
+    masses M1, M2 of the row blocks [a, b), [b, c); cut c lies before atom c.
+    Exact grids run on int64 when the total fits, else on Python ints."""
+    nx, ny = h.shape
+    padded = np.zeros((nx + 1, ny), dtype=np.int64 if mode == MODE_EXACT
+                      and h.sum() <= INT64_FACTOR_MAX else h.dtype)  # cuts run up to row nx
+    padded[:nx] = h
+    upper = np.arange(ny) >= np.arange(ny)[:, None]  # row d of a masked copy sums from atom d
+
+    def rows(lo, hi):
+        abc = _triples(nx + 1, lo, hi)[0]
+        blocks = np.add.reduceat(padded, abc.T.ravel(), axis=0).reshape(-1, 3, 1, ny)[:, :2]
+        # [r, s, d * ny + j]: atoms d..j of row item r's block s, [a, b) or [b, c)
+        table = np.cumsum(blocks * upper, axis=-1).reshape(-1, 2, ny * ny)
+        return abc, table[:, 0], table[:, 1]
+
+    return _scan(comb(nx + 1, 3), rows, comb(ny + 1, 3),
+                 lambda lo, hi: _triples(ny + 1, lo, hi, by_last), mode, tol)
 
 
 @dataclass(frozen=True)
@@ -121,21 +225,10 @@ def _cumulative(masses: list) -> list:
     return out
 
 
-def _interval_scan(c1: list, c2: list, mode: str, tol: float):
-    """First index triple a < b < c with c1(b,c] * c2(a,b] > c1(a,b] * c2(b,c], if any.
-
-    ``c1`` and ``c2`` are cumulative masses over shared boundaries, so
-    ``c[b] - c[a]`` is the mass between boundaries a and b.
-    """
-    n = len(c1)
-    for a in range(n):
-        for b in range(a + 1, n):
-            m1 = c1[b] - c1[a]
-            m2 = c2[b] - c2[a]
-            for c in range(b + 1, n):
-                if not products_le((c1[c] - c1[b]) * m2, m1 * (c2[c] - c2[b]), mode, tol):
-                    return a, b, c
-    return None
+def _beyond(v: float, step: float) -> float:
+    """v + step (+-1.0), or the next float past v if that rounds back to v (|v| >= 2^53)."""
+    out = v + step
+    return out if out != v else float(np.nextafter(v, step * np.inf))
 
 
 def _interval_ratio_condition(mu: UnivariateDist, nu: UnivariateDist, mode: str, tol: float):
@@ -147,11 +240,11 @@ def _interval_ratio_condition(mu: UnivariateDist, nu: UnivariateDist, mode: str,
     """
     atoms = mu.support.tolist()
     nu_at = dict(zip(nu.support.tolist(), nu.masses(mode)))
-    hit = _interval_scan(
-        _cumulative(mu.masses(mode)), _cumulative([nu_at.get(a, 0) for a in atoms]), mode, tol
-    )
-    bounds = [atoms[0] - 1.0] + atoms
-    return None if hit is None else tuple(bounds[i] for i in hit)
+    h = np.array([mu.masses(mode), [nu_at.get(a, 0) for a in atoms]],
+                 dtype=object if mode == MODE_EXACT else np.float64)
+    hit = _interval_scan(h, mode, tol)
+    bounds = [_beyond(atoms[0], -1.0)] + atoms
+    return None if hit is None else tuple(bounds[i] for i in hit[1])
 
 
 def _atom_ratios(mu: UnivariateDist, nu: UnivariateDist, tol: float):

@@ -9,27 +9,31 @@ always carries a witness from which the violated inequality can be recomputed.
 ratio order on finite support:
 
 * ``ratio`` - the pointwise mass ratio is isotonic where defined;
-* ``pairwise`` - two-point cross products for every pair of support points,
-  scored by the all-pairs minor scan that also backs ``check_tp2``: one
-  chunked array pass whose witness is the first violation in serial order;
+* ``pairwise`` - two-point cross products for every pair of support points;
 * ``intervals`` - cross products of adjacent-interval masses over all
   boundary triples cut between atoms;
 * ``conditional-st`` - stochastic dominance of the two conditional
-  distributions on every window with positive mass under both.
+  distributions on every window (a, b] with positive mass under both: at
+  a < t < b, u1 * w2 <= u2 * w1 for u = m(t, b] and w = m(a, b].  With
+  I = (a, t] and J = (t, b], u1 * w2 - u2 * w1 = m1(J) m2(I) - m2(J) m1(I),
+  so a window passes exactly when the ``intervals`` triple (a, t, b) does (one
+  with no mass under either gives 0 <= 0): the intervals scan in (a, b, t) order.
+
+The last three run one chunked array scan (:mod:`stochorder.isotonic`) on the
+2-row grid of the masses, and the witness is the first violation in order.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from math import isfinite, isqrt
+from math import isfinite
 
 import numpy as np
 
 from .distributions import Interval, UnivariateDist, _interval_slice
 from .errors import DomainError, InvalidDistributionError
-from .isotonic import (MODE_EXACT, MODE_FLOAT, PRODUCT_RTOL, _check_mode, _cumulative,
-                       _interval_scan, first_violation, products_le)
+from .isotonic import (MODE_EXACT, MODE_FLOAT, PRODUCT_RTOL, _beyond, _check_mode,
+                       _interval_scan, _minor_scan, products_le)
 
 LR_METHODS = ("ratio", "pairwise", "intervals", "conditional-st")
 
@@ -133,115 +137,24 @@ def _lr_ratio(merged, g1, g2, mode, tol):
     return None
 
 
-#: minors scored per array pass of the all-pairs scan; bounds its working memory
-MINOR_BUDGET = 2**14
-
-#: largest weight whose products with any other such weight fit in int64
-INT64_FACTOR_MAX = isqrt(2**63 - 1)
-
-
-@lru_cache(maxsize=8)
-def _pairs(n: int, lo: int, hi: int):
-    """The pairs i < j < n at positions [lo, hi) of ``combinations`` order."""
-    starts = np.arange(n) * (2 * n - np.arange(n) - 1) // 2  # first position of each i
-    flat = np.arange(lo, hi)
-    i = np.searchsorted(starts, flat, side="right") - 1
-    j = flat - starts[i] + i + 1
-    i.flags.writeable = j.flags.writeable = False  # every caller of the cache shares them
-    return i, j
-
-
-def _minor_scan(h: np.ndarray, mode: str, tol: float):
-    """First minor (i, k, j, l), row pairs i < k then column pairs j < l in
-    ``combinations`` order, failing ``products_le(h[i,l]*h[k,j], h[i,j]*h[k,l])``.
-
-    Array passes score at most ``MINOR_BUDGET`` minors each, in serial order,
-    with the same IEEE operations as ``products_le``; exact grids run on int64
-    when every product fits, else on the object array of Python ints.
-    """
-    if mode == MODE_EXACT and h.max() <= INT64_FACTOR_MAX:
-        h = h.astype(np.int64)
-    nx, ny = h.shape
-    n_rows, n_cols = nx * (nx - 1) // 2, ny * (ny - 1) // 2
-    rows_step = max(1, MINOR_BUDGET // max(n_cols, 1))  # 1 when column pairs need slices
-    for r0 in range(0, n_rows if n_cols else 0, rows_step):
-        i, k = _pairs(nx, r0, min(r0 + rows_step, n_rows))
-        top, bot = h.take(i, 0), h.take(k, 0)
-        for c0 in range(0, n_cols, MINOR_BUDGET):
-            j, l = _pairs(ny, c0, min(c0 + MINOR_BUDGET, n_cols))
-            lhs = top.take(l, 1) * bot.take(j, 1)
-            rhs = top.take(j, 1) * bot.take(l, 1)
-            first = first_violation(lhs, rhs, mode, tol)
-            if first is not None:
-                r, c = divmod(first, lhs.shape[1])
-                return int(i[r]), int(k[r]), int(j[c]), int(l[c])
-    return None
-
-
-def _lr_pairwise(merged, g1, g2, mode, tol):
-    h = np.array([g1, g2], dtype=object if mode == MODE_EXACT else np.float64)
-    hit = _minor_scan(h, mode, tol)
-    return None if hit is None else (float(merged[hit[2]]), float(merged[hit[3]]))
-
-
 def _midpoint(a: float, b: float) -> float:
     """(a + b) / 2, or a / 2 + b / 2 where the sum overflows."""
     mid = (a + b) / 2.0
     return mid if isfinite(mid) else a / 2.0 + b / 2.0
 
 
-def _refined_axis(atoms) -> list[float]:
-    """The sorted atoms interleaved with the midpoints between consecutive
-    atoms, inside outer sentinels one unit beyond the end atoms:
-    [v0 - 1, v0, (v0 + v1) / 2, v1, ..., vn, vn + 1]."""
+def _boundaries(atoms) -> list[float]:
+    """Cut points between the sorted atoms, inside outer sentinels one unit (or,
+    for |v| >= 2^53, one float) beyond the end atoms; index c splits before atom c."""
     vals = atoms.tolist()
-    out = [vals[0] - 1.0, vals[0]]
-    for a, b in zip(vals, vals[1:]):
-        out += [_midpoint(a, b), b]
-    out.append(vals[-1] + 1.0)
-    return out
+    return [_beyond(vals[0], -1.0), *map(_midpoint, vals, vals[1:]), _beyond(vals[-1], 1.0)]
 
 
-def _boundaries(merged) -> list[float]:
-    """Cut points between atoms plus outer sentinels (the even positions of
-    the refined axis); index c splits before atom c."""
-    return _refined_axis(merged)[::2]
-
-
-def _lr_intervals(merged, g1, g2, mode, tol):
-    hit = _interval_scan(_cumulative(g1), _cumulative(g2), mode, tol)
-    if hit is None:
-        return None
-    cuts = _boundaries(merged)
-    return tuple(cuts[i] for i in hit)
-
-
-def _lr_conditional_st(merged, g1, g2, mode, tol):
-    cuts = _boundaries(merged)
-    c1 = _cumulative(g1)
-    c2 = _cumulative(g2)
-    n = len(cuts)
-    for a in range(n):
-        for b in range(a + 1, n):
-            w1 = c1[b] - c1[a]
-            w2 = c2[b] - c2[a]
-            if w1 <= 0 or w2 <= 0:
-                continue
-            for t in range(a + 1, b):
-                u1 = c1[b] - c1[t]
-                u2 = c2[b] - c2[t]
-                # conditional survivals u1/w1 <= u2/w2, cross-multiplied
-                if not products_le(u1 * w2, u2 * w1, mode, tol):
-                    return (cuts[a], cuts[b], cuts[t])
-    return None
-
-
-_LR_IMPL = {
-    "ratio": _lr_ratio,
-    "pairwise": _lr_pairwise,
-    "intervals": _lr_intervals,
-    "conditional-st": _lr_conditional_st,
-}
+def _refined_axis(atoms) -> list[float]:
+    """The sorted atoms interleaved with their cuts:
+    [v0 - 1, v0, (v0 + v1) / 2, v1, ..., vn, vn + 1]."""
+    cuts = _boundaries(atoms)
+    return [v for pair in zip(cuts, atoms.tolist()) for v in pair] + cuts[-1:]
 
 
 def check_lr(q1: UnivariateDist, q2: UnivariateDist, method: str = "ratio",
@@ -252,10 +165,17 @@ def check_lr(q1: UnivariateDist, q2: UnivariateDist, method: str = "ratio",
     only in the shape of the witness they produce when the order fails.
     """
     _check_mode(mode)
-    if method not in _LR_IMPL:
+    if method not in LR_METHODS:
         raise DomainError(f"unknown check_lr method {method!r}; choose from {LR_METHODS}")
     merged, g1, g2 = _merged_masses(q1, q2, mode)
-    witness = _LR_IMPL[method](merged, g1, g2, mode, tol)
+    if method == "ratio":
+        witness = _lr_ratio(merged, g1, g2, mode, tol)
+    else:
+        h = np.array([g1, g2], dtype=object if mode == MODE_EXACT else np.float64)
+        hit = (_minor_scan(h, mode, tol) if method == "pairwise"
+               else _interval_scan(h, mode, tol, by_last=method == "conditional-st"))
+        labels = hit and (merged.tolist() if method == "pairwise" else _boundaries(merged))
+        witness = hit and tuple(labels[i] for i in hit[1])
     tag = f"lr:{method}"
     return _holds(tag) if witness is None else _fails(tag, witness)
 

@@ -27,8 +27,9 @@ import numpy as np
 
 from .distributions import UnivariateDist
 from .errors import DomainError, InvalidDistributionError
-from .isotonic import MODE_EXACT, MODE_FLOAT, PRODUCT_RTOL, _check_mode, _cumulative, first_violation
-from .orders import INT64_FACTOR_MAX, OrderVerdict, _fails, _holds, _merged_masses
+from .isotonic import (INT64_FACTOR_MAX, MODE_EXACT, MODE_FLOAT, PRODUCT_RTOL, _check_mode,
+                       _cumulative, first_violation)
+from .orders import OrderVerdict, _fails, _holds, _merged_masses
 
 
 def _exact_view(weights, axis: int) -> tuple[Fraction, ...] | None:

@@ -5,14 +5,13 @@ taken with increasing rows and columns is nonnegative; the distributional
 version replaces single cells by rectangle masses over increasing interval
 pairs.  A distribution is TP2 exactly when the conditional distributions of
 the second coordinate are isotonic in the first coordinate with respect to
-the likelihood ratio order, so ``check_tp2`` has one engine: its three
-methods run the LR scans of :mod:`stochorder.orders` on pairs of row blocks
-(all row pairs at once, as chunked array passes over the minors; consecutive
-rows; or adjacent row ranges).  Consecutive rows suffice for every pmf, with
-or without zero cells, because the LR order is transitive.  Likewise
-``check_st_condition`` scans consecutive rows only: a chord slope of the path
-(sum of row totals, sum of upper masses) is a weighted mean of its segment
-slopes.  The conditionals can be pinned down constructively:
+the likelihood ratio order, so ``check_tp2`` runs the LR scans of
+:mod:`stochorder.orders` on its grid: the minor and interval scans are one
+chunked array scan (``isotonic._scan``), and the ratio scan needs consecutive
+rows only, with or without zero cells, because the LR order is transitive.
+Likewise ``check_st_condition`` scans consecutive rows only: a chord slope of
+the path (sum of row totals, sum of upper masses) is a weighted mean of its
+segment slopes.  The conditionals can be pinned down constructively:
 
 * ``kernel_west`` conditions on the nearest support atom at or below the
   evaluation point (the from-the-left extremal kernel);
@@ -27,16 +26,16 @@ Outside the first-marginal range every kernel returns the second marginal.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
 
 from .distributions import (NEG_INF, POS_INF, BivariateDist, Interval, UnivariateDist, _frozen,
                             prefix_table)
 from .errors import DomainError, InvalidDistributionError, PreconditionError
-from .isotonic import MODE_FLOAT, PRODUCT_RTOL, _check_mode, _cumulative, products_le
-from .orders import (OrderVerdict, _boundaries, _fails, _holds, _lr_intervals, _lr_ratio,
-                     _midpoint, _minor_scan, _refined_axis, truncate)
+from .isotonic import (MODE_FLOAT, PRODUCT_RTOL, _check_mode, _cumulative, _interval_scan,
+                       _minor_scan, products_le)
+from .orders import (OrderVerdict, _boundaries, _fails, _holds, _lr_ratio, _midpoint,
+                     _refined_axis, truncate)
 
 TP2_METHODS = ("pmf-allpairs", "pmf-adjacent", "intervals")
 
@@ -198,51 +197,37 @@ def check_tp2(r: BivariateDist, method: str = "pmf-allpairs", mode: str = MODE_F
     """Total positivity of order two of a bivariate distribution.
 
     A pmf is TP2 exactly when its rows increase in the likelihood ratio order,
-    so every method runs a ``check_lr`` scan of :mod:`stochorder.orders` on
-    the column masses of pairs of row blocks and reports the blocks' x labels
-    followed by the scan's y witness:
+    so each method is an LR scan of the grid; the witness is the x labels of
+    its rows or row cuts, then the y labels:
 
-    * ``pmf-allpairs`` - all 2x2 minors over row pairs and column pairs (the
-      reference semantics), scored by the minor scan behind the ``pairwise``
-      method as one chunked array pass; the witness is the first violation
-      in serial order (row pairs, then column pairs, in ``combinations``
-      order);
-    * ``pmf-adjacent`` - consecutive rows through the ``ratio`` scan, O(l*m).
-      The LR order is transitive, so this is exact for every pmf, zero cells
-      included;
-    * ``intervals`` - the rectangle-mass oracle: the row ranges [a, b) and
-      [b, c) between x cuts through the ``intervals`` scan over y cuts.
+    * ``pmf-allpairs`` - all 2x2 minors (the reference semantics), row pairs
+      then column pairs in ``combinations`` order, as in ``pairwise``;
+    * ``pmf-adjacent`` - consecutive rows through the ``ratio`` scan, O(l*m),
+      exact for every pmf, zero cells included, as the LR order is transitive;
+    * ``intervals`` - rectangle masses of row blocks [a, b), [b, c) between x
+      cuts on adjacent intervals between y cuts, as in ``intervals``.
     """
     _check_mode(mode)
     if method not in TP2_METHODS:
         raise DomainError(f"unknown check_tp2 method {method!r}; choose from {TP2_METHODS}")
     r = r.canonical()
-    nx = r.shape[0]
     cells = r.cells(mode)
     tag = f"tp2:{method}"
-    if method == "pmf-allpairs":
-        hit = _minor_scan(cells, mode, tol)
-        if hit is None:
-            return _holds(tag)
-        i, k, j, l = hit
-        xs, ys = r.x_support, r.y_support
-        return _fails(tag, (float(xs[i]), float(xs[k]), float(ys[j]), float(ys[l])))
-    if method == "intervals":
-        xcuts = _boundaries(r.x_support)
-        blocks = (((xcuts[a], xcuts[b], xcuts[c]),
-                   cells[a:b].sum(axis=0).tolist(), cells[b:c].sum(axis=0).tolist())
-                  for a, b, c in combinations(range(nx + 1), 3))
-        lr_scan = _lr_intervals
-    else:
+    if method == "pmf-adjacent":
         xs = r.x_support.tolist()
         h = cells.tolist()
-        blocks = (((xs[i], xs[i + 1]), h[i], h[i + 1]) for i in range(nx - 1))
-        lr_scan = _lr_ratio
-    for labels, lo, hi in blocks:
-        hit = lr_scan(r.y_support, lo, hi, mode, tol)
-        if hit is not None:
-            return _fails(tag, labels + hit)
-    return _holds(tag)
+        for i in range(len(h) - 1):
+            hit = _lr_ratio(r.y_support, h[i], h[i + 1], mode, tol)
+            if hit is not None:
+                return _fails(tag, (xs[i], xs[i + 1]) + hit)
+        return _holds(tag)
+    scan, labels = ((_minor_scan, np.ndarray.tolist) if method == "pmf-allpairs"
+                    else (_interval_scan, _boundaries))
+    hit = scan(cells, mode, tol)
+    if hit is None:
+        return _holds(tag)
+    xs, ys = labels(r.x_support), labels(r.y_support)
+    return _fails(tag, tuple(xs[i] for i in hit[0]) + tuple(ys[j] for j in hit[1]))
 
 
 def supermodular_potential(a: np.ndarray, b: np.ndarray, s: np.ndarray) -> np.ndarray:

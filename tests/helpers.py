@@ -14,7 +14,8 @@ import numpy as np
 
 from stochorder import BivariateDist, DomainError, Interval, InvalidDistributionError, UnivariateDist
 from stochorder.distributions import _interval_slice
-from stochorder.isotonic import MODE_EXACT, MODE_FLOAT, PRODUCT_RTOL, _cumulative, products_le
+from stochorder.isotonic import (MODE_EXACT, MODE_FLOAT, PRODUCT_RTOL, _beyond, _cumulative,
+                                 products_le)
 from stochorder.orders import _boundaries, _fails, _holds, _merged_masses, _refined_axis
 
 
@@ -353,6 +354,96 @@ def allpairs_minors_serial(r: BivariateDist, mode: str = MODE_FLOAT, tol: float 
             if not products_le(g1[l] * g2[j], g1[j] * g2[l], mode, tol):
                 return _fails("tp2:pmf-allpairs", (xs[i], xs[k], ys[j], ys[l]))
     return _holds("tp2:pmf-allpairs")
+
+
+# The serial interval loops that ``check_lr`` ("intervals", "conditional-st"),
+# ``check_tp2(..., "intervals")`` and the isotonic-density precondition ran
+# before they became ``isotonic._interval_scan``: interval masses are
+# differences of cumulative sums, one ``products_le`` per triple.  Kept to
+# check that the scan gives the same exact verdicts and witnesses.
+
+
+def interval_scan_serial(c1: list, c2: list, mode: str, tol: float):
+    """First index triple a < b < c with c1(b,c] * c2(a,b] > c1(a,b] * c2(b,c], if any.
+
+    ``c1`` and ``c2`` are cumulative masses over shared boundaries, so
+    ``c[b] - c[a]`` is the mass between boundaries a and b.
+    """
+    n = len(c1)
+    for a in range(n):
+        for b in range(a + 1, n):
+            m1 = c1[b] - c1[a]
+            m2 = c2[b] - c2[a]
+            for c in range(b + 1, n):
+                if not products_le((c1[c] - c1[b]) * m2, m1 * (c2[c] - c2[b]), mode, tol):
+                    return a, b, c
+    return None
+
+
+def lr_intervals_serial(q1, q2, mode: str = MODE_FLOAT, tol: float = PRODUCT_RTOL):
+    merged, g1, g2 = _merged_masses(q1, q2, mode)
+    hit = interval_scan_serial(_cumulative(g1), _cumulative(g2), mode, tol)
+    if hit is None:
+        return _holds("lr:intervals")
+    cuts = _boundaries(merged)
+    return _fails("lr:intervals", tuple(cuts[i] for i in hit))
+
+
+def conditional_st_scan_serial(g1: list, g2: list, mode: str, tol: float):
+    """First cut triple (a, b, t), a < t < b, of the conditional-st loop, if any."""
+    c1 = _cumulative(g1)
+    c2 = _cumulative(g2)
+    n = len(c1)
+    for a in range(n):
+        for b in range(a + 1, n):
+            w1 = c1[b] - c1[a]
+            w2 = c2[b] - c2[a]
+            if w1 <= 0 or w2 <= 0:
+                continue
+            for t in range(a + 1, b):
+                u1 = c1[b] - c1[t]
+                u2 = c2[b] - c2[t]
+                # conditional survivals u1/w1 <= u2/w2, cross-multiplied
+                if not products_le(u1 * w2, u2 * w1, mode, tol):
+                    return a, b, t
+    return None
+
+
+def lr_conditional_st_serial(q1, q2, mode: str = MODE_FLOAT, tol: float = PRODUCT_RTOL):
+    merged, g1, g2 = _merged_masses(q1, q2, mode)
+    hit = conditional_st_scan_serial(g1, g2, mode, tol)
+    if hit is None:
+        return _holds("lr:conditional-st")
+    cuts = _boundaries(merged)
+    return _fails("lr:conditional-st", tuple(cuts[i] for i in hit))
+
+
+def interval_ratio_condition_serial(mu: UnivariateDist, nu: UnivariateDist, mode: str = MODE_FLOAT,
+                                    tol: float = PRODUCT_RTOL):
+    """Violating boundary triple x < y < z of mu((y,z]) nu((x,y]) <= mu((x,y]) nu((y,z]), if any."""
+    atoms = mu.support.tolist()
+    nu_at = dict(zip(nu.support.tolist(), nu.masses(mode)))
+    hit = interval_scan_serial(
+        _cumulative(mu.masses(mode)), _cumulative([nu_at.get(a, 0) for a in atoms]), mode, tol
+    )
+    bounds = [_beyond(atoms[0], -1.0)] + atoms
+    return None if hit is None else tuple(bounds[i] for i in hit)
+
+
+def tp2_intervals_serial(r: BivariateDist, mode: str = MODE_FLOAT, tol: float = PRODUCT_RTOL):
+    """Every row-block triple a < b < c in ``combinations`` order, each
+    through the serial interval loop on the blocks' column sums."""
+    r = r.canonical()
+    cells = r.cells(mode)
+    xcuts = _boundaries(r.x_support)
+    ycuts = _boundaries(r.y_support)
+    for a, b, c in itertools.combinations(range(r.shape[0] + 1), 3):
+        hit = interval_scan_serial(_cumulative(cells[a:b].sum(axis=0).tolist()),
+                                   _cumulative(cells[b:c].sum(axis=0).tolist()), mode, tol)
+        if hit is not None:
+            return _fails("tp2:intervals", (xcuts[a], xcuts[b], xcuts[c])
+                          + tuple(ycuts[i] for i in hit))
+    return _holds("tp2:intervals")
 
 
 def pattern_search_serial(cand, objective, steps, sweeps: int):

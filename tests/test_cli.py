@@ -6,6 +6,7 @@ import pathlib
 import re
 import shlex
 
+import numpy as np
 import pytest
 
 from stochorder import cli
@@ -465,6 +466,57 @@ class TestAtomsNearTheFloatLimit:
         assert result["eval_points"] == [1e308, 1.35e308, 1.7e308]
         assert result["rows"] == [[[1e308, 1e308, 1.0]], [[1.35e308, 1.35e308, 1.0]],
                                   [[1.7e308, 1.7e308, 1.0]]]
+
+
+class TestAtomsBeyondTwoToThe53:
+    """Beyond 2^53, one unit past an end atom rounds back to the atom, so the
+    outer cuts are the next floats past it: the refined grid stays strictly
+    increasing, and a witness interval (x, y] holds the atoms it claims."""
+
+    def test_tp2_project(self, tmp_path):
+        r = tmp_path / "r.csv"
+        r.write_text("x,y,prob\n1e17,1e17,0.5\n2e17,2e17,0.5\n")
+        code, out = run_cli(["tp2", "project", "--r", str(r), "--seed", "1", "--restarts", "1"])
+        assert code == 0
+        assert json.loads(out)["result"]["tp2_certified"] is True
+
+    @pytest.mark.parametrize("method", ["intervals", "conditional-st"])
+    def test_interval_witness_cuts_outside_the_end_atoms(self, tmp_path, method):
+        q1, q2 = tmp_path / "q1.csv", tmp_path / "q2.csv"
+        q1.write_text("value,prob\n1e17,0.2\n2e17,0.8\n")
+        q2.write_text("value,prob\n1e17,0.8\n2e17,0.2\n")
+        code, out = run_cli(["check-lr", "--q1", str(q1), "--q2", str(q2), "--method", method])
+        assert code == 3
+        cuts = sorted(json.loads(out)["result"]["witness"])
+        assert cuts == [np.nextafter(1e17, -np.inf), 1.5e17, np.nextafter(2e17, np.inf)]
+
+
+class TestTinyMassesKeepTheirDigits:
+    """LR-ordered and TP2 inputs whose interval masses reach far below the
+    total; differences of cumulative sums flipped these float verdicts."""
+
+    def test_check_lr_on_120_atoms(self, tmp_path):
+        s = np.arange(120.0)
+        q1 = np.exp(-0.01 * (s - 60.0) ** 2)
+        q2 = q1 * np.exp(0.01 * s)
+        for name, q in (("q1", q1 / q1.sum()), ("q2", q2 / q2.sum())):
+            (tmp_path / f"{name}.csv").write_text(
+                "value,prob\n" + "".join(f"{v!r},{p!r}\n" for v, p in zip(s.tolist(), q.tolist())))
+        for method in ("intervals", "conditional-st"):
+            code, _ = run_cli(["check-lr", "--q1", "q1.csv", "--q2", "q2.csv", "--method", method],
+                              cwd=tmp_path)
+            assert code == 0, method
+
+    @pytest.mark.parametrize("n", [20, 30])
+    def test_tp2_check_on_gaussian_kernels(self, tmp_path, n):
+        x = np.arange(float(n))
+        pmf = np.exp(-0.2 * (x[:, None] - x[None, :]) ** 2)
+        rows = (pmf / pmf.sum()).tolist()
+        (tmp_path / "r.csv").write_text("x,y,prob\n" + "".join(
+            f"{a!r},{b!r},{rows[i][j]!r}\n" for i, a in enumerate(x.tolist())
+            for j, b in enumerate(x.tolist())))
+        code, _ = run_cli(["tp2", "check", "--r", "r.csv", "--method", "intervals"], cwd=tmp_path)
+        assert code == 0
 
 
 class TestFileArtifacts:

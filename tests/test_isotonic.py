@@ -120,6 +120,15 @@ class TestMinimalDensity:
             minimal_isotonic_density(mu, nu)
 
 
+    def test_precondition_witness_cuts_below_a_large_first_atom(self):
+        # 1e17 - 1 rounds back to 1e17, so the lower cut is the next float below
+        mu = UnivariateDist.from_pairs([1e17, 2e17], [0.5, 0.5], is_probability=False)
+        nu = UnivariateDist.from_pairs([1e17, 2e17], [0.4, 0.1], is_probability=False)
+        with pytest.raises(PreconditionError) as err:
+            minimal_isotonic_density(mu, nu, verify=True)
+        assert err.value.witness == (np.nextafter(1e17, -np.inf), 1e17, 2e17)
+
+
 class TestDensityProperties:
     def test_density_property_on_interval_grid(self):
         rng = np.random.default_rng(7)

@@ -1,15 +1,21 @@
-"""The all-pairs minor scan against the serial loop it replaced.
+"""The one chunked product scan against the serial loops it replaced.
 
-``check_tp2(..., "pmf-allpairs")`` and ``check_lr(..., "pairwise")`` run one
-chunked array scan over the 2x2 minors.  Its verdict and witness must equal
-those of ``helpers.allpairs_minors_serial``, which calls ``products_le`` once
-per minor in ``combinations`` order, for float grids (zero rows and columns,
-ties within an ulp) and for exact weights on both sides of the int64 limit,
-and at chunk budgets small enough that every grid is split into passes.
+``check_tp2(..., "pmf-allpairs")`` and ``check_lr(..., "pairwise")`` score
+the 2x2 minors, and ``check_lr(..., "intervals")``, ``"conditional-st"``,
+``check_tp2(..., "intervals")`` and the isotonic-density precondition score
+adjacent-interval triples, all through ``isotonic._scan``.  Exact verdicts and
+witnesses must equal those of the serial loops in ``helpers`` (one
+``products_le`` per minor or triple, in ``combinations`` order), for weights
+on both sides of the int64 limit and at chunk budgets small enough that every
+input is split into passes.  Float minors must match too.  Float interval
+verdicts sum their masses directly where the loops subtracted cumulative
+sums, so where they differ from the loops they must agree with the exact
+verdict on the floats' exact values, and they must hold wherever it holds.
 """
 
 import itertools
 import tracemalloc
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -17,15 +23,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stochorder import BivariateDist, UnivariateDist, check_lr, check_tp2
-from stochorder import orders
-from stochorder.isotonic import MODE_EXACT, MODE_FLOAT, PRODUCT_RTOL
-from stochorder.orders import INT64_FACTOR_MAX, _merged_masses, _pairs
+from stochorder import isotonic
+from stochorder.isotonic import INT64_FACTOR_MAX, MODE_EXACT, MODE_FLOAT, PRODUCT_RTOL, _pairs
+from stochorder.isotonic import _interval_ratio_condition, _triples
+from stochorder.orders import _merged_masses
 
-from helpers import allpairs_minors_serial
+from stochorder.isotonic import _cumulative
+
+from helpers import (allpairs_minors_serial, conditional_st_scan_serial,
+                     interval_ratio_condition_serial, interval_scan_serial,
+                     lr_conditional_st_serial, lr_intervals_serial, tp2_intervals_serial)
 
 #: budgets that split even tiny grids into several passes and split one row
 #: pair's column pairs into slices, plus the default
-BUDGETS = st.sampled_from([1, 2, 3, 5, 16, orders.MINOR_BUDGET])
+BUDGETS = st.sampled_from([1, 2, 3, 5, 16, isotonic.MINOR_BUDGET])
 TOLS = st.sampled_from([0.0, 1e-16, PRODUCT_RTOL])
 
 #: weights on both sides of the largest factor whose products fit in int64
@@ -105,14 +116,14 @@ class TestScanEqualsSerialLoop:
     @given(float_grids(), TOLS, BUDGETS)
     @settings(max_examples=400, deadline=None)
     def test_float_grids(self, r, tol, budget):
-        with mock.patch.object(orders, "MINOR_BUDGET", budget):
+        with mock.patch.object(isotonic, "MINOR_BUDGET", budget):
             got = check_tp2(r, "pmf-allpairs", MODE_FLOAT, tol)
         assert verdict(got) == verdict(allpairs_minors_serial(r, MODE_FLOAT, tol))
 
     @given(weight_grids(), BUDGETS)
     @settings(max_examples=300, deadline=None)
     def test_exact_grids(self, r, budget):
-        with mock.patch.object(orders, "MINOR_BUDGET", budget):
+        with mock.patch.object(isotonic, "MINOR_BUDGET", budget):
             got = check_tp2(r, "pmf-allpairs", MODE_EXACT)
         assert verdict(got) == verdict(allpairs_minors_serial(r, MODE_EXACT))
 
@@ -121,7 +132,7 @@ class TestScanEqualsSerialLoop:
     def test_univariate_pairs(self, exact, data, tol, budget):
         q1, q2 = data.draw(univariate_pairs(exact))
         mode = MODE_EXACT if exact else MODE_FLOAT
-        with mock.patch.object(orders, "MINOR_BUDGET", budget):
+        with mock.patch.object(isotonic, "MINOR_BUDGET", budget):
             got = check_lr(q1, q2, "pairwise", mode, tol)
         want = allpairs_minors_serial(two_row_grid(q1, q2, mode), mode, tol)
         assert got.holds == want.holds
@@ -148,6 +159,167 @@ class TestScanEqualsSerialLoop:
                 assert check_tp2(r, "pmf-allpairs", mode).holds
 
 
+def on_exact_values(q: UnivariateDist) -> UnivariateDist:
+    """The same atoms with integer weights in the ratio of the float masses' exact values."""
+    masses = [Fraction(p) for p in q.probs.tolist()]
+    scale = max(m.denominator for m in masses)
+    return UnivariateDist.from_weights(q.support, [int(m * scale) for m in masses],
+                                       is_probability=False)
+
+
+def grid_on_exact_values(r: BivariateDist) -> BivariateDist:
+    masses = [[Fraction(p) for p in row] for row in r.pmf.tolist()]
+    scale = max(m.denominator for row in masses for m in row)
+    return BivariateDist.from_weights(r.x_support, r.y_support,
+                                      [[int(m * scale) for m in row] for row in masses],
+                                      is_probability=False)
+
+
+def exact_holds(scan, *masses):
+    """Whether the serial ``scan`` holds on exact (``Fraction``) masses, or None
+    where it holds within the package slack but fails without it: there the
+    floats tie within their slack, and either float verdict is right."""
+    strict = scan(*masses, MODE_EXACT, 0) is None
+    return strict if strict == (scan(*masses, MODE_FLOAT, PRODUCT_RTOL) is None) else None
+
+
+def interval_blocks_serial(rows, mode, tol):
+    """The serial interval loop over every row-block triple of ``rows``."""
+    for a, b, c in itertools.combinations(range(len(rows) + 1), 3):
+        lo, hi = ([sum(col) for col in zip(*rows[i:j])] for i, j in ((a, b), (b, c)))
+        if interval_scan_serial(_cumulative(lo), _cumulative(hi), mode, tol) is not None:
+            return a, b, c
+    return None
+
+
+def pair_intervals_serial(g1, g2, mode, tol):
+    return interval_scan_serial(_cumulative(g1), _cumulative(g2), mode, tol)
+
+
+def tilted_pair(n: int, width: float, tilt: float):
+    """q1 ~ exp(-width (s - n/2)^2) and q2 ~ q1 exp(tilt s) on s = 0..n-1: q2/q1 increases."""
+    s = np.arange(float(n))
+    q1 = np.exp(-width * (s - n / 2) ** 2)
+    q2 = q1 * np.exp(tilt * s)
+    return UnivariateDist(s, q1 / q1.sum()), UnivariateDist(s, q2 / q2.sum())
+
+
+def gaussian_kernel(n: int, width: float) -> BivariateDist:
+    """pmf ~ exp(-width (x - y)^2) on an n x n grid: TP2 in exact arithmetic."""
+    x = np.arange(float(n))
+    pmf = np.exp(-width * (x[:, None] - x[None, :]) ** 2)
+    return BivariateDist(x, x, pmf / pmf.sum())
+
+
+@st.composite
+def exact_measures(draw):
+    """(mu, nu) integer-weight measures, nu with atoms off mu's support too."""
+    atoms = draw(st.lists(st.integers(0, 9), min_size=1, max_size=8, unique=True))
+    weights = st.one_of(st.integers(0, 6), BIG_WEIGHTS)
+    mu_w = draw(st.lists(weights, min_size=len(atoms), max_size=len(atoms)).filter(any))
+    nu_atoms = draw(st.lists(st.integers(0, 9), min_size=1, max_size=8, unique=True))
+    nu_w = draw(st.lists(weights, min_size=len(nu_atoms), max_size=len(nu_atoms)).filter(any))
+    return (UnivariateDist.from_weights([float(a) for a in atoms], mu_w, is_probability=False),
+            UnivariateDist.from_weights([float(a) for a in nu_atoms], nu_w, is_probability=False))
+
+
+class TestIntervalScanEqualsSerialLoops:
+    @given(weight_grids(), BUDGETS)
+    @settings(max_examples=300, deadline=None)
+    def test_exact_grids(self, r, budget):
+        with mock.patch.object(isotonic, "MINOR_BUDGET", budget):
+            got = check_tp2(r, "intervals", MODE_EXACT)
+        assert verdict(got) == verdict(tp2_intervals_serial(r, MODE_EXACT))
+
+    @given(univariate_pairs(exact=True), BUDGETS)
+    @settings(max_examples=300, deadline=None)
+    def test_exact_pairs(self, pair, budget):
+        q1, q2 = pair
+        with mock.patch.object(isotonic, "MINOR_BUDGET", budget):
+            got = [check_lr(q1, q2, m, MODE_EXACT) for m in ("intervals", "conditional-st")]
+        want = [lr_intervals_serial(q1, q2, MODE_EXACT), lr_conditional_st_serial(q1, q2, MODE_EXACT)]
+        assert [verdict(v) for v in got] == [verdict(v) for v in want]
+        assert got[0].holds == check_lr(q1, q2, "ratio", MODE_EXACT).holds
+
+    @given(exact_measures(), BUDGETS)
+    @settings(max_examples=200, deadline=None)
+    def test_exact_isotonic_precondition(self, measures, budget):
+        mu, nu = (q.canonical() for q in measures)
+        with mock.patch.object(isotonic, "MINOR_BUDGET", budget):
+            got = _interval_ratio_condition(mu, nu, MODE_EXACT, 0.0)
+        assert got == interval_ratio_condition_serial(mu, nu, MODE_EXACT, 0.0)
+
+    # With a slack below the rounding error of a mass, the float scans cannot
+    # resolve ulp-level ties either way, so these run at the package slack.
+
+    @given(float_grids(), BUDGETS)
+    @settings(max_examples=300, deadline=None)
+    def test_float_grids_differ_only_toward_the_exact_verdict(self, r, budget):
+        with mock.patch.object(isotonic, "MINOR_BUDGET", budget):
+            got = check_tp2(r, "intervals", MODE_FLOAT)
+        if verdict(got) != verdict(tp2_intervals_serial(r, MODE_FLOAT)):
+            rows = [[Fraction(m) for m in row] for row in r.canonical().pmf.tolist()]
+            exact = exact_holds(interval_blocks_serial, rows)
+            assert exact is None or got.holds == exact
+
+    @given(univariate_pairs(exact=False), BUDGETS)
+    @settings(max_examples=300, deadline=None)
+    def test_float_pairs_differ_only_toward_the_exact_verdict(self, pair, budget):
+        q1, q2 = pair
+        _, g1, g2 = _merged_masses(q1, q2, MODE_FLOAT)
+        for method, serial, scan in (("intervals", lr_intervals_serial, pair_intervals_serial),
+                                     ("conditional-st", lr_conditional_st_serial,
+                                      conditional_st_scan_serial)):
+            with mock.patch.object(isotonic, "MINOR_BUDGET", budget):
+                got = check_lr(q1, q2, method, MODE_FLOAT)
+            if verdict(got) != verdict(serial(q1, q2, MODE_FLOAT)):
+                exact = exact_holds(scan, *([Fraction(m) for m in g] for g in (g1, g2)))
+                assert exact is None or got.holds == exact
+
+    def test_conditional_st_scans_the_interval_triples_in_loop_order(self):
+        for n in range(8):
+            loop = [(a, b, t) for a in range(n) for b in range(a + 1, n) for t in range(a + 1, b)]
+            labels = _triples(n, 0, len(loop), True)[0]
+            assert [tuple(t) for t in labels.T.tolist()] == loop
+
+
+class TestFloatVerdictsHoldWhereExactHolds:
+    """Direct sums keep every float mass within about n*eps of its exact
+    value, so the product slack absorbs the error up to a few hundred atoms
+    (about 2,000 in theory)."""
+
+    @given(st.integers(2, 300), st.floats(0.001, 0.2), st.floats(0.001, 1.0))
+    @settings(max_examples=25, deadline=None)
+    def test_tilted_pairs(self, n, width, tilt):
+        q1, q2 = tilted_pair(n, width, tilt)
+        if check_lr(on_exact_values(q1), on_exact_values(q2), "ratio", MODE_EXACT).holds:
+            for method in ("ratio", "pairwise", "intervals", "conditional-st"):
+                assert check_lr(q1, q2, method).holds, method
+
+    @given(st.integers(2, 16), st.floats(0.01, 0.5))
+    @settings(max_examples=25, deadline=None)
+    def test_gaussian_kernels(self, n, width):
+        r = gaussian_kernel(n, width)
+        if check_tp2(grid_on_exact_values(r), "pmf-allpairs", MODE_EXACT).holds:
+            for method in ("pmf-allpairs", "pmf-adjacent", "intervals"):
+                assert check_tp2(r, method).holds, method
+
+
+class TestTinyMassesKeepTheirDigits:
+    """Interval masses far below the total were differences of cumulative
+    sums near the total, and the rounding noise flipped these verdicts."""
+
+    def test_tilted_pair_of_120_atoms(self):
+        q1, q2 = tilted_pair(120, 0.01, 0.01)
+        for method in ("intervals", "conditional-st"):
+            assert check_lr(q1, q2, method).holds
+        assert lr_intervals_serial(q1, q2).witness == (100.5, 117.5, 118.5)
+
+    def test_gaussian_kernels_of_20_and_30_rows(self):
+        for n in (20, 30):
+            assert check_tp2(gaussian_kernel(n, 0.2), "intervals").holds
+
+
 class TestPairs:
     def test_pairs_are_combinations_order(self):
         for n in range(0, 9):
@@ -156,6 +328,22 @@ class TestPairs:
                 for hi in range(lo, len(want) + 1):
                     i, j = _pairs(n, lo, hi)
                     assert list(zip(i.tolist(), j.tolist())) == want[lo:hi]
+
+
+class TestTriples:
+    def test_triples_are_combinations_order_or_by_last(self):
+        for n in range(0, 9):
+            by_first = list(itertools.combinations(range(n), 3))
+            for by_last in (False, True):
+                want = sorted(by_first, key=lambda t: (t[0], t[2], t[1])) if by_last else by_first
+                for lo in range(len(want) + 1):
+                    for hi in range(lo, len(want) + 1):
+                        labels, p, q = _triples(n, lo, hi, by_last)
+                        got = [tuple(t) for t in labels.T.tolist()]
+                        assert got == [(d, f, e) if by_last else (d, e, f)
+                                       for d, e, f in want[lo:hi]]
+                        assert p.tolist() == [e * (n - 1) + f - 1 for _, e, f in want[lo:hi]]
+                        assert q.tolist() == [d * (n - 1) + e - 1 for d, e, _ in want[lo:hi]]
 
 
 class TestBoundedMemory:
@@ -177,3 +365,17 @@ class TestBoundedMemory:
         assert got.holds
         assert peak < 8 * 2**20
         assert not check_lr(q2, q1, "pairwise").holds
+
+    def test_intervals_on_400_atoms(self):
+        """400 atoms have about 10.7M interval triples; the scan holds one
+        interval table per side and a few budgets' worth of triples."""
+        q1, q2 = tilted_pair(400, 0.0001, 0.01)
+        _triples.cache_clear()
+        tracemalloc.start()
+        try:
+            got = check_lr(q1, q2, "intervals")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got.holds
+        assert peak < 16 * 2**20

@@ -256,4 +256,6 @@ class TestMidpoint:
 
     def test_atoms_near_the_float_limit(self):
         axis = _refined_axis(np.array([1e308, 1.7e308]))
-        assert axis == [1e308 - 1.0, 1e308, 1.35e308, 1.7e308, 1.7e308 + 1.0]
+        # one unit beyond an end atom rounds back to it, so the sentinels are the next floats
+        assert axis == [np.nextafter(1e308, -np.inf), 1e308, 1.35e308, 1.7e308,
+                        np.nextafter(1.7e308, np.inf)]

@@ -16,7 +16,7 @@ from stochorder import (
 )
 from stochorder.fixtures import gamma_pair, gaussian_pair, odc_counterexample
 from stochorder.isotonic import MODE_EXACT, MODE_FLOAT, PRODUCT_RTOL
-from stochorder.orders import INT64_FACTOR_MAX
+from stochorder.isotonic import INT64_FACTOR_MAX
 from stochorder.roc import RocCurve
 from helpers import (
     all_triples_concave,
