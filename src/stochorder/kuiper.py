@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distributions import BivariateDist, _frozen, _on_sorted, prefix_table
-from .errors import DomainError, InvalidDistributionError
+from .errors import DomainError, InvalidDistributionError, PreconditionError
 from .estimation import _seeds
 from .isotonic import MODE_FLOAT, PRODUCT_RTOL
 from .orders import _refined_axis
@@ -171,11 +171,18 @@ def refine_grid(r: BivariateDist) -> BivariateDist:
 
     Original atoms occupy the odd positions; the fresh even positions
     (midpoints and outer sentinels) carry zero mass.  Kuiper distances to any
-    candidate supported on this grid are unchanged by the embedding.
+    candidate supported on this grid are unchanged by the embedding.  Two
+    adjacent atoms with no float between them have no cut: PreconditionError.
     """
     r = r.canonical()
     xg = np.array(_refined_axis(r.x_support))
     yg = np.array(_refined_axis(r.y_support))
+    for g in (xg, yg):
+        same = np.flatnonzero(g[1:] == g[:-1]).tolist()
+        if same:  # a cut equals an atom: take the atoms on both sides of it
+            a, b = g[same[0] - 1 + same[0] % 2::2][:2].tolist()
+            raise PreconditionError(f"no float lies between the adjacent atoms {a!r} and {b!r}",
+                                    (a, b))
     masses = r.cells(r.mode)
     cells = np.zeros((xg.size, yg.size), dtype=masses.dtype)
     cells[1::2, 1::2] = masses

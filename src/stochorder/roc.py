@@ -11,10 +11,11 @@ function; convexity there is equivalent to the likelihood ratio order as
 soon as q2 is absolutely continuous with respect to q1 (for finite support:
 support inclusion), and the flag for that condition is carried on the curve.
 
-Exact mode works on the integer weights: each axis is an integer weight over
-a positive total, and both sides of the triple test scale by the same positive
-factor, so the verdict on the integers is the verdict on the rationals.  The
-floats are ``int / int``, which Python rounds correctly.
+Both modes score a curve's steps, the masses between consecutive points, not
+differences of rounded points, which lose masses below about 1e-13 near a
+corner: integer weights in exact mode, floats or ``int / int`` in float mode.
+The witness is the three points around the failing pair of steps before equal
+rounded points are merged, so a float witness may repeat a point.
 """
 
 from __future__ import annotations
@@ -32,8 +33,11 @@ from .isotonic import (INT64_FACTOR_MAX, MODE_EXACT, MODE_FLOAT, PRODUCT_RTOL, _
 from .orders import OrderVerdict, _fails, _holds, _merged_masses
 
 
-def _exact_view(weights, axis: int) -> tuple[Fraction, ...] | None:
-    return None if weights is None else tuple(Fraction(w, weights[2 + axis]) for w in weights[axis])
+def _exact_view(steps, axis: int) -> tuple[Fraction, ...] | None:
+    """Partial sums of one axis's integer steps over its total; None for float steps."""
+    if steps is None or not isinstance(steps[2 + axis], int):
+        return None
+    return tuple(Fraction(c, steps[2 + axis]) for c in _cumulative(steps[axis]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -41,13 +45,14 @@ class RocCurve:
     """Sorted, deduplicated ROC points in the unit square.
 
     Both coordinates are nondecreasing along the sorted sequence and the
-    corners (0, 0) and (1, 1) are always present.  For integer-weight inputs
-    ``weights`` holds the exact points as q1's and q2's survival weights, then
-    the two totals; ``exact_points`` reads them as rationals.
+    corners (0, 0) and (1, 1) are always present.  ``steps`` holds each merged
+    atom's q1 and q2 mass, from the top, then the two totals (1.0 for floats);
+    None marks a curve built from its points alone, scored on their
+    differences.  ``exact_points`` reads integer steps as rationals.
     """
 
     points: tuple[tuple[float, float], ...]
-    weights: tuple[tuple[int, ...], tuple[int, ...], int, int] | None = None
+    steps: tuple | None = None
 
     def __post_init__(self):
         pts = tuple((float(u), float(v)) for u, v in self.points)
@@ -64,9 +69,8 @@ class RocCurve:
 
     @property
     def exact_points(self) -> tuple[tuple[Fraction, Fraction], ...] | None:
-        if self.weights is None:
-            return None
-        return tuple(zip(_exact_view(self.weights, 0), _exact_view(self.weights, 1)))
+        u = _exact_view(self.steps, 0)
+        return None if u is None else tuple(zip(u, _exact_view(self.steps, 1)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -76,16 +80,16 @@ class OdcCurve:
     ``alphas`` is {0} followed by the cumulative masses of q1 (strictly
     increasing, ending at the total mass, clamped to 1); ``values`` holds the
     second distribution function at the corresponding quantiles of the first.
-    ``dominated`` reports whether every q2 atom is a q1 atom.  For
-    integer-weight inputs ``weights`` holds q1's and q2's cumulative weights
-    at the levels, then the totals (q2's last level falls short of its total
-    when q2 has atoms above q1's); ``exact_alphas`` / ``exact_values`` divide.
+    ``dominated`` reports whether every q2 atom is a q1 atom.  ``steps`` holds
+    each q1 atom's mass and the q2 mass since the previous q1 atom (none above
+    the last), then the totals, as on ``RocCurve``; ``exact_alphas`` /
+    ``exact_values`` read integer steps as rationals.
     """
 
     alphas: tuple[float, ...]
     values: tuple[float, ...]
     dominated: bool
-    weights: tuple[tuple[int, ...], tuple[int, ...], int, int] | None = None
+    steps: tuple | None = None
 
     def __post_init__(self):
         alphas = tuple(float(a) for a in self.alphas)
@@ -101,35 +105,43 @@ class OdcCurve:
         object.__setattr__(self, "alphas", alphas)
         object.__setattr__(self, "values", values)
 
-    exact_alphas = property(lambda self: _exact_view(self.weights, 0))
-    exact_values = property(lambda self: _exact_view(self.weights, 1))
+    exact_alphas = property(lambda self: _exact_view(self.steps, 0))
+    exact_values = property(lambda self: _exact_view(self.steps, 1))
 
 
-def _clip01(x: float) -> float:
-    return 0.0 if x < 0.0 else 1.0 if x > 1.0 else x
+def _steps(dx, dy, m1, m2, mode: str) -> tuple:
+    """Steps, then the totals of the masses m1 and m2: sums in exact mode, else 1.0."""
+    return tuple(dx), tuple(dy), *((sum(m) if mode == MODE_EXACT else 1.0) for m in (m1, m2))
 
 
-def _axes(curve, floats, mode: str):
-    """The axes a verdict scans and their totals: the integer weights in
-    exact mode, else the floats over unit totals."""
-    if _check_mode(mode) != MODE_EXACT:
-        return (*floats, 1, 1)
-    if curve.weights is None:
-        raise DomainError("exact mode requires a curve built from integer-weight inputs")
-    return curve.weights
+def _walk(steps, axis: int) -> list[float]:
+    """One axis of a curve's points before equal points are merged: partial
+    sums of its steps over its total, at most 1, with the corner 1.0 last."""
+    total = steps[2 + axis]
+    return [c / total if c <= total else 1.0 for c in _cumulative(steps[axis])[:-1]] + [1.0]
 
 
-def _first_bend(x, y, mode: str, tol: float) -> int | None:
-    """First k whose triple k, k+1, k+2 fails ``products_le`` on
-    (y[k+2]-y[k+1])*(x[k+1]-x[k]) <= (y[k+1]-y[k])*(x[k+2]-x[k+1]), in one
-    array pass over nondecreasing, nonnegative ``x`` and ``y``; exact mode
-    runs on int64 when every value is at most ``INT64_FACTOR_MAX``."""
+def _first_bend(dx, dy, mode: str, tol: float) -> int | None:
+    """First k whose steps k, k+1 fail ``products_le`` on
+    dy[k+1]*dx[k] <= dy[k]*dx[k+1], the slope test of the points around them,
+    in one array pass over nonnegative steps; exact mode runs on int64 when
+    every step is at most ``INT64_FACTOR_MAX``."""
     dtype = np.float64 if mode != MODE_EXACT else object
-    if mode == MODE_EXACT and max(x[-1], y[-1]) <= INT64_FACTOR_MAX:
+    if mode == MODE_EXACT and max(*dx, *dy) <= INT64_FACTOR_MAX:
         dtype = np.int64
-    dx = np.diff(np.array(x, dtype=dtype))
-    dy = np.diff(np.array(y, dtype=dtype))
+    dx = np.array(dx, dtype=dtype)
+    dy = np.array(dy, dtype=dtype)
     return first_violation(dy[1:] * dx[:-1], dy[:-1] * dx[1:], mode, tol)
+
+
+def _in_mode(steps, mode: str):
+    """Steps as the mode scores them: integers, or w / total in float mode; floats as they are."""
+    dx, dy, s1, s2 = steps
+    if _check_mode(mode) == MODE_EXACT and not isinstance(s1, int):
+        raise DomainError("exact mode requires a curve built from integer-weight inputs")
+    if mode == MODE_EXACT or not isinstance(s1, int):
+        return dx, dy
+    return [w / s1 for w in dx], [w / s2 for w in dy]
 
 
 def roc_curve(q1: UnivariateDist, q2: UnivariateDist) -> RocCurve:
@@ -140,33 +152,24 @@ def roc_curve(q1: UnivariateDist, q2: UnivariateDist) -> RocCurve:
     and adding both corners exhausts the point set.  Survivals accumulated
     from the top (for tail accuracy) come out sorted.
     """
-    exact = q1.mode == q2.mode == MODE_EXACT
-    _, g1, g2 = _merged_masses(q1, q2, MODE_EXACT if exact else MODE_FLOAT)
-    u = _cumulative(g1[::-1])
-    v = _cumulative(g2[::-1])
-    if not exact:
-        # the corner (1, 1) in place of the float totals
-        pts = [(_clip01(a), _clip01(b)) for a, b in zip(u[:-1], v[:-1])] + [(1.0, 1.0)]
-        return RocCurve(tuple(k for k, _ in groupby(pts)), None)
-    # every merged atom carries weight in q1 or q2, so the integer pairs are distinct
-    s1, s2 = u[-1], v[-1]
-    pts = tuple(k for k, _ in groupby(zip((a / s1 for a in u), (b / s2 for b in v))))
-    return RocCurve(pts, (tuple(u), tuple(v), s1, s2))
+    mode = MODE_EXACT if q1.mode == q2.mode == MODE_EXACT else MODE_FLOAT
+    _, g1, g2 = _merged_masses(q1, q2, mode)
+    steps = _steps(g1[::-1], g2[::-1], g1, g2, mode)
+    pts = zip(_walk(steps, 0), _walk(steps, 1))
+    return RocCurve(tuple(k for k, _ in groupby(pts)), steps)
 
 
 def roc_is_concave(curve: RocCurve, mode: str = MODE_FLOAT, tol: float = PRODUCT_RTOL) -> OrderVerdict:
-    """Concavity of the ROC point set, checked on consecutive point triples.
-
-    The slope condition is evaluated as the cross product
-    (b2-a2)(c1-b1) >= (c2-b2)(b1-a1), which stays well defined across the
-    vertical segments of a jump; consecutive triples suffice on a
-    componentwise monotone point sequence.
-    """
-    u, v, s1, s2 = _axes(curve, zip(*curve.points), mode)
-    k = _first_bend(u, v, mode, tol)
+    """Concavity of the ROC point set: the slopes of consecutive steps, as the
+    cross product (b2-a2)(c1-b1) >= (c2-b2)(b1-a1), which stays well defined
+    across the vertical segments of a jump; consecutive triples suffice on a
+    componentwise monotone point sequence."""
+    steps = curve.steps or (*np.diff(curve.points, axis=0).T, 1.0, 1.0)
+    k = _first_bend(*_in_mode(steps, mode), mode, tol)
     if k is None:
         return _holds("roc:concavity")
-    return _fails("roc:concavity", tuple((u[i] / s1, v[i] / s2) for i in range(k, k + 3)))
+    pts = curve.points if curve.steps is None else tuple(zip(_walk(steps, 0), _walk(steps, 1)))
+    return _fails("roc:concavity", pts[k:k + 3])
 
 
 def odc_curve(q1: UnivariateDist, q2: UnivariateDist) -> OdcCurve:
@@ -177,34 +180,31 @@ def odc_curve(q1: UnivariateDist, q2: UnivariateDist) -> OdcCurve:
     the level 0 pairs with G2(-inf) = 0.  The trailing cumulative mass is
     clamped to exactly 1 for probability inputs.
     """
-    q1 = q1.canonical()
-    q2 = q2.canonical()
+    q1, q2 = q1.canonical(), q2.canonical()
     dominated = set(q2.support.tolist()) <= set(q1.support.tolist())
-    exact = q1.mode == q2.mode == MODE_EXACT
-    mode = MODE_EXACT if exact else MODE_FLOAT
-    c1 = _cumulative(q1.masses(mode))
-    c2 = _cumulative(q2.masses(mode))
+    mode = MODE_EXACT if q1.mode == q2.mode == MODE_EXACT else MODE_FLOAT
+    m1, m2 = q1.masses(mode), q2.masses(mode)
+    # each q2 mass joins the step of the first q1 atom at or above it; mass above all is dropped
+    dv = [m1[0] * 0] * (len(m1) + 1)
+    for i, m in zip(np.searchsorted(q1.support, q2.support).tolist(), m2):
+        dv[i] += m
+    steps = _steps(m1, dv[:-1], m1, m2, mode)
     # c2 index of G2 at each image level: 0 at level 0, then q2 atoms <= each q1 atom
     at = [0] + np.searchsorted(q2.support, q1.support, side="right").tolist()
-    weights = None
-    if exact:
-        weights = (tuple(c1), tuple(c2[j] for j in at), c1[-1], c2[-1])
-        alphas = [c / c1[-1] for c in c1]
-        values = [c / c2[-1] for c in weights[1]]
-    else:
-        alphas = [min(a, 1.0) for a in c1]
-        values = [_clip01(c2[j]) for j in at]
-    alphas[-1] = 1.0
+    c2 = _cumulative(m2)
+    values = [c2[j] / steps[3] if c2[j] <= steps[3] else 1.0 for j in at]
     # distinct rationals can collapse to one float level: keep the later value
-    curve = dict(zip(alphas, values))
-    return OdcCurve(tuple(curve), tuple(curve.values()), bool(dominated), weights)
+    curve = dict(zip(_walk(steps, 0), values))
+    return OdcCurve(tuple(curve), tuple(curve.values()), bool(dominated), steps)
 
 
 def odc_is_convex(curve: OdcCurve, mode: str = MODE_FLOAT, tol: float = PRODUCT_RTOL) -> OrderVerdict:
     """Convexity of the ordinal dominance curve on its finite image set: the
-    ROC triple test with the axes swapped."""
-    alphas, values, s1, _ = _axes(curve, (curve.alphas, curve.values), mode)
-    k = _first_bend(values, alphas, mode, tol)
+    ROC step test with the axes swapped; the witness is three alphas."""
+    steps = curve.steps or (np.diff(curve.alphas), np.diff(curve.values), 1.0, 1.0)
+    da, dv = _in_mode(steps, mode)
+    k = _first_bend(dv, da, mode, tol)
     if k is None:
         return _holds("odc:convexity")
-    return _fails("odc:convexity", tuple(alphas[i] / s1 for i in range(k, k + 3)))
+    alphas = curve.alphas if curve.steps is None else _walk(steps, 0)
+    return _fails("odc:convexity", tuple(alphas[k:k + 3]))

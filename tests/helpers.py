@@ -570,6 +570,77 @@ def odc_convex_by_triples(alphas, values, mode: str = MODE_FLOAT, tol: float = P
     return _holds("odc:convexity")
 
 
+# The rounded-point loops above are the oracles for curves built from their
+# points alone; curves built from distributions score the masses between
+# consecutive points, which keep tail masses that a difference of rounded
+# points near a corner loses.
+
+
+def first_bend_serial(dx, dy, s1, s2, mode: str = MODE_FLOAT, tol: float = PRODUCT_RTOL):
+    """First k whose steps k, k+1 fail ``products_le`` on
+    dy[k+1]*dx[k] <= dy[k]*dx[k+1], as a loop; float mode reads w / total."""
+    if mode != MODE_EXACT:
+        dx, dy = [w / s1 for w in dx], [w / s2 for w in dy]
+    for k in range(len(dx) - 1):
+        if not products_le(dy[k + 1] * dx[k], dy[k] * dx[k + 1], mode, tol):
+            return k
+    return None
+
+
+def _points_before_merging(steps, total) -> list[float]:
+    """Running sums of the steps over the total, clipped to [0, 1], then 1.0."""
+    out, acc = [], steps[0] * 0
+    for w in steps:
+        out.append(_clip01(acc / total))
+        acc += w
+    return out + [1.0]
+
+
+def _pair_masses(q1: UnivariateDist, q2: UnivariateDist):
+    """The pair's mode (exact only if both carry integer weights) and the
+    totals its masses are read over: the weight sums, or 1.0 for floats."""
+    if q1.weights is not None and q2.weights is not None:
+        return MODE_EXACT, q1.total_weight, q2.total_weight
+    return MODE_FLOAT, 1.0, 1.0
+
+
+def roc_concave_by_steps(q1: UnivariateDist, q2: UnivariateDist, mode: str = MODE_FLOAT,
+                         tol: float = PRODUCT_RTOL):
+    """ROC concavity as a loop over consecutive pairs of each merged atom's
+    (q1, q2) masses, taken from the top; the witness is the three points
+    around the failing pair before equal points are merged."""
+    pair_mode, s1, s2 = _pair_masses(q1, q2)
+    _, g1, g2 = _merged_masses(q1, q2, pair_mode)
+    dx, dy = g1[::-1], g2[::-1]
+    k = first_bend_serial(dx, dy, s1, s2, mode, tol)
+    if k is None:
+        return _holds("roc:concavity")
+    pts = list(zip(_points_before_merging(dx, s1), _points_before_merging(dy, s2)))
+    return _fails("roc:concavity", tuple(pts[k:k + 3]))
+
+
+def odc_convex_by_steps(q1: UnivariateDist, q2: UnivariateDist, mode: str = MODE_FLOAT,
+                        tol: float = PRODUCT_RTOL):
+    """ODC convexity as a loop over consecutive pairs of steps: each q1 atom's
+    mass and the q2 mass in (previous q1 atom, q1 atom], summed atom by atom;
+    the witness is three alphas before equal levels are merged."""
+    q1, q2 = q1.canonical(), q2.canonical()
+    pair_mode, s1, s2 = _pair_masses(q1, q2)
+    m1, m2 = q1.masses(pair_mode), q2.masses(pair_mode)
+    dv, below = [], -np.inf
+    for x in q1.support.tolist():
+        acc = m1[0] * 0
+        for y, m in zip(q2.support.tolist(), m2):
+            if below < y <= x:
+                acc += m
+        dv.append(acc)
+        below = x
+    k = first_bend_serial(dv, m1, s2, s1, mode, tol)
+    if k is None:
+        return _holds("odc:convexity")
+    return _fails("odc:convexity", tuple(_points_before_merging(m1, s1)[k:k + 3]))
+
+
 def cell_index_searchsorted(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
     """The inverse-CDF cell lookup as a binary search: the first index i with
     ``cum[i] >= u``."""

@@ -491,17 +491,35 @@ class TestAtomsBeyondTwoToThe53:
         assert cuts == [np.nextafter(1e17, -np.inf), 1.5e17, np.nextafter(2e17, np.inf)]
 
 
+def write_tilted_pair(tmp_path, n: int, width: float, tilt: float) -> None:
+    """q1.csv and q2.csv: q1 ∝ exp(-width (s - n/2)^2) on s = 0, ..., n - 1 and
+    q2 ∝ q1 exp(tilt s), an LR-ordered pair whose tails reach far below 1."""
+    s = np.arange(float(n))
+    q1 = np.exp(-width * (s - n / 2) ** 2)
+    q2 = q1 * np.exp(tilt * s)
+    for name, q in (("q1", q1 / q1.sum()), ("q2", q2 / q2.sum())):
+        (tmp_path / f"{name}.csv").write_text(
+            "value,prob\n" + "".join(f"{v!r},{p!r}\n" for v, p in zip(s.tolist(), q.tolist())))
+
+
+class TestAdjacentFloatAtoms:
+    def test_tp2_project_names_the_atoms_without_a_cut(self, tmp_path, capsys):
+        # no float lies between the two atoms, so the refined grid has no cut there
+        atoms = ("1.0", "1.0000000000000002")
+        r = tmp_path / "r.csv"
+        r.write_text("x,y,prob\n" + "".join(f"{x},{y},0.25\n" for x in atoms for y in atoms))
+        code, out = run_cli(["tp2", "project", "--r", str(r), "--seed", "1", "--restarts", "1"])
+        assert (code, out) == (4, "")
+        assert "atoms 1.0 and 1.0000000000000002" in capsys.readouterr().err
+
+
 class TestTinyMassesKeepTheirDigits:
     """LR-ordered and TP2 inputs whose interval masses reach far below the
-    total; differences of cumulative sums flipped these float verdicts."""
+    total; differences of cumulative sums or of rounded curve points flipped
+    these float verdicts."""
 
     def test_check_lr_on_120_atoms(self, tmp_path):
-        s = np.arange(120.0)
-        q1 = np.exp(-0.01 * (s - 60.0) ** 2)
-        q2 = q1 * np.exp(0.01 * s)
-        for name, q in (("q1", q1 / q1.sum()), ("q2", q2 / q2.sum())):
-            (tmp_path / f"{name}.csv").write_text(
-                "value,prob\n" + "".join(f"{v!r},{p!r}\n" for v, p in zip(s.tolist(), q.tolist())))
+        write_tilted_pair(tmp_path, 120, 0.01, 0.01)
         for method in ("intervals", "conditional-st"):
             code, _ = run_cli(["check-lr", "--q1", "q1.csv", "--q2", "q2.csv", "--method", method],
                               cwd=tmp_path)
@@ -516,6 +534,12 @@ class TestTinyMassesKeepTheirDigits:
             f"{a!r},{b!r},{rows[i][j]!r}\n" for i, a in enumerate(x.tolist())
             for j, b in enumerate(x.tolist())))
         code, _ = run_cli(["tp2", "check", "--r", "r.csv", "--method", "intervals"], cwd=tmp_path)
+        assert code == 0
+
+    @pytest.mark.parametrize("command, n, width", [("roc", 120, 0.01), ("odc", 30, 0.2)])
+    def test_curve_verdicts_on_tilted_pairs(self, tmp_path, command, n, width):
+        write_tilted_pair(tmp_path, n, width, 0.01)
+        code, _ = run_cli([command, "--q1", "q1.csv", "--q2", "q2.csv", "--verdict"], cwd=tmp_path)
         assert code == 0
 
 

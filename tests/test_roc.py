@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -17,13 +18,15 @@ from stochorder import (
 from stochorder.fixtures import gamma_pair, gaussian_pair, odc_counterexample
 from stochorder.isotonic import MODE_EXACT, MODE_FLOAT, PRODUCT_RTOL
 from stochorder.isotonic import INT64_FACTOR_MAX
-from stochorder.roc import RocCurve
+from stochorder.roc import OdcCurve, RocCurve
 from helpers import (
     all_triples_concave,
     enumerate_weight_dists,
+    odc_convex_by_steps,
     odc_convex_by_triples,
     odc_curve_fractions,
     random_univariate,
+    roc_concave_by_steps,
     roc_concave_by_triples,
     roc_curve_fractions,
 )
@@ -79,12 +82,13 @@ class TestRocConcavity:
         assert not roc_is_concave(roc_curve(*gaussian_pair())).holds
 
     def test_consecutive_triples_match_all_triples_oracle(self):
+        # a curve built from its points alone scores the differences of its points
         rng = np.random.default_rng(12)
         for _ in range(300):
             q1 = random_univariate(rng)
             q2 = random_univariate(rng)
-            curve = roc_curve(q1, q2)
-            assert roc_is_concave(curve).holds == all_triples_concave(curve.points)
+            points = roc_curve(q1, q2).points
+            assert roc_is_concave(RocCurve(points)).holds == all_triples_concave(points)
 
     def test_exact_mode_requires_exact_curve(self):
         q1 = UnivariateDist.from_pairs([0.0], [1.0])
@@ -200,9 +204,11 @@ class TestAgainstFractionOracles:
         assert repr(curve.points) == repr(points)
         assert curve.exact_points == exact_points
         for mode in modes_of(exact_points):
-            pts = exact_points if mode == MODE_EXACT else points
-            assert (verdict(roc_is_concave(curve, mode, tol))
-                    == verdict(roc_concave_by_triples(pts, mode, tol)))
+            oracle = (roc_concave_by_triples(exact_points, mode, tol) if mode == MODE_EXACT
+                      else roc_concave_by_steps(q1, q2, mode, tol))
+            assert verdict(roc_is_concave(curve, mode, tol)) == verdict(oracle)
+        assert (verdict(roc_is_concave(RocCurve(points), MODE_FLOAT, tol))
+                == verdict(roc_concave_by_triples(points, MODE_FLOAT, tol)))
 
     @given(*PAIRS)
     @settings(max_examples=400, deadline=None)
@@ -221,6 +227,46 @@ class TestAgainstFractionOracles:
         assert repr((curve.alphas, curve.values, curve.dominated)) == repr((alphas, values, dominated))
         assert (curve.exact_alphas, curve.exact_values) == (exact_a, exact_v)
         for mode in modes_of(exact_a):
-            a, v = (exact_a, exact_v) if mode == MODE_EXACT else (alphas, values)
-            assert (verdict(odc_is_convex(curve, mode, tol))
-                    == verdict(odc_convex_by_triples(a, v, mode, tol)))
+            oracle = (odc_convex_by_triples(exact_a, exact_v, mode, tol) if mode == MODE_EXACT
+                      else odc_convex_by_steps(q1, q2, mode, tol))
+            assert verdict(odc_is_convex(curve, mode, tol)) == verdict(oracle)
+        assert (verdict(odc_is_convex(OdcCurve(alphas, values, dominated), MODE_FLOAT, tol))
+                == verdict(odc_convex_by_triples(alphas, values, MODE_FLOAT, tol)))
+
+
+def as_floats(q: UnivariateDist) -> UnivariateDist:
+    return UnivariateDist(q.support, q.probs)
+
+
+def floats_exactly(q: UnivariateDist) -> UnivariateDist:
+    """The floats' exact rational values as integer weights over one denominator."""
+    fractions = [Fraction(p) for p in q.probs.tolist()]
+    den = max(f.denominator for f in fractions)
+    return UnivariateDist.from_weights(q.support, [int(f * den) for f in fractions])
+
+
+class TestFloatVerdictsKeepTinyMasses:
+    """Read as floats, a pair whose exact verdict holds on the floats' own
+    rational values holds in float mode too: scoring the masses between
+    points keeps the tail masses that rounded points near a corner lose."""
+
+    @given(weighted(), weighted())
+    @settings(max_examples=400, deadline=None)
+    # pairs whose float verdicts failed on differences of rounded points
+    @example(UnivariateDist.from_weights([-3.0, -2.0], [46746, 189]),
+             UnivariateDist.from_weights([-1.0, 1.0, 6.0], [5, BIG, 517]))
+    @example(UnivariateDist.from_weights([-3.0, 0.0, 5.0], [69978332564443, 6, BIG - 1]),
+             UnivariateDist.from_weights([-3.0, 0.0, 5.0], [6, 6, BIG - 1]))
+    def test_exact_verdict_on_the_floats_holds_in_float_mode(self, q1, q2):
+        q1, q2 = as_floats(q1), as_floats(q2)
+        e1, e2 = floats_exactly(q1), floats_exactly(q2)
+        roc = roc_is_concave(roc_curve(e1, e2), MODE_EXACT)
+        assert verdict(roc) == verdict(
+            roc_concave_by_triples(roc_curve_fractions(e1, e2)[1], MODE_EXACT))
+        if roc.holds:
+            assert roc_is_concave(roc_curve(q1, q2)).holds
+        _, _, _, exact_a, exact_v = odc_curve_fractions(e1, e2)
+        odc = odc_is_convex(odc_curve(e1, e2), MODE_EXACT)
+        assert verdict(odc) == verdict(odc_convex_by_triples(exact_a, exact_v, MODE_EXACT))
+        if odc.holds:
+            assert odc_is_convex(odc_curve(q1, q2)).holds
