@@ -51,16 +51,32 @@ EXIT_PRECONDITION = 4
 MAX_SEEDS = 10**4
 
 
-def _digest(path: str) -> str:
+def _read(path: str) -> bytes:
     with open(path, "rb") as fh:
-        return "sha256:" + hashlib.sha256(fh.read()).hexdigest()
+        return fh.read()
 
 
-def _report(command: str, inputs: dict[str, str], result: dict) -> dict:
+def _digest(data: bytes) -> str:
+    return "sha256:" + hashlib.sha256(data).hexdigest()
+
+
+def _load(loader, args, *names: str):
+    """The inputs that ``args`` names, each read once and parsed by ``loader``
+    from the bytes it was read as, then the sha256 of those bytes by name."""
+    loaded, digests = [], {}
+    for name in names:
+        path = getattr(args, name)
+        data = _read(path)
+        loaded.append(loader(path, exact=args.exact, data=data))
+        digests[name] = _digest(data)
+    return (*loaded, digests)
+
+
+def _report(command: str, digests: dict[str, str], result: dict) -> dict:
     return {
         "command": command,
         "version": __version__,
-        "inputs": {k: _digest(v) for k, v in inputs.items()},
+        "inputs": digests,
         "result": result,
     }
 
@@ -132,13 +148,12 @@ def _mode(args) -> str:
 
 def _cmd_check_order(args) -> int:
     """``check-st`` and ``check-lr``."""
-    q1 = load_univariate(args.q1, exact=args.exact)
-    q2 = load_univariate(args.q2, exact=args.exact)
+    q1, q2, inputs = _load(load_univariate, args, "q1", "q2")
     if args.cmd == "check-st":
         verdict = check_st(q1, q2, _mode(args), args.tolerance)
     else:
         verdict = check_lr(q1, q2, args.method, _mode(args), args.tolerance)
-    _emit(_report(args.cmd, {"q1": args.q1, "q2": args.q2}, _verdict_payload(verdict)), args.out)
+    _emit(_report(args.cmd, inputs, _verdict_payload(verdict)), args.out)
     return EXIT_OK if verdict.holds else EXIT_FAILS
 
 
@@ -152,8 +167,7 @@ def _write_csv(path: str, header, rows) -> None:
 
 
 def _cmd_roc(args) -> int:
-    q1 = load_univariate(args.q1, exact=args.exact)
-    q2 = load_univariate(args.q2, exact=args.exact)
+    q1, q2, inputs = _load(load_univariate, args, "q1", "q2")
     curve = roc_curve(q1, q2)
     result: dict = {"points": [list(p) for p in curve.points]}
     code = EXIT_OK
@@ -163,13 +177,12 @@ def _cmd_roc(args) -> int:
         code = EXIT_OK if verdict.holds else EXIT_FAILS
     if args.out:
         _write_csv(args.out, ("u", "v"), curve.points)
-    _emit(_report("roc", {"q1": args.q1, "q2": args.q2}, result))
+    _emit(_report("roc", inputs, result))
     return code
 
 
 def _cmd_odc(args) -> int:
-    q1 = load_univariate(args.q1, exact=args.exact)
-    q2 = load_univariate(args.q2, exact=args.exact)
+    q1, q2, inputs = _load(load_univariate, args, "q1", "q2")
     curve = odc_curve(q1, q2)
     result: dict = {
         "alphas": list(curve.alphas),
@@ -183,32 +196,32 @@ def _cmd_odc(args) -> int:
         code = EXIT_OK if verdict.holds else EXIT_FAILS
     if args.out:
         _write_csv(args.out, ("alpha", "H"), zip(curve.alphas, curve.values))
-    _emit(_report("odc", {"q1": args.q1, "q2": args.q2}, result))
+    _emit(_report("odc", inputs, result))
     return code
 
 
 def _cmd_tp2_check(args) -> int:
-    r = load_bivariate(args.r, exact=args.exact)
+    r, inputs = _load(load_bivariate, args, "r")
     verdict = check_tp2(r, args.method, _mode(args), args.tolerance)
-    _emit(_report("tp2-check", {"r": args.r}, _verdict_payload(verdict)), args.out)
+    _emit(_report("tp2-check", inputs, _verdict_payload(verdict)), args.out)
     return EXIT_OK if verdict.holds else EXIT_FAILS
 
 
 def _cmd_tp2_project(args) -> int:
     if args.exact:
         raise DomainError("tp2 project searches in float arithmetic; --exact is not supported")
-    r = load_bivariate(args.r)
+    r, inputs = _load(load_bivariate, args, "r")
     res = tp2_project(r, seed=args.seed, restarts=args.restarts, tol=args.tolerance)
     payload = res.to_dict()
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(_json_text(payload))
-    _emit(_report("tp2-project", {"r": args.r}, payload))
+    _emit(_report("tp2-project", inputs, payload))
     return EXIT_OK
 
 
 def _cmd_kernel(args) -> int:
-    r = load_bivariate(args.r, exact=args.exact)
+    r, inputs = _load(load_bivariate, args, "r")
     xs = _parse_xs(args.x) if args.x else None
     if args.flavor == "w":
         kern = kernel_west(r, xs)
@@ -221,12 +234,12 @@ def _cmd_kernel(args) -> int:
     if args.out:
         _write_csv(args.out, ("x", "y", "prob"), (t for per_x in rows for t in per_x))
     result = {"flavor": kern.flavor, "eval_points": kern.eval_points.tolist(), "rows": rows}
-    _emit(_report("kernel", {"r": args.r}, result))
+    _emit(_report("kernel", inputs, result))
     return EXIT_OK
 
 
 def _cmd_boundaries(args) -> int:
-    r = load_bivariate(args.r, exact=args.exact)
+    r, inputs = _load(load_bivariate, args, "r")
     xs = _parse_xs(args.x) if args.x else None
     b = boundaries(r, xs)
     records = [
@@ -242,42 +255,41 @@ def _cmd_boundaries(args) -> int:
     if args.out:
         _write_csv(args.out, ("x", "s_nw", "s_se", "crossing", "in_range"),
                    (rec.values() for rec in records))
-    _emit(_report("boundaries", {"r": args.r}, {"records": records}))
+    _emit(_report("boundaries", inputs, {"records": records}))
     return EXIT_OK
 
 
 def _cmd_kuiper_dist(args) -> int:
-    a = load_bivariate(args.a, exact=args.exact)
-    b = load_bivariate(args.b, exact=args.exact)
+    a, b, inputs = _load(load_bivariate, args, "a", "b")
     value = kuiper_norm(signed_difference(a, b), args.method)
-    _emit(_report("kuiper-dist", {"a": args.a, "b": args.b},
+    _emit(_report("kuiper-dist", inputs,
                   {"distance": float(value), "method": args.method}), args.out)
     return EXIT_OK
 
 
 def _cmd_sample(args) -> int:
-    r = load_bivariate(args.r, exact=args.exact)
+    r, inputs = _load(load_bivariate, args, "r")
     draws = sample(r, args.n, args.seed)
     if args.out:
         _write_csv(args.out, ("x", "y"), draws.tolist())
-    _emit(_report("sample", {"r": args.r}, {"n": args.n, "seed": args.seed,
-                                            "first": draws[0].tolist()}))
+    _emit(_report("sample", inputs, {"n": args.n, "seed": args.seed,
+                                     "first": draws[0].tolist()}))
     return EXIT_OK
 
 
 def _cmd_quantiles(args) -> int:
-    r = load_bivariate(args.r, exact=args.exact)
+    r, inputs = _load(load_bivariate, args, "r")
     flavor = {"w": "west-min", "e": "east-max", "emp": "empirical"}[args.flavor]
     xs = _parse_xs(args.x) if args.x else None
     curve = quantile_curve(r, args.beta, flavor, xs)
     result = {"beta": curve.beta, "flavor": curve.flavor,
               "points": [list(p) for p in curve.points]}
-    _emit(_report("quantiles", {"r": args.r}, result), args.out)
+    _emit(_report("quantiles", inputs, result), args.out)
     return EXIT_OK
 
 
 def _cmd_converge(args) -> int:
-    r = load_bivariate(args.r, exact=args.exact)
+    r, inputs = _load(load_bivariate, args, "r")
     ns = _parse_ints(args.ns)
     seeds = _parse_seeds(args.seeds)
     if args.variant == "bracket":
@@ -293,7 +305,7 @@ def _cmd_converge(args) -> int:
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(_json_text(result))
-    _emit(_report("converge", {"r": args.r}, result))
+    _emit(_report("converge", inputs, result))
     return EXIT_OK
 
 
@@ -326,7 +338,7 @@ def _cmd_fixture(args) -> int:
         written.append(os.path.join(args.dir, f"{args.name}.csv"))
         write_bivariate_csv(made, written[-1])
     _emit(_report("fixture", {}, {"name": args.name, "files": written,
-                                  "digests": {p: _digest(p) for p in written}}))
+                                  "digests": {p: _digest(_read(p)) for p in written}}))
     return EXIT_OK
 
 

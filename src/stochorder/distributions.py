@@ -33,6 +33,7 @@ and sum the masses of duplicate atoms or cells, in input order.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import math
 from dataclasses import dataclass, field
@@ -681,11 +682,20 @@ def write_univariate_csv(q: UnivariateDist, path) -> None:
             writer.writerow([_fmt(v), _fmt(p)])
 
 
-def _csv_columns(path, header: tuple[str, ...]) -> list[tuple[str, ...]]:
+def _text(path, data: bytes | None, newline: str | None = None) -> io.TextIOWrapper:
+    """The UTF-8 text of ``data``, the bytes of the file at ``path`` when the
+    caller has read them, else of the file itself."""
+    if data is None:
+        with open(path, "rb") as fh:
+            data = fh.read()
+    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=newline)
+
+
+def _csv_columns(path, header: tuple[str, ...], data: bytes | None = None) -> list[tuple[str, ...]]:
     """The text columns of a CSV file with the given header (names compared
     stripped).  Blank lines are skipped; a row with missing or extra fields
     is rejected."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    with _text(path, data, newline="") as fh:
         rows = [row for row in csv.reader(fh) if row]
     if not rows or [f.strip() for f in rows[0]] != list(header):
         raise InvalidDistributionError(f"{path}: expected header {','.join(header)!r}")
@@ -694,8 +704,8 @@ def _csv_columns(path, header: tuple[str, ...]) -> list[tuple[str, ...]]:
     return list(zip(*rows[1:])) or [()] * len(header)
 
 
-def read_univariate_csv(path, *, exact: bool = False) -> UnivariateDist:
-    values, probs = _csv_columns(path, ("value", "prob"))
+def read_univariate_csv(path, *, exact: bool = False, data: bytes | None = None) -> UnivariateDist:
+    values, probs = _csv_columns(path, ("value", "prob"), data)
     values = [float(v) for v in values]
     if exact:
         return UnivariateDist.from_weights(values, _weights_from_decimal_strings(probs))
@@ -713,8 +723,8 @@ def write_bivariate_csv(r: BivariateDist, path) -> None:
                     writer.writerow([_fmt(x), _fmt(y), _fmt(p)])
 
 
-def read_bivariate_csv(path, *, exact: bool = False) -> BivariateDist:
-    xs, ys, probs = _csv_columns(path, ("x", "y", "prob"))
+def read_bivariate_csv(path, *, exact: bool = False, data: bytes | None = None) -> BivariateDist:
+    xs, ys, probs = _csv_columns(path, ("x", "y", "prob"), data)
     xs = [float(v) for v in xs]
     ys = [float(v) for v in ys]
     if exact:
@@ -729,17 +739,21 @@ def write_univariate_json(q: UnivariateDist, path) -> None:
         fh.write("\n")
 
 
-def load_univariate(path, *, exact: bool = False) -> UnivariateDist:
+def load_univariate(path, *, exact: bool = False, data: bytes | None = None) -> UnivariateDist:
+    """The distribution in the JSON or CSV file at ``path``, parsed from
+    ``data`` when the caller has already read the file's bytes."""
     path = str(path)
     if path.endswith(".json"):
-        with open(path, encoding="utf-8") as fh:
+        with _text(path, data) as fh:
             return UnivariateDist.from_dict(json.load(fh), exact=exact)
-    return read_univariate_csv(path, exact=exact)
+    return read_univariate_csv(path, exact=exact, data=data)
 
 
-def load_bivariate(path, *, exact: bool = False) -> BivariateDist:
+def load_bivariate(path, *, exact: bool = False, data: bytes | None = None) -> BivariateDist:
+    """The distribution in the JSON or CSV file at ``path``, parsed from
+    ``data`` when the caller has already read the file's bytes."""
     path = str(path)
     if path.endswith(".json"):
-        with open(path, encoding="utf-8") as fh:
+        with _text(path, data) as fh:
             return BivariateDist.from_dict(json.load(fh), exact=exact)
-    return read_bivariate_csv(path, exact=exact)
+    return read_bivariate_csv(path, exact=exact, data=data)

@@ -12,9 +12,13 @@ just up to rounding: floating-point subtraction rounds monotonically
 (non-decreasing in its first operand, non-increasing in its second) and
 symmetrically under negation, so no rounded difference of two band entries
 exceeds the rounded difference of the extremes, which is itself one of the
-candidates.  The row ranges are scored in chunks of at most ``BAND_BUDGET``
-band entries, so memory stays bounded on large grids; the chunks do the same
-subtractions, and a grid that fits one chunk runs in a single call.
+candidates.  The kernel copies the prefix table with its column-prefix axis
+first, so a block of start rows takes the bands of all its end rows by one
+plain-slice subtraction, and each band's max and min reduce across whole
+slabs of the array, one slab per column prefix, not along rows only m + 1
+long.  Blocks hold at most ``BAND_BUDGET`` band entries, so memory stays
+bounded on large grids; a grid that fits one block runs in a single
+subtraction.
 
 ``tp2_project`` searches for a TP2 distribution close to a given one in the
 Kuiper norm.  An exact minimizer exists on the midpoint-refined grid, but no
@@ -25,15 +29,17 @@ pattern-search restarts over strictly positive candidates parameterized as
 normalized exponentials of supermodular potentials (all adjacent log-minors
 nonnegative by construction).
 
-The search is speculative but keeps the serial path.  A sweep's trial moves
-are known when it starts (each parameter is visited once per sweep and
-changes only when visited), so the next ``SPECULATION_BATCH`` of them are
-scored as one (k, nx, ny) stack: the potential, the pmf and the band kernel
-all act on the last two axes and give each slice the same floats as an
-unstacked call.  The first trial that beats the incumbent is accepted, the
-rest of the batch is discarded, and only the trials the serial loop would
-have run are counted, so accepted moves, counts and reports do not depend
-on the batch size.
+The search is speculative and runs its restarts in lockstep, but keeps the
+serial path.  A sweep's trial moves are known when it starts (each parameter
+is visited once per sweep and changes only when visited), so each restart
+proposes its next ``SPECULATION_BATCH`` of them as one pass, and the passes
+of all running restarts are stacked into objective calls of at most half of
+``BAND_BUDGET`` band entries: the potential, the pmf and the band kernel all
+act on the last two axes and give each slice the same floats as an unstacked
+call.  Each restart accepts the first of its trials that beats its
+incumbent and discards the rest of its pass, and only the trials the serial
+loop would have run are counted, so accepted moves, counts and reports
+depend neither on the batch size nor on which restarts share a call.
 """
 
 from __future__ import annotations
@@ -52,12 +58,12 @@ from .tp2 import check_tp2, supermodular_potential
 #: names ``kuiper_norm`` accepts; both run the one band kernel
 KUIPER_METHODS = ("brute", "kadane")
 
-#: most prefix entries a chunk of row-range bands holds at once; with the chunk's
-#: own indices, this bounds the norm's working memory whatever the number of ranges
+#: most band entries a block of the norm's kernel holds at once (one row range of
+#: the whole stack at least); this bounds its working memory whatever the grid
 BAND_BUDGET = 2**16
 
-#: trial moves the pattern search scores in one stacked pass; larger batches
-#: waste the trials after an accept (about 7% of trials are accepted)
+#: trial moves each restart of the pattern search scores in one stacked pass; larger
+#: batches waste the trials after an accept (about 7% of trials are accepted)
 SPECULATION_BATCH = 12
 
 #: most pattern-search restarts one projection may run; each costs up to
@@ -114,34 +120,34 @@ def signed_difference(a: BivariateDist, b: BivariateDist) -> GridSignedMeasure:
 # ---------------------------------------------------------------------------
 
 
-def _row_ranges(shape: tuple[int, int]):
-    """Yield the index pairs (ii, jj) of every row range [i0, i1), 0 <= i0 < i1 <= nx, in ``triu_indices``
-    order and in chunks whose bands hold at most ``BAND_BUDGET`` entries, one chunk's indices at a time."""
-    nx, ny = shape
-    step = max(1, BAND_BUDGET // (ny + 1))
-    offsets = np.concatenate(([0], np.cumsum(np.arange(nx, 0, -1))))  # first range of each start row
-    total = int(offsets[-1])  # nx (nx + 1) / 2 row ranges
-    for k in range(0, total, step):
-        flat = np.arange(k, min(k + step, total))
-        ii = np.searchsorted(offsets, flat, side="right") - 1
-        yield ii, ii + 1 + (flat - offsets[ii])
+def _band_norm(delta: np.ndarray):
+    """Largest |rectangle sum| of a float or object delta over its last two
+    axes; a (k, nx, ny) stack gives k norms.
 
-
-def _band_norm(delta: np.ndarray, chunks):
-    """Largest |rectangle sum| of a float or object delta over its last two axes,
-    given ``_row_ranges(delta.shape[-2:])``; a (k, nx, ny) stack gives k norms.
-
-    Each row range's band of column prefixes scores its range max - min,
-    which is its largest |band[q] - band[p]| (see the module docstring).
-    A stacked slice gets the same subtractions as the 2-D call on it.
+    The prefix table is copied with its column-prefix axis first, so that a
+    block of start rows a with all their end rows past a takes one plain-slice
+    subtraction, and each row range's max - min over the column prefixes
+    reduces across whole contiguous slabs (see the module docstring).  A
+    block's end rows start at a + 1, so its later start rows also score ranges
+    that end at or before them: those bands are the negated band of a true
+    range, or zero, and give its score or 0 exactly.  Blocks, and end-row
+    splits of one start row, hold at most ``BAND_BUDGET`` band entries (one
+    range of the whole stack at least).  A stacked slice gets the same
+    subtractions as the 2-D call on it.
     """
-    pref = prefix_table(delta)
+    pref = np.ascontiguousarray(np.moveaxis(prefix_table(delta), -1, 0))  # (ny+1, ..., nx+1)
+    nx = pref.shape[-1] - 1
+    slab = pref[..., 0].size  # entries of one row range's bands over the stack
     best = None
-    for ii, jj in chunks:
-        band = pref[..., jj, :]  # (..., chunk, ny+1): rows [i0, i1) per column prefix
-        band -= pref[..., ii, :]
-        score = (band.max(axis=-1) - band.min(axis=-1)).max(axis=-1)
-        best = score if best is None else np.maximum(best, score)
+    a = 0
+    while a < nx:
+        rows = min(nx - a, max(1, BAND_BUDGET // (slab * (nx - a))))
+        cols = max(1, BAND_BUDGET // (slab * rows))
+        for c in range(a + 1, nx + 1, cols):
+            band = pref[..., None, c:c + cols] - pref[..., a:a + rows, None]
+            score = (band.max(axis=0) - band.min(axis=0)).max(axis=(-2, -1))
+            best = score if best is None else np.maximum(best, score)
+        a += rows
     return best
 
 
@@ -156,9 +162,9 @@ def kuiper_norm(sigma: GridSignedMeasure, method: str = "kadane"):
         raise DomainError(f"unknown kuiper method {method!r}; choose from {KUIPER_METHODS}")
     delta = sigma.delta
     if delta.dtype.kind == "f":
-        return float(_band_norm(delta, _row_ranges(delta.shape)))
-    # a stack of one, so that chunk maxima stay Python objects
-    return _band_norm(delta.astype(object)[None], _row_ranges(delta.shape))[0]
+        return float(_band_norm(delta))
+    # a stack of one, so that block maxima stay Python objects
+    return _band_norm(delta.astype(object)[None])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -242,18 +248,26 @@ class _PotentialCandidate:
         return w / w.reshape(*w.shape[:-2], -1).sum(axis=-1)[..., None, None]
 
 
-def _speculation_batch(shape: tuple[int, int]) -> int:
-    """Trials per stacked pass on a grid of this shape: ``SPECULATION_BATCH``, capped so the
-    stack's bands hold at most half of ``BAND_BUDGET`` entries, and at least 1.
-
-    Half, because on larger grids a bigger stack stops lowering the cost per
-    trial while each batch still wastes the trials after an accept.  On a
-    23x23 grid (2-vCPU Xeon, numpy 2.4), the full budget's 9 trials per pass
-    made a projection 30% slower than the serial search, and half the
-    budget's 4 trials made it 12% faster.
-    """
+def _stack_cap(shape: tuple[int, int]) -> int:
+    """Most trials one objective call scores on a grid of this shape: as many as
+    half of ``BAND_BUDGET`` band entries hold, and at least 1."""
     nx, ny = shape
-    return max(1, min(SPECULATION_BATCH, BAND_BUDGET // 2 // (nx * (nx + 1) // 2 * (ny + 1))))
+    return max(1, BAND_BUDGET // 2 // (nx * (nx + 1) // 2 * (ny + 1)))
+
+
+def _speculation_batch(shape: tuple[int, int]) -> int:
+    """Trials per restart per stacked pass on a grid of this shape:
+    ``SPECULATION_BATCH``, capped by ``_stack_cap``.
+
+    Half the budget, because on larger grids a bigger stack stops lowering the
+    cost per trial while each batch still wastes the trials after an accept.
+    With the slab-wise kernel (2-vCPU Xeon, numpy 2.4, best of 10), a 23x23
+    projection with 4 restarts took 0.60 s at half the budget's 4 trials per
+    pass and 0.99 s at the full budget's 9 (one restart: 89 and 96 ms).  On
+    33x33 the full budget's 3 trials beat half the budget's 1, but by less
+    (one restart: 0.34 -> 0.27 s; four: 2.14 -> 2.10 s).
+    """
+    return min(SPECULATION_BATCH, _stack_cap(shape))
 
 
 def _sweep_trials(cand: _PotentialCandidate, step):
@@ -267,21 +281,12 @@ def _sweep_trials(cand: _PotentialCandidate, step):
     return np.nonzero(keep)[0], np.where(clamped, 0.0, trial)[keep]
 
 
-def _pattern_search(cand: _PotentialCandidate, objective, steps, sweeps: int, batch: int):
-    """Coordinate pattern search with multiplicative (log-space) steps.
-
-    Accepts strictly improving moves only, so the accepted objective values
-    are strictly decreasing; the step halves after a sweep with no accepted
-    move.  ``objective`` maps a (k, nx, ny) stack of pmfs to k values.
-
-    The trials are scored ``batch`` at a time, in the serial order of the
-    sweep; the first improving one is taken and the search resumes at the
-    next parameter, so the result (``best``, the accepted values, the count
-    of trials the serial loop runs, and the final parameters) is the same
-    for every batch size.
-    """
+def _search(cand: _PotentialCandidate, steps, sweeps: int, batch: int):
+    """One restart's search as a generator: it yields each pass's (k, theta.size)
+    stack of trial parameters, is sent their k objective values, and returns
+    (best, accepted values, trials the serial loop runs)."""
     theta = cand.theta
-    best = float(objective(cand.pmf(theta[None]))[0])
+    best = float((yield theta[None])[0])
     accepted = [best]
     step_iter = list(steps)
     step = step_iter.pop(0)
@@ -292,11 +297,17 @@ def _pattern_search(cand: _PotentialCandidate, objective, steps, sweeps: int, ba
         t = 0
         while t < params.size:
             p, v = params[t:t + batch], values[t:t + batch]
-            stack = np.repeat(theta[None], p.size, axis=0)
-            stack[np.arange(p.size), p] = v
-            vals = objective(cand.pmf(stack))
-            hits = np.flatnonzero(vals < best)
-            if not hits.size:
+            if p.size == 1:  # one trial: set one entry of a copy, compare one value
+                stack = theta[None].copy()
+                stack[0, p[0]] = v[0]
+                vals = yield stack
+                hits = (0,) if vals[0] < best else ()
+            else:
+                stack = np.repeat(theta[None], p.size, axis=0)
+                stack[np.arange(p.size), p] = v
+                vals = yield stack
+                hits = np.flatnonzero(vals < best)
+            if not len(hits):
                 iters += p.size
                 t += p.size
                 continue
@@ -315,6 +326,52 @@ def _pattern_search(cand: _PotentialCandidate, objective, steps, sweeps: int, ba
             else:
                 break
     return best, accepted, iters
+
+
+def _pattern_search(cands: list, objective, steps, sweeps: int, batch: int) -> list:
+    """Coordinate pattern search with multiplicative (log-space) steps from each
+    candidate, run in lockstep; returns each one's (best, accepted values,
+    trials the serial loop runs), in order, and leaves its final parameters in
+    the candidate.
+
+    Each search accepts strictly improving moves only, so its accepted values
+    are strictly decreasing; the step halves after a sweep with no accepted
+    move.  ``objective`` maps a (k, nx, ny) stack of pmfs to k values.
+
+    Each search scores its trials ``batch`` at a time, in the serial order of
+    the sweep; the first improving one is taken and the search resumes at the
+    next parameter, so its result is the same for every batch size.  One round
+    scores the next pass of every running search: the passes are stacked into
+    objective calls of at most ``_stack_cap`` trials (a pass is never split),
+    and each search reads back its own slice of values.
+    """
+    cap = _stack_cap((cands[0].a.size, cands[0].b.size)) if cands else 1
+    searches = [_search(cand, steps, sweeps, batch) for cand in cands]
+    results = [None] * len(cands)
+    stacks = {k: next(search) for k, search in enumerate(searches)}  # each running search's pass
+
+    def score(group):
+        vals = objective(cands[0].pmf(np.concatenate([stacks[k] for k in group])))
+        at = 0
+        for k in group:
+            size = len(stacks[k])
+            try:
+                stacks[k] = searches[k].send(vals[at:at + size])
+            except StopIteration as done:
+                results[k] = done.value
+                del stacks[k]
+            at += size
+
+    while stacks:
+        group, size = [], 0
+        for k, stack in list(stacks.items()):
+            if group and size + len(stack) > cap:
+                score(group)
+                group, size = [], 0
+            group.append(k)
+            size += len(stack)
+        score(group)
+    return results
 
 
 def tp2_project(r_hat: BivariateDist, *, seed: int = 42, restarts: int = 8,
@@ -351,12 +408,11 @@ def tp2_project(r_hat: BivariateDist, *, seed: int = 42, restarts: int = 8,
 
     xg, yg = embedded.x_support, embedded.y_support
     nx, ny = xg.size, yg.size
-    rows = list(_row_ranges(embedded.shape))  # built once per call
     batch = _speculation_batch(embedded.shape)
 
     def objective(pmfs: np.ndarray) -> np.ndarray:
         """Kuiper distances of a (k, nx, ny) stack of pmfs to the target."""
-        return _band_norm(pmfs - target, rows)
+        return _band_norm(pmfs - target)
 
     px = target.sum(axis=1)
     qy = target.sum(axis=0)
@@ -366,9 +422,7 @@ def tp2_project(r_hat: BivariateDist, *, seed: int = 42, restarts: int = 8,
     ]
 
     floor = 1e-6  # keeps log() finite when seeding from marginals with zero cells
-    best_per_restart = []
-    iters_per_restart = []
-    accepted_per_restart = []
+    cands = []
     for rs in range(restarts):
         rng = np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(rs,))))
         if rs == 0:
@@ -379,12 +433,13 @@ def tp2_project(r_hat: BivariateDist, *, seed: int = 42, restarts: int = 8,
             a = rng.normal(0.0, 1.0, nx)
             b = rng.normal(0.0, 1.0, ny)
             s = rng.exponential(0.2, (nx - 1, ny - 1))
-        cand = _PotentialCandidate(a, b, s)
-        best, accepted, iters = _pattern_search(cand, objective, steps, max_iters, batch)
-        best_per_restart.append(best)
-        iters_per_restart.append(iters)
-        accepted_per_restart.append(accepted)
-        candidates.append((best, rs, cand.pmf(), f"restart-{rs}"))
+        cands.append(_PotentialCandidate(a, b, s))
+    searched = _pattern_search(cands, objective, steps, max_iters, batch)
+    best_per_restart = [best for best, _, _ in searched]
+    accepted_per_restart = [accepted for _, accepted, _ in searched]
+    iters_per_restart = [iters for _, _, iters in searched]
+    candidates += [(best, rs, cand.pmf(), f"restart-{rs}")
+                   for rs, (cand, best) in enumerate(zip(cands, best_per_restart))]
 
     dist, _, pmf, source = min(candidates, key=lambda c: (c[0], c[1]))
 

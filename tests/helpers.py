@@ -13,7 +13,7 @@ from fractions import Fraction
 import numpy as np
 
 from stochorder import BivariateDist, DomainError, Interval, InvalidDistributionError, UnivariateDist
-from stochorder.distributions import _interval_slice
+from stochorder.distributions import _interval_slice, prefix_table
 from stochorder.isotonic import (MODE_EXACT, MODE_FLOAT, PRODUCT_RTOL, _beyond, _cumulative,
                                  products_le)
 from stochorder.orders import _boundaries, _fails, _holds, _merged_masses, _refined_axis
@@ -191,6 +191,39 @@ def all_rectangles_norm(delta: np.ndarray):
     band = pref[jj] - pref[ii]  # (n_rowranges, ny+1): rows [i0, i1) per column prefix
     rect = band[:, qq] - band[:, pp]  # every row-range x column-range combination
     return abs(rect).max()
+
+
+def row_ranges(shape: tuple[int, int], budget: int = 2**16):
+    """Yield the index pairs (ii, jj) of every row range [i0, i1), 0 <= i0 < i1 <= nx, in ``triu_indices``
+    order and in chunks whose bands hold at most ``budget`` entries, one chunk's indices at a time."""
+    nx, ny = shape
+    step = max(1, budget // (ny + 1))
+    offsets = np.concatenate(([0], np.cumsum(np.arange(nx, 0, -1))))  # first range of each start row
+    total = int(offsets[-1])  # nx (nx + 1) / 2 row ranges
+    for k in range(0, total, step):
+        flat = np.arange(k, min(k + step, total))
+        ii = np.searchsorted(offsets, flat, side="right") - 1
+        yield ii, ii + 1 + (flat - offsets[ii])
+
+
+def band_norm_by_row_ranges(delta: np.ndarray, budget: int = 2**16):
+    """Largest |rectangle sum| of a float or object delta over its last two axes;
+    a (k, nx, ny) stack gives k norms.
+
+    The kernel ``kuiper._band_norm`` ran before it copied the prefix table with
+    its column-prefix axis first: each chunk of ``row_ranges`` gathers its
+    ranges' bands of column prefixes with fancy indexing and scores each range
+    max - min along the short last axis.  Kept to check that the slab-wise
+    kernel gives the same norms, bit for bit.
+    """
+    pref = prefix_table(delta)
+    best = None
+    for ii, jj in row_ranges(delta.shape[-2:], budget):
+        band = pref[..., jj, :]  # (..., chunk, ny+1): rows [i0, i1) per column prefix
+        band -= pref[..., ii, :]
+        score = (band.max(axis=-1) - band.min(axis=-1)).max(axis=-1)
+        best = score if best is None else np.maximum(best, score)
+    return best
 
 
 def _norm_kadane(delta) -> object:

@@ -1,10 +1,13 @@
 import contextlib
+import csv
+import hashlib
 import io
 import json
 import os
 import pathlib
 import re
 import shlex
+import threading
 
 import numpy as np
 import pytest
@@ -156,6 +159,56 @@ def test_cached_parser_matches_a_fresh_parser_per_call(tmp_path, monkeypatch):
     # version to stdout, or a message to stderr
     for code, out, err in cached[1]:
         assert (bool(out), bool(err)) == (code in (0, 3), code in (2, 4))
+
+
+def test_input_digest_hashes_the_bytes_parsed(tmp_path):
+    """A FIFO yields its bytes to one read: the report's digest must hash that read."""
+    fifo = tmp_path / "q_fifo.csv"
+    os.mkfifo(fifo)
+    data = (DATA / "q_low.csv").read_bytes()
+
+    def write():
+        with contextlib.suppress(OSError), open(fifo, "wb") as fh:
+            fh.write(data)
+
+    writer = threading.Thread(target=write, daemon=True)
+    writer.start()
+    found = []
+    run = threading.Thread(daemon=True, target=lambda: found.append(
+        run_captured(["check-lr", "--q1", str(fifo), "--q2", str(DATA / "q_high.csv")])))
+    run.start()
+    for _ in range(12):
+        run.join(timeout=5)
+        if not run.is_alive():
+            break
+        # a second open of the FIFO waits for a writer: give it one that writes nothing
+        with contextlib.suppress(OSError):
+            os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+    writer.join(timeout=5)
+    assert not run.is_alive() and not writer.is_alive()
+    code, out, err = found[0]
+    assert (code, err) == (0, "")
+    assert json.loads(out)["inputs"] == {
+        "q1": "sha256:" + hashlib.sha256(data).hexdigest(),
+        "q2": "sha256:" + hashlib.sha256((DATA / "q_high.csv").read_bytes()).hexdigest(),
+    }
+    _, regular = run_cli(["check-lr", "--q1", "q_low.csv", "--q2", "q_high.csv"], cwd=DATA)
+    assert out == regular
+
+
+@pytest.mark.parametrize("name, data", [
+    ("bad.csv", b"value,prob\n" + b"1,0.5\n" * 2000 + b"2,0.5\xff\n"),
+    ("bad.json", b'{"support": [1, 2], "probs": [0.5, 0.5]}\xff\n'),
+])
+def test_undecodable_input_keeps_its_message(tmp_path, name, data):
+    """Parsing the bytes read for the digest decodes them as reading the file as text did."""
+    path = tmp_path / name
+    path.write_bytes(data)
+    with pytest.raises(UnicodeDecodeError) as exc:
+        with open(path, newline="" if name.endswith(".csv") else None, encoding="utf-8") as fh:
+            list(csv.reader(fh)) if name.endswith(".csv") else json.load(fh)
+    assert run_captured(["check-st", "--q1", str(path), "--q2", str(path)]) == (
+        2, "", f"input error: {exc.value}\n")
 
 
 class TestExitCodes:

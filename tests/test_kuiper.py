@@ -25,7 +25,8 @@ from stochorder import (
 from stochorder import kuiper
 from stochorder.distributions import prefix_table
 from stochorder.fixtures import antidiag, diag_uniform
-from helpers import _norm_kadane, all_rectangles_norm, pattern_search_serial, random_supermodular_tp2
+from helpers import (_norm_kadane, all_rectangles_norm, band_norm_by_row_ranges, pattern_search_serial,
+                     random_supermodular_tp2, row_ranges)
 
 METHODS = ("brute", "kadane")
 
@@ -37,8 +38,8 @@ def measure(delta) -> GridSignedMeasure:
 
 
 def small_chunks():
-    """Band chunks of a few prefix entries: every example with more than one
-    row range spans several chunks, and chunks split a start row's ranges."""
+    """Band blocks of a few prefix entries: every example with more than one
+    row range spans several blocks, and blocks split a start row's end rows."""
     return mock.patch.object(kuiper, "BAND_BUDGET", 7)
 
 
@@ -186,20 +187,19 @@ class TestKuiperNorm:
 
     def test_row_ranges_cover_every_range_in_budgeted_chunks(self):
         for shape in [(1, 1), (5, 1), (5, 6), (13, 2)]:
-            with small_chunks():
-                chunks = list(kuiper._row_ranges(shape))
-                step = max(1, kuiper.BAND_BUDGET // (shape[1] + 1))
+            chunks = list(row_ranges(shape, 7))
+            step = max(1, 7 // (shape[1] + 1))
             ii, jj = np.triu_indices(shape[0] + 1, k=1)
             np.testing.assert_array_equal(np.concatenate([c[0] for c in chunks]), ii)
             np.testing.assert_array_equal(np.concatenate([c[1] for c in chunks]), jj)
             assert all(len(c[0]) == step for c in chunks[:-1])
         # a projection grid (at most 11 x 11 after refinement) is one chunk
-        assert len(list(kuiper._row_ranges((11, 11)))) == 1
+        assert len(list(row_ranges((11, 11)))) == 1
 
     def test_brute_float_memory_is_bounded(self):
         # materializing every rectangle of a 60x60 delta takes about 78 MB,
-        # every row range's band of a 300x300 delta about 209 MB, and the
-        # index pairs of every row range of a 2000x2 delta about 32 MB
+        # every row range's band of a 300x300 delta about 209 MB, and every
+        # start and end row pair's band of a 2000x2 delta about 96 MB
         for shape in ((60, 60), (300, 300), (2000, 2)):
             sigma = measure(np.random.default_rng(104).normal(size=shape))
             for method in METHODS:
@@ -324,10 +324,10 @@ class TestProjection:
 
 @st.composite
 def search_cases(draw):
-    """A target and a start on a 3x3 to 13x13 refined grid, with ``s`` holding
-    exact zeros, tiny entries and entries equal to the first step.  The target
-    is the start's pmf mixed with a sparse random pmf, so sweeps range from
-    rejecting every trial to accepting most parameters."""
+    """A target and one to four starts on a 3x3 to 13x13 refined grid, with
+    ``s`` holding exact zeros, tiny entries and entries equal to the first
+    step.  The target is the first start's pmf mixed with a sparse random pmf,
+    so sweeps range from rejecting every trial to accepting most parameters."""
     nx = draw(st.integers(3, 13))
     ny = draw(st.integers(3, 13))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -335,18 +335,34 @@ def search_cases(draw):
     noise.flat[rng.integers(noise.size)] += 1.0
     steps = draw(st.sampled_from([[0.5], [0.125], [-0.25], [0.5, 0.25, 0.125],
                                   [0.5 * 0.5**k for k in range(8)]]))
-    s = rng.exponential(0.2, (nx - 1, ny - 1))
-    special = rng.choice(4, size=s.shape, p=draw(st.sampled_from(
-        [(1.0, 0.0, 0.0, 0.0), (0.4, 0.2, 0.2, 0.2), (0.0, 0.5, 0.5, 0.0)])))
-    s[special == 1] = 0.0
-    s[special == 2] = draw(st.sampled_from([5e-324, 1e-300, 1e-12]))
-    s[special == 3] = abs(steps[0])
-    start = (rng.normal(0.0, 1.0, nx), rng.normal(0.0, 1.0, ny), s)
+    p_special = draw(st.sampled_from([(1.0, 0.0, 0.0, 0.0), (0.4, 0.2, 0.2, 0.2), (0.0, 0.5, 0.5, 0.0)]))
+    tiny = draw(st.sampled_from([5e-324, 1e-300, 1e-12]))
+    starts = []
+    for _ in range(draw(st.integers(1, 4))):
+        s = rng.exponential(0.2, (nx - 1, ny - 1))
+        special = rng.choice(4, size=s.shape, p=p_special)
+        s[special == 1] = 0.0
+        s[special == 2] = tiny
+        s[special == 3] = abs(steps[0])
+        starts.append((rng.normal(0.0, 1.0, nx), rng.normal(0.0, 1.0, ny), s))
     mix = draw(st.sampled_from([1.0, 1e-3, 0.0]))
-    target = (1.0 - mix) * kuiper._PotentialCandidate(*start).pmf() + mix * noise / noise.sum()
+    target = (1.0 - mix) * kuiper._PotentialCandidate(*starts[0]).pmf() + mix * noise / noise.sum()
     # up to whole sweeps (2 * 13 * 13 * 2 trials) in one batch, so batches reach sweep ends
     batch = draw(st.one_of(st.integers(1, 40), st.just(1000)))
-    return target, start, steps, draw(st.integers(0, 3)), batch
+    return target, starts, steps, draw(st.integers(0, 3)), batch
+
+
+def serial_searches(cands, objective, steps, sweeps, batch):
+    """``kuiper._pattern_search`` as one ``pattern_search_serial`` run per candidate, in order."""
+    return [pattern_search_serial(cand, lambda pmf: float(objective(pmf[None])[0]), steps, sweeps)
+            for cand in cands]
+
+
+def non_tp2_input(n: int, seed: int) -> BivariateDist:
+    pmf = np.random.default_rng(seed).random((n, n))
+    r = BivariateDist(np.arange(float(n)), np.arange(float(n)), pmf / pmf.sum())
+    assert not check_tp2(r).holds
+    return r
 
 
 class TestStackedSearch:
@@ -355,70 +371,183 @@ class TestStackedSearch:
     @example(np.zeros((3, 13, 13)), 40)
     @example(np.arange(2 * 13 * 2, dtype=float).reshape(2, 13, 2) - 20.0, 7)
     def test_stacked_kernel_equals_2d_calls_bitwise(self, stack, budget):
-        with mock.patch.object(kuiper, "BAND_BUDGET", budget):
-            rows = list(kuiper._row_ranges(stack.shape[1:]))
         pref = prefix_table(stack)
-        norms = kuiper._band_norm(stack, rows)
-        assert norms.shape == (len(stack),)
-        for k, delta in enumerate(stack):
-            assert pref[k].tobytes() == prefix_table(delta).tobytes()
-            assert norms[k].tobytes() == np.float64(kuiper._band_norm(delta, rows)).tobytes()
+        with mock.patch.object(kuiper, "BAND_BUDGET", budget):
+            norms = kuiper._band_norm(stack)
+            assert norms.shape == (len(stack),)
+            for k, delta in enumerate(stack):
+                assert pref[k].tobytes() == prefix_table(delta).tobytes()
+                assert norms[k].tobytes() == np.float64(kuiper._band_norm(delta)).tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(float_stacks(), st.sampled_from([7, 40, kuiper.BAND_BUDGET]))
+    @example(np.zeros((2, 9, 4)), 7)
+    @example(np.zeros((1, 1, 1)), kuiper.BAND_BUDGET)
+    @example(np.array([[[0.3, -1e3, 2e-3, 0.0, 7.0, -5e-3, 1e-3]]]), 7)
+    @example(np.array([[[0.3], [-1e3], [2e-3], [0.0], [7.0], [-5e-3], [1e-3]]]), 7)
+    @example(np.random.default_rng(5).normal(size=(3, 1, 13)), 40)
+    @example(np.random.default_rng(6).normal(size=(3, 13, 1)), 40)
+    def test_float_kernel_equals_row_range_oracle_bitwise(self, stack, budget):
+        expected = band_norm_by_row_ranges(stack, budget)
+        with mock.patch.object(kuiper, "BAND_BUDGET", budget):
+            assert kuiper._band_norm(stack).tobytes() == expected.tobytes()
+            assert np.float64(kuiper._band_norm(stack[0])).tobytes() == expected[0].tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(int_deltas(), fraction_deltas()), st.sampled_from([7, 40, kuiper.BAND_BUDGET]))
+    @example(np.zeros((1, 6), dtype=np.int64), 7)
+    @example(np.zeros((6, 1), dtype=np.int64), 40)
+    @example(np.array([[Fraction(1, 3), Fraction(-2, 7), Fraction(0), Fraction(5, 2)]]), 7)
+    @example(np.array([[Fraction(1, 3)], [Fraction(-2, 7)], [Fraction(0)], [Fraction(5, 2)]]), 7)
+    @example(np.full((3, 4), Fraction(0)), 40)
+    def test_object_kernel_equals_row_range_oracle(self, delta, budget):
+        stack = delta.astype(object)[None]
+        expected = band_norm_by_row_ranges(stack, budget)[0]
+        with mock.patch.object(kuiper, "BAND_BUDGET", budget):
+            norm = kuiper._band_norm(stack)[0]
+        assert type(norm) is type(expected)
+        assert norm == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 3), st.integers(1, 40), st.integers(1, 6), st.sampled_from([7, 40, 300]))
+    def test_kernel_bands_fit_the_budget(self, k, nx, ny, budget):
+        # each block of start rows, or split of one start row's end rows, holds at
+        # most BAND_BUDGET band entries, or one row range over the whole stack
+        stack = np.random.default_rng(nx * ny).normal(size=(k, nx, ny))
+        sizes = []
+
+        class Bands(np.ndarray):
+            """A prefix table that records the size of each band subtracted from it."""
+
+            def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+                out = getattr(ufunc, method)(*(np.asarray(x) for x in inputs), **kwargs)
+                if ufunc is np.subtract:
+                    sizes.append(out.size)
+                return out
+
+        contiguous = np.ascontiguousarray
+        with mock.patch.object(kuiper, "BAND_BUDGET", budget), \
+                mock.patch.object(np, "ascontiguousarray", lambda a: contiguous(a).view(Bands)):
+            norms = kuiper._band_norm(stack)
+        assert norms.tobytes() == band_norm_by_row_ranges(stack).tobytes()
+        assert max(sizes) <= max(budget, k * (ny + 1))
+
+    def test_stacked_lockstep_memory_is_bounded(self):
+        # every start and end row pair's band of a (96, 23, 23) stack takes
+        # about 9.7 MB; four restarts' passes of four trials on a 23x23 grid
+        # would take 1.6 MB, but one call scores at most _stack_cap trials
+        rng = np.random.default_rng(105)
+        stack = rng.normal(size=(96, 23, 23))
+        target = rng.random((23, 23))
+        target /= target.sum()
+        cands = [kuiper._PotentialCandidate(rng.normal(size=23), rng.normal(size=23),
+                                            rng.exponential(0.2, (22, 22))) for _ in range(4)]
+        sizes = []
+
+        def objective(pmfs):
+            sizes.append(len(pmfs))
+            return kuiper._band_norm(pmfs - target)
+
+        for call in (lambda: kuiper._band_norm(stack),
+                     lambda: kuiper._pattern_search(cands, objective, [0.5], 1,
+                                                    kuiper._speculation_batch((23, 23)))):
+            tracemalloc.start()
+            try:
+                call()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 2 * 2**20, peak
+        assert max(sizes) == kuiper._stack_cap((23, 23)) == 4
 
     def test_speculation_batch_fits_half_the_band_budget(self):
         for budget in (7, 500, 4096, kuiper.BAND_BUDGET):
             with mock.patch.object(kuiper, "BAND_BUDGET", budget):
                 for nx, ny in itertools.product(range(1, 60), (1, 2, 7, 23, 60)):
                     k = kuiper._speculation_batch((nx, ny))
+                    cap = kuiper._stack_cap((nx, ny))
                     band = nx * (nx + 1) // 2 * (ny + 1)
-                    assert 1 <= k <= kuiper.SPECULATION_BATCH
-                    assert 2 * k * band <= budget or k == 1
-                    assert k == kuiper.SPECULATION_BATCH or 2 * (k + 1) * band > budget
+                    assert 1 <= k <= kuiper.SPECULATION_BATCH and k == min(kuiper.SPECULATION_BATCH, cap)
+                    assert 2 * cap * band <= budget or cap == 1
+                    assert 2 * (cap + 1) * band > budget
         # the refined grids of 3x3 to 5x5 inputs take whole batches
         assert kuiper._speculation_batch((11, 11)) == kuiper.SPECULATION_BATCH
 
     @settings(max_examples=50, deadline=None)
-    @given(search_cases())
-    def test_batched_search_equals_serial_oracle(self, case):
-        target, (a, b, s), steps, sweeps, batch = case
-        rows = list(kuiper._row_ranges(target.shape))
-        serial = kuiper._PotentialCandidate(a.copy(), b.copy(), s.copy())
-        expected = pattern_search_serial(
-            serial, lambda pmf: float(kuiper._band_norm(pmf - target, rows)), steps, sweeps)
-        cand = kuiper._PotentialCandidate(a.copy(), b.copy(), s.copy())
-        got = kuiper._pattern_search(
-            cand, lambda pmfs: kuiper._band_norm(pmfs - target, rows), steps, sweeps, batch)
+    @given(search_cases(), st.sampled_from([7, 2000, kuiper.BAND_BUDGET]))
+    def test_batched_search_equals_serial_oracle(self, case, budget):
+        target, starts, steps, sweeps, batch = case
+        serial = [kuiper._PotentialCandidate(a.copy(), b.copy(), s.copy()) for a, b, s in starts]
+        expected = serial_searches(serial, lambda pmfs: kuiper._band_norm(pmfs - target), steps, sweeps, batch)
+        cands = [kuiper._PotentialCandidate(a.copy(), b.copy(), s.copy()) for a, b, s in starts]
+        sizes = []
+
+        def objective(pmfs):
+            sizes.append(len(pmfs))
+            return kuiper._band_norm(pmfs - target)
+
+        with mock.patch.object(kuiper, "BAND_BUDGET", budget):
+            got = kuiper._pattern_search(cands, objective, steps, sweeps, batch)
+            cap = kuiper._stack_cap(target.shape)
         assert got == expected
-        assert type(got[0]) is float
-        assert cand.theta.tobytes() == serial.theta.tobytes()
+        assert all(type(best) is float for best, _, _ in got)
+        for cand, oracle in zip(cands, serial):
+            assert cand.theta.tobytes() == oracle.theta.tobytes()
+        # one call scores one pass of each running search, as many as fit the cap
+        assert max(sizes) <= max(cap, batch)
+        assert sizes[0] == min(len(starts), cap)
 
     @pytest.mark.parametrize("budget", [None, 4096])
     def test_projection_within_budget_equals_serial_oracle(self, budget):
         # an 11x11 input refines to 23x23, whose bands take 276 * 24 = 6624 entries per
         # trial: the default budget caps the batch below SPECULATION_BATCH, and 4096
-        # leaves one trial per pass, its row ranges split into two chunks
-        rng = np.random.default_rng(11)
-        pmf = rng.random((11, 11))
-        r = BivariateDist(np.arange(11.0), np.arange(11.0), pmf / pmf.sum())
+        # leaves one trial per pass, its start rows split into blocks
+        r = non_tp2_input(11, 11)
         budget = budget or kuiper.BAND_BUDGET
-        entries = []
+        sizes = []
         band_norm = kuiper._band_norm
 
-        def spy(delta, chunks):
-            chunks = list(chunks)
-            k = delta.shape[0] if delta.ndim == 3 else 1
-            entries.extend(k * len(ii) * (delta.shape[-1] + 1) for ii, _ in chunks)
-            return band_norm(delta, chunks)
-
-        def serial(cand, objective, steps, sweeps, batch):
-            return pattern_search_serial(cand, lambda pmf: float(objective(pmf[None])[0]), steps, sweeps)
+        def spy(delta):
+            sizes.append(delta.shape[0] if delta.ndim == 3 else 1)
+            return band_norm(delta)
 
         with mock.patch.object(kuiper, "BAND_BUDGET", budget):
-            assert kuiper._speculation_batch((23, 23)) == max(1, budget // 2 // 6624)
+            assert kuiper._speculation_batch((23, 23)) == kuiper._stack_cap((23, 23)) == max(1, budget // 2 // 6624)
             with mock.patch.object(kuiper, "_band_norm", spy):
                 res = tp2_project(r, seed=3, restarts=1, max_iters=1)
-            with mock.patch.object(kuiper, "_pattern_search", serial):
+            with mock.patch.object(kuiper, "_pattern_search", serial_searches):
                 expected = tp2_project(r, seed=3, restarts=1, max_iters=1)
-        assert max(entries) <= budget
+        assert max(sizes) == max(1, budget // 2 // 6624)
+        assert res.trace["source"] != "input-tp2"
+        assert json.dumps(res.to_dict()) == json.dumps(expected.to_dict())
+
+    @pytest.mark.parametrize("restarts", range(5))
+    @pytest.mark.parametrize("budget", [None, 2 * 792 * 30, 2 * 792 * 12, 2 * 792 * 5])
+    def test_lockstep_projection_equals_serial_restarts(self, restarts, budget):
+        # a 5x5 input refines to 11x11, whose bands take 66 * 12 = 792 entries per trial:
+        # one call stacks the passes of 12 trials of three restarts at the default budget,
+        # of two at 2 * 792 * 30 and of one at 2 * 792 * 12, and 2 * 792 * 5 leaves one
+        # pass of 5 trials per call
+        r = non_tp2_input(5, 12)
+        sizes = []
+        band_norm = kuiper._band_norm
+
+        def spy(delta):
+            sizes.append(delta.shape[0] if delta.ndim == 3 else 1)
+            return band_norm(delta)
+
+        with mock.patch.object(kuiper, "BAND_BUDGET", budget or kuiper.BAND_BUDGET):
+            batch = kuiper._speculation_batch((11, 11))
+            cap = kuiper._stack_cap((11, 11))
+            with mock.patch.object(kuiper, "_band_norm", spy):
+                res = tp2_project(r, seed=7, restarts=restarts, max_iters=3)
+            with mock.patch.object(kuiper, "_pattern_search", serial_searches):
+                expected = tp2_project(r, seed=7, restarts=restarts, max_iters=3)
+        assert (batch, cap) == {None: (12, 41), 2 * 792 * 30: (12, 30), 2 * 792 * 12: (12, 12),
+                                2 * 792 * 5: (5, 5)}[budget]
+        assert max(sizes) <= (cap if restarts > 1 else batch)
+        if restarts > 1 and cap >= 2 * batch:
+            assert max(sizes) > batch
         assert res.trace["source"] != "input-tp2"
         assert json.dumps(res.to_dict()) == json.dumps(expected.to_dict())
 
