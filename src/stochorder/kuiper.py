@@ -297,7 +297,7 @@ def _search(cand: _PotentialCandidate, steps, sweeps: int, batch: int):
         t = 0
         while t < params.size:
             p, v = params[t:t + batch], values[t:t + batch]
-            if p.size == 1:  # one trial: set one entry of a copy, compare one value
+            if p.size == 1:  # every pass of a 33x33 or larger refined grid: no fancy indexing
                 stack = theta[None].copy()
                 stack[0, p[0]] = v[0]
                 vals = yield stack

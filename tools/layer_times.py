@@ -17,7 +17,9 @@ input is built here from fixed seeds, so two checkouts time the same work:
 
 Each entry is the best of ``--repeat`` timed calls, after one untimed call.
 To compare two commits, run the script in a checkout of each, alternating
-sides, since the speed of a shared host drifts within minutes.
+sides, since the speed of a shared host drifts within minutes.  The stacked
+objective calls ``kuiper._band_norm(delta)``, so a checkout needs the
+slab-wise band kernel, which takes no row ranges.
 """
 
 from __future__ import annotations
@@ -54,9 +56,6 @@ def best_ms(call, repeat: int) -> float:
 
 def objective(target: np.ndarray):
     """The projection's objective on ``target``: a stack of pmfs to their Kuiper distances."""
-    if hasattr(kuiper, "_row_ranges"):  # the row-range kernel took its ranges as an argument
-        rows = list(kuiper._row_ranges(target.shape))
-        return lambda pmfs: kuiper._band_norm(pmfs - target, rows)
     return lambda pmfs: kuiper._band_norm(pmfs - target)
 
 
