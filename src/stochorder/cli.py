@@ -51,24 +51,19 @@ EXIT_PRECONDITION = 4
 MAX_SEEDS = 10**4
 
 
-def _read(path: str) -> bytes:
+def _digest(path: str) -> str:
     with open(path, "rb") as fh:
-        return fh.read()
-
-
-def _digest(data: bytes) -> str:
-    return "sha256:" + hashlib.sha256(data).hexdigest()
+        return "sha256:" + hashlib.sha256(fh.read()).hexdigest()
 
 
 def _load(loader, args, *names: str):
     """The inputs that ``args`` names, each read once and parsed by ``loader``
-    from the bytes it was read as, then the sha256 of those bytes by name."""
+    while the bytes it reads are hashed, then the sha256 of those bytes by name."""
     loaded, digests = [], {}
     for name in names:
-        path = getattr(args, name)
-        data = _read(path)
-        loaded.append(loader(path, exact=args.exact, data=data))
-        digests[name] = _digest(data)
+        sha = hashlib.sha256()
+        loaded.append(loader(getattr(args, name), exact=args.exact, digest=sha))
+        digests[name] = "sha256:" + sha.hexdigest()
     return (*loaded, digests)
 
 
@@ -338,7 +333,7 @@ def _cmd_fixture(args) -> int:
         written.append(os.path.join(args.dir, f"{args.name}.csv"))
         write_bivariate_csv(made, written[-1])
     _emit(_report("fixture", {}, {"name": args.name, "files": written,
-                                  "digests": {p: _digest(_read(p)) for p in written}}))
+                                  "digests": {p: _digest(p) for p in written}}))
     return EXIT_OK
 
 

@@ -682,20 +682,39 @@ def write_univariate_csv(q: UnivariateDist, path) -> None:
             writer.writerow([_fmt(v), _fmt(p)])
 
 
-def _text(path, data: bytes | None, newline: str | None = None) -> io.TextIOWrapper:
-    """The UTF-8 text of ``data``, the bytes of the file at ``path`` when the
-    caller has read them, else of the file itself."""
-    if data is None:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=newline)
+class _Hashed(io.BufferedReader):
+    """A buffered binary file that feeds every byte the text wrapper reads from
+    it (through ``read`` and ``read1``) to ``digest``.  A subclass of the
+    buffer keeps the wrapper's check for a closed file, run per line, in C."""
+
+    def __init__(self, raw, digest):
+        super().__init__(raw)
+        self.digest = digest
+
+    def read(self, size=-1) -> bytes:
+        data = super().read(size)
+        self.digest.update(data)
+        return data
+
+    def read1(self, size=-1) -> bytes:
+        data = super().read1(size)
+        self.digest.update(data)
+        return data
 
 
-def _csv_columns(path, header: tuple[str, ...], data: bytes | None = None) -> list[tuple[str, ...]]:
+def _text(path, digest, newline: str | None = None) -> io.TextIOWrapper:
+    """The UTF-8 text of the file at ``path``, streamed; every byte read is
+    fed to ``digest`` (a ``hashlib`` object) when one is given."""
+    raw = open(path, "rb", buffering=0)
+    stream = io.BufferedReader(raw) if digest is None else _Hashed(raw, digest)
+    return io.TextIOWrapper(stream, encoding="utf-8", newline=newline)
+
+
+def _csv_columns(path, header: tuple[str, ...], digest=None) -> list[tuple[str, ...]]:
     """The text columns of a CSV file with the given header (names compared
     stripped).  Blank lines are skipped; a row with missing or extra fields
     is rejected."""
-    with _text(path, data, newline="") as fh:
+    with _text(path, digest, newline="") as fh:
         rows = [row for row in csv.reader(fh) if row]
     if not rows or [f.strip() for f in rows[0]] != list(header):
         raise InvalidDistributionError(f"{path}: expected header {','.join(header)!r}")
@@ -704,8 +723,8 @@ def _csv_columns(path, header: tuple[str, ...], data: bytes | None = None) -> li
     return list(zip(*rows[1:])) or [()] * len(header)
 
 
-def read_univariate_csv(path, *, exact: bool = False, data: bytes | None = None) -> UnivariateDist:
-    values, probs = _csv_columns(path, ("value", "prob"), data)
+def read_univariate_csv(path, *, exact: bool = False, digest=None) -> UnivariateDist:
+    values, probs = _csv_columns(path, ("value", "prob"), digest)
     values = [float(v) for v in values]
     if exact:
         return UnivariateDist.from_weights(values, _weights_from_decimal_strings(probs))
@@ -723,8 +742,8 @@ def write_bivariate_csv(r: BivariateDist, path) -> None:
                     writer.writerow([_fmt(x), _fmt(y), _fmt(p)])
 
 
-def read_bivariate_csv(path, *, exact: bool = False, data: bytes | None = None) -> BivariateDist:
-    xs, ys, probs = _csv_columns(path, ("x", "y", "prob"), data)
+def read_bivariate_csv(path, *, exact: bool = False, digest=None) -> BivariateDist:
+    xs, ys, probs = _csv_columns(path, ("x", "y", "prob"), digest)
     xs = [float(v) for v in xs]
     ys = [float(v) for v in ys]
     if exact:
@@ -739,21 +758,21 @@ def write_univariate_json(q: UnivariateDist, path) -> None:
         fh.write("\n")
 
 
-def load_univariate(path, *, exact: bool = False, data: bytes | None = None) -> UnivariateDist:
-    """The distribution in the JSON or CSV file at ``path``, parsed from
-    ``data`` when the caller has already read the file's bytes."""
+def load_univariate(path, *, exact: bool = False, digest=None) -> UnivariateDist:
+    """The distribution in the JSON or CSV file at ``path``, read once and
+    hashed into ``digest`` (a ``hashlib`` object) when one is given."""
     path = str(path)
     if path.endswith(".json"):
-        with _text(path, data) as fh:
+        with _text(path, digest) as fh:
             return UnivariateDist.from_dict(json.load(fh), exact=exact)
-    return read_univariate_csv(path, exact=exact, data=data)
+    return read_univariate_csv(path, exact=exact, digest=digest)
 
 
-def load_bivariate(path, *, exact: bool = False, data: bytes | None = None) -> BivariateDist:
-    """The distribution in the JSON or CSV file at ``path``, parsed from
-    ``data`` when the caller has already read the file's bytes."""
+def load_bivariate(path, *, exact: bool = False, digest=None) -> BivariateDist:
+    """The distribution in the JSON or CSV file at ``path``, read once and
+    hashed into ``digest`` (a ``hashlib`` object) when one is given."""
     path = str(path)
     if path.endswith(".json"):
-        with _text(path, data) as fh:
+        with _text(path, digest) as fh:
             return BivariateDist.from_dict(json.load(fh), exact=exact)
-    return read_bivariate_csv(path, exact=exact, data=data)
+    return read_bivariate_csv(path, exact=exact, digest=digest)

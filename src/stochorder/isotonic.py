@@ -1,11 +1,14 @@
-"""Division-free ratio comparison, the product scan and extremal isotonic densities.
+"""Division-free ratio comparison, the product scans and extremal isotonic densities.
 
-``cross_compare`` decides r2/r1 <= s2/s1 on the extended half-line [0, inf]
-through the cross products r2*s1 <= r1*s2, so no division (and no 0/0 or
-inf) ever occurs.  The same product comparison backs every order verdict in
-the package, either with a relative float slack or exactly on integers.
+``first_violation`` is the package's one comparator: it scores whole arrays
+of products lhs <= rhs, with a relative float slack or exactly on integers,
+and every verdict in the package is one ``first_violation`` pass over the
+mode's mass array.  ``scan_dtype`` picks the numbers a pass runs on: float64,
+int64 where every product fits, or Python ints.  ``cross_compare`` decides
+r2/r1 <= s2/s1 on the extended half-line [0, inf] through the cross products
+r2*s1 <= r1*s2, so no division (and no 0/0 or inf) ever occurs.
 
-Every minor and interval verdict is one chunked scan, ``_scan``.  Its masses
+The minor and interval verdicts are one chunked scan, ``_scan``.  Its masses
 are direct sums, never differences of cumulative sums: a float mass on n atoms
 is off by about n*eps relative, which ``PRODUCT_RTOL`` absorbs to ~2,000 atoms.
 
@@ -38,33 +41,37 @@ def _check_mode(mode: str) -> str:
     return mode
 
 
-def products_le(lhs, rhs, mode: str = MODE_FLOAT, tol: float = PRODUCT_RTOL) -> bool:
-    """lhs <= rhs for nonnegative products, with slack scaled to the products."""
-    if mode == MODE_EXACT:
-        return lhs <= rhs
-    return lhs <= rhs + tol * max(abs(lhs), abs(rhs))
-
-
 def first_violation(lhs: np.ndarray, rhs: np.ndarray, mode: str = MODE_FLOAT,
                     tol: float = PRODUCT_RTOL) -> int | None:
-    """Flat index of the first entry where ``products_le`` fails, if any,
-    evaluated over whole arrays with the same IEEE operations."""
+    """Flat index of the first entry where lhs <= rhs fails, if any: exactly in
+    exact mode, else with the slack ``tol * max(|lhs|, |rhs|)`` on nonnegative
+    products."""
     if mode != MODE_EXACT:
         rhs = rhs + tol * np.maximum(np.abs(lhs), np.abs(rhs))
     bad = ~(lhs <= rhs)
     return int(bad.argmax()) if bad.any() else None
 
 
-#: products scored per array pass of a scan; bounds its working memory
-MINOR_BUDGET = 2**14
-
 #: largest weight whose products with any other such weight fit in int64
 INT64_FACTOR_MAX = isqrt(2**63 - 1)
 
 
+def scan_dtype(mode: str, bound) -> type:
+    """The numbers a ``first_violation`` pass runs on: float64 in float mode;
+    in exact mode int64 when ``bound``, the largest factor of its products, is
+    at most ``INT64_FACTOR_MAX``, else Python ints."""
+    if mode != MODE_EXACT:
+        return np.float64
+    return np.int64 if bound <= INT64_FACTOR_MAX else object
+
+
+#: products scored per array pass of a scan; bounds its working memory
+MINOR_BUDGET = 2**14
+
+
 def _scan(n_rows: int, rows, n_cols: int, cols, mode: str, tol: float):
     """Labels of the first (row item, column item), rows outer, failing
-    ``products_le(top[P] * bot[Q], top[Q] * bot[P])``: ``rows(lo, hi)`` gives the
+    top[P] * bot[Q] <= top[Q] * bot[P]: ``rows(lo, hi)`` gives the
     labels (one array per label) and factor rows (top, bot) of items [lo, hi),
     ``cols`` the labels and positions (P, Q); a pass scores <= MINOR_BUDGET."""
     rows_step = max(1, MINOR_BUDGET // max(n_cols, 1))  # 1 when column items need slices
@@ -113,10 +120,9 @@ def _pairs(n: int, lo: int, hi: int):
 
 def _minor_scan(h: np.ndarray, mode: str, tol: float):
     """First minor ((i, k), (j, l)), row pairs i < k then column pairs j < l in
-    ``combinations`` order, failing ``products_le(h[i,l]*h[k,j], h[i,j]*h[k,l])``;
-    exact grids run on int64 when every product fits, else on Python ints."""
-    if mode == MODE_EXACT and h.max() <= INT64_FACTOR_MAX:
-        h = h.astype(np.int64)
+    ``combinations`` order, failing h[i,l]*h[k,j] <= h[i,j]*h[k,l]; its
+    factors are cells."""
+    h = h.astype(scan_dtype(mode, h.max()), copy=False)
     nx, ny = h.shape
 
     def rows(lo, hi):
@@ -133,12 +139,11 @@ def _minor_scan(h: np.ndarray, mode: str, tol: float):
 def _interval_scan(h: np.ndarray, mode: str, tol: float, by_last: bool = False):
     """First ((a, b, c), (d, e, f)), row triples then column triples in
     ``combinations`` order (``by_last``: (d, f, e), in that order), failing
-    ``products_le(M1(e,f] * M2(d,e], M1(d,e] * M2(e,f])`` for the column
-    masses M1, M2 of the row blocks [a, b), [b, c); cut c lies before atom c.
-    Exact grids run on int64 when the total fits, else on Python ints."""
+    M1(e,f] * M2(d,e] <= M1(d,e] * M2(e,f] for the column masses M1, M2 of
+    the row blocks [a, b), [b, c); cut c lies before atom c.  Its factors are
+    block masses, at most the total."""
     nx, ny = h.shape
-    padded = np.zeros((nx + 1, ny), dtype=np.int64 if mode == MODE_EXACT
-                      and h.sum() <= INT64_FACTOR_MAX else h.dtype)  # cuts run up to row nx
+    padded = np.zeros((nx + 1, ny), dtype=scan_dtype(mode, h.sum()))  # cuts run up to row nx
     padded[:nx] = h
     upper = np.arange(ny) >= np.arange(ny)[:, None]  # row d of a masked copy sums from atom d
 
@@ -172,7 +177,8 @@ def cross_compare(r1, r2, s1, s2, mode: str = MODE_FLOAT, tol: float = PRODUCT_R
     if min(r1, r2, s1, s2) < 0:
         raise DomainError("cross_compare expects nonnegative inputs")
     degenerate = (r1 == 0 and r2 == 0) or (s1 == 0 and s2 == 0)
-    le = products_le(r2 * s1, r1 * s2, mode, tol)
+    lhs, rhs = np.array([[r2 * s1], [r1 * s2]], dtype=object if mode == MODE_EXACT else np.float64)
+    le = first_violation(lhs, rhs, mode, tol) is None
     return CrossCompareResult(le=le, degenerate=degenerate)
 
 

@@ -297,17 +297,11 @@ def _search(cand: _PotentialCandidate, steps, sweeps: int, batch: int):
         t = 0
         while t < params.size:
             p, v = params[t:t + batch], values[t:t + batch]
-            if p.size == 1:  # every pass of a 33x33 or larger refined grid: no fancy indexing
-                stack = theta[None].copy()
-                stack[0, p[0]] = v[0]
-                vals = yield stack
-                hits = (0,) if vals[0] < best else ()
-            else:
-                stack = np.repeat(theta[None], p.size, axis=0)
-                stack[np.arange(p.size), p] = v
-                vals = yield stack
-                hits = np.flatnonzero(vals < best)
-            if not len(hits):
+            stack = np.repeat(theta[None], p.size, axis=0)
+            stack[np.arange(p.size), p] = v
+            vals = yield stack
+            hits = np.flatnonzero(vals < best)
+            if not hits.size:
                 iters += p.size
                 t += p.size
                 continue

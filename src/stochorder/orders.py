@@ -1,9 +1,11 @@
 """Verdicts for the usual stochastic order and the likelihood ratio order.
 
 All checks canonicalize their inputs, operate on the merged support with the
-counting measure, and compare cross-multiplied masses only (see
-:mod:`stochorder.isotonic`), so they are division free.  A failed verdict
-always carries a witness from which the violated inequality can be recomputed.
+counting measure, and compare cross-multiplied masses only, so they are
+division free.  Every verdict is one ``isotonic.first_violation`` pass over
+the (2, n) array of the pair's masses in the mode's numbers, and a failed
+verdict carries a witness from which the violated inequality can be
+recomputed.
 
 ``check_lr`` exposes four equivalent characterizations of the likelihood
 ratio order on finite support:
@@ -19,8 +21,9 @@ ratio order on finite support:
   so a window passes exactly when the ``intervals`` triple (a, t, b) does (one
   with no mass under either gives 0 <= 0): the intervals scan in (a, b, t) order.
 
-The last three run one chunked array scan (:mod:`stochorder.isotonic`) on the
-2-row grid of the masses, and the witness is the first violation in order.
+``ratio`` is ``_ratio_scan`` on the 2-row grid of the masses; the last three
+run the chunked product scan (:mod:`stochorder.isotonic`) on it.  The witness
+is the first violation in order.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ import numpy as np
 from .distributions import Interval, UnivariateDist, _interval_slice
 from .errors import DomainError, InvalidDistributionError
 from .isotonic import (MODE_EXACT, MODE_FLOAT, PRODUCT_RTOL, _beyond, _check_mode,
-                       _interval_scan, _minor_scan, products_le)
+                       _interval_scan, _minor_scan, first_violation, scan_dtype)
 
 LR_METHODS = ("ratio", "pairwise", "intervals", "conditional-st")
 
@@ -72,17 +75,16 @@ def _fails(method: str, witness: tuple) -> OrderVerdict:
 
 
 def _merged_masses(q1: UnivariateDist, q2: UnivariateDist, mode: str):
-    """Merged support of the canonical pair and both mass lists on it, in the
-    numbers of the mode (Python ints in exact mode, floats otherwise)."""
+    """Merged support of the canonical pair and the (2, n) array of both
+    masses on it, in the numbers of the mode (Python ints in exact mode,
+    floats otherwise)."""
     q1 = q1.canonical()
     q2 = q2.canonical()
     merged = np.union1d(q1.support, q2.support)
-    out = []
-    for q in (q1, q2):
-        g = np.zeros(merged.size, dtype=object if mode == MODE_EXACT else np.float64)
-        g[np.searchsorted(merged, q.support)] = q.masses(mode)
-        out.append(g.tolist())
-    return merged, out[0], out[1]
+    h = np.zeros((2, merged.size), dtype=object if mode == MODE_EXACT else np.float64)
+    for row, q in zip(h, (q1, q2)):
+        row[np.searchsorted(merged, q.support)] = q.masses(mode)
+    return merged, h
 
 
 # ---------------------------------------------------------------------------
@@ -94,34 +96,24 @@ def check_st(q1: UnivariateDist, q2: UnivariateDist, mode: str = MODE_FLOAT,
              tol: float = PRODUCT_RTOL) -> OrderVerdict:
     """Usual stochastic order: the survival of q1 never exceeds that of q2.
 
-    The survival functions are step functions, so comparing them at every
-    merged-support atom covers all real thresholds.  The witness is a
-    violating threshold, and which one depends on the mode: float mode
-    accumulates the survivals from the top (for tail accuracy) and reports
-    the largest violating threshold, exact mode cross-multiplies from the
-    bottom and reports the smallest.
+    The survival functions are step functions, so comparing them above every
+    merged-support atom covers all real thresholds.  The survivals are
+    accumulated from the top (for tail accuracy) and compared as
+    s1 * t2 <= s2 * t1 with the totals t (1.0 for float masses).  The witness
+    is a violating threshold: the largest in float mode, the smallest in
+    exact mode.
     """
     _check_mode(mode)
-    merged, g1, g2 = _merged_masses(q1, q2, mode)
+    merged, h = _merged_masses(q1, q2, mode)
+    t1, t2 = h.sum(axis=1) if mode == MODE_EXACT else (1.0, 1.0)
+    h = h[:, ::-1].astype(scan_dtype(mode, max(t1, t2)))
+    up = np.zeros_like(h)  # [:, k]: the masses above the k-th atom from the top
+    np.cumsum(h[:, :-1], axis=1, out=up[:, 1:])
+    lhs, rhs, atoms = up[0] * t2, up[1] * t1, merged[::-1]
     if mode == MODE_EXACT:
-        t1, t2 = sum(g1), sum(g2)
-        s1, s2 = t1, t2
-        for y, m1, m2 in zip(merged.tolist(), g1, g2):
-            s1 -= m1
-            s2 -= m2
-            # survival ratios s1/t1 <= s2/t2, cross-multiplied
-            if s1 * t2 > s2 * t1:
-                return _fails("st", (y,))
-        return _holds("st")
-    # accumulate from the top so tail survivals keep full relative accuracy
-    s1 = 0.0
-    s2 = 0.0
-    for y, m1, m2 in zip(merged.tolist()[::-1], g1[::-1], g2[::-1]):
-        if s1 > s2 + tol:
-            return _fails("st", (y,))
-        s1 += m1
-        s2 += m2
-    return _holds("st")
+        lhs, rhs, atoms = lhs[::-1], rhs[::-1], merged
+    k = first_violation(lhs, rhs, mode, tol)
+    return _holds("st") if k is None else _fails("st", (atoms[k].item(),))
 
 
 # ---------------------------------------------------------------------------
@@ -129,12 +121,23 @@ def check_st(q1: UnivariateDist, q2: UnivariateDist, mode: str = MODE_FLOAT,
 # ---------------------------------------------------------------------------
 
 
-def _lr_ratio(merged, g1, g2, mode, tol):
-    pts = [i for i in range(len(merged)) if g1[i] > 0 or g2[i] > 0]
-    for a, b in zip(pts, pts[1:]):
-        if not products_le(g2[a] * g1[b], g1[a] * g2[b], mode, tol):
-            return (float(merged[a]), float(merged[b]))
-    return None
+def _ratio_scan(h: np.ndarray, mode: str, tol: float):
+    """First ((i, i + 1), (a, b)) where rows i, i + 1 of the grid ``h`` fail
+    h[i+1, a] * h[i, b] <= h[i, a] * h[i+1, b], rows outer, for consecutive
+    columns a < b of those that are positive in either row; its factors are
+    cells.  A column b positive in neither row, or with no such column
+    before it, is scored against column 0 and gives 0 <= 0."""
+    h = h.astype(scan_dtype(mode, h.max()), copy=False)
+    m = h.shape[1]
+    top, bot = h[:-1], h[1:]
+    # a[i, b - 1]: the last column before b positive in row i or i + 1, else 0
+    a = np.maximum.accumulate((top[:, :-1] + bot[:, :-1] > 0) * np.arange(m - 1), axis=1)
+    flat = a + np.arange(0, top.size, m)[:, None]
+    k = first_violation(bot.take(flat) * top[:, 1:], top.take(flat) * bot[:, 1:], mode, tol)
+    if k is None:
+        return None
+    i, b = divmod(k, m - 1)
+    return (i, i + 1), (int(a[i, b]), b + 1)
 
 
 def _midpoint(a: float, b: float) -> float:
@@ -167,15 +170,13 @@ def check_lr(q1: UnivariateDist, q2: UnivariateDist, method: str = "ratio",
     _check_mode(mode)
     if method not in LR_METHODS:
         raise DomainError(f"unknown check_lr method {method!r}; choose from {LR_METHODS}")
-    merged, g1, g2 = _merged_masses(q1, q2, mode)
-    if method == "ratio":
-        witness = _lr_ratio(merged, g1, g2, mode, tol)
-    else:
-        h = np.array([g1, g2], dtype=object if mode == MODE_EXACT else np.float64)
-        hit = (_minor_scan(h, mode, tol) if method == "pairwise"
-               else _interval_scan(h, mode, tol, by_last=method == "conditional-st"))
-        labels = hit and (merged.tolist() if method == "pairwise" else _boundaries(merged))
-        witness = hit and tuple(labels[i] for i in hit[1])
+    merged, h = _merged_masses(q1, q2, mode)
+    hit = (_ratio_scan(h, mode, tol) if method == "ratio"
+           else _minor_scan(h, mode, tol) if method == "pairwise"
+           else _interval_scan(h, mode, tol, by_last=method == "conditional-st"))
+    labels = hit and (_boundaries(merged) if method in ("intervals", "conditional-st")
+                      else merged.tolist())
+    witness = hit and tuple(labels[i] for i in hit[1])
     tag = f"lr:{method}"
     return _holds(tag) if witness is None else _fails(tag, witness)
 

@@ -28,8 +28,8 @@ import numpy as np
 
 from .distributions import UnivariateDist
 from .errors import DomainError, InvalidDistributionError
-from .isotonic import (INT64_FACTOR_MAX, MODE_EXACT, MODE_FLOAT, PRODUCT_RTOL, _check_mode,
-                       _cumulative, first_violation)
+from .isotonic import (MODE_EXACT, MODE_FLOAT, PRODUCT_RTOL, _check_mode, _cumulative,
+                       first_violation, scan_dtype)
 from .orders import OrderVerdict, _fails, _holds, _merged_masses
 
 
@@ -122,15 +122,11 @@ def _walk(steps, axis: int) -> list[float]:
 
 
 def _first_bend(dx, dy, mode: str, tol: float) -> int | None:
-    """First k whose steps k, k+1 fail ``products_le`` on
-    dy[k+1]*dx[k] <= dy[k]*dx[k+1], the slope test of the points around them,
-    in one array pass over nonnegative steps; exact mode runs on int64 when
-    every step is at most ``INT64_FACTOR_MAX``."""
-    dtype = np.float64 if mode != MODE_EXACT else object
-    if mode == MODE_EXACT and max(*dx, *dy) <= INT64_FACTOR_MAX:
-        dtype = np.int64
-    dx = np.array(dx, dtype=dtype)
-    dy = np.array(dy, dtype=dtype)
+    """First k whose steps k, k+1 fail dy[k+1]*dx[k] <= dy[k]*dx[k+1], the
+    slope test of the points around them, in one array pass over nonnegative
+    steps; its factors are steps."""
+    steps = np.array([dx, dy], dtype=object if mode == MODE_EXACT else np.float64)
+    dx, dy = steps.astype(scan_dtype(mode, steps.max()), copy=False)
     return first_violation(dy[1:] * dx[:-1], dy[:-1] * dx[1:], mode, tol)
 
 
@@ -153,7 +149,7 @@ def roc_curve(q1: UnivariateDist, q2: UnivariateDist) -> RocCurve:
     from the top (for tail accuracy) come out sorted.
     """
     mode = MODE_EXACT if q1.mode == q2.mode == MODE_EXACT else MODE_FLOAT
-    _, g1, g2 = _merged_masses(q1, q2, mode)
+    g1, g2 = _merged_masses(q1, q2, mode)[1].tolist()
     steps = _steps(g1[::-1], g2[::-1], g1, g2, mode)
     pts = zip(_walk(steps, 0), _walk(steps, 1))
     return RocCurve(tuple(k for k, _ in groupby(pts)), steps)

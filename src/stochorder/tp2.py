@@ -6,12 +6,14 @@ version replaces single cells by rectangle masses over increasing interval
 pairs.  A distribution is TP2 exactly when the conditional distributions of
 the second coordinate are isotonic in the first coordinate with respect to
 the likelihood ratio order, so ``check_tp2`` runs the LR scans of
-:mod:`stochorder.orders` on its grid: the minor and interval scans are one
-chunked array scan (``isotonic._scan``), and the ratio scan needs consecutive
-rows only, with or without zero cells, because the LR order is transitive.
-Likewise ``check_st_condition`` scans consecutive rows only: a chord slope of
-the path (sum of row totals, sum of upper masses) is a weighted mean of its
-segment slopes.  The conditionals can be pinned down constructively:
+:mod:`stochorder.orders` on its grid.  Every verdict here is one
+``isotonic.first_violation`` pass over the grid's masses: the minor and
+interval scans are the chunked ``isotonic._scan``, and the ratio scan needs
+consecutive rows only, with or without zero cells, as the LR order is
+transitive.  Likewise ``check_st_condition`` scores consecutive rows only: a
+chord slope of the path (sum of row totals, sum of upper masses) is a
+weighted mean of its segment slopes.  The conditionals can be pinned down
+constructively:
 
 * ``kernel_west`` conditions on the nearest support atom at or below the
   evaluation point (the from-the-left extremal kernel);
@@ -32,9 +34,9 @@ import numpy as np
 from .distributions import (NEG_INF, POS_INF, BivariateDist, Interval, UnivariateDist, _frozen,
                             prefix_table)
 from .errors import DomainError, InvalidDistributionError, PreconditionError
-from .isotonic import (MODE_FLOAT, PRODUCT_RTOL, _check_mode, _cumulative, _interval_scan,
-                       _minor_scan, products_le)
-from .orders import (OrderVerdict, _boundaries, _fails, _holds, _lr_ratio, _midpoint,
+from .isotonic import (MODE_FLOAT, PRODUCT_RTOL, _check_mode, _interval_scan, _minor_scan,
+                       first_violation, scan_dtype)
+from .orders import (OrderVerdict, _boundaries, _fails, _holds, _midpoint, _ratio_scan,
                      _refined_axis, truncate)
 
 TP2_METHODS = ("pmf-allpairs", "pmf-adjacent", "intervals")
@@ -154,42 +156,31 @@ def boundaries(r: BivariateDist, xs=None) -> Boundaries:
 # ---------------------------------------------------------------------------
 
 
-def check_st_condition(r: BivariateDist, mode: str = MODE_FLOAT, tol: float = PRODUCT_RTOL,
-                       form: str = "marginal") -> OrderVerdict:
-    """Stochastic-order condition on adjacent x blocks, as one O(l*m) scan.
+def check_st_condition(r: BivariateDist, mode: str = MODE_FLOAT,
+                       tol: float = PRODUCT_RTOL) -> OrderVerdict:
+    """Stochastic-order condition on adjacent x blocks, as one O(l*m) pass.
 
-    At each y cut, ``form="marginal"`` checks the left block's upper mass
-    times the right block's total against the symmetric product;
-    ``form="joint"`` is the equivalent all-joint product form.  With f_i the
-    upper mass and g_i > 0 the total of canonical row i, a block's ratio
-    sum(f)/sum(g) is a chord slope of the path (sum g, sum f), i.e. the
-    g-weighted mean of its segment slopes f_i/g_i.  So every block pair
-    passes exactly when every pair of consecutive rows does, and the witness
-    is the x cuts around two consecutive rows plus the y cut.
+    At each y cut, the left block's upper mass times the right block's total
+    must not exceed the left block's total times the right block's upper
+    mass.  With f_i the upper mass and g_i > 0 the total of canonical row i,
+    a block's ratio sum(f)/sum(g) is a chord slope of the path (sum g, sum f),
+    i.e. the g-weighted mean of its segment slopes f_i/g_i.  So every block
+    pair passes exactly when every pair of consecutive rows does, and the
+    witness is the x cuts around two consecutive rows plus the y cut.  Upper
+    masses are row totals minus prefix sums.
     """
     _check_mode(mode)
-    if form not in ("marginal", "joint"):
-        raise DomainError(f"unknown form {form!r}")
     r = r.canonical()
-    ny = r.shape[1]
-    cum = [_cumulative(row) for row in r.cells(mode).tolist()]
-    xcuts = _boundaries(r.x_support)
-    ycuts = _boundaries(r.y_support)
-    method = f"st-condition:{form}"
-    for i, (left, right) in enumerate(zip(cum, cum[1:])):
-        for j in range(1, ny):
-            # masses with column index >= j of rows i and i + 1
-            up1 = left[ny] - left[j]
-            up2 = right[ny] - right[j]
-            if form == "marginal":
-                lhs = up1 * right[ny]
-                rhs = left[ny] * up2
-            else:
-                lhs = up1 * right[j]
-                rhs = left[j] * up2
-            if not products_le(lhs, rhs, mode, tol):
-                return _fails(method, (xcuts[i], xcuts[i + 1], xcuts[i + 2], ycuts[j]))
-    return _holds(method)
+    h = r.cells(mode)
+    cum = np.cumsum(h.astype(scan_dtype(mode, h.sum()), copy=False), axis=1)
+    total = cum[:, -1:]  # the factors: row totals, and upper masses below them
+    up = total - cum[:, :-1]  # [i, j - 1]: masses of row i with column index >= j
+    k = first_violation(up[:-1] * total[1:], total[:-1] * up[1:], mode, tol)
+    if k is None:
+        return _holds("st-condition:marginal")
+    i, j = divmod(k, up.shape[1])
+    return _fails("st-condition:marginal",
+                  (*_boundaries(r.x_support)[i:i + 3], _boundaries(r.y_support)[j + 1]))
 
 
 def check_tp2(r: BivariateDist, method: str = "pmf-allpairs", mode: str = MODE_FLOAT,
@@ -213,16 +204,8 @@ def check_tp2(r: BivariateDist, method: str = "pmf-allpairs", mode: str = MODE_F
     r = r.canonical()
     cells = r.cells(mode)
     tag = f"tp2:{method}"
-    if method == "pmf-adjacent":
-        xs = r.x_support.tolist()
-        h = cells.tolist()
-        for i in range(len(h) - 1):
-            hit = _lr_ratio(r.y_support, h[i], h[i + 1], mode, tol)
-            if hit is not None:
-                return _fails(tag, (xs[i], xs[i + 1]) + hit)
-        return _holds(tag)
-    scan, labels = ((_minor_scan, np.ndarray.tolist) if method == "pmf-allpairs"
-                    else (_interval_scan, _boundaries))
+    scan = {"pmf-allpairs": _minor_scan, "pmf-adjacent": _ratio_scan}.get(method, _interval_scan)
+    labels = _boundaries if method == "intervals" else np.ndarray.tolist
     hit = scan(cells, mode, tol)
     if hit is None:
         return _holds(tag)

@@ -14,8 +14,7 @@ import numpy as np
 
 from stochorder import BivariateDist, DomainError, Interval, InvalidDistributionError, UnivariateDist
 from stochorder.distributions import _interval_slice, prefix_table
-from stochorder.isotonic import (MODE_EXACT, MODE_FLOAT, PRODUCT_RTOL, _beyond, _cumulative,
-                                 products_le)
+from stochorder.isotonic import MODE_EXACT, MODE_FLOAT, PRODUCT_RTOL, _beyond, _cumulative
 from stochorder.orders import _boundaries, _fails, _holds, _merged_masses, _refined_axis
 
 
@@ -78,6 +77,111 @@ def random_supermodular_tp2(rng: np.random.Generator, nx: int, ny: int) -> Bivar
 # ---------------------------------------------------------------------------
 # oracles
 # ---------------------------------------------------------------------------
+
+
+def products_le(lhs, rhs, mode: str = MODE_FLOAT, tol: float = PRODUCT_RTOL) -> bool:
+    """lhs <= rhs for nonnegative products, with slack scaled to the products.
+
+    The scalar comparator every verdict ran before each became one
+    ``isotonic.first_violation`` pass; the serial oracles here run it once per
+    comparison."""
+    if mode == MODE_EXACT:
+        return lhs <= rhs
+    return lhs <= rhs + tol * max(abs(lhs), abs(rhs))
+
+
+def merged_mass_lists(q1: UnivariateDist, q2: UnivariateDist, mode: str):
+    """Merged support of the canonical pair and both mass lists on it, in the
+    numbers of the mode."""
+    merged, h = _merged_masses(q1, q2, mode)
+    return (merged, *h.tolist())
+
+
+# The serial loops ``check_st``, ``check_lr(..., "ratio")``,
+# ``check_tp2(..., "pmf-adjacent")`` and ``check_st_condition`` ran before each
+# became one ``first_violation`` pass.  Kept to check that the passes give the
+# same verdicts and witnesses.
+
+
+def st_serial(q1: UnivariateDist, q2: UnivariateDist, mode: str = MODE_FLOAT,
+              tol: float = PRODUCT_RTOL):
+    """The usual stochastic order as a loop per mode.  Exact mode subtracts
+    each atom's mass from the totals, bottom up, and cross-multiplies; the
+    witness is the smallest violating threshold.  Float mode accumulates the
+    survivals from the top and compares them with the relative slack (the
+    loop's absolute slack flipped verdicts on survivals below it); the
+    witness is the largest violating threshold."""
+    merged, g1, g2 = merged_mass_lists(q1, q2, mode)
+    atoms = merged.tolist()
+    if mode == MODE_EXACT:
+        t1, t2 = sum(g1), sum(g2)
+        s1, s2 = t1, t2
+        for y, m1, m2 in zip(atoms, g1, g2):
+            s1 -= m1
+            s2 -= m2
+            if not products_le(s1 * t2, s2 * t1, mode, tol):
+                return _fails("st", (y,))
+        return _holds("st")
+    s1 = s2 = 0.0
+    for y, m1, m2 in zip(atoms[::-1], g1[::-1], g2[::-1]):
+        if not products_le(s1, s2, mode, tol):
+            return _fails("st", (y,))
+        s1 += m1
+        s2 += m2
+    return _holds("st")
+
+
+def lr_ratio_serial(support, g1: list, g2: list, mode: str = MODE_FLOAT, tol: float = PRODUCT_RTOL):
+    """First consecutive pair (a, b) of the atoms positive in g1 or g2 where
+    g2[a] * g1[b] <= g1[a] * g2[b] fails, as their labels, if any."""
+    pts = [i for i in range(len(support)) if g1[i] > 0 or g2[i] > 0]
+    for a, b in zip(pts, pts[1:]):
+        if not products_le(g2[a] * g1[b], g1[a] * g2[b], mode, tol):
+            return float(support[a]), float(support[b])
+    return None
+
+
+def lr_ratio_check_serial(q1: UnivariateDist, q2: UnivariateDist, mode: str = MODE_FLOAT,
+                          tol: float = PRODUCT_RTOL):
+    witness = lr_ratio_serial(*merged_mass_lists(q1, q2, mode), mode, tol)
+    return _holds("lr:ratio") if witness is None else _fails("lr:ratio", witness)
+
+
+def tp2_adjacent_serial(r: BivariateDist, mode: str = MODE_FLOAT, tol: float = PRODUCT_RTOL):
+    """The adjacent-row TP2 check as a loop over consecutive rows, each
+    through ``lr_ratio_serial``."""
+    r = r.canonical()
+    xs = r.x_support.tolist()
+    h = r.cells(mode).tolist()
+    for i in range(len(h) - 1):
+        hit = lr_ratio_serial(r.y_support, h[i], h[i + 1], mode, tol)
+        if hit is not None:
+            return _fails("tp2:pmf-adjacent", (xs[i], xs[i + 1]) + hit)
+    return _holds("tp2:pmf-adjacent")
+
+
+def st_condition_serial(r: BivariateDist, mode: str = MODE_FLOAT, tol: float = PRODUCT_RTOL,
+                        form: str = "marginal"):
+    """The stochastic-order condition on consecutive rows as a loop over row
+    pairs and y cuts, in the marginal form or the equivalent all-joint
+    product form; upper masses are a row's total minus its prefix sums."""
+    r = r.canonical()
+    ny = r.shape[1]
+    cum = [_cumulative(row) for row in r.cells(mode).tolist()]
+    xcuts = _boundaries(r.x_support)
+    ycuts = _boundaries(r.y_support)
+    method = f"st-condition:{form}"
+    for i, (left, right) in enumerate(zip(cum, cum[1:])):
+        for j in range(1, ny):
+            up1 = left[ny] - left[j]
+            up2 = right[ny] - right[j]
+            if form == "marginal":
+                lhs, rhs = up1 * right[ny], left[ny] * up2
+            else:
+                lhs, rhs = up1 * right[j], left[j] * up2
+            if not products_le(lhs, rhs, mode, tol):
+                return _fails(method, (xcuts[i], xcuts[i + 1], xcuts[i + 2], ycuts[j]))
+    return _holds(method)
 
 
 def fractions(q: UnivariateDist) -> list[Fraction]:
@@ -414,7 +518,7 @@ def interval_scan_serial(c1: list, c2: list, mode: str, tol: float):
 
 
 def lr_intervals_serial(q1, q2, mode: str = MODE_FLOAT, tol: float = PRODUCT_RTOL):
-    merged, g1, g2 = _merged_masses(q1, q2, mode)
+    merged, g1, g2 = merged_mass_lists(q1, q2, mode)
     hit = interval_scan_serial(_cumulative(g1), _cumulative(g2), mode, tol)
     if hit is None:
         return _holds("lr:intervals")
@@ -443,7 +547,7 @@ def conditional_st_scan_serial(g1: list, g2: list, mode: str, tol: float):
 
 
 def lr_conditional_st_serial(q1, q2, mode: str = MODE_FLOAT, tol: float = PRODUCT_RTOL):
-    merged, g1, g2 = _merged_masses(q1, q2, mode)
+    merged, g1, g2 = merged_mass_lists(q1, q2, mode)
     hit = conditional_st_scan_serial(g1, g2, mode, tol)
     if hit is None:
         return _holds("lr:conditional-st")
@@ -536,7 +640,7 @@ def roc_curve_fractions(q1: UnivariateDist, q2: UnivariateDist):
     rationals and, separately, of floats; ``exact_points`` is None unless
     both inputs carry integer weights."""
     exact = q1.weights is not None and q2.weights is not None
-    _, g1, g2 = _merged_masses(q1, q2, MODE_EXACT if exact else MODE_FLOAT)
+    _, g1, g2 = merged_mass_lists(q1, q2, MODE_EXACT if exact else MODE_FLOAT)
     s1 = s2 = g1[0] * 0
     sums = []
     for m1, m2 in zip(g1[::-1], g2[::-1]):
@@ -643,7 +747,7 @@ def roc_concave_by_steps(q1: UnivariateDist, q2: UnivariateDist, mode: str = MOD
     (q1, q2) masses, taken from the top; the witness is the three points
     around the failing pair before equal points are merged."""
     pair_mode, s1, s2 = _pair_masses(q1, q2)
-    _, g1, g2 = _merged_masses(q1, q2, pair_mode)
+    _, g1, g2 = merged_mass_lists(q1, q2, pair_mode)
     dx, dy = g1[::-1], g2[::-1]
     k = first_bend_serial(dx, dy, s1, s2, mode, tol)
     if k is None:

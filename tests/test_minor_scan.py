@@ -1,16 +1,19 @@
-"""The one chunked product scan against the serial loops it replaced.
+"""Every verdict's one array pass against the serial loop it replaced.
 
 ``check_tp2(..., "pmf-allpairs")`` and ``check_lr(..., "pairwise")`` score
 the 2x2 minors, and ``check_lr(..., "intervals")``, ``"conditional-st"``,
 ``check_tp2(..., "intervals")`` and the isotonic-density precondition score
-adjacent-interval triples, all through ``isotonic._scan``.  Exact verdicts and
-witnesses must equal those of the serial loops in ``helpers`` (one
-``products_le`` per minor or triple, in ``combinations`` order), for weights
-on both sides of the int64 limit and at chunk budgets small enough that every
-input is split into passes.  Float minors must match too.  Float interval
-verdicts sum their masses directly where the loops subtracted cumulative
-sums, so where they differ from the loops they must agree with the exact
-verdict on the floats' exact values, and they must hold wherever it holds.
+adjacent-interval triples, all through ``isotonic._scan``.  ``check_st``,
+``check_lr(..., "ratio")``, ``check_tp2(..., "pmf-adjacent")`` and
+``check_st_condition`` are one ``isotonic.first_violation`` pass each.  Exact
+verdicts and witnesses must equal those of the serial loops in ``helpers``
+(one ``products_le`` per comparison, in loop order), for weights on both
+sides of the int64 limit and at chunk budgets small enough that every input
+is split into passes.  Float minors and the float consecutive-row passes must
+match too.  Float interval verdicts sum their masses directly where the loops
+subtracted cumulative sums, so where they differ from the loops they must
+agree with the exact verdict on the floats' exact values, and they must hold
+wherever it holds.
 """
 
 import itertools
@@ -22,17 +25,18 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stochorder import BivariateDist, UnivariateDist, check_lr, check_tp2
+from stochorder import BivariateDist, UnivariateDist, check_lr, check_st, check_st_condition, check_tp2
 from stochorder import isotonic
 from stochorder.isotonic import INT64_FACTOR_MAX, MODE_EXACT, MODE_FLOAT, PRODUCT_RTOL, _pairs
-from stochorder.isotonic import _interval_ratio_condition, _triples
-from stochorder.orders import _merged_masses
+from stochorder.isotonic import _interval_ratio_condition, _triples, scan_dtype
 
 from stochorder.isotonic import _cumulative
 
 from helpers import (allpairs_minors_serial, conditional_st_scan_serial,
                      interval_ratio_condition_serial, interval_scan_serial,
-                     lr_conditional_st_serial, lr_intervals_serial, tp2_intervals_serial)
+                     lr_conditional_st_serial, lr_intervals_serial, lr_ratio_check_serial,
+                     merged_mass_lists, st_condition_serial, st_serial, tp2_adjacent_serial,
+                     tp2_intervals_serial)
 
 #: budgets that split even tiny grids into several passes and split one row
 #: pair's column pairs into slices, plus the default
@@ -106,7 +110,7 @@ def univariate_pairs(draw, exact: bool):
 
 def two_row_grid(q1, q2, mode) -> BivariateDist:
     """The pair's masses on their merged support as a 2-row grid."""
-    merged, g1, g2 = _merged_masses(q1, q2, mode)
+    merged, g1, g2 = merged_mass_lists(q1, q2, mode)
     if mode == MODE_EXACT:
         return BivariateDist.from_weights([0.0, 1.0], merged, [g1, g2])
     return BivariateDist([0.0, 1.0], merged, [g1, g2], is_probability=False)
@@ -157,6 +161,56 @@ class TestScanEqualsSerialLoop:
             r = BivariateDist.from_weights(range(len(rows)), range(len(rows[0])), rows)
             for mode in (MODE_FLOAT, MODE_EXACT):
                 assert check_tp2(r, "pmf-allpairs", mode).holds
+
+
+class TestPassEqualsSerialLoop:
+    """The consecutive-row passes and ``check_st`` decide every comparison of
+    their loops with the same operations, so verdicts and witnesses match in
+    both modes: zero cells and columns, rank-one grids whose products tie
+    within a few ulps, exact ties, and weights on both sides of the int64 limit."""
+
+    @given(float_grids(), TOLS)
+    @settings(max_examples=400, deadline=None)
+    def test_float_grids(self, r, tol):
+        assert (verdict(check_tp2(r, "pmf-adjacent", MODE_FLOAT, tol))
+                == verdict(tp2_adjacent_serial(r, MODE_FLOAT, tol)))
+        assert (verdict(check_st_condition(r, MODE_FLOAT, tol))
+                == verdict(st_condition_serial(r, MODE_FLOAT, tol)))
+
+    @given(weight_grids())
+    @settings(max_examples=400, deadline=None)
+    def test_exact_grids(self, r):
+        assert verdict(check_tp2(r, "pmf-adjacent", MODE_EXACT)) == verdict(tp2_adjacent_serial(r, MODE_EXACT))
+        assert verdict(check_st_condition(r, MODE_EXACT)) == verdict(st_condition_serial(r, MODE_EXACT))
+
+    @given(st.booleans(), st.data(), TOLS)
+    @settings(max_examples=400, deadline=None)
+    def test_univariate_pairs(self, exact, data, tol):
+        q1, q2 = data.draw(univariate_pairs(exact))
+        mode = MODE_EXACT if exact else MODE_FLOAT
+        for a, b in ((q1, q2), (q2, q1), (q1, q1)):  # (q1, q1) ties at every threshold
+            assert verdict(check_st(a, b, mode, tol)) == verdict(st_serial(a, b, mode, tol))
+            assert verdict(check_lr(a, b, "ratio", mode, tol)) == verdict(lr_ratio_check_serial(a, b, mode, tol))
+
+    def test_products_on_both_sides_of_the_int64_limit(self):
+        # a bound at the limit runs on int64, one above it on Python ints;
+        # products near 2**126 that wrap in int64 would flip these verdicts
+        assert scan_dtype(MODE_EXACT, INT64_FACTOR_MAX) is np.int64
+        assert scan_dtype(MODE_EXACT, INT64_FACTOR_MAX + 1) is object
+        assert scan_dtype(MODE_FLOAT, 10**30) is np.float64
+        for big in (INT64_FACTOR_MAX - 1, INT64_FACTOR_MAX, 2**62, 10**30):
+            for w in ([[big, 1], [1, big]], [[1, big], [big, 1]], [[big, 0, 1], [0, big, 0]]):
+                r = BivariateDist.from_weights(range(2), range(len(w[0])), w, is_probability=False)
+                assert verdict(check_tp2(r, "pmf-adjacent", MODE_EXACT)) == verdict(
+                    tp2_adjacent_serial(r, MODE_EXACT))
+                assert verdict(check_st_condition(r, MODE_EXACT)) == verdict(
+                    st_condition_serial(r, MODE_EXACT))
+                q1, q2 = (UnivariateDist.from_weights([0.0, 1.0, 2.0][:len(row)], row,
+                                                      is_probability=False) for row in w)
+                for a, b in ((q1, q2), (q2, q1)):
+                    assert verdict(check_st(a, b, MODE_EXACT)) == verdict(st_serial(a, b, MODE_EXACT))
+                    assert verdict(check_lr(a, b, "ratio", MODE_EXACT)) == verdict(
+                        lr_ratio_check_serial(a, b, MODE_EXACT))
 
 
 def on_exact_values(q: UnivariateDist) -> UnivariateDist:
@@ -266,7 +320,7 @@ class TestIntervalScanEqualsSerialLoops:
     @settings(max_examples=300, deadline=None)
     def test_float_pairs_differ_only_toward_the_exact_verdict(self, pair, budget):
         q1, q2 = pair
-        _, g1, g2 = _merged_masses(q1, q2, MODE_FLOAT)
+        _, g1, g2 = merged_mass_lists(q1, q2, MODE_FLOAT)
         for method, serial, scan in (("intervals", lr_intervals_serial, pair_intervals_serial),
                                      ("conditional-st", lr_conditional_st_serial,
                                       conditional_st_scan_serial)):
@@ -295,6 +349,22 @@ class TestFloatVerdictsHoldWhereExactHolds:
         if check_lr(on_exact_values(q1), on_exact_values(q2), "ratio", MODE_EXACT).holds:
             for method in ("ratio", "pairwise", "intervals", "conditional-st"):
                 assert check_lr(q1, q2, method).holds, method
+
+    def test_st_on_the_tilted_survey_grid(self):
+        """Float ``check_st`` holds on every pair of the tilted-pair survey
+        where exact mode holds on the floats' exact values (and fails where it
+        fails, with the pair reversed)."""
+        held = 0
+        for n, width, tilt in itertools.product((20, 50, 120, 200, 300),
+                                                (0.001, 0.005, 0.01, 0.05, 0.1, 0.2),
+                                                (0.001, 0.01, 0.05, 0.1, 0.5, 1)):
+            q1, q2 = tilted_pair(n, width, tilt)
+            e1, e2 = on_exact_values(q1), on_exact_values(q2)
+            for (a, b), (ea, eb) in (((q1, q2), (e1, e2)), ((q2, q1), (e2, e1))):
+                exact = check_st(ea, eb, MODE_EXACT).holds
+                assert check_st(a, b).holds == exact, (n, width, tilt)
+                held += exact
+        assert held == 180
 
     @given(st.integers(2, 16), st.floats(0.01, 0.5))
     @settings(max_examples=25, deadline=None)

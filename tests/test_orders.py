@@ -14,7 +14,7 @@ from stochorder import (
     truncate,
 )
 from stochorder.fixtures import gamma_pair, gaussian_pair
-from stochorder.orders import LR_METHODS, _midpoint, _refined_axis
+from stochorder.orders import LR_METHODS, OrderVerdict, _midpoint, _refined_axis
 from helpers import (
     enumerate_weight_dists,
     exact_lr_oracle,
@@ -47,6 +47,18 @@ class TestCheckSt:
         assert y == 0.0
         # witness reproduces the violation
         assert UnivariateDist.delta(1.0).survival(y) > UnivariateDist.delta(0.0).survival(y)
+
+    @pytest.mark.parametrize("atoms, p1, p2, scale, witness", [
+        ([0.0, 1.0], [1 - 1e-13, 1e-13], [1.0, 0.0], 10**13, (0.0,)),
+        ([0.0, 1.0, 2.0], [0.5, 0.5 - 3e-13, 3e-13], [0.5, 0.5 - 1e-13, 1e-13], 10**13, (1.0,)),
+    ])
+    def test_survivals_below_an_absolute_slack_fail_in_float_mode(self, atoms, p1, p2, scale,
+                                                                  witness):
+        # an absolute slack of 1e-12 let both hold in float mode
+        assert check_st(*(UnivariateDist.from_pairs(atoms, p) for p in (p1, p2))) == OrderVerdict(
+            False, "st", witness)
+        q1, q2 = (UnivariateDist.from_weights(atoms, [round(v * scale) for v in p]) for p in (p1, p2))
+        assert check_st(q1, q2, mode="exact") == OrderVerdict(False, "st", witness)
 
 
 class TestCheckLr:

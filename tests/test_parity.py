@@ -23,6 +23,8 @@ from stochorder import (
 from stochorder.orders import LR_METHODS
 from stochorder.tp2 import TP2_METHODS
 
+from helpers import all_blocks_st_condition
+
 WEIGHTS = st.integers(0, 9)
 
 
@@ -76,8 +78,10 @@ def test_check_tp2_modes_agree(r):
 @settings(max_examples=300, deadline=None)
 @given(bivariate())
 def test_check_st_condition_modes_agree(r):
+    verdict = check_st_condition(r, "exact")
+    assert check_st_condition(r, "float") == verdict
     for form in ("marginal", "joint"):
-        assert check_st_condition(r, "float", form=form) == check_st_condition(r, "exact", form=form)
+        assert all_blocks_st_condition(r, "exact", form=form).holds == verdict.holds
 
 
 def _density_outcome(density, mu, nu, mode):

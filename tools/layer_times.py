@@ -1,4 +1,4 @@
-"""Best-of-N wall times of the Kuiper layers of one checkout, as JSON.
+"""Best-of-N wall times of the Kuiper layers and verdicts of one checkout, as JSON.
 
 Usage, from the repository root::
 
@@ -13,10 +13,18 @@ input is built here from fixed seeds, so two checkouts time the same work:
 * ``kuiper_norm`` of standard normal deltas on 100x100 and 300x300 grids;
 * the projection's stacked objective (a (24, g, g) stack of candidate pmfs
   to its Kuiper distances from a target pmf) on the 7x7, 9x9 and 11x11
-  refined grids of 3x3 to 5x5 inputs.
+  refined grids of 3x3 to 5x5 inputs;
+* the consecutive-row and survival verdicts, in float and exact mode, on
+  holding inputs (so each scores every comparison): ``check_st`` and
+  ``check_lr`` ``ratio`` on 3 and 2,000 atoms (weights w from seed n, against
+  w * (1, 2, ..., n)), ``check_tp2`` ``pmf-adjacent`` on 3x3, 16x16 and 32x32
+  grids and ``check_st_condition`` on 3x3 and 32x32 grids (cells
+  r_i * c_j * (1 + min(i, j)), r and c from seed n, a TP2 kernel).  Float
+  inputs are the weights over their total; exact inputs are the weights.
 
-Each entry is the best of ``--repeat`` timed calls, after one untimed call.
-To compare two commits, run the script in a checkout of each, alternating
+Each entry is the best of ``--repeat`` timed calls, after one untimed call;
+a verdict entry times runs of ``VERDICT_CALLS`` calls and gives the time per
+call.  To compare two commits, run the script in a checkout of each, alternating
 sides, since the speed of a shared host drifts within minutes.  The stacked
 objective calls ``kuiper._band_norm(delta)``, so a checkout needs the
 slab-wise band kernel, which takes no row ranges.
@@ -35,23 +43,33 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src")]
 
 import numpy as np  # noqa: E402
-from stochorder import BivariateDist, GridSignedMeasure, kuiper, kuiper_norm, tp2_project  # noqa: E402
+from stochorder import (BivariateDist, GridSignedMeasure, UnivariateDist, check_lr,  # noqa: E402
+                        check_st, check_st_condition, check_tp2, kuiper, kuiper_norm, tp2_project)
 
 PROJECTIONS = ((5, {"restarts": 4}), (8, {"restarts": 4}),
                (11, {"restarts": 1, "max_iters": 3}), (16, {"restarts": 1, "max_iters": 2}))
 NORMS = (100, 300)
 STACK = 24
 STACKED_GRIDS = (7, 9, 11)
+PAIR_ATOMS = (3, 2000)
+GRIDS = {"pmf-adjacent": (3, 16, 32), "st-condition": (3, 32)}
+MODES = ("float", "exact")
 
 
-def best_ms(call, repeat: int) -> float:
+#: calls per timed run of a verdict, which takes microseconds
+VERDICT_CALLS = 100
+
+
+def best_ms(call, repeat: int, number: int = 1) -> float:
+    """The best of ``repeat`` timed runs of ``number`` calls, per call."""
     call()
     times = []
     for _ in range(repeat):
         start = time.perf_counter()
-        call()
-        times.append(time.perf_counter() - start)
-    return round(min(times) * 1e3, 4)
+        for _ in range(number):
+            call()
+        times.append((time.perf_counter() - start) / number)
+    return round(min(times) * 1e3, 5)
 
 
 def objective(target: np.ndarray):
@@ -80,6 +98,41 @@ def cases():
         yield "stacked objective", f"k={STACK}, {g}x{g}", lambda f=objective(target), pmfs=pmfs: f(pmfs)
 
 
+def pair(n: int, mode: str):
+    """An LR-ordered pair on n atoms: weights w and w * (1, ..., n)."""
+    w = np.random.default_rng(n).integers(1, 1000, n)
+    support = np.arange(float(n))
+    return tuple(UnivariateDist.from_weights(support, v.tolist()) if mode == "exact"
+                 else UnivariateDist(support, v / v.sum()) for v in (w, w * np.arange(1, n + 1)))
+
+
+def tp2_grid(n: int, mode: str) -> BivariateDist:
+    """A TP2 n x n grid: cells r_i * c_j * (1 + min(i, j))."""
+    rng = np.random.default_rng(n)
+    i = np.arange(n)
+    w = np.outer(rng.integers(1, 10, n), rng.integers(1, 10, n)) * (1 + np.minimum.outer(i, i))
+    if mode == "exact":
+        return BivariateDist.from_weights(i * 1.0, i * 1.0, w.tolist())
+    return BivariateDist(i * 1.0, i * 1.0, w / w.sum())
+
+
+def verdict_cases():
+    """(layer, input, call) of every timed verdict; each input's verdict holds."""
+    for mode in MODES:
+        for n in PAIR_ATOMS:
+            q1, q2 = pair(n, mode)
+            yield "check_st", f"{n} atoms, {mode}", lambda q1=q1, q2=q2, mode=mode: check_st(q1, q2, mode)
+            yield ("check_lr ratio", f"{n} atoms, {mode}",
+                   lambda q1=q1, q2=q2, mode=mode: check_lr(q1, q2, "ratio", mode))
+        for n in GRIDS["pmf-adjacent"]:
+            r = tp2_grid(n, mode)
+            yield ("check_tp2 pmf-adjacent", f"{n}x{n}, {mode}",
+                   lambda r=r, mode=mode: check_tp2(r, "pmf-adjacent", mode))
+        for n in GRIDS["st-condition"]:
+            r = tp2_grid(n, mode)
+            yield "check_st_condition", f"{n}x{n}, {mode}", lambda r=r, mode=mode: check_st_condition(r, mode)
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--repeat", type=int, default=5, help="timed calls per entry (best is kept)")
@@ -88,6 +141,11 @@ def main(argv=None) -> int:
         ap.error("--repeat must be at least 1")
     entries = [{"layer": layer, "input": text, "ms": best_ms(call, args.repeat)}
                for layer, text, call in cases()]
+    for layer, text, call in verdict_cases():
+        if not call().holds:
+            raise AssertionError(f"{layer} on {text} fails: it would not score every comparison")
+        entries.append({"layer": layer, "input": text,
+                        "ms": best_ms(call, args.repeat, VERDICT_CALLS)})
     print(json.dumps({"python": platform.python_version(), "numpy": np.__version__,
                       "repeat": args.repeat, "entries": entries}, indent=2))
     return 0
