@@ -297,6 +297,17 @@ def _on_sorted(cls, supports, masses, mode: str, is_probability: bool = True):
     return cls(*supports, floats, weights, is_probability)
 
 
+def _quantile_index(cum: np.ndarray, alpha: float, largest: bool = False) -> np.ndarray:
+    """Along the last axis of the nondecreasing cumulative masses ``cum``,
+    the number of entries below alpha - ``QUANTILE_ATOL`` or, for the
+    ``largest`` quantile, at most alpha + ``QUANTILE_ATOL``: the index of the
+    quantile's atom, as ``np.searchsorted`` (side "left" or "right") gives it
+    on one row.  The one quantile rule of the package."""
+    if largest:
+        return np.count_nonzero(cum <= alpha + QUANTILE_ATOL, axis=-1)
+    return np.count_nonzero(cum < alpha - QUANTILE_ATOL, axis=-1)
+
+
 def _on_positive_atoms(support: np.ndarray, masses, mode: str,
                        is_probability: bool = True) -> "UnivariateDist":
     """A ``UnivariateDist`` on the atoms of a sorted, distinct float support
@@ -445,7 +456,7 @@ class UnivariateDist:
             raise DomainError(f"quantile level must lie in [0, 1], got {alpha!r}")
         if alpha <= 0.0:
             return NEG_INF
-        i = int(np.searchsorted(self._cum, alpha - QUANTILE_ATOL, side="left"))
+        i = int(_quantile_index(self._cum, alpha))
         if i < len(self):
             return float(self.support[i])
         if alpha - self.total_mass <= MASS_TOL:
@@ -457,7 +468,7 @@ class UnivariateDist:
         alpha = float(alpha)
         if math.isnan(alpha) or alpha < 0.0 or alpha > 1.0:
             raise DomainError(f"quantile level must lie in [0, 1], got {alpha!r}")
-        i = int(np.searchsorted(self._cum, alpha + QUANTILE_ATOL, side="right"))
+        i = int(_quantile_index(self._cum, alpha, largest=True))
         if i < len(self):
             return float(self.support[i])
         return float(self.support[-1])

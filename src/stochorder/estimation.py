@@ -9,9 +9,11 @@ to each harness.
 
 One helper draws the flat cell indices of the stream.  ``sample`` maps them
 to (x, y) draws; the convergence harnesses instead count them per cell with
-``np.bincount`` into the integer-weight empirical distribution, which equals
-``empirical(sample(r, n, seed))`` exactly without building or sorting the
-float draws.  ``empirical`` stays public for arbitrary draw arrays.
+``np.bincount`` on the canonical source grid and read each sample's
+conditional quantiles straight from that count grid, by the rule of
+``kernel_west`` on ``empirical(sample(r, n, seed))``: no float draws, no
+empirical distribution and no kernel rows are built per sample.
+``empirical`` stays public for arbitrary draw arrays.
 
 Conditional quantile curves come in three flavors:
 
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import BivariateDist, _atom_grid
+from .distributions import BivariateDist, _atom_grid, _quantile_index
 from .errors import DomainError, PreconditionError
 from .isotonic import MODE_FLOAT, PRODUCT_RTOL
 from .tp2 import check_st_condition, kernel_east, kernel_west
@@ -100,14 +102,36 @@ def sample(r: BivariateDist, n: int, seed) -> np.ndarray:
     return np.column_stack([r.x_support[i], r.y_support[j]])
 
 
-def _sample_counts(r: BivariateDist, n: int, seed) -> BivariateDist:
-    """``empirical(sample(r, n, seed))``, counted per cell without the draws."""
+def _count_grid(r: BivariateDist, n: int, seed) -> tuple[BivariateDist, np.ndarray]:
+    """The canonical ``r`` and the seeded sample's draws per cell of its grid."""
     r, idx = _draw_cells(r, n, seed)
-    counts = np.bincount(idx, minlength=r.pmf.size).reshape(r.shape)
-    rows, cols = counts.any(axis=1), counts.any(axis=0)
-    return BivariateDist.from_weights(
-        r.x_support[rows], r.y_support[cols], counts[np.ix_(rows, cols)].tolist()
-    )
+    return r, np.bincount(idx, minlength=r.pmf.size).reshape(r.shape)
+
+
+def _west_quantiles(r: BivariateDist, counts: np.ndarray, xs, beta: float) -> tuple[np.ndarray, np.ndarray]:
+    """The minimal and the maximal beta-quantile (0 < beta < 1) of each row of
+    ``kernel_west`` at the sorted points ``xs`` on the empirical distribution
+    of ``counts``, a count grid on the supports of ``r``, read from the grid.
+
+    The rows with draws are that distribution's x-atoms.  A point takes the
+    nearest such atom at or below it; outside their range it takes the column
+    sums, the y-marginal.  Each row's masses are counts / row total, which
+    for counts below 2**53 are the bits of the kernel row's w / total, and
+    their running sums pass each empty cell with an unchanged partial sum.
+    So the first entry past a positive level is a cell with draws, the atom
+    the kernel row names; a level at or below 0 and a count past the end are
+    clamped to the row's first and last cell with draws.
+    """
+    drawn = np.flatnonzero(counts.any(axis=1))
+    atoms = r.x_support[drawn]
+    xs = np.asarray(xs, dtype=np.float64)
+    rows = counts[drawn[np.searchsorted(atoms, xs, side="right") - 1]]
+    rows[(xs < atoms[0]) | (xs > atoms[-1])] = counts.sum(axis=0)
+    cum = np.cumsum(rows / rows.sum(axis=1, keepdims=True), axis=1)
+    positive = rows > 0
+    first, last = positive.argmax(axis=1), rows.shape[1] - 1 - positive[:, ::-1].argmax(axis=1)
+    return tuple(r.y_support[np.clip(_quantile_index(cum, beta, largest), first, last)]
+                 for largest in (False, True))
 
 
 def empirical(samples) -> BivariateDist:
@@ -211,10 +235,12 @@ def bracket_check(r_true: BivariateDist, samples_spec: dict, beta: float,
                   tol: float = PRODUCT_RTOL) -> BracketReport:
     """Empirical-vs-extremal quantile bracketing at two interior points.
 
-    For each sample size, counts a seeded sample into its empirical
-    distribution, and verifies that the empirical quantile at the higher
-    point does not undercut the west quantile at the lower point, and dually
-    for the east quantile.  On finite support all quantiles are atom values,
+    For each sample size, counts a seeded sample per cell of the canonical
+    source grid and reads the empirical quantiles at both points from those
+    counts, as ``kernel_west`` on the sample's empirical distribution gives
+    them.  It verifies that the empirical quantile at the higher point does
+    not undercut the west quantile at the lower point, and dually for the
+    east quantile.  On finite support all quantiles are atom values,
     so no slack is applied.  Stream i uses spawn key (seed, i).  ``mode``
     and ``tol`` govern the stochastic-order precondition on ``r_true``.
     """
@@ -242,16 +268,16 @@ def bracket_check(r_true: BivariateDist, samples_spec: dict, beta: float,
     entries = []
     for i, n in enumerate(n_list):
         key = (seed, i)
-        row1, row2 = kernel_west(_sample_counts(r_true, n, key), [x1, x2]).rows
-        q1_min, q2_min = row1.quantile(beta), row2.quantile(beta)
+        (q1_min, q2_min), (q1_max, q2_max) = (
+            q.tolist() for q in _west_quantiles(*_count_grid(r_true, n, key), [x1, x2], beta))
         entries.append(
             BracketEntry(
                 n=n,
                 seed_key=key,
                 q_emp_min_x1=q1_min,
-                q_emp_max_x1=row1.max_quantile(beta),
+                q_emp_max_x1=q1_max,
                 q_emp_min_x2=q2_min,
-                q_emp_max_x2=row2.max_quantile(beta),
+                q_emp_max_x2=q2_max,
                 lower_ok=bool(q2_min >= q_west_x1),
                 upper_ok=bool(q1_min <= q_east_x2),
             )
@@ -319,12 +345,10 @@ def uniform_convergence_check(r_true: BivariateDist, beta: float, interval, n_li
                 f"west and east quantiles differ at x={x!r}: {qw!r} vs {qe!r}",
                 witness=(x, qw, qe),
             )
+    q_west = np.array([qw for _, qw in west.points])
     entries = []
     for seed in seeds:
         for i, n in enumerate(n_list):
-            kern = kernel_west(_sample_counts(r_true, n, (seed, i)), grid)
-            sup = 0.0
-            for row, (_, qw) in zip(kern.rows, west.points):
-                sup = max(sup, abs(row.quantile(beta) - qw))
-            entries.append(UniformConvergenceEntry(n, seed, sup))
+            q, _ = _west_quantiles(*_count_grid(r_true, n, (seed, i)), grid, beta)
+            entries.append(UniformConvergenceEntry(n, seed, float(np.abs(q - q_west).max())))
     return UniformConvergenceReport(beta, (a, b), tuple(grid), tuple(entries))

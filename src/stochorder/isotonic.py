@@ -237,56 +237,59 @@ def _beyond(v: float, step: float) -> float:
     return out if out != v else float(np.nextafter(v, step * np.inf))
 
 
-def _interval_ratio_condition(mu: UnivariateDist, nu: UnivariateDist, mode: str, tol: float):
+def _interval_ratio_condition(atoms: list, h: np.ndarray, mode: str, tol: float):
     """Find a triple x < y < z violating the interval ratio monotonicity, if any.
 
-    The condition checked is mu((y,z]) * nu((x,y]) <= mu((x,y]) * nu((y,z])
-    over all boundary triples; for finite support it suffices to cut between
-    atoms, so boundaries run over a sentinel below the support plus the atoms.
+    ``h`` holds the masses of mu and nu on mu's atoms.  The condition checked
+    is mu((y,z]) * nu((x,y]) <= mu((x,y]) * nu((y,z]) over all boundary
+    triples; for finite support it suffices to cut between atoms, so
+    boundaries run over a sentinel below the support plus the atoms.
     """
-    atoms = mu.support.tolist()
-    nu_at = dict(zip(nu.support.tolist(), nu.masses(mode)))
-    h = np.array([mu.masses(mode), [nu_at.get(a, 0) for a in atoms]],
-                 dtype=object if mode == MODE_EXACT else np.float64)
     hit = _interval_scan(h, mode, tol)
     bounds = [_beyond(atoms[0], -1.0)] + atoms
     return None if hit is None else tuple(bounds[i] for i in hit[1])
 
 
-def _atom_ratios(mu: UnivariateDist, nu: UnivariateDist, tol: float):
-    """Per-atom mass ratios nu({x}) / mu({x}); requires nu <= mu atomwise."""
-    mu = mu.canonical()
-    if float(nu.probs.sum()) == 0.0:
-        return mu, nu, np.zeros(len(mu))
-    nu = nu.canonical()
-    for v, p in zip(nu.support.tolist(), nu.probs.tolist()):
-        mp = mu.atom_prob(v)
-        if p > mp + tol * max(1.0, mp):
-            raise PreconditionError(
-                f"nu exceeds mu at atom {v!r} ({p!r} > {mp!r})", witness=(v, p, mp)
-            )
-    ratios = [
-        min(1.0, nu.atom_prob(v) / p) for v, p in zip(mu.support.tolist(), mu.probs.tolist())
-    ]
-    # Float division can wobble exact ties by an ulp; absorb sub-slack dips so
-    # the exact nondecreasing invariant of IsotonicDensity is not tripped by
-    # representation noise.  Genuine violations stay visible.
-    for i in range(1, len(ratios)):
-        if ratios[i] < ratios[i - 1] and ratios[i - 1] - ratios[i] <= tol * max(1.0, ratios[i - 1]):
-            ratios[i] = ratios[i - 1]
-    return mu, nu, np.array(ratios)
+def _atom_ratios(mu: UnivariateDist, nu: UnivariateDist, mode: str, tol: float):
+    """mu's atoms, the (2, n) masses of mu and nu on them in the numbers of
+    the mode, and the ratios nu({x}) / mu({x}).  Requires nu <= mu atomwise,
+    checked in one ``first_violation`` pass: the float masses with the
+    relative slack, or exactly the shares nu_w * mu_total <= mu_w * nu_total,
+    whose cross products give the correctly rounded exact ratios."""
+    from .orders import _merged_masses  # orders imports this module
+
+    if mode != MODE_EXACT and not nu.probs.any():
+        mu = mu.canonical()
+        return mu.support.tolist(), np.stack([mu.probs, np.zeros(len(mu))]), np.zeros(len(mu))
+    atoms, h = _merged_masses(mu, nu, mode)
+    lhs, rhs = (h[1] * sum(h[0]), h[0] * sum(h[1])) if mode == MODE_EXACT else h[::-1]
+    bad = first_violation(lhs, rhs, mode, tol)
+    if bad is not None:
+        v = float(atoms[bad])
+        p, mp = nu.atom_prob(v), mu.atom_prob(v)
+        raise PreconditionError(f"nu exceeds mu at atom {v!r} ({p!r} > {mp!r})", witness=(v, p, mp))
+    # every atom of nu is an atom of mu now, so the merged support is mu's
+    ratios = np.minimum(1.0, (lhs / rhs).astype(np.float64))
+    if mode != MODE_EXACT:
+        # Float division can wobble exact ties by an ulp; absorb sub-slack
+        # dips so the exact nondecreasing invariant of IsotonicDensity is not
+        # tripped by representation noise.  Genuine violations stay visible.
+        for i in range(1, len(ratios)):
+            if ratios[i] < ratios[i - 1] and ratios[i - 1] - ratios[i] <= tol * max(1.0, ratios[i - 1]):
+                ratios[i] = ratios[i - 1]
+    return atoms.tolist(), h, ratios
 
 
 def _isotonic_density(mu, nu, kind: str, verify: bool, mode: str, tol: float) -> IsotonicDensity:
     _check_mode(mode)
-    mu, nu, ratios = _atom_ratios(mu, nu, tol)
+    atoms, h, ratios = _atom_ratios(mu, nu, mode, tol)
     if verify:
-        witness = _interval_ratio_condition(mu, nu, mode, tol)
+        witness = _interval_ratio_condition(atoms, h, mode, tol)
         if witness is not None:
             raise PreconditionError(
                 f"interval ratio monotonicity fails at boundaries {witness}", witness=witness
             )
-    return IsotonicDensity(mu.support, ratios, kind)
+    return IsotonicDensity(atoms, ratios, kind)
 
 
 def minimal_isotonic_density(

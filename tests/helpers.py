@@ -12,10 +12,13 @@ from fractions import Fraction
 
 import numpy as np
 
-from stochorder import BivariateDist, DomainError, Interval, InvalidDistributionError, UnivariateDist
+from stochorder import (BivariateDist, DomainError, Interval, InvalidDistributionError, PreconditionError,
+                        UnivariateDist)
+from stochorder import estimation
 from stochorder.distributions import _interval_slice, prefix_table
 from stochorder.isotonic import MODE_EXACT, MODE_FLOAT, PRODUCT_RTOL, _beyond, _cumulative
 from stochorder.orders import _boundaries, _fails, _holds, _merged_masses, _refined_axis
+from stochorder.tp2 import kernel_west
 
 
 # ---------------------------------------------------------------------------
@@ -266,6 +269,32 @@ def literal_maximal_density(mu: UnivariateDist, nu: UnivariateDist, x: float) ->
         if m > 0:
             best = min(best, n / m)
     return best
+
+
+def atom_ratios_serial(mu: UnivariateDist, nu: UnivariateDist, mode: str = MODE_FLOAT,
+                       tol: float = PRODUCT_RTOL) -> tuple[list, list]:
+    """mu's atoms and the ratios nu({x}) / mu({x}) of the isotonic densities,
+    atom by atom: the loop the one nu <= mu pass replaced.  Float mode keeps
+    its absolute slack ``tol * max(1, mu({x}))`` and its repair of sub-slack
+    dips; exact mode compares the ``Fraction`` shares without slack.  Raises
+    the library's ``PreconditionError`` at the first atom where nu exceeds mu."""
+    mu = mu.canonical()
+    exact = mode == MODE_EXACT
+    if not exact and float(nu.probs.sum()) == 0.0:
+        return mu.support.tolist(), [0.0] * len(mu)
+    nu = nu.canonical()
+    mu_at, nu_at = ({v: p for v, p in zip(q.support.tolist(), fractions(q) if exact else q.probs.tolist())}
+                    for q in (mu, nu))
+    for v, p in nu_at.items():
+        mp = mu_at.get(v, 0)
+        if p > mp + (0 if exact else tol * max(1.0, mp)):
+            raise PreconditionError(f"nu exceeds mu at atom {v!r}",
+                                    witness=(v, nu.atom_prob(v), mu.atom_prob(v)))
+    ratios = [min(1.0, float(nu_at.get(v, 0) / p)) for v, p in mu_at.items()]
+    for i in range(1, len(ratios) if not exact else 0):
+        if ratios[i] < ratios[i - 1] and ratios[i - 1] - ratios[i] <= tol * max(1.0, ratios[i - 1]):
+            ratios[i] = ratios[i - 1]
+    return list(mu_at), ratios
 
 
 def measure_pair_with_isotonic_ratio(rng: np.random.Generator, max_atoms: int = 6):
@@ -782,6 +811,32 @@ def cell_index_searchsorted(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
     """The inverse-CDF cell lookup as a binary search: the first index i with
     ``cum[i] >= u``."""
     return np.searchsorted(cum, u, side="left")
+
+
+def empirical_of_counts(x_support: np.ndarray, y_support: np.ndarray, counts: np.ndarray) -> BivariateDist:
+    """The integer-weight empirical distribution of a grid of draw counts: the
+    rows and columns without draws are dropped."""
+    rows, cols = counts.any(axis=1), counts.any(axis=0)
+    return BivariateDist.from_weights(
+        x_support[rows], y_support[cols], counts[np.ix_(rows, cols)].tolist()
+    )
+
+
+def sample_counts(r: BivariateDist, n: int, seed) -> BivariateDist:
+    """``empirical(sample(r, n, seed))``, counted per cell without the draws:
+    the convergence harnesses' sample before they read quantiles from the
+    count grid."""
+    r, idx = estimation._draw_cells(r, n, seed)
+    counts = np.bincount(idx, minlength=r.pmf.size).reshape(r.shape)
+    return empirical_of_counts(r.x_support, r.y_support, counts)
+
+
+def west_quantiles_by_kernel(emp: BivariateDist, xs, beta: float) -> tuple[list, list]:
+    """The minimal and the maximal beta-quantile of each row of
+    ``kernel_west(emp, xs)``: one ``UnivariateDist`` per point, the harnesses'
+    path before the count-grid rows."""
+    rows = kernel_west(emp, xs).rows
+    return [row.quantile(beta) for row in rows], [row.max_quantile(beta) for row in rows]
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from stochorder import (
     left_support,
     marginals,
 )
-from stochorder import distributions, estimation
+from stochorder import distributions
 from stochorder.distributions import (
     _atom_grid,
     _interval_slice,
@@ -35,7 +35,7 @@ from stochorder.orders import truncate
 from stochorder.tp2 import Boundaries, ConditionalDensity, Kernel
 from helpers import (canonical_by_mode, conditional_row_by_mode, drop_empty_atoms_by_mode,
                      grid_by_dict, marginal_x_by_mode, marginal_y_by_mode, merge_pairs_by_loop,
-                     refine_grid_by_mode, truncate_by_mode)
+                     refine_grid_by_mode, sample_counts, truncate_by_mode)
 
 NEG_INF = float("-inf")
 POS_INF = float("inf")
@@ -592,7 +592,7 @@ ONE_CHECK_BUILDS = {
     "conditional-row-zero-cell": (_empty_parts, lambda r: r.conditional_row(1.0)),
     # these two canonicalize their input first, as a build of its own
     "refine-grid": (lambda: _empty_parts().canonical(), refine_grid),
-    "sample-counts": (lambda: _empty_parts().canonical(), lambda r: estimation._sample_counts(r, 50, 3)),
+    "sample-counts": (lambda: _empty_parts().canonical(), lambda r: sample_counts(r, 50, 3)),
 }
 
 

@@ -17,8 +17,10 @@ from stochorder import (
     uniform_convergence_check,
 )
 from stochorder import estimation
+from stochorder.distributions import QUANTILE_ATOL, _quantile_index
 from stochorder.fixtures import antidiag, banded_tp2, diag_uniform
-from helpers import cell_index_searchsorted, empirical_by_dict, random_supermodular_tp2
+from helpers import (cell_index_searchsorted, empirical_by_dict, empirical_of_counts,
+                     random_supermodular_tp2, sample_counts, west_quantiles_by_kernel)
 
 
 def product_2x2() -> BivariateDist:
@@ -91,7 +93,7 @@ class TestSampling:
            st.one_of(st.integers(0, 2**32), st.tuples(st.integers(0, 1000), st.integers(0, 5))))
     @settings(max_examples=200, deadline=None)
     def test_counts_equal_empirical_of_the_draws(self, r, n, seed):
-        assert same_dist(estimation._sample_counts(r, n, seed), empirical(sample(r, n, seed)))
+        assert same_dist(sample_counts(r, n, seed), empirical(sample(r, n, seed)))
 
     @given(st.lists(st.tuples(st.sampled_from([-1.5, -0.0, 0.0, 0.25, 2.0, 1e300]),
                               st.integers(-3, 3).map(float)), min_size=1, max_size=60))
@@ -173,7 +175,7 @@ class TestCellIndex:
 
         monkeypatch.setattr(estimation, "_philox", lambda seed: Zeros())
         assert sample(antidiag(), 3, 0).tolist() == [[1.0, 2.0]] * 3
-        counts = estimation._sample_counts(antidiag(), 3, 0)
+        counts = sample_counts(antidiag(), 3, 0)
         assert (counts.x_support.tolist(), counts.y_support.tolist()) == ([1.0], [2.0])
         assert counts.weights == ((3,),)
 
@@ -215,6 +217,99 @@ class TestHarnessesCountCells:
         with pytest.raises(DomainError, match="seed must be nonnegative, got -1"):
             uniform_convergence_check(diag_uniform(5), 0.5, (2.0, 4.0), [10], [1, 2, -1])
         assert drawn == []
+
+
+#: quantile levels: at and below ``QUANTILE_ATOL`` (a level of 0 or less),
+#: near 1, on exact shares, and anywhere inside (0, 1)
+BETAS = st.one_of(st.sampled_from([1e-13, 1e-12, 2e-12, 0.25, 0.5, 1 / 3, 0.75, 1 - 1e-12, 1 - 1e-13]),
+                  st.floats(1e-15, 1 - 1e-15))
+
+
+@st.composite
+def count_grids(draw):
+    """(x support, y support, counts) of a canonical source grid: draw counts
+    with empty cells, rows and columns anywhere, at least one draw."""
+    l, m = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    cells = draw(st.lists(st.sampled_from([0, 0, 0, 1, 2, 3, 10**6]), min_size=l * m, max_size=l * m))
+    if not any(cells):
+        cells[draw(st.integers(0, l * m - 1))] = 1
+    xs = sorted(draw(st.sets(st.integers(-20, 20), min_size=l, max_size=l)))
+    ys = sorted(draw(st.sets(st.integers(-20, 20), min_size=m, max_size=m)))
+    return np.array(xs, dtype=float), np.array(ys, dtype=float), np.array(cells).reshape(l, m)
+
+
+def eval_points(x_support: np.ndarray):
+    """Sorted distinct points: atoms, gaps, and points below and above the grid."""
+    pool = sorted({*x_support.tolist(), *(x_support + 0.5).tolist(), x_support[0] - 1.0})
+    return st.lists(st.sampled_from(pool), min_size=1, max_size=8, unique=True).map(sorted)
+
+
+def grid_quantiles(x_support, y_support, counts, xs, beta):
+    r = BivariateDist(x_support, y_support, counts / counts.sum())
+    return tuple(q.tolist() for q in estimation._west_quantiles(r, counts, xs, beta))
+
+
+def oracle_quantiles(x_support, y_support, counts, xs, beta):
+    return west_quantiles_by_kernel(empirical_of_counts(x_support, y_support, counts), xs, beta)
+
+
+class TestGridQuantiles:
+    """The harnesses read each sample's conditional quantiles from its count
+    grid; ``kernel_west`` on the sample's empirical distribution is the oracle."""
+
+    @given(st.data(), count_grids(), BETAS)
+    @settings(max_examples=500, deadline=None)
+    def test_equal_the_kernel_rows(self, data, grid, beta):
+        xs = data.draw(eval_points(grid[0]))
+        assert grid_quantiles(*grid, xs, beta) == oracle_quantiles(*grid, xs, beta)
+
+    @given(sparse_dists(), st.integers(1, 300), st.integers(0, 2**32), BETAS, st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_sample_grids_equal_the_kernel_on_the_sample(self, r, n, seed, beta, data):
+        canon, counts = estimation._count_grid(r, n, seed)
+        xs = data.draw(eval_points(canon.x_support))
+        got = grid_quantiles(canon.x_support, canon.y_support, counts, xs, beta)
+        assert got == west_quantiles_by_kernel(sample_counts(r, n, seed), xs, beta)
+
+    @pytest.mark.parametrize("beta", [1e-13, 1e-12])
+    def test_level_at_or_below_zero_skips_a_leading_empty_cell(self, beta):
+        grid = np.array([1.0, 2.0]), np.array([1.0, 2.0, 3.0]), np.array([[0, 3, 1], [1, 0, 0]])
+        got = grid_quantiles(*grid, [1.0], beta)
+        assert got == oracle_quantiles(*grid, [1.0], beta) == ([2.0], [2.0])
+
+    def test_points_outside_the_drawn_rows_take_the_y_marginal(self):
+        counts = np.array([[0, 0, 0], [1, 0, 2], [0, 3, 0], [0, 0, 0]])
+        grid = np.array([1.0, 2.0, 3.0, 4.0]), np.array([1.0, 2.0, 3.0]), counts
+        xs = [1.0, 1.5, 3.5, 4.0]
+        for beta in (0.1, 1 / 6, 0.5, 0.9):
+            got = grid_quantiles(*grid, xs, beta)
+            marginal = empirical_of_counts(*grid).marginal_y()
+            assert got == oracle_quantiles(*grid, xs, beta)
+            assert got == ([marginal.quantile(beta)] * 4, [marginal.max_quantile(beta)] * 4)
+
+    def test_max_quantile_past_the_end_takes_the_last_cell_with_draws(self):
+        grid = np.array([1.0, 2.0]), np.array([1.0, 2.0, 3.0, 4.0]), np.array([[0, 2, 1, 0], [1, 1, 1, 1]])
+        for beta in (1 - 1e-12, 1 - 1e-13):
+            got = grid_quantiles(*grid, [1.0, 1.5], beta)
+            assert got == oracle_quantiles(*grid, [1.0, 1.5], beta) == ([3.0, 3.0], [3.0, 3.0])
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_one_or_two_draws_leave_most_rows_empty(self, n):
+        r = random_supermodular_tp2(np.random.default_rng(12), 12, 12)
+        xs = (r.x_support + 0.5).tolist()
+        for seed in range(20):
+            for beta in (1e-13, 0.5, 1 - 1e-13):
+                canon, counts = estimation._count_grid(r, n, (seed, 0))
+                got = grid_quantiles(canon.x_support, canon.y_support, counts, xs, beta)
+                assert got == west_quantiles_by_kernel(sample_counts(r, n, (seed, 0)), xs, beta)
+
+    @given(st.lists(st.sampled_from([0.0, 0.1, 0.25, 0.5, 1.0]), min_size=1, max_size=10), BETAS,
+           st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_one_index_rule_is_the_binary_search(self, steps, beta, largest):
+        cum = np.cumsum(steps)
+        side, level = ("right", beta + QUANTILE_ATOL) if largest else ("left", beta - QUANTILE_ATOL)
+        assert _quantile_index(cum, beta, largest) == np.searchsorted(cum, level, side=side)
 
 
 class TestQuantileCurve:

@@ -15,6 +15,7 @@ from stochorder import (
     minimal_isotonic_density,
 )
 from helpers import (
+    atom_ratios_serial,
     literal_maximal_density,
     literal_minimal_density,
     measure_pair_with_isotonic_ratio,
@@ -173,3 +174,104 @@ class TestDensityProperties:
             # caller-supplied isotonic density: the generating ratio itself
             for v, r in zip(mu.support.tolist(), ratio.tolist()):
                 assert fmin.evaluate(v) <= r + 1e-12
+
+
+def _outcome(call):
+    try:
+        f = call()
+    except PreconditionError as exc:
+        return ("precondition", exc.witness)
+    return (f.points.tolist(), f.values.tolist())
+
+
+#: masses of the float measures: zeros, a wide spread of magnitudes, and
+#: ties.  Every two of them differ by far more than either slack, so the
+#: loop's absolute slack and the pass's relative one give the same verdicts;
+#: masses below the absolute slack are the regression cases above.
+FLOAT_MASSES = st.sampled_from([0.0, 0.0, 1e-3, 0.1, 0.25, 0.5, 1.0, 3.0, 1e20])
+
+
+@st.composite
+def float_measure_pairs(draw):
+    """(mu, nu) on supports from one small pool: nu a random measure, or mu
+    scaled atomwise by sorted factors in [0, 1] (an isotonic ratio)."""
+    n = draw(st.integers(1, 6))
+    support = draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n, unique=True))
+    mu_m = draw(st.lists(FLOAT_MASSES, min_size=n, max_size=n).filter(any))
+    if draw(st.booleans()):
+        nu_m = draw(st.lists(FLOAT_MASSES, min_size=n, max_size=n))
+    else:
+        factors = sorted(draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]), min_size=n, max_size=n)))
+        nu_m = [m * f for m, f in zip(mu_m, factors)]
+    nu_support = draw(st.permutations(support)) if draw(st.booleans()) else support
+    mu = UnivariateDist.from_pairs([float(v) for v in support], mu_m, is_probability=False)
+    nu = UnivariateDist.from_pairs([float(v) for v in nu_support], nu_m, is_probability=False)
+    return mu, nu
+
+
+@st.composite
+def weight_pairs(draw):
+    """(mu, nu) with integer weights: nu random, or a multiple of mu's weights
+    (equal shares), with weights beyond 2**53 on some draws."""
+    n = draw(st.integers(1, 5))
+    support = [float(v) for v in draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n, unique=True))]
+    big = draw(st.sampled_from([1, 10**13, 2**70]))
+    mu_w = [w * big for w in draw(st.lists(st.integers(0, 9), min_size=n, max_size=n).filter(any))]
+    if draw(st.booleans()):
+        nu_w = [w * big + draw(st.sampled_from([0, 0, 1])) for w in
+                draw(st.lists(st.integers(0, 9), min_size=n, max_size=n).filter(any))]
+    else:
+        nu_w = [draw(st.integers(1, 3)) * w for w in mu_w]
+    return UnivariateDist.from_weights(support, mu_w), UnivariateDist.from_weights(support, nu_w)
+
+
+class TestAtomRatiosThroughTheComparator:
+    """nu <= mu is one ``first_violation`` pass; the atom loop is the oracle."""
+
+    def test_tiny_excess_over_a_tiny_mu_atom_fails_in_float_mode(self):
+        mu = UnivariateDist.from_pairs([0.0, 1.0], [0.5, 1e-20], is_probability=False)
+        nu = UnivariateDist.from_pairs([0.0, 1.0], [0.5, 1e-14], is_probability=False)
+        with pytest.raises(PreconditionError) as err:
+            minimal_isotonic_density(mu, nu)
+        assert err.value.witness == (1.0, 1e-14, 1e-20)
+
+    def test_exact_share_excess_fails_in_exact_mode(self):
+        mu = UnivariateDist.from_weights([0.0, 1.0], [10**13, 10**13])
+        nu = UnivariateDist.from_weights([0.0, 1.0], [10**13 + 1, 10**13])
+        for density in (minimal_isotonic_density, maximal_isotonic_density):
+            for verify in (False, True):
+                with pytest.raises(PreconditionError, match="nu exceeds mu") as err:
+                    density(mu, nu, mode="exact", verify=verify)
+                assert err.value.witness[0] == 0.0
+
+    def test_exact_ties_give_equal_ratios(self):
+        mu = UnivariateDist.from_weights([0.0, 1.0, 2.0], [3, 7, 11])
+        nu = UnivariateDist.from_weights([0.0, 1.0, 2.0], [9, 21, 33])
+        assert minimal_isotonic_density(mu, nu, mode="exact", verify=True).values.tolist() == [1.0] * 3
+
+    @given(float_measure_pairs())
+    @settings(max_examples=300, deadline=None)
+    def test_float_mode_equals_the_atom_loop(self, pair):
+        mu, nu = pair
+        try:
+            atoms, ratios = atom_ratios_serial(mu, nu)
+        except PreconditionError as exc:
+            expected = ("precondition", exc.witness)
+        else:
+            expected = (atoms, ratios) if ratios == sorted(ratios) else None
+        for density in (minimal_isotonic_density, maximal_isotonic_density):
+            if expected is None:
+                with pytest.raises(InvalidDistributionError, match="nondecreasing"):
+                    density(mu, nu)
+            else:
+                assert _outcome(lambda: density(mu, nu)) == expected
+
+    @given(weight_pairs())
+    @settings(max_examples=300, deadline=None)
+    def test_exact_mode_equals_the_fraction_loop(self, pair):
+        mu, nu = pair
+        try:
+            expected = atom_ratios_serial(mu, nu, "exact")
+        except PreconditionError as exc:
+            expected = ("precondition", exc.witness)
+        assert _outcome(lambda: minimal_isotonic_density(mu, nu, mode="exact")) == tuple(expected)

@@ -299,8 +299,11 @@ class TestIntervalScanEqualsSerialLoops:
     @settings(max_examples=200, deadline=None)
     def test_exact_isotonic_precondition(self, measures, budget):
         mu, nu = (q.canonical() for q in measures)
+        atoms = mu.support.tolist()
+        nu_at = dict(zip(nu.support.tolist(), nu.weights))  # nu's atoms off mu's support drop out
+        h = np.array([mu.weights, [nu_at.get(a, 0) for a in atoms]], dtype=object)
         with mock.patch.object(isotonic, "MINOR_BUDGET", budget):
-            got = _interval_ratio_condition(mu, nu, MODE_EXACT, 0.0)
+            got = _interval_ratio_condition(atoms, h, MODE_EXACT, 0.0)
         assert got == interval_ratio_condition_serial(mu, nu, MODE_EXACT, 0.0)
 
     # With a slack below the rounding error of a mass, the float scans cannot

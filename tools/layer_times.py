@@ -20,7 +20,12 @@ input is built here from fixed seeds, so two checkouts time the same work:
   w * (1, 2, ..., n)), ``check_tp2`` ``pmf-adjacent`` on 3x3, 16x16 and 32x32
   grids and ``check_st_condition`` on 3x3 and 32x32 grids (cells
   r_i * c_j * (1 + min(i, j)), r and c from seed n, a TP2 kernel).  Float
-  inputs are the weights over their total; exact inputs are the weights.
+  inputs are the weights over their total; exact inputs are the weights;
+* the convergence harnesses on ``fixtures.random_tp2`` truths of k x k
+  atoms, k = 12 and 20 (seed k), one sample of 1,000, 10,000 or 100,000
+  draws with seed 1 and beta 0.5: ``bracket_check`` at the points after
+  atoms k // 3 and 2k // 3, as the ``converge-sim`` workload places them,
+  and ``uniform_convergence_check`` on the atoms from k // 4 to 3k // 4.
 
 Each entry is the best of ``--repeat`` timed calls, after one untimed call;
 a verdict entry times runs of ``VERDICT_CALLS`` calls and gives the time per
@@ -43,8 +48,10 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src")]
 
 import numpy as np  # noqa: E402
-from stochorder import (BivariateDist, GridSignedMeasure, UnivariateDist, check_lr,  # noqa: E402
-                        check_st, check_st_condition, check_tp2, kuiper, kuiper_norm, tp2_project)
+from stochorder import (BivariateDist, GridSignedMeasure, UnivariateDist, bracket_check,  # noqa: E402
+                        check_lr, check_st, check_st_condition, check_tp2, kuiper, kuiper_norm,
+                        tp2_project, uniform_convergence_check)
+from stochorder.fixtures import random_tp2  # noqa: E402
 
 PROJECTIONS = ((5, {"restarts": 4}), (8, {"restarts": 4}),
                (11, {"restarts": 1, "max_iters": 3}), (16, {"restarts": 1, "max_iters": 2}))
@@ -54,6 +61,8 @@ STACKED_GRIDS = (7, 9, 11)
 PAIR_ATOMS = (3, 2000)
 GRIDS = {"pmf-adjacent": (3, 16, 32), "st-condition": (3, 32)}
 MODES = ("float", "exact")
+HARNESS_TRUTHS = (12, 20)
+HARNESS_SAMPLES = (1000, 10_000, 100_000)
 
 
 #: calls per timed run of a verdict, which takes microseconds
@@ -133,6 +142,20 @@ def verdict_cases():
             yield "check_st_condition", f"{n}x{n}, {mode}", lambda r=r, mode=mode: check_st_condition(r, mode)
 
 
+def harness_cases():
+    """(layer, input, call) of every timed convergence harness."""
+    for size in HARNESS_TRUTHS:
+        r = random_tp2(np.random.default_rng(size), size, size)
+        xs = r.x_support.tolist()
+        x1, x2 = xs[size // 3] + 0.5, xs[2 * size // 3] + 0.5
+        window = (xs[size // 4], xs[3 * size // 4])
+        for n in HARNESS_SAMPLES:
+            yield ("bracket_check", f"{size}x{size}, n={n}",
+                   lambda r=r, n=n, x1=x1, x2=x2: bracket_check(r, {"n_list": [n], "seed": 1}, 0.5, x1, x2))
+            yield ("uniform_convergence_check", f"{size}x{size}, n={n}",
+                   lambda r=r, n=n, window=window: uniform_convergence_check(r, 0.5, window, [n], [1]))
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--repeat", type=int, default=5, help="timed calls per entry (best is kept)")
@@ -140,7 +163,7 @@ def main(argv=None) -> int:
     if args.repeat < 1:
         ap.error("--repeat must be at least 1")
     entries = [{"layer": layer, "input": text, "ms": best_ms(call, args.repeat)}
-               for layer, text, call in cases()]
+               for layer, text, call in (*cases(), *harness_cases())]
     for layer, text, call in verdict_cases():
         if not call().holds:
             raise AssertionError(f"{layer} on {text} fails: it would not score every comparison")
