@@ -721,25 +721,71 @@ def _text(path, digest, newline: str | None = None) -> io.TextIOWrapper:
     return io.TextIOWrapper(stream, encoding="utf-8", newline=newline)
 
 
-def _csv_columns(path, header: tuple[str, ...], digest=None) -> list[tuple[str, ...]]:
-    """The text columns of a CSV file with the given header (names compared
-    stripped).  Blank lines are skipped; a row with missing or extra fields
-    is rejected."""
-    with _text(path, digest, newline="") as fh:
-        rows = [row for row in csv.reader(fh) if row]
-    if not rows or [f.strip() for f in rows[0]] != list(header):
+#: Characters that numpy's float parser skips around a number and
+#: ``float()`` rejects; a body that holds one is left to the ``csv`` module.
+_NUMPY_ONLY_SPACES = "\x1c\x1d\x1e\x1f"
+
+
+def _float_columns(text: str, header: tuple[str, ...]) -> np.ndarray | None:
+    """The float64 columns of a CSV's text as numpy's C reader parses it, or
+    None where that parse could differ from the ``csv`` module's: the first
+    line must be exactly the plain header, the rest must hold more than
+    blank lines and none of ``_NUMPY_ONLY_SPACES``, and numpy must read
+    every line as ``len(header)`` numbers.  Without quote or comment
+    characters numpy then accepts the fields that ``float()`` accepts, with
+    the same values, and skips the blank lines that the ``csv`` path skips;
+    it rejects the quoted fields, underscores, non-ASCII digits, lone ``\\r``
+    line ends and whitespace-only lines that are left to that path."""
+    head, _, body = text.partition("\n")
+    if (head.removesuffix("\r") != ",".join(header) or not body or body.isspace()
+            or any(c in body for c in _NUMPY_ONLY_SPACES)):
+        return None
+    try:
+        table = np.loadtxt(io.StringIO(body), delimiter=",", comments=None, quotechar=None, ndmin=2)
+    except ValueError:
+        return None
+    return table.T if table.shape[1] == len(header) else None
+
+
+def _csv_columns(text: str, path, header: tuple[str, ...]) -> list[tuple[str, ...]]:
+    """The text columns of a CSV's text with the given header (names
+    compared stripped), split by the ``csv`` module.  Blank lines are
+    skipped; a row with missing or extra fields, or a field beyond the
+    module's size limit, is rejected."""
+    try:
+        rows = list(filter(None, csv.reader(io.StringIO(text, newline=""))))
+    except csv.Error as exc:
+        raise InvalidDistributionError(f"{path}: {exc}") from None
+    if not rows or list(map(str.strip, rows[0])) != list(header):
         raise InvalidDistributionError(f"{path}: expected header {','.join(header)!r}")
-    if any(len(row) != len(header) for row in rows[1:]):
+    if set(map(len, rows[1:])) - {len(header)}:
         raise InvalidDistributionError(f"{path}: every row needs {len(header)} fields")
     return list(zip(*rows[1:])) or [()] * len(header)
 
 
+def _read_csv(cls, path, header: tuple[str, ...], axes: tuple[str, ...], exact: bool, digest):
+    """The ``cls`` distribution in the CSV file at ``path``, read once.  In
+    float mode numpy parses the text where ``_float_columns`` can; otherwise,
+    and always in exact mode, the ``csv`` module splits it, the coordinate
+    columns are converted as the supports named ``axes`` (so a bad entry gets
+    the message it gets in JSON) and the masses as floats or decimal text."""
+    # Joined line by line, the text is decoded in the chunks a line-by-line
+    # parse decodes, so an undecodable byte is reported at the same position.
+    with _text(path, digest, newline="") as fh:
+        text = "".join(fh)
+    columns = None if exact else _float_columns(text, header)
+    if columns is not None:
+        *coords, masses = columns
+    else:
+        *coords, masses = _csv_columns(text, path, header)
+        coords = [_float_array(c, name) for c, name in zip(coords, axes)]
+        masses = _weights_from_decimal_strings(masses) if exact else _float_masses(masses)
+    supports, grid = _atom_grid(coords, masses, object if exact else np.float64)
+    return _on_sorted(cls, supports, grid, MODE_EXACT if exact else MODE_FLOAT)
+
+
 def read_univariate_csv(path, *, exact: bool = False, digest=None) -> UnivariateDist:
-    values, probs = _csv_columns(path, ("value", "prob"), digest)
-    values = [float(v) for v in values]
-    if exact:
-        return UnivariateDist.from_weights(values, _weights_from_decimal_strings(probs))
-    return UnivariateDist.from_pairs(values, probs)
+    return _read_csv(UnivariateDist, path, ("value", "prob"), ("support",), exact, digest)
 
 
 def write_bivariate_csv(r: BivariateDist, path) -> None:
@@ -754,13 +800,8 @@ def write_bivariate_csv(r: BivariateDist, path) -> None:
 
 
 def read_bivariate_csv(path, *, exact: bool = False, digest=None) -> BivariateDist:
-    xs, ys, probs = _csv_columns(path, ("x", "y", "prob"), digest)
-    xs = [float(v) for v in xs]
-    ys = [float(v) for v in ys]
-    if exact:
-        (gx, gy), ws = _atom_grid((xs, ys), _weights_from_decimal_strings(probs), object)
-        return BivariateDist.from_weights(gx, gy, ws.tolist())
-    return BivariateDist.from_pairs(xs, ys, probs)
+    return _read_csv(BivariateDist, path, ("x", "y", "prob"), ("x_support", "y_support"), exact,
+                     digest)
 
 
 def write_univariate_json(q: UnivariateDist, path) -> None:

@@ -7,6 +7,7 @@ definition, and their outputs are compared against the library verdicts.
 
 from __future__ import annotations
 
+import csv
 import itertools
 from fractions import Fraction
 
@@ -15,7 +16,8 @@ import numpy as np
 from stochorder import (BivariateDist, DomainError, Interval, InvalidDistributionError, PreconditionError,
                         UnivariateDist)
 from stochorder import estimation
-from stochorder.distributions import _interval_slice, prefix_table
+from stochorder.distributions import (_atom_grid, _interval_slice, _text, _weights_from_decimal_strings,
+                                      prefix_table)
 from stochorder.isotonic import MODE_EXACT, MODE_FLOAT, PRODUCT_RTOL, _beyond, _cumulative
 from stochorder.orders import _boundaries, _fails, _holds, _merged_masses, _refined_axis
 from stochorder.tp2 import kernel_west
@@ -486,6 +488,37 @@ def grid_by_dict(xs, ys, masses, dtype=np.float64):
     for x, y, m in zip(xs, ys, masses):
         pmf[ix[x], iy[y]] += m
     return np.array(gx), np.array(gy), pmf
+
+
+def read_csv_by_rows(cls, path, *, exact: bool = False, digest=None):
+    """The ``UnivariateDist`` or ``BivariateDist`` in a CSV file, read as the
+    CSV readers read every file before numpy parsed float CSVs: the ``csv``
+    module over the streamed text, Python loops over its rows, and one
+    ``float()`` per coordinate field, a failure of which is reported as a
+    JSON support entry's is.  Kept to check the numpy path and the loop-free
+    ``csv`` path against."""
+    bivariate = cls is BivariateDist
+    header = ("x", "y", "prob") if bivariate else ("value", "prob")
+    with _text(path, digest, newline="") as fh:
+        rows = [row for row in csv.reader(fh) if row]
+    if not rows or [f.strip() for f in rows[0]] != list(header):
+        raise InvalidDistributionError(f"{path}: expected header {','.join(header)!r}")
+    if any(len(row) != len(header) for row in rows[1:]):
+        raise InvalidDistributionError(f"{path}: every row needs {len(header)} fields")
+    *coords, probs = list(zip(*rows[1:])) or [()] * len(header)
+    names = ("x_support", "y_support") if bivariate else ("support",)
+    for k, (column, name) in enumerate(zip(coords, names)):
+        try:
+            coords[k] = [float(v) for v in column]
+        except ValueError:
+            raise InvalidDistributionError(f"{name} values must be numbers") from None
+    if not exact:
+        return cls.from_pairs(*coords, probs)
+    weights = _weights_from_decimal_strings(probs)
+    if not bivariate:
+        return UnivariateDist.from_weights(*coords, weights)
+    (gx, gy), grid = _atom_grid(coords, weights, object)
+    return BivariateDist.from_weights(gx, gy, grid.tolist())
 
 
 def empirical_by_dict(samples) -> BivariateDist:

@@ -5,22 +5,27 @@ ragged or empty supports, entries that are not numbers or are NaN, supports
 and masses of different lengths, broken CSV rows) exit 2 with a message on
 stderr, print no report and raise nothing out of ``main``.  Well-formed
 inputs whose atoms or cells are duplicated and unsorted give the same report
-as their merged form.
+as their merged form.  The CSV readers, numpy path and ``csv`` path alike,
+give what the row-loop reader they replaced gave on every file.
 """
 
 import contextlib
+import csv
+import hashlib
 import io
 import json
 import os
 import pathlib
 import tempfile
+import warnings
 from decimal import Decimal
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from stochorder import kuiper
+from helpers import read_csv_by_rows
+from stochorder import BivariateDist, UnivariateDist, distributions, kuiper
 from stochorder.cli import main
 from stochorder.fixtures import antidiag
 
@@ -288,6 +293,213 @@ class TestDuplicatesReportAsMerged:
         argv = tp2_argv(exact) + ["--method", method]
         assert (report_of(*run_on("r.csv", dup, argv))
                 == report_of(*run_on("r.csv", merged, argv)))
+
+
+# ---------------------------------------------------------------------------
+# the CSV readers against the row-loop reader they replaced
+# ---------------------------------------------------------------------------
+
+#: per reader: its class, header, CLI call and two atoms' coordinate fields;
+#: ``p`` puts a field in the last coordinate column (after a first one)
+READERS = {
+    "univariate": (UnivariateDist, "value,prob", check_st_argv, {"a": "1", "b": "2", "p": ""}),
+    "bivariate": (BivariateDist, "x,y,prob", tp2_argv, {"a": "1,0", "b": "2,1", "p": "0,"}),
+}
+
+#: (case, file template, whether numpy parses it in float mode).  ``{h}`` is
+#: the header, ``{a}`` and ``{b}`` are two atoms; bytes are written as they are.
+CSV_CASES = [
+    ("plain", "{h}\n{a},0.5\n{b},0.5\n", True),
+    ("no final line end", "{h}\n{a},0.5\n{b},0.5", True),
+    ("crlf", "{h}\r\n{a},0.5\r\n{b},0.5\r\n", True),
+    ("cr only", "{h}\r{a},0.5\r{b},0.5\r", False),
+    ("lone cr in the body", "{h}\n{a},0.5\r{b},0.5\n", False),
+    ("cr at the end", "{h}\n{a},0.5\n{b},0.5\r", True),
+    ("blank lines", "{h}\n\n{a},0.5\n\n\n{b},0.5\n\n", True),
+    ("crlf blank line", "{h}\r\n{a},0.5\r\n\r\n{b},0.5\r\n", True),
+    ("whitespace-only line", "{h}\n{a},0.5\n \n{b},0.5\n", False),
+    ("tab-only line", "{h}\n{a},0.5\n\t\n{b},0.5\n", False),
+    ("leading blank line", "\n{h}\n{a},0.5\n{b},0.5\n", False),
+    ("spaced header", " {spaced} \n{a},0.5\n{b},0.5\n", False),
+    ("quoted header", "{quoted}\n{a},0.5\n{b},0.5\n", False),
+    ("byte order mark", "\ufeff{h}\n{a},0.5\n{b},0.5\n", False),
+    ("comment line", "{h}\n# atoms\n{a},0.5\n{b},0.5\n", False),
+    ("comment after a mass", "{h}\n{a},0.5 # half\n{b},0.5\n", False),
+    ("quoted mass", '{h}\n{a},"0.5"\n{b},0.5\n', False),
+    ("quoted comma", '{h}\n{a},"0,5"\n{b},0.5\n', False),
+    ("quoted line end", '{h}\n{a},"0.5\n"\n{b},0.5\n', False),
+    ("underscore in a mass", "{h}\n{a},0.2_5\n{b},0.75\n", False),
+    ("underscore in a coordinate", "{h}\n{p}1_0,0.5\n{b},0.5\n", False),
+    ("arabic-indic digit in a mass", "{h}\n{a},\u0660.5\n{b},0.5\n", False),
+    ("arabic-indic digit in a coordinate", "{h}\n{p}\u0661\u0660,0.5\n{b},0.5\n", False),
+    ("no-break spaces", "{h}\n{a},\u00a00.5\n{b},0.5\u00a0\n", True),
+    ("em spaces", "{h}\n{a},\u20030.5\u2003\n{p}\u20032,0.5\n", True),
+    ("ascii spaces", "{h}\n{a}, 0.5 \n{b},\t0.5\x0b\n", True),
+    ("information separator", "{h}\n{a},0.5\x1c\n{b},0.5\n", False),
+    ("spelled numbers", "{h}\n{p}+1.,5e-1\n{b},.50\n", True),
+    ("many digits", "{h}\n{a},0.50000000000000000000000001\n{b},0.49999999999999999999999999\n", True),
+    ("decimal masses", "{h}\n{a},0.1\n{b},0.9\n", True),
+    ("duplicate atoms", "{h}\n{a},0.25\n{b},0.5\n{a},0.25\n", True),
+    ("inf mass", "{h}\n{a},inf\n{b},0.5\n", True),
+    ("nan mass", "{h}\n{a},nan\n{b},0.5\n", True),
+    ("1e400 mass", "{h}\n{a},1e400\n{b},0.5\n", True),
+    ("negative mass", "{h}\n{a},-0.5\n{b},1.5\n", True),
+    ("masses off one", "{h}\n{a},0.5\n{b},0.6\n", True),
+    ("inf coordinate", "{h}\n{p}-inf,0.5\n{b},0.5\n", True),
+    ("nan coordinate", "{h}\n{p}nan,0.5\n{b},0.5\n", True),
+    ("1e400 coordinate", "{h}\n{p}1e400,0.5\n{b},0.5\n", True),
+    ("text coordinate", "{h}\n{p}abc,0.5\n{b},0.5\n", False),
+    ("hex coordinate", "{h}\n{p}0x10,0.5\n{b},0.5\n", False),
+    ("empty coordinate", "{h}\n{p},0.5\n{b},0.5\n", False),
+    ("trailing comma", "{h}\n{a},0.5,\n{b},0.5,\n", False),
+    ("rows one field short", "{h}\n{p}0.5\n{p}0.5\n", False),
+    ("rows one field long", "{h}\n{a},0.5,1\n{b},0.5,1\n", False),
+    ("mixed row lengths", "{h}\n{a},0.5\n{p}0.5\n", False),
+    ("header only", "{h}\n", False),
+    ("header only, no line end", "{h}", False),
+    ("header and line ends", "{h}\n\r\n\n", False),
+    ("header and a blank line", "{h}\n\n \r\n", False),
+    ("empty file", "", False),
+    ("NUL after a mass", "{h}\n{a},0.5\x00\n{b},0.5\n", False),
+    ("NUL line", "{h}\n{a},0.5\n\x00\n{b},0.5\n", False),
+    ("non-UTF-8 byte", b"{h}\n{a},0.5\n{b},0.5\xff\n", False),
+]
+
+
+def _case_bytes(template, header: str, atoms: dict) -> bytes:
+    fields = {"h": header, "spaced": header.replace(",", " , "),
+              "quoted": ",".join(f'"{f}"' for f in header.split(",")), **atoms}
+    if isinstance(template, bytes):
+        return template.decode("latin-1").format(**fields).encode("latin-1")
+    return template.format(**fields).encode("utf-8")
+
+
+def read_outcome(read, path) -> tuple:
+    """What ``read`` gives on ``path``: the distribution's support, mass and
+    weight bytes or the error's type and message, and the digest of the
+    bytes read."""
+    digest = hashlib.sha256()
+    try:
+        d = read(path, digest=digest)
+    except Exception as exc:  # noqa: BLE001 -- the error itself is compared
+        got = (type(exc).__name__, str(exc))
+    else:
+        arrays = ((d.support, d.probs) if isinstance(d, UnivariateDist)
+                  else (d.x_support, d.y_support, d.pmf))
+        got = (*(a.tobytes() for a in arrays), d.weights)
+    return got, digest.hexdigest()
+
+
+def oracle_reader(cls, exact: bool):
+    return lambda path, exact=exact, digest=None: read_csv_by_rows(cls, path, exact=exact, digest=digest)
+
+
+@pytest.mark.parametrize("reader", sorted(READERS))
+@pytest.mark.parametrize("case, template, numpy_path", CSV_CASES, ids=[c[0] for c in CSV_CASES])
+def test_csv_reader_matches_the_row_loop_reader(tmp_path, monkeypatch, reader, case, template,
+                                                numpy_path):
+    """Result, digest, exit code and stderr of each reader, in both modes,
+    equal the row-loop reader's; an accepted file writes nothing to stderr
+    and no warning is raised."""
+    cls, header, argv, atoms = READERS[reader]
+    data = _case_bytes(template, header, atoms)
+    path = tmp_path / "in.csv"
+    path.write_bytes(data)
+    if not isinstance(template, bytes):
+        columns = distributions._float_columns(data.decode("utf-8"), tuple(header.split(",")))
+        assert (columns is not None) == numpy_path
+    load = getattr(distributions, f"read_{reader}_csv")
+    for exact in (False, True):
+        cli_argv = [str(path) if a == "{}" else a for a in argv(exact)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = read_outcome(lambda p, digest: load(p, exact=exact, digest=digest), path)
+            code, out, err = run_main(cli_argv)
+        assert caught == []
+        oracle = oracle_reader(cls, exact)
+        assert got == read_outcome(oracle, path)
+        with monkeypatch.context() as m:
+            m.setattr(distributions, f"read_{reader}_csv", oracle)
+            assert (code, out, err) == run_main(cli_argv)
+        if code in (0, 3):
+            assert err == ""
+
+
+#: spellings of a number that numpy and ``float()`` both read as ``v``
+NUMPY_SPELLINGS = [repr, "{:.17e}".format, lambda v: f"+{v!r}".replace("+-", "-"),
+                   lambda v: f" {v!r}\t", lambda v: f"\u00a0{v!r}\u2003"]
+#: spellings that ``float()`` or the ``csv`` module reads as ``v`` and numpy
+#: does not: an underscore and quotes
+CSV_SPELLINGS = [lambda v: repr(v).replace(repr(abs(v)), "0_" + repr(abs(v)), 1),
+                 lambda v: f'"{v!r}"']
+
+
+@st.composite
+def float_csv(draw, header: str) -> tuple[str, bool]:
+    """A well-formed CSV of a random grid, rows shuffled and some repeated,
+    line ends ``\\n`` or ``\\r\\n`` with blank lines between rows, and each
+    field spelled one of the ``NUMPY_SPELLINGS`` ways or, in some files, of
+    the ``CSV_SPELLINGS`` ways too; and whether numpy reads every field."""
+    width = header.count(",")
+    atoms = draw(st.lists(st.tuples(*[st.integers(-6, 6).map(lambda i: i / 4)] * width),
+                          min_size=1, max_size=8))
+    weights = draw(st.lists(st.integers(0, 9), min_size=len(atoms), max_size=len(atoms)).filter(any))
+    rows = [(*a, w / sum(weights)) for a, w in zip(atoms, weights)]
+    rows = draw(st.permutations(rows + rows[: draw(st.integers(0, 2))]))
+    spellings = st.sampled_from(NUMPY_SPELLINGS + CSV_SPELLINGS * draw(st.booleans()))
+    ends = st.sampled_from(["\n", "\r\n", "\n\n", "\r\n\r\n"])
+    fields = [[draw(spellings) for _ in row] for row in rows]
+    text = header + draw(ends) + "".join(
+        ",".join(spell(v) for spell, v in zip(spelled, row)) + draw(ends)
+        for spelled, row in zip(fields, rows))
+    return text, not {f for row in fields for f in row} & set(CSV_SPELLINGS)
+
+
+@pytest.mark.parametrize("reader", sorted(READERS))
+@given(st.data(), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_random_float_csv_reads_as_by_rows(reader, data, exact):
+    cls, header, _, _ = READERS[reader]
+    text, numpy_path = data.draw(float_csv(header))
+    assert (distributions._float_columns(text, tuple(header.split(","))) is not None) == numpy_path
+    load = getattr(distributions, f"read_{reader}_csv")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "in.csv")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        assert (read_outcome(lambda p, digest: load(p, exact=exact, digest=digest), path)
+                == read_outcome(oracle_reader(cls, exact), path))
+
+
+def test_field_beyond_the_csv_size_limit_exits_two():
+    """The ``csv`` module raises its own error on a field longer than its
+    limit; it is an input error.  numpy reads the same number unquoted."""
+    digits = "0" * csv.field_size_limit() + "1"
+    for exact, field in ((True, digits), (False, f'"{digits}"')):
+        code, out, err = run_on("q.csv", f"value,prob\n{field},1\n", check_st_argv(exact))
+        assert_input_error(code, out, err)
+        assert "field larger than field limit" in err
+    code, out, err = run_on("q.csv", f"value,prob\n{digits},1\n", check_st_argv(False))
+    assert code == 0 and err == ""
+
+
+@pytest.mark.parametrize("exact", [False, True])
+@pytest.mark.parametrize("bad", ["abc", "0x10", "", "1_0_", "[1]"])
+def test_bad_coordinate_reads_as_in_json(bad, exact):
+    """A coordinate that is no number gets the message its JSON entry gets."""
+    argv = {"q": check_st_argv(exact), "r": tp2_argv(exact)}
+    pairs = [
+        ("q", f"value,prob\n{bad},0.5\n2,0.5\n", {"support": [bad, 2.0], "probs": [0.5, 0.5]}),
+        ("r", f"x,y,prob\n{bad},0,0.5\n2,0,0.5\n",
+         {"x_support": [bad, 2.0], "y_support": [0.0], "pmf": [[0.5], [0.5]]}),
+        ("r", f"x,y,prob\n0,{bad},0.5\n0,2,0.5\n",
+         {"x_support": [0.0], "y_support": [bad, 2.0], "pmf": [[0.5, 0.5]]}),
+    ]
+    for name, text, payload in pairs:
+        from_csv = run_on(f"{name}.csv", text, argv[name])
+        assert_input_error(*from_csv)
+        assert from_csv == run_on(f"{name}.json", json.dumps(payload), argv[name])
+        assert "values must be numbers" in from_csv[2]
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,13 @@ input is built here from fixed seeds, so two checkouts time the same work:
   atoms, k = 12 and 20 (seed k), one sample of 1,000, 10,000 or 100,000
   draws with seed 1 and beta 0.5: ``bracket_check`` at the points after
   atoms k // 3 and 2k // 3, as the ``converge-sim`` workload places them,
-  and ``uniform_convergence_check`` on the atoms from k // 4 to 3k // 4.
+  and ``uniform_convergence_check`` on the atoms from k // 4 to 3k // 4;
+* the CSV loaders, each load hashed into a fresh sha256 as the CLI hashes
+  it: ``load_bivariate`` on a 100x100 grid (uniform random cells from seed
+  100, normalized) in float mode and with ``exact=True``, which reads the
+  decimal text through the ``csv`` module, and ``load_univariate`` on 2,000
+  atoms (seed 2000), both written by the package's CSV writers to a
+  temporary directory.
 
 Each entry is the best of ``--repeat`` timed calls, after one untimed call;
 a verdict entry times runs of ``VERDICT_CALLS`` calls and gives the time per
@@ -38,10 +44,12 @@ slab-wise band kernel, which takes no row ranges.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
 import sys
+import tempfile
 import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -51,6 +59,8 @@ import numpy as np  # noqa: E402
 from stochorder import (BivariateDist, GridSignedMeasure, UnivariateDist, bracket_check,  # noqa: E402
                         check_lr, check_st, check_st_condition, check_tp2, kuiper, kuiper_norm,
                         tp2_project, uniform_convergence_check)
+from stochorder.distributions import (load_bivariate, load_univariate, write_bivariate_csv,  # noqa: E402
+                                      write_univariate_csv)
 from stochorder.fixtures import random_tp2  # noqa: E402
 
 PROJECTIONS = ((5, {"restarts": 4}), (8, {"restarts": 4}),
@@ -63,6 +73,8 @@ GRIDS = {"pmf-adjacent": (3, 16, 32), "st-condition": (3, 32)}
 MODES = ("float", "exact")
 HARNESS_TRUTHS = (12, 20)
 HARNESS_SAMPLES = (1000, 10_000, 100_000)
+CSV_GRID = 100
+CSV_ATOMS = 2000
 
 
 #: calls per timed run of a verdict, which takes microseconds
@@ -156,14 +168,32 @@ def harness_cases():
                    lambda r=r, n=n, window=window: uniform_convergence_check(r, 0.5, window, [n], [1]))
 
 
+def parse_cases(tmp: str):
+    """(layer, input, call) of every timed CSV load, on files written to ``tmp``."""
+    pmf = np.random.default_rng(CSV_GRID).random((CSV_GRID, CSV_GRID))
+    grid = os.path.join(tmp, "r.csv")
+    write_bivariate_csv(BivariateDist(np.arange(float(CSV_GRID)), np.arange(float(CSV_GRID)),
+                                      pmf / pmf.sum()), grid)
+    probs = np.random.default_rng(CSV_ATOMS).random(CSV_ATOMS)
+    atoms = os.path.join(tmp, "q.csv")
+    write_univariate_csv(UnivariateDist(np.arange(float(CSV_ATOMS)), probs / probs.sum()), atoms)
+    size = f"{CSV_GRID}x{CSV_GRID}"
+    yield "load_bivariate", f"{size} CSV, float", lambda: load_bivariate(grid, digest=hashlib.sha256())
+    yield ("load_bivariate", f"{size} CSV, exact",
+           lambda: load_bivariate(grid, exact=True, digest=hashlib.sha256()))
+    yield ("load_univariate", f"{CSV_ATOMS} atoms CSV, float",
+           lambda: load_univariate(atoms, digest=hashlib.sha256()))
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--repeat", type=int, default=5, help="timed calls per entry (best is kept)")
     args = ap.parse_args(argv)
     if args.repeat < 1:
         ap.error("--repeat must be at least 1")
-    entries = [{"layer": layer, "input": text, "ms": best_ms(call, args.repeat)}
-               for layer, text, call in (*cases(), *harness_cases())]
+    with tempfile.TemporaryDirectory() as tmp:
+        entries = [{"layer": layer, "input": text, "ms": best_ms(call, args.repeat)}
+                   for layer, text, call in (*cases(), *harness_cases(), *parse_cases(tmp))]
     for layer, text, call in verdict_cases():
         if not call().holds:
             raise AssertionError(f"{layer} on {text} fails: it would not score every comparison")
