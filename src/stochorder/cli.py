@@ -11,7 +11,6 @@ fails, 4 precondition error.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import hashlib
 import json
@@ -21,6 +20,7 @@ import sys
 
 from . import __version__
 from .distributions import (
+    _write_csv,
     load_bivariate,
     load_univariate,
     write_bivariate_csv,
@@ -150,15 +150,6 @@ def _cmd_check_order(args) -> int:
         verdict = check_lr(q1, q2, args.method, _mode(args), args.tolerance)
     _emit(_report(args.cmd, inputs, _verdict_payload(verdict)), args.out)
     return EXIT_OK if verdict.holds else EXIT_FAILS
-
-
-def _write_csv(path: str, header, rows) -> None:
-    """A CSV artifact: booleans as 0/1, every other field as ``repr(float(v))``."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows([int(v) if isinstance(v, bool) else repr(float(v)) for v in row]
-                         for row in rows)
 
 
 def _cmd_roc(args) -> int:

@@ -8,16 +8,18 @@ Two numeric regimes coexist:
 
 * float mode (default): masses are float64, totals are accepted within
   ``MASS_TOL`` of 1;
-* exact mode: an optional tuple of integer weights accompanies the float
-  masses.  Order and TP2 verdicts can then be computed with exact integer
-  cross products (no rounding, no division).
+* exact mode: integer weights accompany the float masses, stored as one
+  read-only object array of Python ints shaped like them (``to_dict`` writes
+  them as lists).  Order and TP2 verdicts can then be computed with exact
+  integer cross products (no rounding, no division).
 
 Each distribution knows its ``mode``: ``MODE_EXACT`` when it carries integer
 weights, ``MODE_FLOAT`` otherwise.  The mode picks the numbers a verdict reads
-(``UnivariateDist.masses`` and ``BivariateDist.cells``); the verdict code
-itself is shared by both modes.  The class constructors are the one mass
-check: given integer weights and no float masses, they check the weights once
-and derive the floats w / total from the weights alone.  ``canonical``, the
+(``UnivariateDist.masses`` and ``BivariateDist.cells`` return the stored
+array, not a copy); the verdict code itself is shared by both modes.  The
+class constructors are the one mass check: given integer weights and no float
+masses, they check the weights once and derive the floats w / total from the
+weights alone.  ``canonical``, the
 marginals, conditional rows and ``kuiper.refine_grid`` hand masses in the
 numbers of their mode to one builder, ``_on_sorted``, and the univariate ones
 keep only their positive-mass atoms, so each result is built once.  Dropping
@@ -215,21 +217,23 @@ def _validate_support(values: np.ndarray, what: str) -> None:
         raise InvalidDistributionError(f"{what} must be strictly increasing")
 
 
-def _int_weights(weights) -> list[int]:
-    """Weights as Python ints; booleans and values that are not integral
-    numbers are rejected instead of truncated, and a number where a sequence
-    of weights belongs is a shape error."""
-    if not np.iterable(weights):
+def _int_array(weights, ndim: int = 1) -> np.ndarray:
+    """Weights as a new object array of Python ints with ``ndim`` axes (ragged
+    rows and numbers are shape errors); booleans and values that are not
+    integral numbers are rejected instead of truncated."""
+    try:
+        arr = np.array(weights, dtype=object)
+    except ValueError:  # nesting that numpy cannot lay out
+        arr = None
+    if arr is None or arr.ndim != ndim:
         raise InvalidDistributionError("weights shape does not match the support")
-    weights = list(weights)
-    types = set(map(type, weights))
-    if types <= {int}:
-        return weights
-    if bool in types or not all(
-        isinstance(w, (int, np.integer)) or isinstance(w, float) and w.is_integer() for w in weights
-    ):
+    flat = arr.ravel().tolist()
+    if set(map(type, flat)) <= {int}:
+        return arr
+    if not all(type(w) is not bool and isinstance(w, (int, np.integer))
+               or isinstance(w, float) and w.is_integer() for w in flat):
         raise InvalidDistributionError("weights must be integers")
-    return [int(w) for w in weights]
+    return np.array(list(map(int, flat)), dtype=object).reshape(arr.shape)
 
 
 def _float_masses(values) -> list[float]:
@@ -244,22 +248,20 @@ def _float_masses(values) -> list[float]:
 
 
 def _checked_weights(weights, shape: tuple[int, ...]):
-    """Integer weights as Python ints (a tuple per x-atom for a 2-D ``shape``)
-    and the flat list of their float masses w / total.  They must give one
-    weight per atom or cell, none negative, with a positive total."""
-    nested = weights if len(shape) == 2 else [weights]
-    if not np.iterable(nested):
+    """Integer weights as a read-only object array of Python ints of
+    ``shape``, and their float masses w / total, correctly rounded.  They
+    must give one weight per atom or cell, none negative, with a positive
+    total."""
+    weights = _int_array(weights, len(shape))
+    if weights.shape != shape:
         raise InvalidDistributionError("weights shape does not match the support")
-    rows = [tuple(_int_weights(row)) for row in nested]
-    if [len(row) for row in rows] != [shape[-1]] * (shape[0] if len(shape) == 2 else 1):
-        raise InvalidDistributionError("weights shape does not match the support")
-    flat = [w for row in rows for w in row]
-    if min(flat, default=0) < 0:
+    if (weights < 0).any():
         raise InvalidDistributionError("weights must be nonnegative integers")
-    total = sum(flat)
+    total = weights.sum()
     if total <= 0:
         raise InvalidDistributionError("weights must have positive total")
-    return (tuple(rows) if len(shape) == 2 else rows[0]), [w / total for w in flat]
+    weights.flags.writeable = False
+    return weights, (weights / total).astype(np.float64)
 
 
 def _checked_masses(floats, weights, shape: tuple[int, ...], what: str, is_probability: bool):
@@ -273,18 +275,16 @@ def _checked_masses(floats, weights, shape: tuple[int, ...], what: str, is_proba
     if weights is not None:
         weights, derived = _checked_weights(weights, shape)
         if floats is None:
-            floats, derived = np.reshape(derived, shape), None
+            floats, derived = derived, None
     floats = _float_array(floats, what)
     if floats.shape != shape:
         raise InvalidDistributionError(f"{what} shape {floats.shape} does not match the support {shape}")
-    if not np.all(np.isfinite(floats)) or np.any(floats < 0):
+    if not np.isfinite(floats).all() or (floats < 0).any():
         raise InvalidDistributionError(f"{what} must be finite and >= 0")
     total = float(floats.sum())
     if is_probability and abs(total - 1.0) > MASS_TOL:
         raise InvalidDistributionError(f"{what} sum to {total!r}, not 1")
-    if derived is not None and any(
-        abs(w - p) > MASS_TOL for w, p in zip(derived, floats.ravel().tolist())
-    ):
+    if derived is not None and (np.abs(derived - floats) > MASS_TOL).any():
         raise InvalidDistributionError("weights do not match the float masses")
     return floats, weights
 
@@ -311,8 +311,7 @@ def _quantile_index(cum: np.ndarray, alpha: float, largest: bool = False) -> np.
 def _on_positive_atoms(support: np.ndarray, masses, mode: str,
                        is_probability: bool = True) -> "UnivariateDist":
     """A ``UnivariateDist`` on the atoms of a sorted, distinct float support
-    whose masses, in the numbers of ``mode``, are positive."""
-    masses = np.asarray(masses, dtype=object if mode == MODE_EXACT else np.float64)
+    whose masses, an array in the numbers of ``mode``, are positive."""
     keep = masses > 0
     support = support[keep]
     if not support.size:
@@ -332,14 +331,14 @@ class UnivariateDist:
     ``support`` is strictly increasing; ``probs`` are nonnegative masses.  When
     ``is_probability`` is true the total mass must be 1 within ``MASS_TOL``.
     ``weights`` optionally carries exact integer masses (same atoms, any
-    positive total); they feed the exact comparison mode.  Given ``weights``
-    with ``probs=None``, the probs are derived from the weights alone as
-    w / total.
+    positive total), stored as a read-only object array of Python ints; they
+    feed the exact comparison mode.  Given ``weights`` with ``probs=None``,
+    the probs are derived from the weights alone as w / total.
     """
 
     support: np.ndarray
     probs: np.ndarray | None
-    weights: tuple[int, ...] | None = None
+    weights: np.ndarray | None = None
     is_probability: bool = True
 
     # cached cumulative arrays, filled in __post_init__
@@ -369,8 +368,8 @@ class UnivariateDist:
     def from_weights(cls, values, weights, *, is_probability: bool = True) -> "UnivariateDist":
         """Build from unsorted (value, integer weight) data; duplicates are
         merged, and float probs are the normalized weights."""
-        (support,), ws = _atom_grid([values], _int_weights(weights), object)
-        return cls(support, None, ws.tolist(), is_probability)
+        (support,), ws = _atom_grid([values], _int_array(weights), object)
+        return cls(support, None, ws, is_probability)
 
     @classmethod
     def delta(cls, x: float) -> "UnivariateDist":
@@ -389,7 +388,7 @@ class UnivariateDist:
     def to_dict(self) -> dict:
         payload = {"support": self.support.tolist(), "probs": self.probs.tolist()}
         if self.weights is not None:
-            payload["weights"] = list(self.weights)
+            payload["weights"] = self.weights.tolist()
         return payload
 
     # -- basic structure ---------------------------------------------------
@@ -408,12 +407,12 @@ class UnivariateDist:
 
     @property
     def total_weight(self) -> int:
-        return sum(self.masses(MODE_EXACT))
+        return self.masses(MODE_EXACT).sum()
 
     def canonical(self) -> "UnivariateDist":
         """Drop zero-mass atoms (duplicates are already merged on construction)."""
         masses = self.masses(self.mode)
-        if min(masses) > 0:
+        if masses.min() > 0:
             return self
         return _on_positive_atoms(self.support, masses, self.mode, self.is_probability)
 
@@ -423,14 +422,14 @@ class UnivariateDist:
             return float(self.probs[i])
         return 0.0
 
-    def masses(self, mode: str) -> list:
+    def masses(self, mode: str) -> np.ndarray:
         """Atom masses in the numbers of the comparison mode: the integer
         weights in exact mode, the float probs otherwise."""
         if mode != MODE_EXACT:
-            return self.probs.tolist()
+            return self.probs
         if self.weights is None:
             raise DomainError("exact mode requires integer weights")
-        return list(self.weights)
+        return self.weights
 
     # -- distribution function machinery ------------------------------------
 
@@ -501,15 +500,16 @@ def left_support(q: UnivariateDist) -> tuple[float, ...]:
 class BivariateDist:
     """Finite-support distribution on the plane as an atom-grid pmf matrix.
 
-    ``weights`` optionally carries exact integer cell masses, one row per
-    x-atom; given ``weights`` with ``pmf=None``, the pmf is derived from the
-    weights alone as w / total.
+    ``weights`` optionally carries exact integer cell masses, stored like
+    ``pmf`` as a read-only object array of Python ints; given ``weights``
+    with ``pmf=None``, the pmf is derived from the weights alone as
+    w / total.
     """
 
     x_support: np.ndarray
     y_support: np.ndarray
     pmf: np.ndarray | None
-    weights: tuple[tuple[int, ...], ...] | None = None
+    weights: np.ndarray | None = None
     is_probability: bool = True
 
     def __post_init__(self):
@@ -543,10 +543,8 @@ class BivariateDist:
             return cls.from_weights(payload["x_support"], payload["y_support"], payload["weights"])
         pmf = payload["pmf"]
         if exact:
-            flat = [v for row in pmf for v in row]
-            ws = _weights_from_decimal_strings(flat)
-            m = len(pmf[0])
-            rows = [ws[i * m : (i + 1) * m] for i in range(len(pmf))]
+            ws = _weights_from_decimal_strings([v for row in pmf for v in row])
+            rows = np.array(ws, dtype=object).reshape(len(pmf), -1)
             return cls.from_weights(payload["x_support"], payload["y_support"], rows)
         pmf = np.array([_float_masses(row) for row in pmf])
         return cls(payload["x_support"], payload["y_support"], pmf)
@@ -558,7 +556,7 @@ class BivariateDist:
             "pmf": self.pmf.tolist(),
         }
         if self.weights is not None:
-            payload["weights"] = [list(r) for r in self.weights]
+            payload["weights"] = self.weights.tolist()
         return payload
 
     # -- structure ----------------------------------------------------------
@@ -581,13 +579,13 @@ class BivariateDist:
         return self.cells(MODE_EXACT).sum()
 
     def cells(self, mode: str) -> np.ndarray:
-        """Cell masses in the numbers of the comparison mode: an object array
-        of the integer weights in exact mode, the float pmf otherwise."""
+        """Cell masses in the numbers of the comparison mode: the integer
+        weights in exact mode, the float pmf otherwise."""
         if mode != MODE_EXACT:
             return self.pmf
         if self.weights is None:
             raise DomainError("exact mode requires integer weights")
-        return np.array(self.weights, dtype=object)
+        return self.weights
 
     def canonical(self) -> "BivariateDist":
         """Drop x-atoms with zero row mass and y-atoms with zero column mass.
@@ -637,12 +635,12 @@ class BivariateDist:
         i = int(np.searchsorted(self.x_support, x))
         if i == self.shape[0] or self.x_support[i] != x:
             raise DomainError(f"{x!r} is not an atom of the first marginal")
-        exact = self.mode == MODE_EXACT
-        row = np.array(self.weights[i], dtype=object) if exact else self.pmf[i]
+        row = self.cells(self.mode)[i]
         mass = row.sum()
         if not mass > 0:
             raise DomainError(f"first-marginal atom {x!r} has zero mass")
-        return _on_positive_atoms(self.y_support, row if exact else row / mass, self.mode)
+        return _on_positive_atoms(self.y_support, row if self.mode == MODE_EXACT else row / mass,
+                                  self.mode)
 
     def range_x(self) -> Interval:
         """Smallest closed interval carrying all first-marginal mass."""
@@ -681,16 +679,17 @@ def _weights_from_decimal_strings(values) -> list[int]:
     return [int(f * denom) for f in fracs]
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
+def _write_csv(path, header, rows) -> None:
+    """A CSV file: booleans as 0/1, every other field as ``repr(float(v))``."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows([int(v) if isinstance(v, bool) else repr(float(v)) for v in row]
+                         for row in rows)
 
 
 def write_univariate_csv(q: UnivariateDist, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["value", "prob"])
-        for v, p in zip(q.support.tolist(), q.probs.tolist()):
-            writer.writerow([_fmt(v), _fmt(p)])
+    _write_csv(path, ("value", "prob"), zip(q.support.tolist(), q.probs.tolist()))
 
 
 class _Hashed(io.BufferedReader):
@@ -730,15 +729,16 @@ def _float_columns(text: str, header: tuple[str, ...]) -> np.ndarray | None:
     """The float64 columns of a CSV's text as numpy's C reader parses it, or
     None where that parse could differ from the ``csv`` module's: the first
     line must be exactly the plain header, the rest must hold more than
-    blank lines and none of ``_NUMPY_ONLY_SPACES``, and numpy must read
-    every line as ``len(header)`` numbers.  Without quote or comment
-    characters numpy then accepts the fields that ``float()`` accepts, with
-    the same values, and skips the blank lines that the ``csv`` path skips;
-    it rejects the quoted fields, underscores, non-ASCII digits, lone ``\\r``
-    line ends and whitespace-only lines that are left to that path."""
+    blank lines, no ``"`` (numpy runs without a quote character, so it can
+    never read a quoted field) and none of ``_NUMPY_ONLY_SPACES``, and numpy
+    must read every line as ``len(header)`` numbers.  Without quote or
+    comment characters numpy then accepts the fields that ``float()``
+    accepts, with the same values, and skips the blank lines that the
+    ``csv`` path skips; it rejects the underscores, non-ASCII digits, lone
+    ``\\r`` line ends and whitespace-only lines that are left to that path."""
     head, _, body = text.partition("\n")
     if (head.removesuffix("\r") != ",".join(header) or not body or body.isspace()
-            or any(c in body for c in _NUMPY_ONLY_SPACES)):
+            or any(c in body for c in _NUMPY_ONLY_SPACES + '"')):
         return None
     try:
         table = np.loadtxt(io.StringIO(body), delimiter=",", comments=None, quotechar=None, ndmin=2)
@@ -789,14 +789,10 @@ def read_univariate_csv(path, *, exact: bool = False, digest=None) -> Univariate
 
 
 def write_bivariate_csv(r: BivariateDist, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "y", "prob"])
-        for i, x in enumerate(r.x_support.tolist()):
-            for j, y in enumerate(r.y_support.tolist()):
-                p = float(r.pmf[i, j])
-                if p > 0.0:
-                    writer.writerow([_fmt(x), _fmt(y), _fmt(p)])
+    """The long-form CSV of the positive cells, rows outer."""
+    i, j = np.nonzero(r.pmf > 0)
+    _write_csv(path, ("x", "y", "prob"),
+               zip(r.x_support[i].tolist(), r.y_support[j].tolist(), r.pmf[i, j].tolist()))
 
 
 def read_bivariate_csv(path, *, exact: bool = False, digest=None) -> BivariateDist:

@@ -140,7 +140,7 @@ def empirical(samples) -> BivariateDist:
     if pts.ndim != 2 or pts.shape[1] != 2 or pts.shape[0] == 0:
         raise DomainError("samples must be a nonempty (n, 2) array")
     (gx, gy), counts = _atom_grid(pts.T, np.ones(pts.shape[0], dtype=np.int64), np.int64)
-    return BivariateDist.from_weights(gx, gy, counts.tolist())
+    return BivariateDist.from_weights(gx, gy, counts)
 
 
 @dataclass(frozen=True, eq=False)

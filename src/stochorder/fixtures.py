@@ -82,7 +82,7 @@ def unif_delta_kernel(n: int = 30) -> BivariateDist:
     col_third = np.arange(n) // (n // 3)
     rows = np.where(lower, 3 * (col_third == 0),
                     np.where(upper, 3 * (col_third == 2), 3 * (n // 3) * np.eye(n, dtype=int)))
-    return BivariateDist.from_weights(pts, pts, rows.tolist())
+    return BivariateDist.from_weights(pts, pts, rows)
 
 
 def diag_uniform(k: int = 5) -> BivariateDist:
@@ -90,7 +90,7 @@ def diag_uniform(k: int = 5) -> BivariateDist:
     if k < 1 or k * k > MAX_FIXTURE_POINTS:
         raise DomainError(f"k must be positive with at most {MAX_FIXTURE_POINTS} cells, got {k!r}")
     pts = [float(i + 1) for i in range(k)]
-    return BivariateDist.from_weights(pts, pts, np.eye(k, dtype=int).tolist())
+    return BivariateDist.from_weights(pts, pts, np.eye(k, dtype=int))
 
 
 def antidiag() -> BivariateDist:
@@ -113,7 +113,7 @@ def banded_tp2(k: int = 5) -> BivariateDist:
     rows = 14 * np.eye(k, dtype=int) + 3 * (np.eye(k, k=1, dtype=int) + np.eye(k, k=-1, dtype=int))
     rows[0, 0] = rows[-1, -1] = 17
     pts = [float(i + 1) for i in range(k)]
-    return BivariateDist.from_weights(pts, pts, rows.tolist())
+    return BivariateDist.from_weights(pts, pts, rows)
 
 
 def random_tp2(rng: np.random.Generator, nx: int, ny: int, band: bool = False) -> BivariateDist:

@@ -304,7 +304,10 @@ def minimal_isotonic_density(
 
     Requires nu <= mu atomwise.  With ``verify=True`` the interval ratio
     monotonicity precondition is checked over all atom-boundary triples and a
-    violating triple is raised as a :class:`PreconditionError` witness.
+    violating triple is raised as a :class:`PreconditionError` witness.  In
+    exact mode both measures are the normalized shares of their integer
+    weights, so nu <= mu holds only where the shares are equal, and the
+    density's values are then all 1.
     """
     return _isotonic_density(mu, nu, "minimal", verify, mode, tol)
 
@@ -320,6 +323,8 @@ def maximal_isotonic_density(
     """Largest isotonic density of nu with respect to mu.
 
     Atom values agree with the minimal density; the two differ only in how
-    they continue between and beyond atoms (0/0 resolves to 1 here).
+    they continue between and beyond atoms (0/0 resolves to 1 here).  In
+    exact mode, as there, a density exists only where the two measures'
+    shares are equal, and its values are then all 1.
     """
     return _isotonic_density(mu, nu, "maximal", verify, mode, tol)

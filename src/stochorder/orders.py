@@ -81,7 +81,7 @@ def _merged_masses(q1: UnivariateDist, q2: UnivariateDist, mode: str):
     q1 = q1.canonical()
     q2 = q2.canonical()
     merged = np.union1d(q1.support, q2.support)
-    h = np.zeros((2, merged.size), dtype=object if mode == MODE_EXACT else np.float64)
+    h = np.zeros((2, merged.size), dtype=q1.masses(mode).dtype)
     for row, q in zip(h, (q1, q2)):
         row[np.searchsorted(merged, q.support)] = q.masses(mode)
     return merged, h
@@ -193,5 +193,5 @@ def truncate(q: UnivariateDist, iv: Interval) -> UnivariateDist:
     if mass <= 0.0:
         raise DomainError(f"interval {iv} carries zero mass")
     # the floats stay probs / mass, which is not w / total in the last bits
-    weights = q.masses(MODE_EXACT)[lo:hi] if q.mode == MODE_EXACT else None
+    weights = None if q.weights is None else q.weights[lo:hi]
     return UnivariateDist(support, probs / mass, weights)

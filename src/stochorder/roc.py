@@ -179,7 +179,7 @@ def odc_curve(q1: UnivariateDist, q2: UnivariateDist) -> OdcCurve:
     q1, q2 = q1.canonical(), q2.canonical()
     dominated = set(q2.support.tolist()) <= set(q1.support.tolist())
     mode = MODE_EXACT if q1.mode == q2.mode == MODE_EXACT else MODE_FLOAT
-    m1, m2 = q1.masses(mode), q2.masses(mode)
+    m1, m2 = q1.masses(mode).tolist(), q2.masses(mode).tolist()
     # each q2 mass joins the step of the first q1 atom at or above it; mass above all is dropped
     dv = [m1[0] * 0] * (len(m1) + 1)
     for i, m in zip(np.searchsorted(q1.support, q2.support).tolist(), m2):

@@ -131,22 +131,19 @@ def boundaries(r: BivariateDist, xs=None) -> Boundaries:
     """Monotone support boundaries evaluated on a grid of x values."""
     r = r.canonical()
     xs = np.asarray(_eval_points(r, xs), dtype=np.float64)
-    atoms = r.x_support
-    ys = r.y_support
-    pmf = r.pmf
-    # topmost / bottommost mass-carrying column index per row
-    top = [int(np.flatnonzero(row)[-1]) for row in pmf > 0]
-    bot = [int(np.flatnonzero(row)[0]) for row in pmf > 0]
-    run_top = np.maximum.accumulate(top)
+    atoms, ys = r.x_support, r.y_support
+    # topmost / bottommost mass-carrying column index per (canonical, so nonempty) row
+    positive = r.pmf > 0
+    top = ys.size - 1 - positive[:, ::-1].argmax(axis=1)
+    bot = positive.argmax(axis=1)
+    # s_nw: the running top at the last atom <= x, -inf below all atoms;
+    # s_se: the running bottom from the first atom >= x, +inf above all atoms
+    n_le = np.searchsorted(atoms, xs, side="right")
+    first_ge = np.searchsorted(atoms, xs, side="left")
+    s_nw = np.where(n_le == 0, NEG_INF, ys[np.maximum.accumulate(top)][n_le - 1])
     run_bot = np.minimum.accumulate(bot[::-1])[::-1]
-    s_nw = np.empty(xs.size)
-    s_se = np.empty(xs.size)
+    s_se = np.where(first_ge == atoms.size, POS_INF, ys[run_bot][np.minimum(first_ge, atoms.size - 1)])
     in_range = (xs >= atoms[0]) & (xs <= atoms[-1])
-    for i, x in enumerate(xs.tolist()):
-        n_le = int(np.searchsorted(atoms, x, side="right"))
-        s_nw[i] = NEG_INF if n_le == 0 else float(ys[run_top[n_le - 1]])
-        first_ge = int(np.searchsorted(atoms, x, side="left"))
-        s_se[i] = POS_INF if first_ge == atoms.size else float(ys[run_bot[first_ge]])
     in_crossing = s_nw <= s_se
     return Boundaries(xs, s_nw, s_se, in_crossing, in_range)
 

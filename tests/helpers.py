@@ -23,6 +23,11 @@ from stochorder.orders import _boundaries, _fails, _holds, _merged_masses, _refi
 from stochorder.tp2 import kernel_west
 
 
+def weight_list(d):
+    """A distribution's integer weights as (nested) lists, or None in float mode."""
+    return None if d.weights is None else d.weights.tolist()
+
+
 # ---------------------------------------------------------------------------
 # generators
 # ---------------------------------------------------------------------------
@@ -150,6 +155,27 @@ def lr_ratio_check_serial(q1: UnivariateDist, q2: UnivariateDist, mode: str = MO
                           tol: float = PRODUCT_RTOL):
     witness = lr_ratio_serial(*merged_mass_lists(q1, q2, mode), mode, tol)
     return _holds("lr:ratio") if witness is None else _fails("lr:ratio", witness)
+
+
+def boundaries_by_loop(r: BivariateDist, xs) -> tuple[np.ndarray, np.ndarray]:
+    """(s_nw, s_se) of ``tp2.boundaries`` at the sorted points ``xs``, one
+    point at a time: the running top of the rows at atoms <= x (-inf below
+    all atoms) and the running bottom of the rows at atoms >= x (+inf above
+    all atoms), on the canonical grid."""
+    r = r.canonical()
+    atoms, ys = r.x_support, r.y_support
+    top = [int(np.flatnonzero(row)[-1]) for row in r.pmf > 0]
+    bot = [int(np.flatnonzero(row)[0]) for row in r.pmf > 0]
+    run_top = np.maximum.accumulate(top)
+    run_bot = np.minimum.accumulate(bot[::-1])[::-1]
+    s_nw = np.empty(len(xs))
+    s_se = np.empty(len(xs))
+    for i, x in enumerate(xs):
+        n_le = int(np.searchsorted(atoms, x, side="right"))
+        s_nw[i] = float("-inf") if n_le == 0 else float(ys[run_top[n_le - 1]])
+        first_ge = int(np.searchsorted(atoms, x, side="left"))
+        s_se[i] = float("inf") if first_ge == atoms.size else float(ys[run_bot[first_ge]])
+    return s_nw, s_se
 
 
 def tp2_adjacent_serial(r: BivariateDist, mode: str = MODE_FLOAT, tol: float = PRODUCT_RTOL):
@@ -621,9 +647,9 @@ def interval_ratio_condition_serial(mu: UnivariateDist, nu: UnivariateDist, mode
                                     tol: float = PRODUCT_RTOL):
     """Violating boundary triple x < y < z of mu((y,z]) nu((x,y]) <= mu((x,y]) nu((y,z]), if any."""
     atoms = mu.support.tolist()
-    nu_at = dict(zip(nu.support.tolist(), nu.masses(mode)))
+    nu_at = dict(zip(nu.support.tolist(), nu.masses(mode).tolist()))
     hit = interval_scan_serial(
-        _cumulative(mu.masses(mode)), _cumulative([nu_at.get(a, 0) for a in atoms]), mode, tol
+        _cumulative(mu.masses(mode).tolist()), _cumulative([nu_at.get(a, 0) for a in atoms]), mode, tol
     )
     bounds = [_beyond(atoms[0], -1.0)] + atoms
     return None if hit is None else tuple(bounds[i] for i in hit)
@@ -735,8 +761,8 @@ def odc_curve_fractions(q1: UnivariateDist, q2: UnivariateDist):
     dominated = set(q2.support.tolist()) <= set(q1.support.tolist())
     exact = q1.weights is not None and q2.weights is not None
     mode = MODE_EXACT if exact else MODE_FLOAT
-    c1 = _cumulative(q1.masses(mode))
-    c2 = _cumulative(q2.masses(mode))
+    c1 = _cumulative(q1.masses(mode).tolist())
+    c2 = _cumulative(q2.masses(mode).tolist())
     at = [0] + np.searchsorted(q2.support, q1.support, side="right").tolist()
     exact_a = exact_v = None
     if exact:
@@ -825,7 +851,7 @@ def odc_convex_by_steps(q1: UnivariateDist, q2: UnivariateDist, mode: str = MODE
     the witness is three alphas before equal levels are merged."""
     q1, q2 = q1.canonical(), q2.canonical()
     pair_mode, s1, s2 = _pair_masses(q1, q2)
-    m1, m2 = q1.masses(pair_mode), q2.masses(pair_mode)
+    m1, m2 = q1.masses(pair_mode).tolist(), q2.masses(pair_mode).tolist()
     dv, below = [], -np.inf
     for x in q1.support.tolist():
         acc = m1[0] * 0

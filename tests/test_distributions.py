@@ -35,7 +35,7 @@ from stochorder.orders import truncate
 from stochorder.tp2 import Boundaries, ConditionalDensity, Kernel
 from helpers import (canonical_by_mode, conditional_row_by_mode, drop_empty_atoms_by_mode,
                      grid_by_dict, marginal_x_by_mode, marginal_y_by_mode, merge_pairs_by_loop,
-                     refine_grid_by_mode, sample_counts, truncate_by_mode)
+                     refine_grid_by_mode, sample_counts, truncate_by_mode, weight_list)
 
 NEG_INF = float("-inf")
 POS_INF = float("inf")
@@ -231,7 +231,7 @@ class TestValidationAndCanonical:
         q = UnivariateDist.from_weights([1.0, 2.0, 3.0], [1, 0, 1])
         c = q.canonical()
         assert c.support.tolist() == [1.0, 3.0]
-        assert c.weights == (1, 1)
+        assert c.weights.tolist() == [1, 1]
 
     def test_bivariate_canonical_drops_empty_rows_and_columns(self):
         r = BivariateDist.from_weights([1, 2, 3], [1, 2], [[1, 0], [0, 0], [0, 1]])
@@ -255,7 +255,7 @@ class TestValidationAndCanonical:
         assert c.x_support.tolist() == fresh.x_support.tolist() == [2.0, 4.0]
         assert c.y_support.tolist() == fresh.y_support.tolist() == [1.0, 3.0]
         assert c.pmf.tobytes() == fresh.pmf.tobytes()
-        assert c.weights == fresh.weights
+        assert weight_list(c) == weight_list(fresh)
 
     def test_canonical_instance_is_its_own_memo(self, monkeypatch):
         r = BivariateDist.from_weights([1, 2], [1, 2], [[1, 0], [0, 1]])
@@ -274,9 +274,9 @@ class TestValidationAndCanonical:
 
     def test_weights_alone_give_the_floats(self):
         q = UnivariateDist([1.0, 2.0, 3.0], None, (1, 3, 1))
-        assert q.probs.tolist() == [1 / 5, 3 / 5, 1 / 5] and q.weights == (1, 3, 1)
+        assert q.probs.tolist() == [1 / 5, 3 / 5, 1 / 5] and q.weights.tolist() == [1, 3, 1]
         r = BivariateDist([1.0, 2.0], [1.0, 2.0], None, [[1, 0], [2, 4]])
-        assert r.pmf.tolist() == [[1 / 7, 0.0], [2 / 7, 4 / 7]] and r.weights == ((1, 0), (2, 4))
+        assert r.pmf.tolist() == [[1 / 7, 0.0], [2 / 7, 4 / 7]] and r.weights.tolist() == [[1, 0], [2, 4]]
         with pytest.raises(InvalidDistributionError):
             UnivariateDist([1.0, 2.0], None)
 
@@ -298,8 +298,9 @@ class TestValidationAndCanonical:
         (Kernel, lambda g: [g], [(coin(), coin()), "west"]),
         (Boundaries, lambda g: [g, g.copy(), g.copy(), np.array([True, False]), np.array([True, True])], []),
         (ConditionalDensity, lambda g: [g, np.array([0.25, 0.5])], [0.5]),
-        (UnivariateDist, lambda g: [g, np.array([0.5, 0.5])], []),
-        (BivariateDist, lambda g: [g, g.copy(), np.full((2, 2), 0.25)], []),
+        (UnivariateDist, lambda g: [g, np.array([0.5, 0.5]), np.array([1, 1], dtype=object)], []),
+        (BivariateDist, lambda g: [g, g.copy(), np.full((2, 2), 0.25), np.ones((2, 2), dtype=object)],
+         []),
     ], ids=["GridSignedMeasure", "IsotonicDensity", "Kernel", "Boundaries", "ConditionalDensity",
             "UnivariateDist", "BivariateDist"])
     def test_stored_arrays_are_frozen_copies(self, cls, arrays, rest):
@@ -324,7 +325,7 @@ class TestIO:
         path = tmp_path / "q.csv"
         path.write_text("value,prob\n0,0.25\n1,0.75\n")
         q = read_univariate_csv(path, exact=True)
-        assert q.weights == (1, 3)
+        assert q.weights.tolist() == [1, 3]
 
     def test_bivariate_csv_roundtrip(self, tmp_path):
         r = BivariateDist.from_weights([1, 2], [3, 4], [[1, 0], [1, 2]])
@@ -339,7 +340,7 @@ class TestIO:
         path = tmp_path / "q.json"
         write_univariate_json(q, path)
         back = load_univariate(path)
-        assert back.weights == (1, 2)
+        assert back.weights.tolist() == [1, 2]
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "q.csv"
@@ -352,7 +353,7 @@ class TestIO:
         path = tmp_path / "r.json"
         path.write_text(json.dumps(r.to_dict()))
         back = load_bivariate(path)
-        assert back.weights == ((1, 0), (0, 1))
+        assert back.weights.tolist() == [[1, 0], [0, 1]]
 
 
 # Coordinates with duplicates, both signed zeros and extreme magnitudes, drawn
@@ -411,8 +412,8 @@ class TestAtomGrid:
         q = UnivariateDist.from_weights(values, weights, is_probability=False)
         vals, ws = merge_pairs_by_loop(values, weights)
         _assert_support_matches(q.support, np.array(vals), values)
-        assert type(q.weights) is tuple and all(type(w) is int for w in q.weights)
-        assert q.weights == tuple(ws)
+        assert q.weights.dtype == object and all(type(w) is int for w in q.weights)
+        assert q.weights.tolist() == ws
         total = sum(ws)
         assert q.probs.tobytes() == np.array([w / total for w in ws]).tobytes()
 
@@ -441,9 +442,8 @@ class TestAtomGrid:
         gx, gy, grid = grid_by_dict(xs, ys, weights, dtype=object)
         _assert_support_matches(r.x_support, gx, xs)
         _assert_support_matches(r.y_support, gy, ys)
-        assert type(r.weights) is tuple
-        assert all(type(row) is tuple and all(type(w) is int for w in row) for row in r.weights)
-        assert r.weights == tuple(map(tuple, grid.tolist()))
+        assert r.weights.dtype == object and all(type(w) is int for w in r.weights.flat)
+        assert r.weights.tolist() == grid.tolist()
         ref = BivariateDist.from_weights(gx, gy, grid.tolist(), is_probability=False)
         assert r.pmf.tobytes() == ref.pmf.tobytes()
 
@@ -522,10 +522,9 @@ def assert_same(new, old) -> None:
     for name in arrays:
         a, b = getattr(new, name), getattr(old, name)
         assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
-    assert new.weights == old.weights and new.is_probability == old.is_probability
+    assert weight_list(new) == weight_list(old) and new.is_probability == old.is_probability
     if new.weights is not None:
-        flat = new.weights if isinstance(new, UnivariateDist) else [w for row in new.weights for w in row]
-        assert all(type(w) is int for w in flat)
+        assert all(type(w) is int for w in new.weights.flat)
 
 
 class TestOneMassPath:
@@ -609,4 +608,94 @@ class TestOneWeightCheck:
         monkeypatch.setattr(distributions, "_checked_weights",
                             lambda *args: calls.append(args) or check(*args))
         out = build(made)
-        assert len(calls) == 1 and out.weights == check(*calls[0])[0]
+        assert len(calls) == 1 and out.weights.tolist() == check(*calls[0])[0].tolist()
+
+
+def _representations(weights: list) -> dict:
+    """The same integer weights (nested lists) in every form the builders
+    take: lists, tuples, int64 and uint64 arrays, object arrays of Python
+    ints or of numpy ints, and integral floats, each where it holds them."""
+    flat = np.ravel(np.array(weights, dtype=object)).tolist()
+    tuples = tuple(map(tuple, weights)) if isinstance(weights[0], list) else tuple(weights)
+    forms = {"list": weights, "tuple": tuples, "object": np.array(weights, dtype=object)}
+    if max(flat) < 2**63:
+        forms["int64"] = np.array(weights, dtype=np.int64)
+        forms["int64-scalars"] = np.empty(np.shape(weights), dtype=object)
+        forms["int64-scalars"].flat = list(forms["int64"].flat)  # numpy int objects
+    if max(flat) < 2**64:
+        forms["uint64"] = np.array(weights, dtype=np.uint64)
+    if all(float(w) == w for w in flat):
+        forms["float-list"] = np.array(weights, dtype=np.float64).tolist()
+        forms["float64"] = np.array(weights, dtype=np.float64)
+    return forms
+
+
+#: per-cell weights m << shift: totals of 1 to 6 cells on either side of
+#: 2^53 (shift 33) and of 2^63 (shifts 42 and 43); an odd offset makes a
+#: weight that no float holds
+SHIFTS = st.sampled_from([0, 30, 33, 42, 43, 44])
+
+
+class TestWeightArray:
+    """Exact weights are one read-only object array of Python ints, shaped
+    like the float masses, whatever form they were given in."""
+
+    @given(st.booleans(), st.integers(1, 3), st.integers(1, 2), SHIFTS, st.data())
+    @example(True, 2, 1, 52, None)
+    @settings(max_examples=300, deadline=None)
+    def test_every_form_builds_the_same_distribution(self, bivariate, nx, ny, shift, data):
+        n = nx * ny if bivariate else nx
+        if data is None:  # two weights 2^52 + 1 and 2^52: a total past 2^53
+            flat = [2**52 + 1, 2**52][:n] + [0] * max(0, n - 2)
+        else:
+            flat = data.draw(st.lists(st.tuples(st.integers(0, 2**20), st.integers(0, 1)),
+                                      min_size=n, max_size=n)
+                             .map(lambda c: [m << shift | odd for m, odd in c]).filter(any))
+        weights = np.array(flat, dtype=object).reshape(nx, ny).tolist() if bivariate else flat
+        atoms = [float(i) for i in range(nx)], [float(j) for j in range(ny)]
+        build = ((lambda w: BivariateDist.from_weights(*atoms, w)) if bivariate
+                 else lambda w: UnivariateDist.from_weights(atoms[0], w))
+        ref = build(weights)
+        total = sum(flat)
+        masses = ref.pmf if bivariate else ref.probs
+        assert masses.tobytes() == np.array([w / total for w in flat]).reshape(masses.shape).tobytes()
+        assert ref.weights.tolist() == weights and ref.weights.shape == masses.shape
+        for name, form in _representations(weights).items():
+            got = build(form)
+            assert got.weights.tolist() == weights, name
+            assert all(type(w) is int for w in got.weights.flat), name
+            assert (got.pmf if bivariate else got.probs).tobytes() == masses.tobytes(), name
+            supports = ("x_support", "y_support") if bivariate else ("support",)
+            assert all(getattr(got, a).tobytes() == getattr(ref, a).tobytes() for a in supports), name
+
+    def test_cells_and_masses_return_the_stored_array(self):
+        r = BivariateDist.from_weights([1.0, 2.0], [1.0, 2.0], np.array([[1, 2], [3, 4]]))
+        assert r.cells("exact") is r.weights and not r.weights.flags.writeable
+        assert r.weights.dtype == object and r.weights.shape == r.pmf.shape
+        q = r.marginal_x()
+        assert q.masses("exact") is q.weights and not q.weights.flags.writeable
+
+    def test_total_weight_is_a_python_int(self):
+        big = 2**70
+        r = BivariateDist.from_weights([1.0, 2.0], [1.0], np.array([[big], [1]], dtype=object))
+        assert type(r.total_weight) is int and r.total_weight == big + 1
+        q = UnivariateDist.from_weights([1.0, 2.0], np.array([3, 4], dtype=np.int64))
+        assert type(q.total_weight) is int and q.total_weight == 7
+
+    @pytest.mark.parametrize("build", [
+        lambda: UnivariateDist.from_weights([1.0, 2.0], [True, 1]),
+        lambda: UnivariateDist.from_weights([1.0, 2.0], np.array([True, False])),
+        lambda: UnivariateDist.from_weights([1.0, 2.0], [1.5, 1]),
+        lambda: UnivariateDist.from_weights([1.0, 2.0], np.array([1.0, np.nan])),
+        lambda: BivariateDist.from_weights([1.0], [1.0, 2.0], [[1, "1"]]),
+        lambda: BivariateDist.from_weights([1.0], [1.0, 2.0], np.array([[1, 2]], dtype=np.float32) + 0.5),
+    ], ids=["bool", "bool-array", "fraction", "nan-array", "text", "fractional-float32-array"])
+    def test_non_integers_are_rejected(self, build):
+        with pytest.raises(InvalidDistributionError, match="weights must be integers"):
+            build()
+
+    @pytest.mark.parametrize("weights", [[[1, 2], [3]], [[1], [2, 3]], 7, "12"],
+                             ids=["ragged-short", "ragged-long", "number", "text"])
+    def test_ragged_rows_and_scalars_are_shape_errors(self, weights):
+        with pytest.raises(InvalidDistributionError, match="weights shape does not match the support"):
+            BivariateDist.from_weights([1.0, 2.0], [1.0, 2.0], weights)

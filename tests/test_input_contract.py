@@ -24,8 +24,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import read_csv_by_rows
-from stochorder import BivariateDist, UnivariateDist, distributions, kuiper
+from helpers import read_csv_by_rows, weight_list
+from stochorder import BivariateDist, InvalidDistributionError, UnivariateDist, distributions, kuiper
 from stochorder.cli import main
 from stochorder.fixtures import antidiag
 
@@ -386,7 +386,7 @@ def read_outcome(read, path) -> tuple:
     else:
         arrays = ((d.support, d.probs) if isinstance(d, UnivariateDist)
                   else (d.x_support, d.y_support, d.pmf))
-        got = (*(a.tobytes() for a in arrays), d.weights)
+        got = (*(a.tobytes() for a in arrays), weight_list(d))
     return got, digest.hexdigest()
 
 
@@ -481,6 +481,26 @@ def test_field_beyond_the_csv_size_limit_exits_two():
         assert "field larger than field limit" in err
     code, out, err = run_on("q.csv", f"value,prob\n{digits},1\n", check_st_argv(False))
     assert code == 0 and err == ""
+
+
+@pytest.mark.parametrize("reader", sorted(READERS))
+@pytest.mark.parametrize("case", ["quoted mass", "quoted comma", "quoted line end"])
+def test_quoted_float_csv_is_parsed_once(monkeypatch, reader, case):
+    """numpy runs without a quote character, so it never reads a file with a
+    ``"``; such a file goes to the ``csv`` module without a numpy attempt."""
+    _, header, _, atoms = READERS[reader]
+    template = next(t for c, t, _ in CSV_CASES if c == case)
+    calls = []
+    loadtxt = distributions.np.loadtxt
+    monkeypatch.setattr(distributions.np, "loadtxt", lambda *a, **k: calls.append(a) or loadtxt(*a, **k))
+    text = _case_bytes(template, header, atoms).decode("utf-8")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "in.csv")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        with contextlib.suppress(InvalidDistributionError):  # a quoted comma is no number
+            getattr(distributions, f"read_{reader}_csv")(path)
+    assert calls == []
 
 
 @pytest.mark.parametrize("exact", [False, True])

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stochorder import (
     BivariateDist,
@@ -18,7 +20,7 @@ from stochorder import (
 )
 from stochorder.fixtures import banded_tp2, diag_uniform, random_tp2, unif_delta_kernel
 
-from helpers import all_blocks_st_condition
+from helpers import all_blocks_st_condition, boundaries_by_loop
 
 NEG_INF = float("-inf")
 POS_INF = float("inf")
@@ -242,6 +244,23 @@ class TestBoundaries:
             b = boundaries(r)
             assert np.all(np.diff(b.s_nw) >= 0)
             assert np.all(np.diff(b.s_se) >= 0)
+
+    @given(st.integers(1, 6), st.integers(1, 6), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_equals_the_per_point_loop(self, nx, ny, data):
+        # sparse grids, often with empty rows and columns, on atoms 0, 2, 4, ...;
+        # points at atoms, in gaps, beyond both ends and at +-inf
+        cells = data.draw(st.lists(st.sampled_from([0, 0, 1, 5]), min_size=nx * ny, max_size=nx * ny)
+                          .filter(any))
+        atoms = [2.0 * i for i in range(max(nx, ny))]
+        r = BivariateDist.from_weights(atoms[:nx], atoms[:ny], np.reshape(cells, (nx, ny)))
+        points = st.one_of(st.sampled_from([NEG_INF, POS_INF]), st.integers(-2, 2 * nx).map(float),
+                           st.floats(-3.0, 2.0 * nx + 1.0))
+        xs = data.draw(st.lists(points, min_size=1, max_size=8))
+        b = boundaries(r, xs)
+        s_nw, s_se = boundaries_by_loop(r, b.xs.tolist())
+        assert b.s_nw.tobytes() == s_nw.tobytes() and b.s_se.tobytes() == s_se.tobytes()
+        assert b.in_crossing.tolist() == (s_nw <= s_se).tolist()
 
 
 class TestExtremalKernels:

@@ -26,6 +26,11 @@ input is built here from fixed seeds, so two checkouts time the same work:
   draws with seed 1 and beta 0.5: ``bracket_check`` at the points after
   atoms k // 3 and 2k // 3, as the ``converge-sim`` workload places them,
   and ``uniform_convergence_check`` on the atoms from k // 4 to 3k // 4;
+* the exact builds: ``BivariateDist.from_weights`` from nested lists of
+  weights 0-9 (seed n) on n x n grids, n = 3, 20 and 100, as a JSON payload
+  gives them; ``canonical()`` of a fresh 3x3 grid with an empty row (its
+  build, then its build plus ``canonical()``); and that build plus exact
+  ``check_tp2`` ``pmf-adjacent``, as acceptance criterion 06 runs each grid;
 * the CSV loaders, each load hashed into a fresh sha256 as the CLI hashes
   it: ``load_bivariate`` on a 100x100 grid (uniform random cells from seed
   100, normalized) in float mode and with ``exact=True``, which reads the
@@ -34,9 +39,10 @@ input is built here from fixed seeds, so two checkouts time the same work:
   temporary directory.
 
 Each entry is the best of ``--repeat`` timed calls, after one untimed call;
-a verdict entry times runs of ``VERDICT_CALLS`` calls and gives the time per
-call.  To compare two commits, run the script in a checkout of each, alternating
-sides, since the speed of a shared host drifts within minutes.  The stacked
+a verdict or build entry times runs of ``VERDICT_CALLS`` calls and gives the
+time per call.  To compare two commits, run the script in a checkout of
+each, alternating sides, since the speed of a shared host drifts within
+minutes.  The stacked
 objective calls ``kuiper._band_norm(delta)``, so a checkout needs the
 slab-wise band kernel, which takes no row ranges.
 """
@@ -73,6 +79,9 @@ GRIDS = {"pmf-adjacent": (3, 16, 32), "st-condition": (3, 32)}
 MODES = ("float", "exact")
 HARNESS_TRUTHS = (12, 20)
 HARNESS_SAMPLES = (1000, 10_000, 100_000)
+BUILD_GRIDS = (3, 20, 100)
+#: a 3x3 grid of weights with an empty row, so ``canonical()`` builds anew
+EMPTY_ROW = [[1, 0, 2], [0, 0, 0], [3, 4, 1]]
 CSV_GRID = 100
 CSV_ATOMS = 2000
 
@@ -154,6 +163,23 @@ def verdict_cases():
             yield "check_st_condition", f"{n}x{n}, {mode}", lambda r=r, mode=mode: check_st_condition(r, mode)
 
 
+def build_cases():
+    """(layer, input, call) of every timed exact build; each call builds anew."""
+    for n in BUILD_GRIDS:
+        weights = np.random.default_rng(n).integers(0, 10, (n, n)).tolist()
+        atoms = [float(i) for i in range(n)]
+        yield ("BivariateDist.from_weights", f"{n}x{n} lists",
+               lambda atoms=atoms, weights=weights: BivariateDist.from_weights(atoms, atoms, weights))
+
+    def build():
+        return BivariateDist.from_weights([1.0, 2.0, 3.0], [1.0, 2.0, 3.0], EMPTY_ROW)
+
+    yield "BivariateDist.from_weights", "3x3 lists, empty row", build
+    yield "from_weights + canonical", "3x3, empty row", lambda: build().canonical()
+    yield ("from_weights + check_tp2 pmf-adjacent", "3x3, empty row, exact",
+           lambda: check_tp2(build(), "pmf-adjacent", "exact"))
+
+
 def harness_cases():
     """(layer, input, call) of every timed convergence harness."""
     for size in HARNESS_TRUTHS:
@@ -199,6 +225,8 @@ def main(argv=None) -> int:
             raise AssertionError(f"{layer} on {text} fails: it would not score every comparison")
         entries.append({"layer": layer, "input": text,
                         "ms": best_ms(call, args.repeat, VERDICT_CALLS)})
+    entries += [{"layer": layer, "input": text, "ms": best_ms(call, args.repeat, VERDICT_CALLS)}
+                for layer, text, call in build_cases()]
     print(json.dumps({"python": platform.python_version(), "numpy": np.__version__,
                       "repeat": args.repeat, "entries": entries}, indent=2))
     return 0
