@@ -9,16 +9,16 @@ to each harness.
 
 One helper draws the flat cell indices of the stream.  ``sample`` maps them
 to (x, y) draws; the convergence harnesses instead count them per cell with
-``np.bincount`` on the canonical source grid and read each sample's
-conditional quantiles straight from that count grid, by the rule of
-``kernel_west`` on ``empirical(sample(r, n, seed))``: no float draws, no
-empirical distribution and no kernel rows are built per sample.
-``empirical`` stays public for arbitrary draw arrays.
+``np.bincount`` on the canonical source grid.  Every conditional quantile,
+of a sample or of its source, is read by ``_row_quantiles`` from a mass grid
+(draw counts, a float pmf or integer weights) with the bits of the kernel
+rows: no float draws, no empirical distribution and no kernel rows are
+built.  ``empirical`` stays public for arbitrary draw arrays.
 
 Conditional quantile curves come in three flavors:
 
-* ``west-min``: minimal quantile of the from-the-left kernel,
-* ``east-max``: maximal quantile of the from-the-right kernel,
+* ``west-min``: minimal quantile of the from-the-left kernel's rows,
+* ``east-max``: maximal quantile of the from-the-right kernel's rows,
 * ``empirical``: the west-min construction applied to an empirical
   distribution (the estimator convention; the maximal choice is reported
   alongside by the harnesses to show the insensitivity of the limits).
@@ -30,10 +30,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import BivariateDist, _atom_grid, _quantile_index
+from .distributions import MASS_TOL, POS_INF, BivariateDist, _atom_grid, _quantile_index
 from .errors import DomainError, PreconditionError
 from .isotonic import MODE_FLOAT, PRODUCT_RTOL
-from .tp2 import check_st_condition, kernel_east, kernel_west
+from .tp2 import _eval_points, _row_index, check_st_condition
 
 QUANTILE_FLAVORS = ("west-min", "east-max", "empirical")
 #: most draws one sample may hold; the stream keeps two 8-byte arrays per draw
@@ -108,30 +108,40 @@ def _count_grid(r: BivariateDist, n: int, seed) -> tuple[BivariateDist, np.ndarr
     return r, np.bincount(idx, minlength=r.pmf.size).reshape(r.shape)
 
 
-def _west_quantiles(r: BivariateDist, counts: np.ndarray, xs, beta: float) -> tuple[np.ndarray, np.ndarray]:
+def _row_quantiles(r: BivariateDist, cells: np.ndarray, xs, beta: float,
+                   east: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """The minimal and the maximal beta-quantile (0 < beta < 1) of each row of
-    ``kernel_west`` at the sorted points ``xs`` on the empirical distribution
-    of ``counts``, a count grid on the supports of ``r``, read from the grid.
+    ``kernel_west`` (``kernel_east`` if ``east``) at the sorted points ``xs``,
+    read from ``cells``: draw counts, a float pmf or integer weights on the
+    supports of the canonical ``r``.
 
-    The rows with draws are that distribution's x-atoms.  A point takes the
-    nearest such atom at or below it; outside their range it takes the column
-    sums, the y-marginal.  Each row's masses are counts / row total, which
-    for counts below 2**53 are the bits of the kernel row's w / total, and
-    their running sums pass each empty cell with an unchanged partial sum.
-    So the first entry past a positive level is a cell with draws, the atom
-    the kernel row names; a level at or below 0 and a count past the end are
-    clamped to the row's first and last cell with draws.
+    The rows with mass are the kernel's x-atoms; ``tp2._row_index`` picks a
+    point's row, and outside their range the column sums, the y-marginal.
+    Masses keep the kernel rows' bits: a row's cells over their sum, as
+    ``conditional_row`` divides, and the column sums as they are (floats) or
+    over their total (integers), as ``marginal_y`` builds them.  A row's
+    atoms are its cells with a positive share (floats) or weight (integers).
+    Running sums pass any other cell with an unchanged partial sum, so the
+    first entry past a positive level is an atom; a level at or below 0 and
+    an index past the end are clamped to the row's first and last atom.  As
+    in ``UnivariateDist.quantile``, the minimal quantile is +inf past a total
+    short of beta by more than ``MASS_TOL``.
     """
-    drawn = np.flatnonzero(counts.any(axis=1))
-    atoms = r.x_support[drawn]
-    xs = np.asarray(xs, dtype=np.float64)
-    rows = counts[drawn[np.searchsorted(atoms, xs, side="right") - 1]]
-    rows[(xs < atoms[0]) | (xs > atoms[-1])] = counts.sum(axis=0)
-    cum = np.cumsum(rows / rows.sum(axis=1, keepdims=True), axis=1)
-    positive = rows > 0
-    first, last = positive.argmax(axis=1), rows.shape[1] - 1 - positive[:, ::-1].argmax(axis=1)
-    return tuple(r.y_support[np.clip(_quantile_index(cum, beta, largest), first, last)]
-                 for largest in (False, True))
+    with_mass = np.flatnonzero((cells > 0).any(axis=1))
+    west, east_at, in_range = _row_index(r.x_support[with_mass], xs)
+    masses = cells[with_mass[np.minimum(east_at if east else west, with_mass.size - 1)]]
+    masses[~in_range] = cells.sum(axis=0)
+    totals = masses.sum(axis=1, keepdims=True)
+    floats = cells.dtype.kind == "f"
+    if floats:
+        totals[~in_range] = 1.0
+    probs = (masses / totals).astype(np.float64)
+    positive = (probs if floats else masses) > 0
+    cum = np.cumsum(probs, axis=1)
+    first, last = positive.argmax(axis=1), cells.shape[1] - 1 - positive[:, ::-1].argmax(axis=1)
+    lo, hi = (r.y_support[np.clip(_quantile_index(cum, beta, largest), first, last)]
+              for largest in (False, True))
+    return np.where(beta - cum[:, -1] > MASS_TOL, POS_INF, lo), hi
 
 
 def empirical(samples) -> BivariateDist:
@@ -159,17 +169,15 @@ class QuantileCurve:
 
 
 def quantile_curve(r: BivariateDist, beta: float, flavor: str = "west-min", xs=None) -> QuantileCurve:
-    """Conditional quantile curve of the chosen kernel flavor."""
-    beta = float(beta)
-    if not 0.0 < beta < 1.0:
-        raise DomainError(f"beta must lie strictly inside (0, 1), got {beta!r}")
+    """Conditional quantile curve of the chosen kernel flavor, read from the grid."""
+    beta = _beta(beta)
     if flavor not in QUANTILE_FLAVORS:
         raise DomainError(f"unknown flavor {flavor!r}; choose from {QUANTILE_FLAVORS}")
     east = flavor == "east-max"
-    kern = kernel_east(r, xs) if east else kernel_west(r, xs)
-    pts = tuple((float(x), row.max_quantile(beta) if east else row.quantile(beta))
-                for x, row in zip(kern.eval_points.tolist(), kern.rows))
-    return QuantileCurve(beta, pts, flavor)
+    r = r.canonical()
+    xs = _eval_points(r, xs)
+    q_min, q_max = _row_quantiles(r, r.cells(r.mode), xs, beta, east)
+    return QuantileCurve(beta, tuple(zip(xs, (q_max if east else q_min).tolist())), flavor)
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +228,14 @@ def _sample_sizes(n_list) -> list[int]:
     return n_list
 
 
+def _beta(beta) -> float:
+    """The quantile level as a float, checked to lie strictly inside (0, 1)."""
+    beta = float(beta)
+    if not 0.0 < beta < 1.0:
+        raise DomainError(f"beta must lie strictly inside (0, 1), got {beta!r}")
+    return beta
+
+
 def _seeds(seeds) -> list:
     """The seeds, checked before anything is drawn: each an int or a sequence
     of ints (such as a spawn key), with no negative part."""
@@ -244,9 +260,7 @@ def bracket_check(r_true: BivariateDist, samples_spec: dict, beta: float,
     so no slack is applied.  Stream i uses spawn key (seed, i).  ``mode``
     and ``tol`` govern the stochastic-order precondition on ``r_true``.
     """
-    beta = float(beta)
-    if not 0.0 < beta < 1.0:
-        raise DomainError(f"beta must lie strictly inside (0, 1), got {beta!r}")
+    beta = _beta(beta)
     st = check_st_condition(r_true, mode, tol)
     if not st.holds:
         raise PreconditionError(
@@ -263,13 +277,13 @@ def bracket_check(r_true: BivariateDist, samples_spec: dict, beta: float,
     if not n_list:
         raise DomainError("n_list names no sample sizes")
     (seed,) = _seeds([int(samples_spec["seed"])])
-    q_west_x1 = kernel_west(r_true, [x1]).rows[0].quantile(beta)
-    q_east_x2 = kernel_east(r_true, [x2]).rows[0].max_quantile(beta)
+    q_west_x1 = _row_quantiles(r_true, r_true.cells(r_true.mode), [x1], beta)[0].item()
+    q_east_x2 = _row_quantiles(r_true, r_true.cells(r_true.mode), [x2], beta, east=True)[1].item()
     entries = []
     for i, n in enumerate(n_list):
         key = (seed, i)
         (q1_min, q2_min), (q1_max, q2_max) = (
-            q.tolist() for q in _west_quantiles(*_count_grid(r_true, n, key), [x1, x2], beta))
+            q.tolist() for q in _row_quantiles(*_count_grid(r_true, n, key), [x1, x2], beta))
         entries.append(
             BracketEntry(
                 n=n,
@@ -324,9 +338,7 @@ def uniform_convergence_check(r_true: BivariateDist, beta: float, interval, n_li
     precondition is validated (and convergence measured) on the atoms.
     Stream for (seed, n index i) uses spawn key (seed, i).
     """
-    beta = float(beta)
-    if not 0.0 < beta < 1.0:
-        raise DomainError(f"beta must lie strictly inside (0, 1), got {beta!r}")
+    beta = _beta(beta)
     n_list, seeds = _sample_sizes(n_list), _seeds(int(s) for s in seeds)
     if not n_list or not seeds:
         raise DomainError("n_list and seeds must each be nonempty")
@@ -337,18 +349,17 @@ def uniform_convergence_check(r_true: BivariateDist, beta: float, interval, n_li
     grid = [x for x in r_true.x_support.tolist() if a <= x <= b]
     if not grid:
         raise DomainError("no first-marginal atoms inside the interval")
-    west = quantile_curve(r_true, beta, "west-min", grid)
-    east = quantile_curve(r_true, beta, "east-max", grid)
-    for (x, qw), (_, qe) in zip(west.points, east.points):
+    # on atoms the west and east kernels take the same rows
+    q_west, q_east = _row_quantiles(r_true, r_true.cells(r_true.mode), grid, beta)
+    for x, qw, qe in zip(grid, q_west.tolist(), q_east.tolist()):
         if qw != qe:
             raise PreconditionError(
                 f"west and east quantiles differ at x={x!r}: {qw!r} vs {qe!r}",
                 witness=(x, qw, qe),
             )
-    q_west = np.array([qw for _, qw in west.points])
     entries = []
     for seed in seeds:
         for i, n in enumerate(n_list):
-            q, _ = _west_quantiles(*_count_grid(r_true, n, (seed, i)), grid, beta)
+            q, _ = _row_quantiles(*_count_grid(r_true, n, (seed, i)), grid, beta)
             entries.append(UniformConvergenceEntry(n, seed, float(np.abs(q - q_west).max())))
     return UniformConvergenceReport(beta, (a, b), tuple(grid), tuple(entries))

@@ -45,6 +45,7 @@ depend neither on the batch size nor on which restarts share a call.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -70,6 +71,9 @@ SPECULATION_BATCH = 12
 #: ``max_iters`` sweeps over the refined grid
 MAX_RESTARTS = 10**3
 
+#: the pattern search's log-space step sizes, largest first: 0.5, 0.25, ..., 2**-8
+STEP_SCHEDULE = tuple(0.5 * 0.5**k for k in range(8))
+
 #: cells below this value are zeroed in the final thresholding pass
 PROJECTION_ZERO_THRESHOLD = 1e-12
 
@@ -86,16 +90,17 @@ class GridSignedMeasure:
         xg = _frozen(self.x_grid)
         yg = _frozen(self.y_grid)
         delta = _frozen(self.delta, None)
-        if delta.dtype.kind not in "iuf" and delta.dtype != object:
-            raise InvalidDistributionError("delta must be numeric")
         if xg.ndim != 1 or yg.ndim != 1 or delta.shape != (xg.size, yg.size) or delta.size == 0:
             raise InvalidDistributionError("delta must be nonempty and match the grids in shape")
         if xg.size > 1 and not np.all(xg[1:] > xg[:-1]):
             raise InvalidDistributionError("x grid must be strictly increasing")
         if yg.size > 1 and not np.all(yg[1:] > yg[:-1]):
             raise InvalidDistributionError("y grid must be strictly increasing")
-        if delta.dtype.kind == "f" and not np.all(np.isfinite(delta)):
-            raise InvalidDistributionError("delta entries must be finite")
+        kind = delta.dtype.kind  # object entries: ints, Fractions or finite floats
+        if not (kind in "iu" or kind == "f" and np.isfinite(delta).all()
+                or kind == "O" and all(isinstance(v, (int, Fraction)) and not isinstance(v, bool)
+                                       or isinstance(v, float) and np.isfinite(v) for v in delta.flat)):
+            raise InvalidDistributionError("delta entries must be finite real numbers")
         object.__setattr__(self, "x_grid", xg)
         object.__setattr__(self, "y_grid", yg)
         object.__setattr__(self, "delta", delta)
@@ -369,8 +374,7 @@ def _pattern_search(cands: list, objective, steps, sweeps: int, batch: int) -> l
 
 
 def tp2_project(r_hat: BivariateDist, *, seed: int = 42, restarts: int = 8,
-                max_iters: int = 20, step_schedule=None,
-                tol: float = PRODUCT_RTOL) -> ProjectionResult:
+                max_iters: int = 20, tol: float = PRODUCT_RTOL) -> ProjectionResult:
     """Kuiper-nearest TP2 approximation on the refined grid.
 
     Deterministic per seed.  The returned distance never exceeds the best
@@ -383,9 +387,6 @@ def tp2_project(r_hat: BivariateDist, *, seed: int = 42, restarts: int = 8,
     if restarts > MAX_RESTARTS:
         raise DomainError(f"restarts must be at most {MAX_RESTARTS}, got {restarts}")
     (seed,) = _seeds([seed])
-    steps = [0.5 * 0.5**k for k in range(8)] if step_schedule is None else list(step_schedule)
-    if not steps:
-        raise DomainError("step_schedule must name at least one step")
     r0 = r_hat.canonical()
     embedded = refine_grid(r0)
     target = embedded.pmf
@@ -428,7 +429,7 @@ def tp2_project(r_hat: BivariateDist, *, seed: int = 42, restarts: int = 8,
             b = rng.normal(0.0, 1.0, ny)
             s = rng.exponential(0.2, (nx - 1, ny - 1))
         cands.append(_PotentialCandidate(a, b, s))
-    searched = _pattern_search(cands, objective, steps, max_iters, batch)
+    searched = _pattern_search(cands, objective, STEP_SCHEDULE, max_iters, batch)
     best_per_restart = [best for best, _, _ in searched]
     accepted_per_restart = [accepted for _, accepted, _ in searched]
     iters_per_restart = [iters for _, _, iters in searched]

@@ -22,7 +22,9 @@ constructively:
   and northwest support boundaries and places point masses on the crossing
   region where the band pinches to a single value.
 
-Outside the first-marginal range every kernel returns the second marginal.
+``_row_index`` is the one rule that picks each point's conditional row, for
+the kernels, ``boundaries`` and ``estimation._row_quantiles``.  Outside the
+first-marginal range every kernel returns the second marginal.
 """
 
 from __future__ import annotations
@@ -127,6 +129,16 @@ def _eval_points(r: BivariateDist, xs) -> list[float]:
     return sorted(set(pts))
 
 
+def _row_index(atoms: np.ndarray, xs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The conditional row of each point on the sorted ``atoms``: the index of
+    the nearest atom at or below it (west; -1 below all atoms), of the nearest
+    at or above it (east; ``atoms.size`` above them), and whether it lies in
+    [atoms[0], atoms[-1]]; a point outside takes the second marginal."""
+    west = np.searchsorted(atoms, xs, side="right") - 1
+    east = np.searchsorted(atoms, xs, side="left")
+    return west, east, (west >= 0) & (east < atoms.size)
+
+
 def boundaries(r: BivariateDist, xs=None) -> Boundaries:
     """Monotone support boundaries evaluated on a grid of x values."""
     r = r.canonical()
@@ -138,12 +150,10 @@ def boundaries(r: BivariateDist, xs=None) -> Boundaries:
     bot = positive.argmax(axis=1)
     # s_nw: the running top at the last atom <= x, -inf below all atoms;
     # s_se: the running bottom from the first atom >= x, +inf above all atoms
-    n_le = np.searchsorted(atoms, xs, side="right")
-    first_ge = np.searchsorted(atoms, xs, side="left")
-    s_nw = np.where(n_le == 0, NEG_INF, ys[np.maximum.accumulate(top)][n_le - 1])
+    west, east, in_range = _row_index(atoms, xs)
+    s_nw = np.where(west < 0, NEG_INF, ys[np.maximum.accumulate(top)][west])
     run_bot = np.minimum.accumulate(bot[::-1])[::-1]
-    s_se = np.where(first_ge == atoms.size, POS_INF, ys[run_bot][np.minimum(first_ge, atoms.size - 1)])
-    in_range = (xs >= atoms[0]) & (xs <= atoms[-1])
+    s_se = np.where(east == atoms.size, POS_INF, ys[run_bot][np.minimum(east, atoms.size - 1)])
     in_crossing = s_nw <= s_se
     return Boundaries(xs, s_nw, s_se, in_crossing, in_range)
 
@@ -228,38 +238,15 @@ def supermodular_potential(a: np.ndarray, b: np.ndarray, s: np.ndarray) -> np.nd
 # ---------------------------------------------------------------------------
 
 
-def _classify(atoms: np.ndarray, x: float):
-    """Locate x relative to the atom grid: ("atom", i), ("gap", i_below) or ("outside", None)."""
-    if x < atoms[0] or x > atoms[-1]:
-        return ("outside", None)
-    i = int(np.searchsorted(atoms, x))
-    if i < atoms.size and atoms[i] == x:
-        return ("atom", i)
-    return ("gap", i - 1)
-
-
 def _build_kernel(r: BivariateDist, xs, flavor: str) -> Kernel:
     r = r.canonical()
     xs = _eval_points(r, xs)
-    atoms = r.x_support
+    west, east, in_range = _row_index(r.x_support, xs)
+    index = west if flavor == "west" else east
     marginal = r.marginal_y()
-    row_cache: dict[int, UnivariateDist] = {}
-
-    def row(i: int) -> UnivariateDist:
-        if i not in row_cache:
-            row_cache[i] = r.conditional_row(float(atoms[i]))
-        return row_cache[i]
-
-    rows = []
-    for x in xs:
-        kind, i = _classify(atoms, x)
-        if kind == "outside":
-            rows.append(marginal)
-        elif kind == "atom":
-            rows.append(row(i))
-        else:
-            rows.append(row(i) if flavor == "west" else row(i + 1))
-    return Kernel(np.array(xs), tuple(rows), flavor)
+    rows_at = {i: r.conditional_row(float(r.x_support[i])) for i in set(index[in_range].tolist())}
+    rows = tuple(rows_at[i] if inside else marginal for i, inside in zip(index.tolist(), in_range.tolist()))
+    return Kernel(np.array(xs), rows, flavor)
 
 
 def kernel_west(r: BivariateDist, xs=None) -> Kernel:

@@ -20,7 +20,7 @@ from stochorder.distributions import (_atom_grid, _interval_slice, _text, _weigh
                                       prefix_table)
 from stochorder.isotonic import MODE_EXACT, MODE_FLOAT, PRODUCT_RTOL, _beyond, _cumulative
 from stochorder.orders import _boundaries, _fails, _holds, _merged_masses, _refined_axis
-from stochorder.tp2 import kernel_west
+from stochorder.tp2 import kernel_east, kernel_west
 
 
 def weight_list(d):
@@ -176,6 +176,35 @@ def boundaries_by_loop(r: BivariateDist, xs) -> tuple[np.ndarray, np.ndarray]:
         first_ge = int(np.searchsorted(atoms, x, side="left"))
         s_se[i] = float("inf") if first_ge == atoms.size else float(ys[run_bot[first_ge]])
     return s_nw, s_se
+
+
+def _classify(atoms: np.ndarray, x: float):
+    """Locate x relative to the atom grid: ("atom", i), ("gap", i_below) or ("outside", None)."""
+    if x < atoms[0] or x > atoms[-1]:
+        return ("outside", None)
+    i = int(np.searchsorted(atoms, x))
+    if i < atoms.size and atoms[i] == x:
+        return ("atom", i)
+    return ("gap", i - 1)
+
+
+def row_index_by_classify(atoms: np.ndarray, xs) -> tuple[list, list, list]:
+    """(west, east, in range) of ``tp2._row_index``, one point at a time: an
+    atom names itself on both sides, a gap the atoms around it; a point below
+    all atoms has west -1 and east 0, one above them west ``atoms.size - 1``
+    and east ``atoms.size``.  The kernels' per-point loop before one binary
+    search per side."""
+    west, east, in_range = [], [], []
+    for x in xs:
+        kind, i = _classify(atoms, x)
+        if kind == "outside":
+            w, e = (-1, 0) if x < atoms[0] else (atoms.size - 1, atoms.size)
+        else:
+            w, e = (i, i) if kind == "atom" else (i, i + 1)
+        west.append(w)
+        east.append(e)
+        in_range.append(kind != "outside")
+    return west, east, in_range
 
 
 def tp2_adjacent_serial(r: BivariateDist, mode: str = MODE_FLOAT, tol: float = PRODUCT_RTOL):
@@ -890,11 +919,12 @@ def sample_counts(r: BivariateDist, n: int, seed) -> BivariateDist:
     return empirical_of_counts(r.x_support, r.y_support, counts)
 
 
-def west_quantiles_by_kernel(emp: BivariateDist, xs, beta: float) -> tuple[list, list]:
+def west_quantiles_by_kernel(r: BivariateDist, xs, beta: float, east: bool = False) -> tuple[list, list]:
     """The minimal and the maximal beta-quantile of each row of
-    ``kernel_west(emp, xs)``: one ``UnivariateDist`` per point, the harnesses'
-    path before the count-grid rows."""
-    rows = kernel_west(emp, xs).rows
+    ``kernel_west(r, xs)`` (``kernel_east`` when ``east``): one
+    ``UnivariateDist`` per point, the path of the harnesses and of
+    ``quantile_curve`` before they read quantiles from the grid."""
+    rows = (kernel_east if east else kernel_west)(r, xs).rows
     return [row.quantile(beta) for row in rows], [row.max_quantile(beta) for row in rows]
 
 

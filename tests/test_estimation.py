@@ -221,7 +221,8 @@ class TestHarnessesCountCells:
 
 #: quantile levels: at and below ``QUANTILE_ATOL`` (a level of 0 or less),
 #: near 1, on exact shares, and anywhere inside (0, 1)
-BETAS = st.one_of(st.sampled_from([1e-13, 1e-12, 2e-12, 0.25, 0.5, 1 / 3, 0.75, 1 - 1e-12, 1 - 1e-13]),
+BETAS = st.one_of(st.sampled_from([1e-13, 1e-12, 2e-12, 0.25, 0.5, 1 / 3, 0.75, 0.999999, 1 - 1e-12,
+                                   1 - 1e-13]),
                   st.floats(1e-15, 1 - 1e-15))
 
 
@@ -239,14 +240,38 @@ def count_grids(draw):
 
 
 def eval_points(x_support: np.ndarray):
-    """Sorted distinct points: atoms, gaps, and points below and above the grid."""
-    pool = sorted({*x_support.tolist(), *(x_support + 0.5).tolist(), x_support[0] - 1.0})
+    """Sorted distinct points: atoms, gaps, points below and above the grid and +-inf."""
+    pool = sorted({*x_support.tolist(), *(x_support + 0.5).tolist(), x_support[0] - 1.0,
+                   float("-inf"), float("inf")})
     return st.lists(st.sampled_from(pool), min_size=1, max_size=8, unique=True).map(sorted)
 
 
 def grid_quantiles(x_support, y_support, counts, xs, beta):
     r = BivariateDist(x_support, y_support, counts / counts.sum())
-    return tuple(q.tolist() for q in estimation._west_quantiles(r, counts, xs, beta))
+    return tuple(q.tolist() for q in estimation._row_quantiles(r, counts, xs, beta))
+
+
+@st.composite
+def truths(draw) -> BivariateDist:
+    """Canonical source grids of each mass kind the reader takes from a truth:
+    float pmfs whose sums are off 1 by up to 9e-10, float measures that are
+    not probabilities, and integer weights, small or near 2**60; zero cells,
+    rows and columns anywhere."""
+    l, m = draw(st.integers(1, 7)), draw(st.integers(1, 12))
+    kind = draw(st.sampled_from(["pmf", "measure", "weights", "weights near 2**60"]))
+    mass = {"weights": st.integers(1, 9), "weights near 2**60": st.integers(2**60 - 2**40, 2**60)}.get(
+        kind, st.floats(1e-3, 1.0))
+    cells = draw(st.lists(st.one_of(st.just(0), mass), min_size=l * m, max_size=l * m).filter(any))
+    xs = sorted(draw(st.sets(st.integers(-20, 20), min_size=l, max_size=l)))
+    axes = [x / 4 for x in xs], [y / 8 for y in range(m)]
+    if kind.startswith("weights"):
+        return BivariateDist.from_weights(*axes, np.reshape(cells, (l, m)).tolist()).canonical()
+    pmf = np.reshape(cells, (l, m)).astype(float)
+    if kind == "pmf":
+        pmf = pmf / pmf.sum() * (1 + draw(st.floats(-9e-10, 9e-10)))
+        return BivariateDist(*axes, pmf).canonical()
+    pmf *= draw(st.sampled_from([1e-3, 0.3, 1.0, 7.0, 1e3]))
+    return BivariateDist(*axes, pmf, is_probability=False).canonical()
 
 
 def oracle_quantiles(x_support, y_support, counts, xs, beta):
@@ -270,6 +295,36 @@ class TestGridQuantiles:
         xs = data.draw(eval_points(canon.x_support))
         got = grid_quantiles(canon.x_support, canon.y_support, counts, xs, beta)
         assert got == west_quantiles_by_kernel(sample_counts(r, n, seed), xs, beta)
+
+    @given(truths(), BETAS, st.booleans(), st.data())
+    @settings(max_examples=500, deadline=None)
+    def test_truths_equal_the_kernel_rows(self, r, beta, east, data):
+        xs = data.draw(eval_points(r.x_support))
+        got = tuple(q.tolist() for q in estimation._row_quantiles(r, r.cells(r.mode), xs, beta, east))
+        assert got == west_quantiles_by_kernel(r, xs, beta, east)
+
+    @given(truths(), BETAS, st.sampled_from(estimation.QUANTILE_FLAVORS), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_curves_equal_the_kernel_rows(self, r, beta, flavor, data):
+        xs = data.draw(eval_points(r.x_support))
+        q_min, q_max = west_quantiles_by_kernel(r, xs, beta, flavor == "east-max")
+        curve = quantile_curve(r, beta, flavor, xs[::-1])
+        assert curve.points == tuple(zip(xs, q_max if flavor == "east-max" else q_min))
+
+    def test_a_measure_short_of_beta_has_an_infinite_minimal_quantile(self):
+        # total mass 0.5: past it the marginal's minimal quantile is +inf, its maximal the last atom
+        r = BivariateDist([1.0, 2.0], [1.0, 2.0], [[0.1, 0.1], [0.2, 0.1]], is_probability=False)
+        for beta in (0.25, 0.75):
+            got = tuple(q.tolist() for q in estimation._row_quantiles(r, r.pmf, [0.0, 1.5], beta))
+            assert got == west_quantiles_by_kernel(r, [0.0, 1.5], beta)
+        assert got == ([float("inf"), 2.0], [2.0, 2.0])
+
+    def test_a_cell_whose_share_rounds_to_zero_is_no_atom_of_its_row(self):
+        # 5e-324 / 3.0 rounds to 0.0, so the conditional row drops that atom;
+        # the marginal keeps its column sums as they are, so it keeps the atom
+        r = BivariateDist([1.0], [1.0, 2.0], [[5e-324, 3.0]], is_probability=False)
+        got = tuple(q.tolist() for q in estimation._row_quantiles(r, r.pmf, [0.0, 1.0], 1e-13))
+        assert got == west_quantiles_by_kernel(r, [0.0, 1.0], 1e-13) == ([1.0, 2.0], [2.0, 2.0])
 
     @pytest.mark.parametrize("beta", [1e-13, 1e-12])
     def test_level_at_or_below_zero_skips_a_leading_empty_cell(self, beta):

@@ -114,6 +114,22 @@ class TestKuiperNorm:
         with pytest.raises(InvalidDistributionError):
             measure(np.zeros(shape))
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), "1", True, None,
+                                     np.int64(1)])
+    def test_object_delta_entries_must_be_finite_real_numbers(self, bad):
+        delta = np.array([[1.0], [bad]], dtype=object)
+        with pytest.raises(InvalidDistributionError, match="finite real numbers"):
+            GridSignedMeasure([0, 1], [0], delta)
+
+    def test_float_delta_entries_must_be_finite(self):
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(InvalidDistributionError, match="finite real numbers"):
+                measure([[1.0], [bad]])
+
+    def test_object_delta_of_ints_fractions_and_floats_is_kept(self):
+        delta = np.array([[1, Fraction(-1, 3)], [0.5, np.float64(-2.0)]], dtype=object)
+        assert kuiper_norm(GridSignedMeasure([0, 1], [0, 1], delta)) == pytest.approx(7 / 3)
+
     def test_kadane_equals_brute_exact_integers(self):
         rng = np.random.default_rng(100)
         for _ in range(500):
@@ -306,8 +322,7 @@ class TestProjection:
         assert res1.distance == res2.distance
         np.testing.assert_array_equal(res1.distribution.pmf, res2.distribution.pmf)
 
-    @pytest.mark.parametrize("kwargs", [{"restarts": -3}, {"max_iters": -1}, {"step_schedule": []},
-                                        {"seed": -1}])
+    @pytest.mark.parametrize("kwargs", [{"restarts": -3}, {"max_iters": -1}, {"seed": -1}])
     def test_negative_search_sizes_rejected(self, kwargs):
         kwargs = {"seed": 1, **kwargs}
         with pytest.raises(DomainError):

@@ -20,7 +20,9 @@ from stochorder import (
 )
 from stochorder.fixtures import banded_tp2, diag_uniform, random_tp2, unif_delta_kernel
 
-from helpers import all_blocks_st_condition, boundaries_by_loop
+from stochorder.tp2 import _row_index
+
+from helpers import all_blocks_st_condition, boundaries_by_loop, row_index_by_classify
 
 NEG_INF = float("-inf")
 POS_INF = float("inf")
@@ -285,6 +287,34 @@ class TestExtremalKernels:
     def test_empty_grid_rejected(self):
         with pytest.raises(DomainError):
             kernel_west(skew_2x2(), [])
+
+    @given(st.lists(st.integers(-20, 20), min_size=1, max_size=8, unique=True).map(sorted), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_row_index_equals_the_per_point_loop(self, atoms, data):
+        # points at atoms, in gaps, beyond both ends and at +-inf
+        atoms = np.array(atoms, dtype=float) / 2
+        points = st.one_of(st.sampled_from([NEG_INF, POS_INF, *atoms.tolist()]), st.floats(-12.0, 12.0))
+        xs = sorted(data.draw(st.lists(points, min_size=1, max_size=8, unique=True)))
+        west, east, in_range = _row_index(atoms, xs)
+        assert (west.tolist(), east.tolist(), in_range.tolist()) == row_index_by_classify(atoms, xs)
+
+    @given(st.integers(1, 6), st.integers(1, 6), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_kernel_rows_are_the_rows_the_loop_picks(self, nx, ny, data):
+        # sparse grids, often with empty rows, on atoms 0, 2, 4, ...
+        cells = data.draw(st.lists(st.sampled_from([0, 0, 1, 5]), min_size=nx * ny, max_size=nx * ny)
+                          .filter(any))
+        r = BivariateDist.from_weights([2.0 * i for i in range(nx)], [2.0 * j for j in range(ny)],
+                                       np.reshape(cells, (nx, ny))).canonical()
+        points = st.one_of(st.sampled_from([NEG_INF, POS_INF]), st.integers(-2, 2 * nx).map(float))
+        xs = sorted(data.draw(st.lists(points, min_size=1, max_size=8, unique=True)))
+        west, east, in_range = row_index_by_classify(r.x_support, xs)
+        for kern, index in ((kernel_west(r, xs), west), (kernel_east(r, xs), east)):
+            for row, i, inside in zip(kern.rows, index, in_range):
+                want = r.conditional_row(float(r.x_support[i])) if inside else r.marginal_y()
+                assert row.support.tobytes() == want.support.tobytes()
+                assert row.probs.tobytes() == want.probs.tobytes()
+                assert row.weights.tolist() == want.weights.tolist()
 
     def test_kernel_reproduces_joint_distribution(self):
         rng = np.random.default_rng(50)

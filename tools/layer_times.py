@@ -26,6 +26,9 @@ input is built here from fixed seeds, so two checkouts time the same work:
   draws with seed 1 and beta 0.5: ``bracket_check`` at the points after
   atoms k // 3 and 2k // 3, as the ``converge-sim`` workload places them,
   and ``uniform_convergence_check`` on the atoms from k // 4 to 3k // 4;
+  ``bracket_check`` also once with all three sample sizes in its n_list;
+* ``quantile_curve`` ``west-min`` and ``east-max`` at beta 0.5 on the
+  default grid of the 20 x 20 float truth above;
 * the exact builds: ``BivariateDist.from_weights`` from nested lists of
   weights 0-9 (seed n) on n x n grids, n = 3, 20 and 100, as a JSON payload
   gives them; ``canonical()`` of a fresh 3x3 grid with an empty row (its
@@ -64,7 +67,7 @@ sys.path[:0] = [os.path.join(ROOT, "src")]
 import numpy as np  # noqa: E402
 from stochorder import (BivariateDist, GridSignedMeasure, UnivariateDist, bracket_check,  # noqa: E402
                         check_lr, check_st, check_st_condition, check_tp2, kuiper, kuiper_norm,
-                        tp2_project, uniform_convergence_check)
+                        quantile_curve, tp2_project, uniform_convergence_check)
 from stochorder.distributions import (load_bivariate, load_univariate, write_bivariate_csv,  # noqa: E402
                                       write_univariate_csv)
 from stochorder.fixtures import random_tp2  # noqa: E402
@@ -79,6 +82,7 @@ GRIDS = {"pmf-adjacent": (3, 16, 32), "st-condition": (3, 32)}
 MODES = ("float", "exact")
 HARNESS_TRUTHS = (12, 20)
 HARNESS_SAMPLES = (1000, 10_000, 100_000)
+CURVE_TRUTH = 20
 BUILD_GRIDS = (3, 20, 100)
 #: a 3x3 grid of weights with an empty row, so ``canonical()`` builds anew
 EMPTY_ROW = [[1, 0, 2], [0, 0, 0], [3, 4, 1]]
@@ -192,6 +196,12 @@ def harness_cases():
                    lambda r=r, n=n, x1=x1, x2=x2: bracket_check(r, {"n_list": [n], "seed": 1}, 0.5, x1, x2))
             yield ("uniform_convergence_check", f"{size}x{size}, n={n}",
                    lambda r=r, n=n, window=window: uniform_convergence_check(r, 0.5, window, [n], [1]))
+        yield ("bracket_check", f"{size}x{size}, n_list={list(HARNESS_SAMPLES)}",
+               lambda r=r, x1=x1, x2=x2: bracket_check(r, {"n_list": HARNESS_SAMPLES, "seed": 1}, 0.5, x1, x2))
+    r = random_tp2(np.random.default_rng(CURVE_TRUTH), CURVE_TRUTH, CURVE_TRUTH)
+    for flavor in ("west-min", "east-max"):
+        yield ("quantile_curve", f"{CURVE_TRUTH}x{CURVE_TRUTH}, float, {flavor}, default grid",
+               lambda r=r, flavor=flavor: quantile_curve(r, 0.5, flavor))
 
 
 def parse_cases(tmp: str):
