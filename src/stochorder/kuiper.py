@@ -49,7 +49,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .distributions import BivariateDist, _frozen, _on_sorted, prefix_table
+from .distributions import BivariateDist, _frozen, _on_sorted, _validate_support, prefix_table
 from .errors import DomainError, InvalidDistributionError, PreconditionError
 from .estimation import _seeds
 from .isotonic import MODE_FLOAT, PRODUCT_RTOL
@@ -92,10 +92,8 @@ class GridSignedMeasure:
         delta = _frozen(self.delta, None)
         if xg.ndim != 1 or yg.ndim != 1 or delta.shape != (xg.size, yg.size) or delta.size == 0:
             raise InvalidDistributionError("delta must be nonempty and match the grids in shape")
-        if xg.size > 1 and not np.all(xg[1:] > xg[:-1]):
-            raise InvalidDistributionError("x grid must be strictly increasing")
-        if yg.size > 1 and not np.all(yg[1:] > yg[:-1]):
-            raise InvalidDistributionError("y grid must be strictly increasing")
+        _validate_support(xg, "x grid")  # finite and strictly increasing, as a support is
+        _validate_support(yg, "y grid")
         kind = delta.dtype.kind  # object entries: ints, Fractions or finite floats
         if not (kind in "iu" or kind == "f" and np.isfinite(delta).all()
                 or kind == "O" and all(isinstance(v, (int, Fraction)) and not isinstance(v, bool)

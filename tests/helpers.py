@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import csv
 import itertools
+import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -1026,3 +1028,20 @@ def truncate_by_mode(q: UnivariateDist, iv: Interval) -> UnivariateDist:
         raise DomainError(f"interval {iv} carries zero mass")
     weights = None if q.weights is None else q.weights[lo:hi]
     return UnivariateDist(q.support[lo:hi], probs / mass, weights)
+
+
+def _inf_as_text(obj):
+    """``obj`` with every float ±inf replaced by the string "inf" / "-inf"."""
+    if isinstance(obj, dict):
+        return {k: _inf_as_text(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_inf_as_text(v) for v in obj]
+    return str(obj) if isinstance(obj, float) and math.isinf(obj) else obj
+
+
+def json_text_by_dumps(payload) -> str:
+    """Standard JSON with ±inf as the strings "inf" / "-inf"; a NaN fails ``allow_nan`` (exit 2)."""
+    try:
+        return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError:
+        return json.dumps(_inf_as_text(payload), indent=2, sort_keys=True, allow_nan=False) + "\n"

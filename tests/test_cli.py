@@ -3,6 +3,7 @@ import csv
 import hashlib
 import io
 import json
+import math
 import os
 import pathlib
 import re
@@ -11,7 +12,10 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from helpers import json_text_by_dumps
 from stochorder import cli
 from stochorder.cli import build_parser, main
 from stochorder.distributions import MASS_TOL
@@ -689,3 +693,59 @@ class TestFileArtifacts:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == "x,y,prob"
         assert all(line.split(",")[0] in ("1.5", "2.5") for line in lines[1:])
+
+
+FLOATS = st.one_of(st.sampled_from([-0.0, 0.0, 5e-324, 1e16, 1e-7, 0.1, math.inf, -math.inf, math.nan]),
+                   st.floats())
+INTS = st.one_of(st.sampled_from([2**63, -2**63 - 1, 2**64 + 1]), st.integers())
+NUMBERS = st.one_of(FLOATS, INTS)
+TEXTS = st.one_of(st.sampled_from(['"', "\\", 'a"b\\c', "\x00\x1f\n\t", "caf\u00e9", "\u96ea\U0001f600"]),
+                  st.text(max_size=6))
+SCALARS = st.one_of(NUMBERS, st.booleans(), st.none(), TEXTS, st.builds(np.float64, FLOATS),
+                    st.builds(np.int64, st.integers(-2**63, 2**63 - 1)))
+KEYS = st.one_of(TEXTS, NUMBERS, st.booleans(), st.none(), st.builds(np.float64, FLOATS),
+                 st.just(()))
+#: lists of equal-width rows of plain numbers, as ROC points and kernel triples are
+ROWS = st.integers(1, 3).flatmap(lambda k: st.lists(
+    st.lists(NUMBERS, min_size=k, max_size=k).flatmap(lambda row: st.sampled_from([row, tuple(row)])),
+    max_size=4))
+
+
+def payloads(depth: int):
+    """Nested dicts, lists and tuples up to ``depth`` levels, empty ones included."""
+    if depth == 0:
+        return SCALARS
+    inner = payloads(depth - 1)
+    return st.one_of(SCALARS, st.lists(NUMBERS, max_size=4), ROWS, st.lists(inner, max_size=3),
+                     st.lists(inner, max_size=3).map(tuple), st.dictionaries(KEYS, inner, max_size=3))
+
+
+def written_by(write, payload):
+    """The text ``write`` gives, or the type and message of what it raises."""
+    try:
+        return write(payload)
+    except (TypeError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+class TestReportWriter:
+    @settings(max_examples=500, deadline=None)
+    @given(payloads(4))
+    @example([math.nan, 10**5000])  # json reaches the NaN before the over-long int
+    @example([[1.0, math.inf], (2, -math.inf)])
+    @example({"a": [[0.5, 1e16]], 1: None})
+    def test_matches_json_dumps(self, payload):
+        assert written_by(cli._json_text, payload) == written_by(json_text_by_dumps, payload)
+
+    def test_infinite_kernel_points_print_the_dumps_bytes(self, monkeypatch):
+        argv = ["kernel", "--r", "r_band5.csv", "--flavor", "w", "--x=-inf,inf"]
+        code, text = run_cli(argv, cwd=DATA)
+        assert '[\n          "-inf",\n          1.0,' in text  # ±inf inside the nested triples
+        monkeypatch.setattr(cli, "_json_text", json_text_by_dumps)
+        assert run_cli(argv, cwd=DATA) == (code, text)
+
+    def test_nan_payload_exits_two(self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "kuiper_norm", lambda *args: math.nan)
+        code, out = run_cli(["kuiper", "dist", "--a", "r_antidiag.csv", "--b", "r_diag2.csv"], cwd=DATA)
+        assert (code, out) == (2, "")
+        assert capsys.readouterr().err == "input error: Out of range float values are not JSON compliant: nan\n"

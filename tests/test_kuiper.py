@@ -126,6 +126,15 @@ class TestKuiperNorm:
             with pytest.raises(InvalidDistributionError, match="finite real numbers"):
                 measure([[1.0], [bad]])
 
+    @pytest.mark.parametrize("xs, ys, delta", [
+        ([float("nan")], [float("inf")], [[1.0]]),  # once had a norm of 1.0
+        ([0.0, float("inf")], [0.0], [[1.0], [2.0]]),  # once passed as strictly increasing
+        ([0.0], [-float("inf")], [[1.0]]),
+    ])
+    def test_grids_must_be_finite(self, xs, ys, delta):
+        with pytest.raises(InvalidDistributionError, match="grid must be finite"):
+            kuiper_norm(GridSignedMeasure(xs, ys, delta))
+
     def test_object_delta_of_ints_fractions_and_floats_is_kept(self):
         delta = np.array([[1, Fraction(-1, 3)], [0.5, np.float64(-2.0)]], dtype=object)
         assert kuiper_norm(GridSignedMeasure([0, 1], [0, 1], delta)) == pytest.approx(7 / 3)

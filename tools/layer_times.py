@@ -39,7 +39,11 @@ input is built here from fixed seeds, so two checkouts time the same work:
   100, normalized) in float mode and with ``exact=True``, which reads the
   decimal text through the ``csv`` module, and ``load_univariate`` on 2,000
   atoms (seed 2000), both written by the package's CSV writers to a
-  temporary directory.
+  temporary directory;
+* the report writer ``cli._json_text`` on two reports built as the CLI
+  builds them: ``roc`` of the 2,000-atom float pair above (2,001 points) and
+  ``kernel --flavor new`` of the 32x32 float TP2 grid above (2,016 triples
+  at its 63 default evaluation points).
 
 Each entry is the best of ``--repeat`` timed calls, after one untimed call;
 a verdict or build entry times runs of ``VERDICT_CALLS`` calls and gives the
@@ -66,8 +70,8 @@ sys.path[:0] = [os.path.join(ROOT, "src")]
 
 import numpy as np  # noqa: E402
 from stochorder import (BivariateDist, GridSignedMeasure, UnivariateDist, bracket_check,  # noqa: E402
-                        check_lr, check_st, check_st_condition, check_tp2, kuiper, kuiper_norm,
-                        quantile_curve, tp2_project, uniform_convergence_check)
+                        check_lr, check_st, check_st_condition, check_tp2, cli, kernel_new, kuiper,
+                        kuiper_norm, quantile_curve, roc_curve, tp2_project, uniform_convergence_check)
 from stochorder.distributions import (load_bivariate, load_univariate, write_bivariate_csv,  # noqa: E402
                                       write_univariate_csv)
 from stochorder.fixtures import random_tp2  # noqa: E402
@@ -88,6 +92,10 @@ BUILD_GRIDS = (3, 20, 100)
 EMPTY_ROW = [[1, 0, 2], [0, 0, 0], [3, 4, 1]]
 CSV_GRID = 100
 CSV_ATOMS = 2000
+REPORT_ATOMS = 2000
+REPORT_GRID = 32
+#: stands in for every input digest of a timed report
+DIGEST = "sha256:" + "0" * 64
 
 
 #: calls per timed run of a verdict, which takes microseconds
@@ -221,6 +229,21 @@ def parse_cases(tmp: str):
            lambda: load_univariate(atoms, digest=hashlib.sha256()))
 
 
+def writer_cases():
+    """(layer, input, call) of every timed report write; the payloads are
+    the ``roc`` and ``kernel`` results as ``cli`` builds them."""
+    q1, q2 = pair(REPORT_ATOMS, "float")
+    roc = cli._report("roc", {"q1": DIGEST, "q2": DIGEST}, {"points": roc_curve(q1, q2).points})
+    kern = kernel_new(tp2_grid(REPORT_GRID, "float"))
+    rows = [[[x, y, p] for y, p in zip(row.support.tolist(), row.probs.tolist())]
+            for x, row in zip(kern.eval_points.tolist(), kern.rows)]
+    kernel = cli._report("kernel", {"r": DIGEST}, {"flavor": kern.flavor,
+                                                  "eval_points": kern.eval_points.tolist(), "rows": rows})
+    yield "report writer", f"roc, {REPORT_ATOMS} atoms", lambda: cli._json_text(roc)
+    yield ("report writer", f"kernel --flavor new, {REPORT_GRID}x{REPORT_GRID}",
+           lambda: cli._json_text(kernel))
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--repeat", type=int, default=5, help="timed calls per entry (best is kept)")
@@ -229,7 +252,8 @@ def main(argv=None) -> int:
         ap.error("--repeat must be at least 1")
     with tempfile.TemporaryDirectory() as tmp:
         entries = [{"layer": layer, "input": text, "ms": best_ms(call, args.repeat)}
-                   for layer, text, call in (*cases(), *harness_cases(), *parse_cases(tmp))]
+                   for layer, text, call in (*cases(), *harness_cases(), *parse_cases(tmp),
+                                             *writer_cases())]
     for layer, text, call in verdict_cases():
         if not call().holds:
             raise AssertionError(f"{layer} on {text} fails: it would not score every comparison")
