@@ -7,9 +7,10 @@ reproduce identical streams on every platform.  Derived streams inside the
 diagnostic harnesses use spawn keys of the base seed and are documented next
 to each harness.
 
-One helper draws the flat cell indices of the stream.  ``sample`` maps them
-to (x, y) draws; the convergence harnesses instead count them per cell with
-``np.bincount`` on the canonical source grid.  Every conditional quantile,
+One helper draws the flat cell indices of the stream, block by block, so
+memory does not grow with the sample size.  ``sample`` maps them to (x, y)
+draws; the convergence harnesses instead add each block's counts per cell of
+the canonical source grid into one count grid.  Every conditional quantile,
 of a sample or of its source, is read by ``_row_quantiles`` from a mass grid
 (draw counts, a float pmf or integer weights) with the bits of the kernel
 rows: no float draws, no empirical distribution and no kernel rows are
@@ -36,76 +37,113 @@ from .isotonic import MODE_FLOAT, PRODUCT_RTOL
 from .tp2 import _eval_points, _row_index, check_st_condition
 
 QUANTILE_FLAVORS = ("west-min", "east-max", "empirical")
-#: most draws one sample may hold; the stream keeps two 8-byte arrays per draw
+#: most draws one sample may hold; ``sample`` returns two 8-byte floats per draw
 MAX_SAMPLE_SIZE = 10**7
+#: uniforms the stream draws and maps to cells at a time, on grids of at
+#: most this many cells; a block of a larger grid holds one draw per cell
+BLOCK = 2**15
+#: most buckets of a guide table; a grid of more than 2**17 cells gets fewer than 8 per cell
+MAX_BUCKETS = 2**20
 
 
 def _philox(seed) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
 
 
-def _cell_index(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """For each u in [0, 1), the first index i with ``cum[i] >= u``, where
-    ``cum`` is nondecreasing and ends in exactly 1.0: the indices of
-    ``np.searchsorted(cum, u, side="left")``, found through a guide table
+def _cell_blocks(cum: np.ndarray, n: int, gen: np.random.Generator):
+    """The flat cell indices of n uniforms u drawn from ``gen``, one block at
+    a time: for each u, the first index i with ``cum[i] >= u``, where
+    ``cum`` is nondecreasing and ends in exactly 1.0.  These are the indices
+    of ``np.searchsorted(cum, u, side="left")``, found through a guide table
     (Chen & Asau's indexed search).
 
-    With K = ``cum.size``, u falls in bucket b = floor(u·K) < K, and
-    ``guide[b]`` counts the entries with floor(cum·K) < b, for b = 0..K.
-    Scaling and ``floor`` are monotone, so the first ``guide[b]`` entries lie
-    below every u in bucket b and the entries from ``guide[b + 1]`` on lie
-    above it: the answer lies in ``[guide[b], guide[b + 1]]``, zero-mass
-    cells included, and ``guide[K] < K`` since ``cum[-1]`` falls in bucket K.
-    Most draws stop at the start of their bucket or one cell past it; the
-    rest bisect what is left of their bucket, so a bucket holding many cells
-    costs passes logarithmic in their number, not one pass per cell.
+    The table has M buckets, M the smallest power of two at least 8 times
+    the cells, or twice the draws if that is less, and at most
+    ``MAX_BUCKETS``: so building it costs about as much as the draws or
+    less, and u·M and cum·M are exact.  A draw u falls in bucket
+    b = floor(u·M) < M.  ``held[b]`` counts the entries with floor(cum·M)
+    = b, and guide[b], the sum of ``held`` below b, those with
+    floor(cum·M) < b: those entries lie below every u in bucket b, and the
+    entries from guide[b] + ``held[b]`` on lie above it, so the answer lies
+    in ``[guide[b], guide[b] + held[b]]``, zero-mass cells included.
+    ``table[b]`` is guide[b], the answer itself, for a bucket that holds no
+    entry, and ~guide[b] (a negative number) for one that does.  The draws
+    in those buckets, at most one in eight when M is 8 times the cells,
+    bisect their bucket, in passes logarithmic in the number of cells it
+    holds.
+
+    The table is built once per stream, and the draws are mapped in blocks
+    of ``BLOCK`` (of one draw per cell on larger grids, so a caller's
+    per-block ``bincount`` costs no more than the block), so the stream
+    holds one block and the table in memory, whatever n is.  Drawing in
+    blocks gives the same doubles as one ``random(n)`` call.
     """
-    k = cum.size
-    guide = np.zeros(k + 1, dtype=np.intp)
-    np.cumsum(np.bincount((cum * k).astype(np.intp), minlength=k + 1)[:k], out=guide[1:])
-    # no per-draw bucket array is kept, since each n-sized array adds to the
-    # peak RSS; the few draws that bisect recompute their buckets
-    idx = guide[(u * k).astype(np.intp)]
-    active = np.flatnonzero(cum[idx] < u)
-    idx[active] += 1
-    active = active[cum[idx[active]] < u[active]]
-    ua = u[active]
-    lo, hi = idx[active] + 1, guide[(ua * k).astype(np.intp) + 1]
-    for _ in range(int((hi - lo).max(initial=0)).bit_length()):
-        mid = (lo + hi) >> 1
-        below = cum[mid] < ua
-        lo = np.where(below, mid + 1, lo)
-        hi = np.where(below, hi, mid)
-    idx[active] = lo
-    return idx
+    m = min(1 << (min(8 * cum.size, 2 * n) - 1).bit_length(), MAX_BUCKETS)
+    scaled = cum * m
+    entry_buckets = scaled.astype(np.intp)
+    held = np.bincount(entry_buckets, minlength=m + 1)[:m]
+    table = np.cumsum(held)
+    table -= held
+    entry_buckets = entry_buckets[entry_buckets < m]
+    table[entry_buckets] = ~table[entry_buckets]
+    block = min(max(BLOCK, cum.size), n)
+    buf, buckets = np.empty(block), np.empty(block, dtype=np.intp)
+    for start in range(0, n, block):
+        size = min(block, n - start)
+        u, b = buf[:size], buckets[:size]
+        gen.random(out=u)
+        # from here on u holds u·M, compared with cum·M: the same order
+        np.multiply(u, m, out=u)
+        np.copyto(b, u, casting="unsafe")
+        idx = table.take(b)
+        active = np.flatnonzero(idx < 0)
+        ua, lo = u[active], ~idx[active]
+        hi = lo + held[b[active]]
+        # u = 0.0 would take cell 0 even when it has no mass; the smallest
+        # positive float takes the first cell with mass instead (cum·M lies
+        # below it only where cum is 0).  Every other draw is a multiple of
+        # 2**-53, so it is left as it is.  Only the draws that bisect need
+        # it: if bucket 0 holds no entry, cell 0 has mass.
+        np.maximum(ua, np.nextafter(0.0, 1.0), out=ua)
+        for _ in range(int((hi - lo).max(initial=0)).bit_length()):
+            mid = (lo + hi) >> 1
+            below = scaled[mid] < ua
+            lo = np.where(below, mid + 1, lo)
+            hi = np.where(below, hi, mid)
+        idx[active] = lo
+        yield idx
 
 
-def _draw_cells(r: BivariateDist, n: int, seed) -> tuple[BivariateDist, np.ndarray]:
-    """The canonical ``r`` and n flat row-major cell indices drawn from its
-    seeded stream; the one implementation of the stream."""
+def _draw_cells(r: BivariateDist, n: int, seed):
+    """The canonical ``r`` and an iterator over the flat row-major cell
+    indices of n draws from its seeded stream, block by block; the one
+    implementation of the stream.  The sample size and the seed are checked
+    before anything is drawn."""
     (n,), (seed,) = _sample_sizes([n]), _seeds([seed])
     r = r.canonical()
     cum = np.cumsum(r.pmf.reshape(-1))
-    cum = cum / cum[-1]
-    u = _philox(seed).random(n)
-    # u = 0.0 would take cell 0 even when it has no mass; the smallest
-    # positive float takes the first cell with mass instead.  Every other
-    # draw is a multiple of 2**-53, so it is left as it is.
-    np.maximum(u, np.nextafter(0.0, 1.0), out=u)
-    return r, _cell_index(cum, u)
+    return r, _cell_blocks(cum / cum[-1], n, _philox(seed))
 
 
 def sample(r: BivariateDist, n: int, seed) -> np.ndarray:
     """n i.i.d. draws as an (n, 2) array; deterministic per seed."""
-    r, idx = _draw_cells(r, n, seed)
-    i, j = np.divmod(idx, r.shape[1])
-    return np.column_stack([r.x_support[i], r.y_support[j]])
+    r, blocks = _draw_cells(r, n, seed)
+    points = np.stack(np.meshgrid(r.x_support, r.y_support, indexing="ij"), axis=-1).reshape(-1, 2)
+    out = np.empty((int(n), 2))
+    start = 0
+    for idx in blocks:
+        out[start:start + idx.size] = points[idx]
+        start += idx.size
+    return out
 
 
 def _count_grid(r: BivariateDist, n: int, seed) -> tuple[BivariateDist, np.ndarray]:
     """The canonical ``r`` and the seeded sample's draws per cell of its grid."""
-    r, idx = _draw_cells(r, n, seed)
-    return r, np.bincount(idx, minlength=r.pmf.size).reshape(r.shape)
+    r, blocks = _draw_cells(r, n, seed)
+    counts = np.zeros(r.pmf.size, dtype=np.intp)
+    for idx in blocks:
+        counts += np.bincount(idx, minlength=counts.size)
+    return r, counts.reshape(r.shape)
 
 
 def _row_quantiles(r: BivariateDist, cells: np.ndarray, xs, beta: float,

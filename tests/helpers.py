@@ -912,12 +912,61 @@ def empirical_of_counts(x_support: np.ndarray, y_support: np.ndarray, counts: np
     )
 
 
+def cell_index_by_guide(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """For each u in [0, 1), the first index i with ``cum[i] >= u``, through
+    a guide table of K = ``cum.size`` buckets floor(u·K) over all n draws at
+    once: the stream's lookup before it drew in blocks through a finer table.
+
+    ``guide[b]`` counts the entries with floor(cum·K) < b, so the answer
+    lies in ``[guide[b], guide[b + 1]]``.  Every draw is checked against the
+    start of its bucket and one cell past it; the rest bisect what is left.
+    """
+    k = cum.size
+    guide = np.zeros(k + 1, dtype=np.intp)
+    np.cumsum(np.bincount((cum * k).astype(np.intp), minlength=k + 1)[:k], out=guide[1:])
+    idx = guide[(u * k).astype(np.intp)]
+    active = np.flatnonzero(cum[idx] < u)
+    idx[active] += 1
+    active = active[cum[idx[active]] < u[active]]
+    ua = u[active]
+    lo, hi = idx[active] + 1, guide[(ua * k).astype(np.intp) + 1]
+    for _ in range(int((hi - lo).max(initial=0)).bit_length()):
+        mid = (lo + hi) >> 1
+        below = cum[mid] < ua
+        lo = np.where(below, mid + 1, lo)
+        hi = np.where(below, hi, mid)
+    idx[active] = lo
+    return idx
+
+
+def draw_cells_at_once(r: BivariateDist, n: int, seed) -> tuple[BivariateDist, np.ndarray]:
+    """The canonical ``r`` and all n flat cell indices of its seeded stream,
+    from one ``random(n)`` call: the stream before it drew in blocks."""
+    r = r.canonical()
+    cum = np.cumsum(r.pmf.reshape(-1))
+    u = estimation._philox(seed).random(n)
+    np.maximum(u, np.nextafter(0.0, 1.0), out=u)
+    return r, cell_index_by_guide(cum / cum[-1], u)
+
+
+def sample_at_once(r: BivariateDist, n: int, seed) -> np.ndarray:
+    """``sample`` from the one-shot stream: (x, y) of every drawn cell."""
+    r, idx = draw_cells_at_once(r, n, seed)
+    i, j = np.divmod(idx, r.shape[1])
+    return np.column_stack([r.x_support[i], r.y_support[j]])
+
+
+def count_grid_at_once(r: BivariateDist, n: int, seed) -> tuple[BivariateDist, np.ndarray]:
+    """``estimation._count_grid`` from the one-shot stream: one ``bincount``."""
+    r, idx = draw_cells_at_once(r, n, seed)
+    return r, np.bincount(idx, minlength=r.pmf.size).reshape(r.shape)
+
+
 def sample_counts(r: BivariateDist, n: int, seed) -> BivariateDist:
     """``empirical(sample(r, n, seed))``, counted per cell without the draws:
     the convergence harnesses' sample before they read quantiles from the
-    count grid."""
-    r, idx = estimation._draw_cells(r, n, seed)
-    counts = np.bincount(idx, minlength=r.pmf.size).reshape(r.shape)
+    count grid, from the one-shot stream."""
+    r, counts = count_grid_at_once(r, n, seed)
     return empirical_of_counts(r.x_support, r.y_support, counts)
 
 

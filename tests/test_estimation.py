@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,9 +19,10 @@ from stochorder import (
 )
 from stochorder import estimation
 from stochorder.distributions import QUANTILE_ATOL, _quantile_index
-from stochorder.fixtures import antidiag, banded_tp2, diag_uniform
-from helpers import (cell_index_searchsorted, empirical_by_dict, empirical_of_counts,
-                     random_supermodular_tp2, sample_counts, weight_list, west_quantiles_by_kernel)
+from stochorder.fixtures import antidiag, banded_tp2, diag_uniform, random_tp2
+from helpers import (cell_index_by_guide, cell_index_searchsorted, count_grid_at_once, empirical_by_dict,
+                     empirical_of_counts, random_supermodular_tp2, sample_at_once, sample_counts,
+                     weight_list, west_quantiles_by_kernel)
 
 
 def product_2x2() -> BivariateDist:
@@ -143,41 +145,103 @@ def edge_draws(cum: np.ndarray) -> np.ndarray:
     return u[(u >= 0.0) & (u < 1.0)]
 
 
+#: sample sizes at and around multiples of the stream's block, and small ones
+BLOCK_SIZES = st.one_of(
+    st.sampled_from([1, estimation.BLOCK - 1, estimation.BLOCK, estimation.BLOCK + 1,
+                     3 * estimation.BLOCK + 7]),
+    st.integers(1, 3000))
+
+
+class Replay:
+    """A stand-in generator: ``random(out=...)`` fills ``out`` with the next
+    of the given draws, in order."""
+
+    def __init__(self, u):
+        self.u, self.at = np.asarray(u, dtype=np.float64), 0
+
+    def random(self, *, out):
+        out[:] = self.u[self.at:self.at + out.size]
+        self.at += out.size
+        return out
+
+
+def lifted(u: np.ndarray) -> np.ndarray:
+    """The draws with the stream's rule for u = 0 applied: 0.0 becomes the
+    smallest positive float."""
+    return np.maximum(u, np.nextafter(0.0, 1.0))
+
+
+def stream_cells(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The cells the stream's block loop maps the draws ``u`` to, joined."""
+    gen = Replay(u)
+    cells = np.concatenate(list(estimation._cell_blocks(cum, u.size, gen)))
+    assert gen.at == u.size
+    return cells
+
+
 class TestCellIndex:
-    """The guide-table lookup gives the indices of the binary search."""
+    """The stream's guide-table lookup gives the indices of the binary search,
+    block by block, and the stream the one-shot stream's cells."""
 
     @given(cell_masses(), st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=50),
-           st.integers(0, 2**32))
+           BLOCK_SIZES, st.integers(0, 2**32))
     @settings(max_examples=400, deadline=None)
-    def test_equals_the_searchsorted_oracle(self, masses, drawn, seed):
+    def test_equals_the_searchsorted_oracle(self, masses, drawn, n, seed):
         cum = cumulative(masses)
         assert cum[-1] == 1.0
-        u = np.concatenate([edge_draws(cum), drawn, np.random.default_rng(seed).random(300)])
-        got = estimation._cell_index(cum, u)
-        np.testing.assert_array_equal(got, cell_index_searchsorted(cum, u))
+        rng = np.random.default_rng(seed)
+        pool = np.concatenate([edge_draws(cum), drawn, rng.random(300)])
+        u = np.concatenate([pool, rng.choice(pool, n)])[:n]
+        expected = cell_index_searchsorted(cum, lifted(u))
+        np.testing.assert_array_equal(stream_cells(cum, u), expected)
+        np.testing.assert_array_equal(cell_index_by_guide(cum, lifted(u)), expected)
 
     def test_one_cell(self):
-        u = np.array([0.0, 0.5, np.nextafter(1.0, 0.0)])
-        assert estimation._cell_index(np.ones(1), u).tolist() == [0, 0, 0]
+        u = np.resize([0.0, 0.5, np.nextafter(1.0, 0.0)], estimation.BLOCK + 1)
+        assert not stream_cells(np.ones(1), u).any()
+        r = BivariateDist.from_weights([2.0], [3.0], [[1]])
+        assert sample(r, estimation.BLOCK + 1, 5).tolist() == [[2.0, 3.0]] * (estimation.BLOCK + 1)
 
-    @given(sparse_dists(), st.integers(1, 3000), st.integers(0, 2**32))
+    def test_buckets_are_capped_and_stay_exact(self, monkeypatch):
+        # 8 buckets for 300 cells: most draws bisect a bucket of many cells
+        monkeypatch.setattr(estimation, "MAX_BUCKETS", 8)
+        cum = cumulative(np.random.default_rng(3).random(300))
+        u = np.concatenate([edge_draws(cum), np.random.default_rng(4).random(5000)])
+        np.testing.assert_array_equal(stream_cells(cum, u), cell_index_searchsorted(cum, lifted(u)))
+
+    @given(sparse_dists(), BLOCK_SIZES,
+           st.one_of(st.integers(0, 2**32), st.tuples(st.integers(0, 1000), st.integers(0, 5))))
     @settings(max_examples=100, deadline=None)
-    def test_stream_cells_equal_the_oracle(self, r, n, seed):
-        canon, idx = estimation._draw_cells(r, n, seed)
-        u = estimation._philox(seed).random(n)
-        np.testing.assert_array_equal(idx, cell_index_searchsorted(cumulative(canon.pmf.ravel()), u))
+    def test_counts_and_draws_equal_the_one_shot_stream(self, r, n, seed):
+        canon, counts = estimation._count_grid(r, n, seed)
+        oracle, expected = count_grid_at_once(r, n, seed)
+        assert same_dist(canon, oracle)
+        assert counts.dtype == expected.dtype and counts.tolist() == expected.tolist()
+        draws = sample(r, n, seed)
+        assert draws.shape == (n, 2) and draws.tobytes() == sample_at_once(r, n, seed).tobytes()
 
-    def test_zero_draws_take_the_first_cell_with_mass(self, monkeypatch):
+    @pytest.mark.parametrize("n", [3, estimation.BLOCK + 1])
+    def test_zero_draws_take_the_first_cell_with_mass(self, monkeypatch, n):
         # antidiag's first cell (1, 1) has no mass; u = 0.0 must not land there
-        class Zeros:
-            def random(self, n):
-                return np.zeros(n)
+        monkeypatch.setattr(estimation, "_philox", lambda seed: Replay(np.zeros(n)))
+        assert sample(antidiag(), n, 0).tolist() == [[1.0, 2.0]] * n
+        canon, counts = estimation._count_grid(antidiag(), n, 0)
+        assert (canon.x_support.tolist(), canon.y_support.tolist()) == ([1.0, 2.0], [1.0, 2.0])
+        assert counts.tolist() == [[0, n], [0, 0]]
 
-        monkeypatch.setattr(estimation, "_philox", lambda seed: Zeros())
-        assert sample(antidiag(), 3, 0).tolist() == [[1.0, 2.0]] * 3
-        counts = sample_counts(antidiag(), 3, 0)
-        assert (counts.x_support.tolist(), counts.y_support.tolist()) == ([1.0], [2.0])
-        assert counts.weights.tolist() == [[3]]
+    def test_count_memory_is_bounded(self):
+        # drawing 10**6 cells at once held about 25 MB of n-sized arrays; the
+        # block loop holds one block and the guide table, and sample its output
+        r = random_tp2(np.random.default_rng(20), 20, 20)
+        for call, bound in ((lambda: estimation._count_grid(r, 10**6, 1), 0),
+                            (lambda: sample(r, 10**5, 1), 16 * 10**5)):
+            tracemalloc.start()
+            try:
+                call()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < bound + 2 * 2**20, peak
 
 
 class TestHarnessesCountCells:

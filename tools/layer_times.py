@@ -29,6 +29,9 @@ input is built here from fixed seeds, so two checkouts time the same work:
   ``bracket_check`` also once with all three sample sizes in its n_list;
 * ``quantile_curve`` ``west-min`` and ``east-max`` at beta 0.5 on the
   default grid of the 20 x 20 float truth above;
+* the harnesses' count path ``estimation._count_grid`` on that 20 x 20
+  truth with 10**5, 10**6 and 10**7 draws (seed 1), each also with the peak
+  of the memory ``tracemalloc`` traces during one call, as ``peak_mib``;
 * the exact builds: ``BivariateDist.from_weights`` from nested lists of
   weights 0-9 (seed n) on n x n grids, n = 3, 20 and 100, as a JSON payload
   gives them; ``canonical()`` of a fresh 3x3 grid with an empty row (its
@@ -64,14 +67,16 @@ import platform
 import sys
 import tempfile
 import time
+import tracemalloc
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src")]
 
 import numpy as np  # noqa: E402
 from stochorder import (BivariateDist, GridSignedMeasure, UnivariateDist, bracket_check,  # noqa: E402
-                        check_lr, check_st, check_st_condition, check_tp2, cli, kernel_new, kuiper,
-                        kuiper_norm, quantile_curve, roc_curve, tp2_project, uniform_convergence_check)
+                        check_lr, check_st, check_st_condition, check_tp2, cli, estimation, kernel_new,
+                        kuiper, kuiper_norm, quantile_curve, roc_curve, tp2_project,
+                        uniform_convergence_check)
 from stochorder.distributions import (load_bivariate, load_univariate, write_bivariate_csv,  # noqa: E402
                                       write_univariate_csv)
 from stochorder.fixtures import random_tp2  # noqa: E402
@@ -87,6 +92,7 @@ MODES = ("float", "exact")
 HARNESS_TRUTHS = (12, 20)
 HARNESS_SAMPLES = (1000, 10_000, 100_000)
 CURVE_TRUTH = 20
+COUNT_DRAWS = (10**5, 10**6, 10**7)
 BUILD_GRIDS = (3, 20, 100)
 #: a 3x3 grid of weights with an empty row, so ``canonical()`` builds anew
 EMPTY_ROW = [[1, 0, 2], [0, 0, 0], [3, 4, 1]]
@@ -212,6 +218,25 @@ def harness_cases():
                lambda r=r, flavor=flavor: quantile_curve(r, 0.5, flavor))
 
 
+def peak_mib(call) -> float:
+    """The peak of the memory ``tracemalloc`` traces during one call, in MiB."""
+    tracemalloc.start()
+    try:
+        call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return round(peak / 2**20, 3)
+
+
+def count_cases():
+    """(layer, input, call) of every timed count path."""
+    r = random_tp2(np.random.default_rng(CURVE_TRUTH), CURVE_TRUTH, CURVE_TRUTH)
+    for n in COUNT_DRAWS:
+        yield ("_count_grid", f"{CURVE_TRUTH}x{CURVE_TRUTH}, float, n={n}",
+               lambda n=n: estimation._count_grid(r, n, 1))
+
+
 def parse_cases(tmp: str):
     """(layer, input, call) of every timed CSV load, on files written to ``tmp``."""
     pmf = np.random.default_rng(CSV_GRID).random((CSV_GRID, CSV_GRID))
@@ -261,6 +286,9 @@ def main(argv=None) -> int:
                         "ms": best_ms(call, args.repeat, VERDICT_CALLS)})
     entries += [{"layer": layer, "input": text, "ms": best_ms(call, args.repeat, VERDICT_CALLS)}
                 for layer, text, call in build_cases()]
+    # last: where a checkout draws all n at once, these leave the heap grown for later entries
+    entries += [{"layer": layer, "input": text, "ms": best_ms(call, args.repeat), "peak_mib": peak_mib(call)}
+                for layer, text, call in count_cases()]
     print(json.dumps({"python": platform.python_version(), "numpy": np.__version__,
                       "repeat": args.repeat, "entries": entries}, indent=2))
     return 0
