@@ -42,76 +42,84 @@ MAX_SAMPLE_SIZE = 10**7
 #: uniforms the stream draws and maps to cells at a time, on grids of at
 #: most this many cells; a block of a larger grid holds one draw per cell
 BLOCK = 2**15
-#: most buckets of a guide table; a grid of more than 2**17 cells gets fewer than 8 per cell
-MAX_BUCKETS = 2**20
 
 
 def _philox(seed) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
 
 
-def _cell_blocks(cum: np.ndarray, n: int, gen: np.random.Generator):
-    """The flat cell indices of n uniforms u drawn from ``gen``, one block at
-    a time: for each u, the first index i with ``cum[i] >= u``, where
-    ``cum`` is nondecreasing and ends in exactly 1.0.  These are the indices
-    of ``np.searchsorted(cum, u, side="left")``, found through a guide table
-    (Chen & Asau's indexed search).
-
-    The table has M buckets, M the smallest power of two at least 8 times
-    the cells, or twice the draws if that is less, and at most
-    ``MAX_BUCKETS``: so building it costs about as much as the draws or
-    less, and u·M and cum·M are exact.  A draw u falls in bucket
-    b = floor(u·M) < M.  ``held[b]`` counts the entries with floor(cum·M)
-    = b, and guide[b], the sum of ``held`` below b, those with
-    floor(cum·M) < b: those entries lie below every u in bucket b, and the
-    entries from guide[b] + ``held[b]`` on lie above it, so the answer lies
-    in ``[guide[b], guide[b] + held[b]]``, zero-mass cells included.
-    ``table[b]`` is guide[b], the answer itself, for a bucket that holds no
-    entry, and ~guide[b] (a negative number) for one that does.  The draws
-    in those buckets, at most one in eight when M is 8 times the cells,
-    bisect their bucket, in passes logarithmic in the number of cells it
-    holds.
-
-    The table is built once per stream, and the draws are mapped in blocks
-    of ``BLOCK`` (of one draw per cell on larger grids, so a caller's
-    per-block ``bincount`` costs no more than the block), so the stream
-    holds one block and the table in memory, whatever n is.  Drawing in
-    blocks gives the same doubles as one ``random(n)`` call.
+def _guide(cum: np.ndarray, n: int) -> np.ndarray:
+    """The guide table of ``_cell_index`` over ``cum`` for n draws: M + 1
+    entries, with M 8 times the cells, but at most ``BLOCK`` or n and at
+    least the cells.  Small grids get 8 buckets per cell, so most draws stop
+    at the start of their bucket, and a larger grid or a smaller sample at
+    least one, as many as the one-shot lookup had, so that building the
+    table costs no more than the draws or the grid.  ``guide[b]`` counts the
+    entries with floor(cum·M) < b, and ``guide[0]`` those with cum = 0.
     """
-    m = min(1 << (min(8 * cum.size, 2 * n) - 1).bit_length(), MAX_BUCKETS)
-    scaled = cum * m
-    entry_buckets = scaled.astype(np.intp)
-    held = np.bincount(entry_buckets, minlength=m + 1)[:m]
-    table = np.cumsum(held)
-    table -= held
-    entry_buckets = entry_buckets[entry_buckets < m]
-    table[entry_buckets] = ~table[entry_buckets]
+    m = max(cum.size, min(8 * cum.size, BLOCK, n))
+    guide = np.zeros(m + 1, dtype=np.intp)
+    np.cumsum(np.bincount((cum * m).astype(np.intp), minlength=m + 1)[:m], out=guide[1:])
+    # u = 0.0 would take cell 0 even when it has no mass; it takes the first
+    # cell with mass instead, as the smallest positive float would.  Every
+    # other u in bucket 0 lies above the zero-mass cells anyway.
+    guide[0] = np.searchsorted(cum, 0.0, side="right")
+    return guide
+
+
+def _cell_index(cum: np.ndarray, guide: np.ndarray, u: np.ndarray, buckets: np.ndarray) -> np.ndarray:
+    """For each u in [0, 1), the first index i with ``cum[i] >= u`` (the
+    first with ``cum[i] > 0`` for u = 0), where ``cum`` is nondecreasing and
+    ends in exactly 1.0: the indices of ``np.searchsorted(cum, u,
+    side="left")`` for u > 0, found through the guide table ``_guide(cum, n)``
+    (Chen & Asau's indexed search).  ``buckets`` holds each u's bucket
+    floor(u·M).
+
+    Scaling by M (rounded) and ``floor`` are monotone, so the first
+    ``guide[b]`` entries lie below every u in bucket b and the entries from
+    ``guide[b + 1]`` on lie above it: the answer lies in
+    ``[guide[b], guide[b + 1]]``, zero-mass cells included, and
+    ``guide[M] < cum.size`` since ``cum[-1]`` falls in bucket M.  u < 1
+    falls in a bucket b < M: u·M lies more than half a unit in the last
+    place below M, or is exact if M is a power of two.  Most draws stop at
+    the start of their bucket or one cell past it; the rest bisect what is
+    left of their bucket, so a bucket holding many cells costs passes
+    logarithmic in their number, not one pass per cell.
+    """
+    idx = guide.take(buckets)
+    active = np.flatnonzero(cum.take(idx) < u)
+    idx[active] += 1
+    active = active[cum[idx[active]] < u[active]]
+    ua = u[active]
+    lo, hi = idx[active] + 1, guide[buckets[active] + 1]
+    for _ in range(int((hi - lo).max(initial=0)).bit_length()):
+        mid = (lo + hi) >> 1
+        below = cum[mid] < ua
+        lo = np.where(below, mid + 1, lo)
+        hi = np.where(below, hi, mid)
+    idx[active] = lo
+    return idx
+
+
+def _cell_blocks(cum: np.ndarray, n: int, gen: np.random.Generator):
+    """The ``_cell_index`` cells of n uniforms drawn from ``gen``, one block
+    at a time.  The guide table is built once per stream, and each block of
+    ``BLOCK`` draws (of one draw per cell on larger grids, so a caller's
+    per-block ``bincount`` costs no more than the block) is drawn into
+    reused buffers, so the stream holds one block and the table in memory,
+    whatever n is.  Drawing in blocks gives the same doubles as one
+    ``random(n)`` call.
+    """
+    guide = _guide(cum, n)
     block = min(max(BLOCK, cum.size), n)
     buf, buckets = np.empty(block), np.empty(block, dtype=np.intp)
     for start in range(0, n, block):
         size = min(block, n - start)
         u, b = buf[:size], buckets[:size]
         gen.random(out=u)
-        # from here on u holds u·M, compared with cum·M: the same order
-        np.multiply(u, m, out=u)
-        np.copyto(b, u, casting="unsafe")
-        idx = table.take(b)
-        active = np.flatnonzero(idx < 0)
-        ua, lo = u[active], ~idx[active]
-        hi = lo + held[b[active]]
-        # u = 0.0 would take cell 0 even when it has no mass; the smallest
-        # positive float takes the first cell with mass instead (cum·M lies
-        # below it only where cum is 0).  Every other draw is a multiple of
-        # 2**-53, so it is left as it is.  Only the draws that bisect need
-        # it: if bucket 0 holds no entry, cell 0 has mass.
-        np.maximum(ua, np.nextafter(0.0, 1.0), out=ua)
-        for _ in range(int((hi - lo).max(initial=0)).bit_length()):
-            mid = (lo + hi) >> 1
-            below = scaled[mid] < ua
-            lo = np.where(below, mid + 1, lo)
-            hi = np.where(below, hi, mid)
-        idx[active] = lo
-        yield idx
+        # the product is truncated to an integer as it is stored: floor(u·M)
+        np.multiply(u, guide.size - 1, out=b, casting="unsafe")
+        yield _cell_index(cum, guide, u, b)
 
 
 def _draw_cells(r: BivariateDist, n: int, seed):
@@ -140,7 +148,8 @@ def sample(r: BivariateDist, n: int, seed) -> np.ndarray:
 def _count_grid(r: BivariateDist, n: int, seed) -> tuple[BivariateDist, np.ndarray]:
     """The canonical ``r`` and the seeded sample's draws per cell of its grid."""
     r, blocks = _draw_cells(r, n, seed)
-    counts = np.zeros(r.pmf.size, dtype=np.intp)
+    # n >= 1, so there is a first block; its counts become the count grid
+    counts = np.bincount(next(blocks), minlength=r.pmf.size)
     for idx in blocks:
         counts += np.bincount(idx, minlength=counts.size)
     return r, counts.reshape(r.shape)

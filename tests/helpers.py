@@ -915,7 +915,8 @@ def empirical_of_counts(x_support: np.ndarray, y_support: np.ndarray, counts: np
 def cell_index_by_guide(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
     """For each u in [0, 1), the first index i with ``cum[i] >= u``, through
     a guide table of K = ``cum.size`` buckets floor(u·K) over all n draws at
-    once: the stream's lookup before it drew in blocks through a finer table.
+    once: the stream's lookup before it drew in blocks through a table of up
+    to 8 buckets per cell.
 
     ``guide[b]`` counts the entries with floor(cum·K) < b, so the answer
     lies in ``[guide[b], guide[b + 1]]``.  Every draw is checked against the
@@ -965,8 +966,8 @@ def count_grid_at_once(r: BivariateDist, n: int, seed) -> tuple[BivariateDist, n
 def sample_counts(r: BivariateDist, n: int, seed) -> BivariateDist:
     """``empirical(sample(r, n, seed))``, counted per cell without the draws:
     the convergence harnesses' sample before they read quantiles from the
-    count grid, from the one-shot stream."""
-    r, counts = count_grid_at_once(r, n, seed)
+    count grid."""
+    r, counts = estimation._count_grid(r, n, seed)
     return empirical_of_counts(r.x_support, r.y_support, counts)
 
 

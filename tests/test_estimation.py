@@ -171,6 +171,12 @@ def lifted(u: np.ndarray) -> np.ndarray:
     return np.maximum(u, np.nextafter(0.0, 1.0))
 
 
+def lookup(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``_cell_index`` of all the draws ``u`` at once, through ``cum``'s guide table."""
+    guide = estimation._guide(cum, u.size)
+    return estimation._cell_index(cum, guide, u, (u * (guide.size - 1)).astype(np.intp))
+
+
 def stream_cells(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
     """The cells the stream's block loop maps the draws ``u`` to, joined."""
     gen = Replay(u)
@@ -194,6 +200,7 @@ class TestCellIndex:
         u = np.concatenate([pool, rng.choice(pool, n)])[:n]
         expected = cell_index_searchsorted(cum, lifted(u))
         np.testing.assert_array_equal(stream_cells(cum, u), expected)
+        np.testing.assert_array_equal(lookup(cum, u), expected)
         np.testing.assert_array_equal(cell_index_by_guide(cum, lifted(u)), expected)
 
     def test_one_cell(self):
@@ -202,12 +209,13 @@ class TestCellIndex:
         r = BivariateDist.from_weights([2.0], [3.0], [[1]])
         assert sample(r, estimation.BLOCK + 1, 5).tolist() == [[2.0, 3.0]] * (estimation.BLOCK + 1)
 
-    def test_buckets_are_capped_and_stay_exact(self, monkeypatch):
-        # 8 buckets for 300 cells: most draws bisect a bucket of many cells
-        monkeypatch.setattr(estimation, "MAX_BUCKETS", 8)
-        cum = cumulative(np.random.default_rng(3).random(300))
-        u = np.concatenate([edge_draws(cum), np.random.default_rng(4).random(5000)])
-        np.testing.assert_array_equal(stream_cells(cum, u), cell_index_searchsorted(cum, lifted(u)))
+    def test_blocks_of_a_larger_grid_hold_one_draw_per_cell(self):
+        k = estimation.BLOCK + 3
+        cum = cumulative(np.random.default_rng(3).random(k))
+        u = np.resize(np.concatenate([edge_draws(cum), np.random.default_rng(4).random(5000)]), 2 * k + 1)
+        blocks = list(estimation._cell_blocks(cum, u.size, Replay(u)))
+        assert [idx.size for idx in blocks] == [k, k, 1]
+        np.testing.assert_array_equal(np.concatenate(blocks), cell_index_searchsorted(cum, lifted(u)))
 
     @given(sparse_dists(), BLOCK_SIZES,
            st.one_of(st.integers(0, 2**32), st.tuples(st.integers(0, 1000), st.integers(0, 5))))

@@ -30,8 +30,10 @@ input is built here from fixed seeds, so two checkouts time the same work:
 * ``quantile_curve`` ``west-min`` and ``east-max`` at beta 0.5 on the
   default grid of the 20 x 20 float truth above;
 * the harnesses' count path ``estimation._count_grid`` on that 20 x 20
-  truth with 10**5, 10**6 and 10**7 draws (seed 1), each also with the peak
-  of the memory ``tracemalloc`` traces during one call, as ``peak_mib``;
+  truth with 10**5, 10**6 and 10**7 draws (seed 1), and on 100x100 and
+  1000x1000 grids (uniform random cells from seed n, normalized) with 10**5
+  and 10**6 draws, each also with the peak of the memory ``tracemalloc``
+  traces during one call, as ``peak_mib``;
 * the exact builds: ``BivariateDist.from_weights`` from nested lists of
   weights 0-9 (seed n) on n x n grids, n = 3, 20 and 100, as a JSON payload
   gives them; ``canonical()`` of a fresh 3x3 grid with an empty row (its
@@ -93,6 +95,8 @@ HARNESS_TRUTHS = (12, 20)
 HARNESS_SAMPLES = (1000, 10_000, 100_000)
 CURVE_TRUTH = 20
 COUNT_DRAWS = (10**5, 10**6, 10**7)
+COUNT_GRIDS = (100, 1000)
+LARGE_COUNT_DRAWS = (10**5, 10**6)
 BUILD_GRIDS = (3, 20, 100)
 #: a 3x3 grid of weights with an empty row, so ``canonical()`` builds anew
 EMPTY_ROW = [[1, 0, 2], [0, 0, 0], [3, 4, 1]]
@@ -235,6 +239,12 @@ def count_cases():
     for n in COUNT_DRAWS:
         yield ("_count_grid", f"{CURVE_TRUTH}x{CURVE_TRUTH}, float, n={n}",
                lambda n=n: estimation._count_grid(r, n, 1))
+    for k in COUNT_GRIDS:
+        pmf = np.random.default_rng(k).random((k, k))
+        grid = BivariateDist(np.arange(k, dtype=float), np.arange(k, dtype=float), pmf / pmf.sum())
+        for n in LARGE_COUNT_DRAWS:
+            yield ("_count_grid", f"{k}x{k}, float, n={n}",
+                   lambda grid=grid, n=n: estimation._count_grid(grid, n, 1))
 
 
 def parse_cases(tmp: str):
