@@ -13,12 +13,14 @@ just up to rounding: floating-point subtraction rounds monotonically
 symmetrically under negation, so no rounded difference of two band entries
 exceeds the rounded difference of the extremes, which is itself one of the
 candidates.  The kernel copies the prefix table with its column-prefix axis
-first, so a block of start rows takes the bands of all its end rows by one
-plain-slice subtraction, and each band's max and min reduce across whole
-slabs of the array, one slab per column prefix, not along rows only m + 1
-long.  Blocks hold at most ``BAND_BUDGET`` band entries, so memory stays
-bounded on large grids; a grid that fits one block runs in a single
-subtraction.
+first and a stack of deltas as the contiguous inner run, so each band's max
+and min reduce across whole slabs of the array, one slab per column prefix,
+not along rows only m + 1 long.  When every row range of the whole stack
+fits ``BAND_BUDGET``, folded (see ``_band_norm``), one gather and one
+in-place subtraction score each range once; this is the path of every
+stack the pattern search scores.  Larger tables take the bands of blocks of
+start rows by plain-slice subtractions of at most ``BAND_BUDGET`` entries,
+so memory stays bounded on large grids.
 
 ``tp2_project`` searches for a TP2 distribution close to a given one in the
 Kuiper norm.  An exact minimizer exists on the midpoint-refined grid, but no
@@ -46,6 +48,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -123,32 +126,50 @@ def signed_difference(a: BivariateDist, b: BivariateDist) -> GridSignedMeasure:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=64)
+def _folded_ends(m: int) -> np.ndarray:
+    """End rows (i + j) mod m of start rows i < m at offsets 1 <= j <= m // 2,
+    as an (m, m // 2) index table."""
+    return (np.arange(m)[:, None] + np.arange(1, m // 2 + 1)) % m
+
+
 def _band_norm(delta: np.ndarray):
     """Largest |rectangle sum| of a float or object delta over its last two
     axes; a (k, nx, ny) stack gives k norms.
 
-    The prefix table is copied with its column-prefix axis first, so that a
-    block of start rows a with all their end rows past a takes one plain-slice
-    subtraction, and each row range's max - min over the column prefixes
-    reduces across whole contiguous slabs (see the module docstring).  A
-    block's end rows start at a + 1, so its later start rows also score ranges
-    that end at or before them: those bands are the negated band of a true
-    range, or zero, and give its score or 0 exactly.  Blocks, and end-row
-    splits of one start row, hold at most ``BAND_BUDGET`` band entries (one
-    range of the whole stack at least).  A stacked slice gets the same
-    subtractions as the 2-D call on it.
+    The prefix table is copied as (ny+1, nx+1, k): column prefixes first,
+    then row prefixes, with the stack as the contiguous inner run, so each row
+    range's max - min over the column prefixes reduces across whole slabs (see
+    the module docstring).  When the m = nx + 1 row prefixes' folded bands,
+    m * (m // 2) row ranges of the whole stack, fit ``BAND_BUDGET``, one
+    ``take`` gathers the end row (i + j) mod m of every start row i and
+    offset 1 <= j <= m // 2, and one in-place subtraction of the start rows
+    turns the gather into bands.  Every pair a < c is scored: as (a, c - a)
+    when c - a <= m // 2, else as (c, m - c + a), whose band is the exact
+    negation of the true one and so has the same max - min.  Larger tables
+    run a loop over blocks of start rows a with all their end rows past a;
+    its later start rows also score ranges that end at or before them,
+    which give a range's score or 0 the same way.  Blocks, and end-row splits
+    of one start row, hold at most ``BAND_BUDGET`` band entries (one range of
+    the whole stack at least).  A stacked slice gets the same subtractions as
+    the 2-D call on it.
     """
-    pref = np.ascontiguousarray(np.moveaxis(prefix_table(delta), -1, 0))  # (ny+1, ..., nx+1)
-    nx = pref.shape[-1] - 1
-    slab = pref[..., 0].size  # entries of one row range's bands over the stack
+    pref = np.ascontiguousarray(prefix_table(delta).T)  # (ny+1, nx+1) or (ny+1, nx+1, k)
+    m = pref.shape[1]
+    slab = pref[:, 0].size  # entries of one row range's bands over the stack
+    if slab * m * (m // 2) <= BAND_BUDGET:
+        band = pref.take(_folded_ends(m), axis=1)  # (ny+1, m, m // 2, ...)
+        band -= pref[:, :, None]
+        return (band.max(axis=0) - band.min(axis=0)).max(axis=(0, 1))
+    nx = m - 1
     best = None
     a = 0
     while a < nx:
         rows = min(nx - a, max(1, BAND_BUDGET // (slab * (nx - a))))
         cols = max(1, BAND_BUDGET // (slab * rows))
         for c in range(a + 1, nx + 1, cols):
-            band = pref[..., None, c:c + cols] - pref[..., a:a + rows, None]
-            score = (band.max(axis=0) - band.min(axis=0)).max(axis=(-2, -1))
+            band = pref[:, None, c:c + cols] - pref[:, a:a + rows, None]
+            score = (band.max(axis=0) - band.min(axis=0)).max(axis=(0, 1))
             best = score if best is None else np.maximum(best, score)
         a += rows
     return best
@@ -252,10 +273,13 @@ class _PotentialCandidate:
 
 
 def _stack_cap(shape: tuple[int, int]) -> int:
-    """Most trials one objective call scores on a grid of this shape: as many as
-    half of ``BAND_BUDGET`` band entries hold, and at least 1."""
-    nx, ny = shape
-    return max(1, BAND_BUDGET // 2 // (nx * (nx + 1) // 2 * (ny + 1)))
+    """Most trials one objective call scores on a grid of this shape: as many
+    as half of ``BAND_BUDGET`` band entries hold, and at least 1.  A trial
+    takes the m * (m // 2) * (ny + 1) entries of ``_band_norm``'s one pass,
+    m = nx + 1, so a stack of at most this many trials runs in that one pass
+    wherever a single trial fits the budget."""
+    m, ny = shape[0] + 1, shape[1]
+    return max(1, BAND_BUDGET // 2 // (m * (m // 2) * (ny + 1)))
 
 
 def _speculation_batch(shape: tuple[int, int]) -> int:
@@ -264,11 +288,12 @@ def _speculation_batch(shape: tuple[int, int]) -> int:
 
     Half the budget, because on larger grids a bigger stack stops lowering the
     cost per trial while each batch still wastes the trials after an accept.
-    With the slab-wise kernel (2-vCPU Xeon, numpy 2.4, best of 10), a 23x23
-    projection with 4 restarts took 0.60 s at half the budget's 4 trials per
-    pass and 0.99 s at the full budget's 9 (one restart: 89 and 96 ms).  On
-    33x33 the full budget's 3 trials beat half the budget's 1, but by less
-    (one restart: 0.34 -> 0.27 s; four: 2.14 -> 2.10 s).
+    With the folded one-pass kernel (2-vCPU Xeon, numpy 2.4, best of five
+    fresh processes), half the budget lost nowhere beyond noise on the grids
+    measured: a 23x23 projection took 94 ms with one restart at its 4 trials
+    per pass against 92 ms at the full budget's 9, and 0.65 s against 0.84 s
+    with four restarts; a 33x33 one took 0.29 s with one restart at 1 trial
+    against 0.32 s at 3, and 1.83 s against 2.30 s with four.
     """
     return min(SPECULATION_BATCH, _stack_cap(shape))
 

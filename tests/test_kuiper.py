@@ -444,6 +444,8 @@ class TestStackedSearch:
             """A prefix table that records the size of each band subtracted from it."""
 
             def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+                if "out" in kwargs:  # an in-place subtraction writes into a band
+                    kwargs["out"] = tuple(np.asarray(x) for x in kwargs["out"])
                 out = getattr(ufunc, method)(*(np.asarray(x) for x in inputs), **kwargs)
                 if ufunc is np.subtract:
                     sizes.append(out.size)
@@ -455,6 +457,80 @@ class TestStackedSearch:
             norms = kuiper._band_norm(stack)
         assert norms.tobytes() == band_norm_by_row_ranges(stack).tobytes()
         assert max(sizes) <= max(budget, k * (ny + 1))
+
+    @staticmethod
+    def one_pass_and_loop(stack):
+        """``_band_norm`` of the stack with ``BAND_BUDGET`` at exactly the folded
+        bands' entries (one pass) and one below them (the row-block loop)."""
+        k, nx, ny = stack.shape
+        m = nx + 1
+        passes = []
+        folded_ends = kuiper._folded_ends
+
+        def spy(m):
+            passes.append(m)
+            return folded_ends(m)
+
+        norms = []
+        for budget in (k * (ny + 1) * m * (m // 2), k * (ny + 1) * m * (m // 2) - 1):
+            with mock.patch.object(kuiper, "BAND_BUDGET", budget), mock.patch.object(kuiper, "_folded_ends", spy):
+                norms.append(kuiper._band_norm(stack))
+        assert passes == [m]  # the smaller budget gathers no folded bands
+        return norms
+
+    @settings(max_examples=200, deadline=None)
+    @given(float_stacks())
+    @example(np.zeros((2, 4, 3)))  # m = 5
+    @example(np.zeros((2, 5, 3)))  # m = 6
+    @example(np.random.default_rng(7).normal(size=(3, 1, 6)))  # m = 2: one offset, both orders
+    @example(np.random.default_rng(8).normal(size=(4, 12, 5)))
+    @example(np.random.default_rng(9).normal(size=(5, 13, 13)))
+    def test_float_one_pass_equals_oracle_and_loop_at_the_boundary(self, stack):
+        one_pass, loop = self.one_pass_and_loop(stack)
+        expected = band_norm_by_row_ranges(stack)
+        assert one_pass.tobytes() == expected.tobytes()
+        assert loop.tobytes() == expected.tobytes()
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(int_deltas(), fraction_deltas()))
+    @example(np.array([[3, -1], [-4, 1], [5, -9], [2, 6]]))  # m = 5
+    @example(np.array([[3, -1], [-4, 1], [5, -9], [2, 6], [-5, 3]]))  # m = 6
+    @example(np.array([[Fraction(1, 3), Fraction(-2, 7)], [Fraction(5, 2), Fraction(0)]]))  # m = 3
+    @example(np.array([[Fraction(1, 3)], [Fraction(-2, 7)], [Fraction(5, 2)]]))  # m = 4
+    def test_object_one_pass_equals_oracle_and_loop_at_the_boundary(self, delta):
+        stack = delta.astype(object)[None]
+        expected = band_norm_by_row_ranges(stack)[0]
+        for norms in self.one_pass_and_loop(stack):
+            assert type(norms[0]) is type(expected)
+            assert norms[0] == expected
+
+    def test_refined_shapes_at_their_stack_cap_take_one_pass(self):
+        # every stack the pattern search sends on the refined grids of 1x1 to 16x16
+        # inputs fits the folded bands' one pass
+        rng = np.random.default_rng(27)
+        for nx, ny in itertools.product(range(3, 34, 2), repeat=2):
+            stack = rng.normal(size=(kuiper._stack_cap((nx, ny)), nx, ny))
+            with mock.patch.object(kuiper, "_folded_ends", wraps=kuiper._folded_ends) as spy:
+                norms = kuiper._band_norm(stack)
+            spy.assert_called_once_with(nx + 1)
+            assert norms.tobytes() == band_norm_by_row_ranges(stack).tobytes()
+
+    def test_one_pass_holds_one_band_sized_temporary(self):
+        # the gather is the pass's only band-sized array: the subtraction writes into it
+        nx = ny = 17
+        k = kuiper._stack_cap((nx, ny))
+        m = nx + 1
+        stack = np.random.default_rng(17).normal(size=(k, nx, ny))
+        band_bytes = k * (ny + 1) * m * (m // 2) * 8
+        assert band_bytes <= kuiper.BAND_BUDGET * 8
+        kuiper._folded_ends(m)  # the cached index table is not part of a call
+        tracemalloc.start()
+        try:
+            kuiper._band_norm(stack)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * band_bytes + prefix_table(stack).nbytes, (peak, band_bytes)
 
     def test_stacked_lockstep_memory_is_bounded(self):
         # every start and end row pair's band of a (96, 23, 23) stack takes
@@ -490,7 +566,7 @@ class TestStackedSearch:
                 for nx, ny in itertools.product(range(1, 60), (1, 2, 7, 23, 60)):
                     k = kuiper._speculation_batch((nx, ny))
                     cap = kuiper._stack_cap((nx, ny))
-                    band = nx * (nx + 1) // 2 * (ny + 1)
+                    band = (nx + 1) * ((nx + 1) // 2) * (ny + 1)
                     assert 1 <= k <= kuiper.SPECULATION_BATCH and k == min(kuiper.SPECULATION_BATCH, cap)
                     assert 2 * cap * band <= budget or cap == 1
                     assert 2 * (cap + 1) * band > budget
@@ -523,7 +599,7 @@ class TestStackedSearch:
 
     @pytest.mark.parametrize("budget", [None, 4096])
     def test_projection_within_budget_equals_serial_oracle(self, budget):
-        # an 11x11 input refines to 23x23, whose bands take 276 * 24 = 6624 entries per
+        # an 11x11 input refines to 23x23, whose bands take 24 * 12 * 24 = 6912 entries per
         # trial: the default budget caps the batch below SPECULATION_BATCH, and 4096
         # leaves one trial per pass, its start rows split into blocks
         r = non_tp2_input(11, 11)
@@ -536,21 +612,21 @@ class TestStackedSearch:
             return band_norm(delta)
 
         with mock.patch.object(kuiper, "BAND_BUDGET", budget):
-            assert kuiper._speculation_batch((23, 23)) == kuiper._stack_cap((23, 23)) == max(1, budget // 2 // 6624)
+            assert kuiper._speculation_batch((23, 23)) == kuiper._stack_cap((23, 23)) == max(1, budget // 2 // 6912)
             with mock.patch.object(kuiper, "_band_norm", spy):
                 res = tp2_project(r, seed=3, restarts=1, max_iters=1)
             with mock.patch.object(kuiper, "_pattern_search", serial_searches):
                 expected = tp2_project(r, seed=3, restarts=1, max_iters=1)
-        assert max(sizes) == max(1, budget // 2 // 6624)
+        assert max(sizes) == max(1, budget // 2 // 6912)
         assert res.trace["source"] != "input-tp2"
         assert json.dumps(res.to_dict()) == json.dumps(expected.to_dict())
 
     @pytest.mark.parametrize("restarts", range(5))
-    @pytest.mark.parametrize("budget", [None, 2 * 792 * 30, 2 * 792 * 12, 2 * 792 * 5])
+    @pytest.mark.parametrize("budget", [None, 2 * 864 * 30, 2 * 864 * 12, 2 * 864 * 5])
     def test_lockstep_projection_equals_serial_restarts(self, restarts, budget):
-        # a 5x5 input refines to 11x11, whose bands take 66 * 12 = 792 entries per trial:
+        # a 5x5 input refines to 11x11, whose bands take 12 * 6 * 12 = 864 entries per trial:
         # one call stacks the passes of 12 trials of three restarts at the default budget,
-        # of two at 2 * 792 * 30 and of one at 2 * 792 * 12, and 2 * 792 * 5 leaves one
+        # of two at 2 * 864 * 30 and of one at 2 * 864 * 12, and 2 * 864 * 5 leaves one
         # pass of 5 trials per call
         r = non_tp2_input(5, 12)
         sizes = []
@@ -567,8 +643,8 @@ class TestStackedSearch:
                 res = tp2_project(r, seed=7, restarts=restarts, max_iters=3)
             with mock.patch.object(kuiper, "_pattern_search", serial_searches):
                 expected = tp2_project(r, seed=7, restarts=restarts, max_iters=3)
-        assert (batch, cap) == {None: (12, 41), 2 * 792 * 30: (12, 30), 2 * 792 * 12: (12, 12),
-                                2 * 792 * 5: (5, 5)}[budget]
+        assert (batch, cap) == {None: (12, 37), 2 * 864 * 30: (12, 30), 2 * 864 * 12: (12, 12),
+                                2 * 864 * 5: (5, 5)}[budget]
         assert max(sizes) <= (cap if restarts > 1 else batch)
         if restarts > 1 and cap >= 2 * batch:
             assert max(sizes) > batch

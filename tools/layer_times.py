@@ -11,9 +11,11 @@ input is built here from fixed seeds, so two checkouts time the same work:
   TP2): 5x5 and 8x8 with ``restarts=4``, 11x11 with ``restarts=1,
   max_iters=3`` and 16x16 with ``restarts=1, max_iters=2``, all with seed 3;
 * ``kuiper_norm`` of standard normal deltas on 100x100 and 300x300 grids;
-* the projection's stacked objective (a (24, g, g) stack of candidate pmfs
-  to its Kuiper distances from a target pmf) on the 7x7, 9x9 and 11x11
-  refined grids of 3x3 to 5x5 inputs;
+* the projection's stacked objective (a (k, g, g) stack of candidate pmfs
+  to its Kuiper distances from a target pmf): k = 24 on the 7x7, 9x9 and
+  11x11 refined grids of 3x3 to 5x5 inputs, and k = ``kuiper._stack_cap``,
+  the largest stack the search sends, on the 17x17, 23x23 and 33x33 refined
+  grids of 8x8, 11x11 and 16x16 inputs;
 * the consecutive-row and survival verdicts, in float and exact mode, on
   holding inputs (so each scores every comparison): ``check_st`` and
   ``check_lr`` ``ratio`` on 3 and 2,000 atoms (weights w from seed n, against
@@ -52,20 +54,28 @@ input is built here from fixed seeds, so two checkouts time the same work:
 
 Each entry is the best of ``--repeat`` timed calls, after one untimed call;
 a verdict or build entry times runs of ``VERDICT_CALLS`` calls and gives the
-time per call.  To compare two commits, run the script in a checkout of
-each, alternating sides, since the speed of a shared host drifts within
-minutes.  The stacked
-objective calls ``kuiper._band_norm(delta)``, so a checkout needs the
-slab-wise band kernel, which takes no row ranges.
+time per call.  ``minflt`` is the change of the process's minor page faults
+(``ru_minflt``) over all of an entry's timed calls, so heap pages that a
+call returns to the system and takes back show up per entry.  Each entry
+runs in a fresh interpreter (the script runs itself with ``--only N`` for
+entry N), so no entry's time or faults depend on what earlier entries left
+on the heap.  To compare two commits, run the script in a checkout of each,
+alternating sides, since the speed of a shared host drifts within minutes.
+The stacked objective calls ``kuiper._band_norm(delta)``, so a checkout
+needs the slab-wise band kernel, which takes no row ranges, and
+``kuiper._stack_cap``.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import os
 import platform
+import resource
+import subprocess
 import sys
 import tempfile
 import time
@@ -88,6 +98,8 @@ PROJECTIONS = ((5, {"restarts": 4}), (8, {"restarts": 4}),
 NORMS = (100, 300)
 STACK = 24
 STACKED_GRIDS = (7, 9, 11)
+#: refined grids whose stacked objective is timed at ``kuiper._stack_cap`` trials
+CAPPED_GRIDS = (17, 23, 33)
 PAIR_ATOMS = (3, 2000)
 GRIDS = {"pmf-adjacent": (3, 16, 32), "st-condition": (3, 32)}
 MODES = ("float", "exact")
@@ -112,16 +124,19 @@ DIGEST = "sha256:" + "0" * 64
 VERDICT_CALLS = 100
 
 
-def best_ms(call, repeat: int, number: int = 1) -> float:
-    """The best of ``repeat`` timed runs of ``number`` calls, per call."""
+def best_ms(call, repeat: int, number: int = 1) -> tuple[float, int]:
+    """The best of ``repeat`` timed runs of ``number`` calls, per call, and the
+    minor page faults of all the timed calls together."""
     call()
     times = []
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
     for _ in range(repeat):
         start = time.perf_counter()
         for _ in range(number):
             call()
         times.append((time.perf_counter() - start) / number)
-    return round(min(times) * 1e3, 5)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+    return round(min(times) * 1e3, 5), faults
 
 
 def objective(target: np.ndarray):
@@ -140,14 +155,14 @@ def cases():
         rng = np.random.default_rng(n)
         sigma = GridSignedMeasure(np.arange(float(n)), np.arange(float(n)), rng.normal(size=(n, n)))
         yield "kuiper_norm", f"{n}x{n}", lambda sigma=sigma: kuiper_norm(sigma)
-    for g in STACKED_GRIDS:
+    for g, k in (*((g, STACK) for g in STACKED_GRIDS), *((g, kuiper._stack_cap((g, g))) for g in CAPPED_GRIDS)):
         rng = np.random.default_rng(g)
         target = rng.random((g, g))
         target /= target.sum()
         cand = kuiper._PotentialCandidate(rng.normal(size=g), rng.normal(size=g),
                                           rng.exponential(0.2, (g - 1, g - 1)))
-        pmfs = cand.pmf(cand.theta + rng.normal(0.0, 0.1, (STACK, cand.theta.size)))
-        yield "stacked objective", f"k={STACK}, {g}x{g}", lambda f=objective(target), pmfs=pmfs: f(pmfs)
+        pmfs = cand.pmf(cand.theta + rng.normal(0.0, 0.1, (k, cand.theta.size)))
+        yield "stacked objective", f"k={k}, {g}x{g}", lambda f=objective(target), pmfs=pmfs: f(pmfs)
 
 
 def pair(n: int, mode: str):
@@ -279,28 +294,56 @@ def writer_cases():
            lambda: cli._json_text(kernel))
 
 
+def timed_cases(tmp: str):
+    """(layer, input, call, calls per timed run, kind) of every entry, in the
+    order the entries are printed; kind is "verdict" for a verdict whose
+    holding is checked first, "count" for an entry whose traced peak is
+    added, else ""."""
+    for layer, text, call in (*cases(), *harness_cases(), *parse_cases(tmp), *writer_cases()):
+        yield layer, text, call, 1, ""
+    for layer, text, call in verdict_cases():
+        yield layer, text, call, VERDICT_CALLS, "verdict"
+    for layer, text, call in build_cases():
+        yield layer, text, call, VERDICT_CALLS, ""
+    for layer, text, call in count_cases():
+        yield layer, text, call, 1, "count"
+
+
+def entry(repeat: int, index: int) -> list:
+    """The timed entry at ``index`` as a list of one, or an empty list past the last."""
+    with tempfile.TemporaryDirectory() as tmp:
+        for layer, text, call, number, kind in itertools.islice(timed_cases(tmp), index, index + 1):
+            if kind == "verdict" and not call().holds:
+                raise AssertionError(f"{layer} on {text} fails: it would not score every comparison")
+            ms, minflt = best_ms(call, repeat, number)
+            found = {"layer": layer, "input": text, "ms": ms, "minflt": minflt}
+            if kind == "count":
+                found["peak_mib"] = peak_mib(call)
+            return [found]
+    return []
+
+
+def fresh_entries(repeat: int) -> list:
+    """Every entry, each timed in a fresh interpreter."""
+    found = []
+    while True:
+        argv = [sys.executable, os.path.abspath(__file__), "--repeat", str(repeat), "--only", str(len(found))]
+        got = json.loads(subprocess.run(argv, check=True, capture_output=True, text=True).stdout)["entries"]
+        if not got:
+            return found
+        found += got
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--repeat", type=int, default=5, help="timed calls per entry (best is kept)")
+    ap.add_argument("--only", type=int, help="time only the entry at this index (from 0), in this process")
     args = ap.parse_args(argv)
     if args.repeat < 1:
         ap.error("--repeat must be at least 1")
-    with tempfile.TemporaryDirectory() as tmp:
-        entries = [{"layer": layer, "input": text, "ms": best_ms(call, args.repeat)}
-                   for layer, text, call in (*cases(), *harness_cases(), *parse_cases(tmp),
-                                             *writer_cases())]
-    for layer, text, call in verdict_cases():
-        if not call().holds:
-            raise AssertionError(f"{layer} on {text} fails: it would not score every comparison")
-        entries.append({"layer": layer, "input": text,
-                        "ms": best_ms(call, args.repeat, VERDICT_CALLS)})
-    entries += [{"layer": layer, "input": text, "ms": best_ms(call, args.repeat, VERDICT_CALLS)}
-                for layer, text, call in build_cases()]
-    # last: where a checkout draws all n at once, these leave the heap grown for later entries
-    entries += [{"layer": layer, "input": text, "ms": best_ms(call, args.repeat), "peak_mib": peak_mib(call)}
-                for layer, text, call in count_cases()]
+    found = fresh_entries(args.repeat) if args.only is None else entry(args.repeat, args.only)
     print(json.dumps({"python": platform.python_version(), "numpy": np.__version__,
-                      "repeat": args.repeat, "entries": entries}, indent=2))
+                      "repeat": args.repeat, "entries": found}, indent=2))
     return 0
 
 
