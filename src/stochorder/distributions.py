@@ -16,17 +16,21 @@ Two numeric regimes coexist:
 Each distribution knows its ``mode``: ``MODE_EXACT`` when it carries integer
 weights, ``MODE_FLOAT`` otherwise.  The mode picks the numbers a verdict reads
 (``UnivariateDist.masses`` and ``BivariateDist.cells`` return the stored
-array, not a copy); the verdict code itself is shared by both modes.  The
-class constructors are the one mass check: given integer weights and no float
-masses, they check the weights once and derive the floats w / total from the
-weights alone.  ``canonical``, the
-marginals, conditional rows and ``kuiper.refine_grid`` hand masses in the
-numbers of their mode to one builder, ``_on_sorted``, and the univariate ones
-keep only their positive-mass atoms, so each result is built once.  Dropping
-zero atoms or embedding in a larger grid keeps the total, so w / total gives
-the floats that slicing the stored ones gave.  ``orders.truncate`` passes its
-renormalized floats with the weights instead; the constructor checks that
-they match.
+array, not a copy); the verdict code itself is shared by both modes.
+
+Input is checked once, where it enters the package.  The class constructors
+and the ``from_*`` builders (and so the file readers) check every support
+and mass: given integer weights and no float masses, they check the weights
+once and derive the floats w / total from the weights alone.  What the
+package derives from a checked distribution is trusted: ``canonical``, the
+marginals, conditional rows, ``orders.truncate``, ``kuiper.refine_grid`` and
+the kernel rows build through ``_derived``, which sets the fields without
+running the constructor's checks.  It checks only what the source does not
+decide (the float total again); where that fails, the constructor decides.
+Dropping zero atoms or embedding in a larger grid keeps the total, so the
+floats are the stored ones, sliced; other exact builds divide their weights
+by their total.  ``orders.truncate`` keeps its renormalized floats with the
+weights.
 
 Constructors from unsorted (value, mass) or (x, y, mass) data sort the atoms
 and sum the masses of duplicate atoms or cells, in input order.
@@ -38,9 +42,10 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from decimal import Decimal, InvalidOperation
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -289,12 +294,34 @@ def _checked_masses(floats, weights, shape: tuple[int, ...], what: str, is_proba
     return floats, weights
 
 
-def _on_sorted(cls, supports, masses, mode: str, is_probability: bool = True):
-    """A ``cls`` distribution on sorted, distinct float ``supports`` from
-    masses in the numbers of ``mode``: integer weights, whose float masses
-    the constructor derives, or the float masses themselves."""
-    floats, weights = (None, masses) if mode == MODE_EXACT else (masses, None)
-    return cls(*supports, floats, weights, is_probability)
+def _trusted(cls, *values):
+    """A ``cls`` dataclass instance holding ``values``, one per field in
+    order, set as they are: its ``__post_init__`` checks do not run."""
+    obj = object.__new__(cls)
+    vars(obj).update(zip(cls.__dataclass_fields__, values))
+    return obj
+
+
+def _derived(cls, supports, floats, weights=None, is_probability: bool = True):
+    """A ``cls`` distribution built from arrays that the package derived
+    from a checked distribution, trusted as the class constructor would
+    find them: ``supports`` sorted, distinct and finite float64 arrays of the
+    masses' shape, ``weights`` (exact mode) Python ints, none negative, of
+    positive total, and ``floats`` nonnegative: w / total of the weights
+    (slices of a source's floats keep its total), or None to divide them
+    here.  The arrays are made read-only, so they must be fresh or views of
+    read-only arrays.  Summing finite masses can overflow, and dropping zeros
+    can move a float total across 1 +- ``MASS_TOL``, so the float total is
+    checked again; where that check fails, the class constructor decides."""
+    if floats is None:
+        floats = (weights / weights.sum()).astype(np.float64)
+    total = float(floats.sum())
+    if not math.isfinite(total) or is_probability and abs(total - 1.0) > MASS_TOL:
+        return cls(*supports, floats, weights, is_probability)
+    for a in (*supports, floats, weights):
+        if a is not None:
+            a.flags.writeable = False
+    return _trusted(cls, *supports, floats, weights, is_probability)
 
 
 def _quantile_index(cum: np.ndarray, alpha: float, largest: bool = False) -> np.ndarray:
@@ -308,15 +335,19 @@ def _quantile_index(cum: np.ndarray, alpha: float, largest: bool = False) -> np.
     return np.count_nonzero(cum < alpha - QUANTILE_ATOL, axis=-1)
 
 
-def _on_positive_atoms(support: np.ndarray, masses, mode: str,
-                       is_probability: bool = True) -> "UnivariateDist":
-    """A ``UnivariateDist`` on the atoms of a sorted, distinct float support
-    whose masses, an array in the numbers of ``mode``, are positive."""
+def _on_positive_atoms(support: np.ndarray, masses, mode: str, is_probability: bool = True,
+                       floats=None) -> "UnivariateDist":
+    """A derived ``UnivariateDist`` on the atoms of a checked support whose
+    masses, an array in the numbers of ``mode``, are positive; in exact mode
+    ``floats``, if given, are the float masses of all atoms."""
     keep = masses > 0
     support = support[keep]
     if not support.size:
         raise InvalidDistributionError("no positive mass left after canonicalization")
-    return _on_sorted(UnivariateDist, (support,), masses[keep], mode, is_probability)
+    if mode != MODE_EXACT:
+        return _derived(UnivariateDist, (support,), masses[keep], None, is_probability)
+    return _derived(UnivariateDist, (support,), None if floats is None else floats[keep],
+                    masses[keep], is_probability)
 
 
 # ---------------------------------------------------------------------------
@@ -334,16 +365,17 @@ class UnivariateDist:
     positive total), stored as a read-only object array of Python ints; they
     feed the exact comparison mode.  Given ``weights`` with ``probs=None``,
     the probs are derived from the weights alone as w / total.
+
+    The constructor and ``from_pairs`` / ``from_weights`` / ``from_dict`` /
+    ``delta`` check their input; ``canonical``, ``orders.truncate`` and the
+    rows and marginals of a ``BivariateDist`` trust the checked distribution
+    they come from (see ``_derived``).
     """
 
     support: np.ndarray
     probs: np.ndarray | None
     weights: np.ndarray | None = None
     is_probability: bool = True
-
-    # cached cumulative arrays, filled in __post_init__
-    _cum: np.ndarray = field(init=False, repr=False)
-    _suffix: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         support = _float_array(self.support, "support")
@@ -353,8 +385,17 @@ class UnivariateDist:
         object.__setattr__(self, "support", support)
         object.__setattr__(self, "probs", probs)
         object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "_cum", _frozen(np.cumsum(probs)))
-        object.__setattr__(self, "_suffix", _frozen(np.cumsum(probs[::-1])[::-1]))
+
+    # Cumulative masses from the bottom and from the top (for tail
+    # accuracy), computed on first use: a row that is only written out
+    # never needs them.
+    @cached_property
+    def _cum(self) -> np.ndarray:
+        return _frozen(np.cumsum(self.probs))
+
+    @cached_property
+    def _suffix(self) -> np.ndarray:
+        return _frozen(np.cumsum(self.probs[::-1])[::-1])
 
     # -- constructors -----------------------------------------------------
 
@@ -414,7 +455,7 @@ class UnivariateDist:
         masses = self.masses(self.mode)
         if masses.min() > 0:
             return self
-        return _on_positive_atoms(self.support, masses, self.mode, self.is_probability)
+        return _on_positive_atoms(self.support, masses, self.mode, self.is_probability, self.probs)
 
     def atom_prob(self, x: float) -> float:
         i = np.searchsorted(self.support, x)
@@ -504,6 +545,10 @@ class BivariateDist:
     ``pmf`` as a read-only object array of Python ints; given ``weights``
     with ``pmf=None``, the pmf is derived from the weights alone as
     w / total.
+
+    The constructor and ``from_pairs`` / ``from_weights`` / ``from_dict``
+    check their input; ``canonical`` and ``kuiper.refine_grid`` trust the
+    checked distribution they come from (see ``_derived``).
     """
 
     x_support: np.ndarray
@@ -612,8 +657,10 @@ class BivariateDist:
             return self
         if not rows.size:
             raise InvalidDistributionError("no positive mass left after canonicalization")
-        return _on_sorted(BivariateDist, (self.x_support[rows], self.y_support[cols]),
-                          cells[np.ix_(rows, cols)], self.mode, self.is_probability)
+        block = np.ix_(rows, cols)
+        # the total is kept, so the floats w / total are the stored ones
+        return _derived(BivariateDist, (self.x_support[rows], self.y_support[cols]), self.pmf[block],
+                        None if self.weights is None else self.weights[block], self.is_probability)
 
     # -- marginals, conditionals, range --------------------------------------
 
@@ -692,32 +739,27 @@ def write_univariate_csv(q: UnivariateDist, path) -> None:
     _write_csv(path, ("value", "prob"), zip(q.support.tolist(), q.probs.tolist()))
 
 
-class _Hashed(io.BufferedReader):
-    """A buffered binary file that feeds every byte the text wrapper reads from
-    it (through ``read`` and ``read1``) to ``digest``.  A subclass of the
-    buffer keeps the wrapper's check for a closed file, run per line, in C."""
-
-    def __init__(self, raw, digest):
-        super().__init__(raw)
-        self.digest = digest
-
-    def read(self, size=-1) -> bytes:
-        data = super().read(size)
-        self.digest.update(data)
-        return data
-
-    def read1(self, size=-1) -> bytes:
-        data = super().read1(size)
-        self.digest.update(data)
-        return data
-
-
-def _text(path, digest, newline: str | None = None) -> io.TextIOWrapper:
-    """The UTF-8 text of the file at ``path``, streamed; every byte read is
-    fed to ``digest`` (a ``hashlib`` object) when one is given."""
-    raw = open(path, "rb", buffering=0)
-    stream = io.BufferedReader(raw) if digest is None else _Hashed(raw, digest)
-    return io.TextIOWrapper(stream, encoding="utf-8", newline=newline)
+def _read_text(path, digest, newline: str | None) -> str:
+    """The UTF-8 text of the file at ``path``, read with one binary read
+    whose bytes are fed to ``digest`` (a ``hashlib`` object, if given)
+    before they are decoded, so an undecodable file is hashed whole.
+    ``newline`` is as for ``open``: ``""`` keeps the line ends (CSV),
+    ``None`` translates them to ``\\n`` (JSON, whose messages quote line
+    and column)."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if digest is not None:
+        digest.update(data)
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError:
+        # Decoded again as the file's text is read by a parse: a CSV line by
+        # line, in 8192-byte chunks, so the message names the position in the
+        # chunk, as a streamed parse reports it; JSON in one read.
+        with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline=newline) as fh:
+            fh.readlines() if newline == "" else fh.read()
+        raise
+    return text if newline == "" else text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 #: Characters that numpy's float parser skips around a number and
@@ -769,10 +811,7 @@ def _read_csv(cls, path, header: tuple[str, ...], axes: tuple[str, ...], exact: 
     and always in exact mode, the ``csv`` module splits it, the coordinate
     columns are converted as the supports named ``axes`` (so a bad entry gets
     the message it gets in JSON) and the masses as floats or decimal text."""
-    # Joined line by line, the text is decoded in the chunks a line-by-line
-    # parse decodes, so an undecodable byte is reported at the same position.
-    with _text(path, digest, newline="") as fh:
-        text = "".join(fh)
+    text = _read_text(path, digest, newline="")
     columns = None if exact else _float_columns(text, header)
     if columns is not None:
         *coords, masses = columns
@@ -781,7 +820,7 @@ def _read_csv(cls, path, header: tuple[str, ...], axes: tuple[str, ...], exact: 
         coords = [_float_array(c, name) for c, name in zip(coords, axes)]
         masses = _weights_from_decimal_strings(masses) if exact else _float_masses(masses)
     supports, grid = _atom_grid(coords, masses, object if exact else np.float64)
-    return _on_sorted(cls, supports, grid, MODE_EXACT if exact else MODE_FLOAT)
+    return cls(*supports, None, grid) if exact else cls(*supports, grid)
 
 
 def read_univariate_csv(path, *, exact: bool = False, digest=None) -> UnivariateDist:
@@ -811,8 +850,7 @@ def load_univariate(path, *, exact: bool = False, digest=None) -> UnivariateDist
     hashed into ``digest`` (a ``hashlib`` object) when one is given."""
     path = str(path)
     if path.endswith(".json"):
-        with _text(path, digest) as fh:
-            return UnivariateDist.from_dict(json.load(fh), exact=exact)
+        return UnivariateDist.from_dict(json.loads(_read_text(path, digest, None)), exact=exact)
     return read_univariate_csv(path, exact=exact, digest=digest)
 
 
@@ -821,6 +859,5 @@ def load_bivariate(path, *, exact: bool = False, digest=None) -> BivariateDist:
     hashed into ``digest`` (a ``hashlib`` object) when one is given."""
     path = str(path)
     if path.endswith(".json"):
-        with _text(path, digest) as fh:
-            return BivariateDist.from_dict(json.load(fh), exact=exact)
+        return BivariateDist.from_dict(json.loads(_read_text(path, digest, None)), exact=exact)
     return read_bivariate_csv(path, exact=exact, digest=digest)

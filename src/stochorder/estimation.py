@@ -48,16 +48,21 @@ def _philox(seed) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(seed)))
 
 
-def _guide(cum: np.ndarray, n: int) -> np.ndarray:
-    """The guide table of ``_cell_index`` over ``cum`` for n draws: M + 1
-    entries, with M 8 times the cells, but at most ``BLOCK`` or n and at
-    least the cells.  Small grids get 8 buckets per cell, so most draws stop
-    at the start of their bucket, and a larger grid or a smaller sample at
-    least one, as many as the one-shot lookup had, so that building the
-    table costs no more than the draws or the grid.  ``guide[b]`` counts the
-    entries with floor(cum·M) < b, and ``guide[0]`` those with cum = 0.
+def _table_size(cells: int, n: int) -> int:
+    """The guide table's bucket count M for n draws over ``cells`` cells: 8
+    times the cells, but at most ``BLOCK`` or n and at least the cells.
+    Small grids get 8 buckets per cell, so most draws stop at the start of
+    their bucket, and a larger grid or a smaller sample at least one, as many
+    as the one-shot lookup had, so that building the table costs no more
+    than the draws or the grid."""
+    return max(cells, min(8 * cells, BLOCK, n))
+
+
+def _guide(cum: np.ndarray, m: int) -> np.ndarray:
+    """The guide table of ``_cell_index`` over ``cum`` with M = m buckets:
+    M + 1 entries, where ``guide[b]`` counts the entries with
+    floor(cum·M) < b, and ``guide[0]`` those with cum = 0.
     """
-    m = max(cum.size, min(8 * cum.size, BLOCK, n))
     guide = np.zeros(m + 1, dtype=np.intp)
     np.cumsum(np.bincount((cum * m).astype(np.intp), minlength=m + 1)[:m], out=guide[1:])
     # u = 0.0 would take cell 0 even when it has no mass; it takes the first
@@ -71,7 +76,7 @@ def _cell_index(cum: np.ndarray, guide: np.ndarray, u: np.ndarray, buckets: np.n
     """For each u in [0, 1), the first index i with ``cum[i] >= u`` (the
     first with ``cum[i] > 0`` for u = 0), where ``cum`` is nondecreasing and
     ends in exactly 1.0: the indices of ``np.searchsorted(cum, u,
-    side="left")`` for u > 0, found through the guide table ``_guide(cum, n)``
+    side="left")`` for u > 0, found through the guide table ``_guide(cum, M)``
     (Chen & Asau's indexed search).  ``buckets`` holds each u's bucket
     floor(u·M).
 
@@ -101,16 +106,14 @@ def _cell_index(cum: np.ndarray, guide: np.ndarray, u: np.ndarray, buckets: np.n
     return idx
 
 
-def _cell_blocks(cum: np.ndarray, n: int, gen: np.random.Generator):
-    """The ``_cell_index`` cells of n uniforms drawn from ``gen``, one block
-    at a time.  The guide table is built once per stream, and each block of
-    ``BLOCK`` draws (of one draw per cell on larger grids, so a caller's
-    per-block ``bincount`` costs no more than the block) is drawn into
-    reused buffers, so the stream holds one block and the table in memory,
-    whatever n is.  Drawing in blocks gives the same doubles as one
-    ``random(n)`` call.
+def _cell_blocks(cum: np.ndarray, guide: np.ndarray, n: int, gen: np.random.Generator):
+    """The ``_cell_index`` cells of n uniforms drawn from ``gen`` through the
+    guide table ``guide``, one block at a time.  Each block of ``BLOCK``
+    draws (of one draw per cell on larger grids, so a caller's per-block
+    ``bincount`` costs no more than the block) is drawn into reused buffers,
+    so the stream holds one block and the table in memory, whatever n is.
+    Drawing in blocks gives the same doubles as one ``random(n)`` call.
     """
-    guide = _guide(cum, n)
     block = min(max(BLOCK, cum.size), n)
     buf, buckets = np.empty(block), np.empty(block, dtype=np.intp)
     for start in range(0, n, block):
@@ -122,24 +125,47 @@ def _cell_blocks(cum: np.ndarray, n: int, gen: np.random.Generator):
         yield _cell_index(cum, guide, u, b)
 
 
-def _draw_cells(r: BivariateDist, n: int, seed):
-    """The canonical ``r`` and an iterator over the flat row-major cell
-    indices of n draws from its seeded stream, block by block; the one
-    implementation of the stream.  The sample size and the seed are checked
-    before anything is drawn."""
-    (n,), (seed,) = _sample_sizes([n]), _seeds([seed])
-    r = r.canonical()
-    cum = np.cumsum(r.pmf.reshape(-1))
-    return r, _cell_blocks(cum / cum[-1], n, _philox(seed))
+class _CellStreams:
+    """The seeded cell streams of one distribution, the one implementation
+    of the stream: its canonical form ``r``, whose normalized row-major
+    cumulative pmf ``cum`` is computed once, and one guide table per table
+    size, built when a stream first needs it.  A harness draws all its
+    samples from one instance."""
+
+    def __init__(self, r: BivariateDist):
+        self.r = r.canonical()
+        cum = np.cumsum(self.r.pmf.reshape(-1))
+        self.cum = cum / cum[-1]
+        self._guides: dict[int, np.ndarray] = {}
+
+    def blocks(self, n: int, seed):
+        """An iterator over the flat row-major cell indices of n draws from
+        the stream of ``seed``, block by block; n and the seed are checked
+        by the caller."""
+        m = _table_size(self.cum.size, n)
+        if m not in self._guides:
+            self._guides[m] = _guide(self.cum, m)
+        return _cell_blocks(self.cum, self._guides[m], n, _philox(seed))
+
+    def counts(self, n: int, seed) -> np.ndarray:
+        """The draws per cell of the canonical grid of n draws from the stream of ``seed``."""
+        blocks = self.blocks(n, seed)
+        # n >= 1, so there is a first block; its counts become the count grid
+        counts = np.bincount(next(blocks), minlength=self.cum.size)
+        for idx in blocks:
+            counts += np.bincount(idx, minlength=counts.size)
+        return counts.reshape(self.r.shape)
 
 
 def sample(r: BivariateDist, n: int, seed) -> np.ndarray:
     """n i.i.d. draws as an (n, 2) array; deterministic per seed."""
-    r, blocks = _draw_cells(r, n, seed)
+    (n,), (seed,) = _sample_sizes([n]), _seeds([seed])
+    streams = _CellStreams(r)
+    r = streams.r
     points = np.stack(np.meshgrid(r.x_support, r.y_support, indexing="ij"), axis=-1).reshape(-1, 2)
-    out = np.empty((int(n), 2))
+    out = np.empty((n, 2))
     start = 0
-    for idx in blocks:
+    for idx in streams.blocks(n, seed):
         out[start:start + idx.size] = points[idx]
         start += idx.size
     return out
@@ -147,12 +173,9 @@ def sample(r: BivariateDist, n: int, seed) -> np.ndarray:
 
 def _count_grid(r: BivariateDist, n: int, seed) -> tuple[BivariateDist, np.ndarray]:
     """The canonical ``r`` and the seeded sample's draws per cell of its grid."""
-    r, blocks = _draw_cells(r, n, seed)
-    # n >= 1, so there is a first block; its counts become the count grid
-    counts = np.bincount(next(blocks), minlength=r.pmf.size)
-    for idx in blocks:
-        counts += np.bincount(idx, minlength=counts.size)
-    return r, counts.reshape(r.shape)
+    (n,), (seed,) = _sample_sizes([n]), _seeds([seed])
+    streams = _CellStreams(r)
+    return streams.r, streams.counts(n, seed)
 
 
 def _row_quantiles(r: BivariateDist, cells: np.ndarray, xs, beta: float,
@@ -314,7 +337,8 @@ def bracket_check(r_true: BivariateDist, samples_spec: dict, beta: float,
             f"source distribution violates the stochastic-order condition at {st.witness}",
             witness=st.witness,
         )
-    r_true = r_true.canonical()
+    streams = _CellStreams(r_true)
+    r_true = streams.r
     atoms = r_true.x_support
     if not (atoms[0] < x1 < atoms[-1]) or not (atoms[0] < x2 < atoms[-1]):
         raise DomainError("x1 and x2 must be interior to the first-marginal range")
@@ -330,7 +354,7 @@ def bracket_check(r_true: BivariateDist, samples_spec: dict, beta: float,
     for i, n in enumerate(n_list):
         key = (seed, i)
         (q1_min, q2_min), (q1_max, q2_max) = (
-            q.tolist() for q in _row_quantiles(*_count_grid(r_true, n, key), [x1, x2], beta))
+            q.tolist() for q in _row_quantiles(r_true, streams.counts(n, key), [x1, x2], beta))
         entries.append(
             BracketEntry(
                 n=n,
@@ -392,7 +416,8 @@ def uniform_convergence_check(r_true: BivariateDist, beta: float, interval, n_li
     a, b = float(interval[0]), float(interval[1])
     if not a < b:
         raise DomainError("interval must satisfy a < b")
-    r_true = r_true.canonical()
+    streams = _CellStreams(r_true)
+    r_true = streams.r
     grid = [x for x in r_true.x_support.tolist() if a <= x <= b]
     if not grid:
         raise DomainError("no first-marginal atoms inside the interval")
@@ -407,6 +432,6 @@ def uniform_convergence_check(r_true: BivariateDist, beta: float, interval, n_li
     entries = []
     for seed in seeds:
         for i, n in enumerate(n_list):
-            q, _ = _row_quantiles(*_count_grid(r_true, n, (seed, i)), grid, beta)
+            q, _ = _row_quantiles(r_true, streams.counts(n, (seed, i)), grid, beta)
             entries.append(UniformConvergenceEntry(n, seed, float(np.abs(q - q_west).max())))
     return UniformConvergenceReport(beta, (a, b), tuple(grid), tuple(entries))

@@ -52,7 +52,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .distributions import BivariateDist, _frozen, _on_sorted, _validate_support, prefix_table
+from .distributions import BivariateDist, _derived, _frozen, _validate_support, prefix_table
 from .errors import DomainError, InvalidDistributionError, PreconditionError
 from .estimation import _seeds
 from .isotonic import MODE_FLOAT, PRODUCT_RTOL
@@ -213,10 +213,18 @@ def refine_grid(r: BivariateDist) -> BivariateDist:
             a, b = g[same[0] - 1 + same[0] % 2::2][:2].tolist()
             raise PreconditionError(f"no float lies between the adjacent atoms {a!r} and {b!r}",
                                     (a, b))
-    masses = r.cells(r.mode)
-    cells = np.zeros((xg.size, yg.size), dtype=masses.dtype)
-    cells[1::2, 1::2] = masses
-    return _on_sorted(BivariateDist, (xg, yg), cells, r.mode)
+    # a sentinel past the largest float is not finite
+    _validate_support(xg, "x_support")
+    _validate_support(yg, "y_support")
+
+    def embedded(masses):
+        grid = np.zeros((xg.size, yg.size), dtype=masses.dtype)
+        grid[1::2, 1::2] = masses
+        return grid
+
+    # the total is kept, so the embedded floats are w / total in exact mode too
+    return _derived(BivariateDist, (xg, yg), embedded(r.pmf),
+                    None if r.weights is None else embedded(r.weights))
 
 
 @dataclass(frozen=True, eq=False)

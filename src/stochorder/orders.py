@@ -33,7 +33,7 @@ from math import isfinite
 
 import numpy as np
 
-from .distributions import Interval, UnivariateDist, _interval_slice
+from .distributions import MASS_TOL, Interval, UnivariateDist, _derived, _interval_slice
 from .errors import DomainError, InvalidDistributionError
 from .isotonic import (MODE_EXACT, MODE_FLOAT, PRODUCT_RTOL, _beyond, _check_mode,
                        _interval_scan, _minor_scan, first_violation, scan_dtype)
@@ -192,6 +192,11 @@ def truncate(q: UnivariateDist, iv: Interval) -> UnivariateDist:
     mass = float(probs.sum())
     if mass <= 0.0:
         raise DomainError(f"interval {iv} carries zero mass")
-    # the floats stay probs / mass, which is not w / total in the last bits
+    # The floats stay probs / mass, which is not w / total in the last bits.
+    # Subnormal masses can stray further, so the constructor checks a
+    # mismatch beyond MASS_TOL.
+    floats = probs / mass
     weights = None if q.weights is None else q.weights[lo:hi]
-    return UnivariateDist(support, probs / mass, weights)
+    if weights is not None and (np.abs(weights / weights.sum() - floats) > MASS_TOL).any():
+        return UnivariateDist(support, floats, weights)
+    return _derived(UnivariateDist, (support,), floats, weights)

@@ -26,7 +26,7 @@ from itertools import groupby
 
 import numpy as np
 
-from .distributions import UnivariateDist
+from .distributions import UnivariateDist, _trusted
 from .errors import DomainError, InvalidDistributionError
 from .isotonic import (MODE_EXACT, MODE_FLOAT, PRODUCT_RTOL, _check_mode, _cumulative,
                        first_violation, scan_dtype)
@@ -48,7 +48,9 @@ class RocCurve:
     corners (0, 0) and (1, 1) are always present.  ``steps`` holds each merged
     atom's q1 and q2 mass, from the top, then the two totals (1.0 for floats);
     None marks a curve built from its points alone, scored on their
-    differences.  ``exact_points`` reads integer steps as rationals.
+    differences.  ``exact_points`` reads integer steps as rationals.  The
+    constructor checks these invariants; ``roc_curve``, whose points hold
+    them by construction, skips the checks.
     """
 
     points: tuple[tuple[float, float], ...]
@@ -83,7 +85,9 @@ class OdcCurve:
     ``dominated`` reports whether every q2 atom is a q1 atom.  ``steps`` holds
     each q1 atom's mass and the q2 mass since the previous q1 atom (none above
     the last), then the totals, as on ``RocCurve``; ``exact_alphas`` /
-    ``exact_values`` read integer steps as rationals.
+    ``exact_values`` read integer steps as rationals.  The constructor checks
+    these invariants; ``odc_curve``, whose levels hold them by construction,
+    skips the checks.
     """
 
     alphas: tuple[float, ...]
@@ -152,7 +156,9 @@ def roc_curve(q1: UnivariateDist, q2: UnivariateDist) -> RocCurve:
     g1, g2 = _merged_masses(q1, q2, mode)[1].tolist()
     steps = _steps(g1[::-1], g2[::-1], g1, g2, mode)
     pts = zip(_walk(steps, 0), _walk(steps, 1))
-    return RocCurve(tuple(k for k, _ in groupby(pts)), steps)
+    # walks of nonnegative steps run from (0, 0) to (1, 1), componentwise
+    # nondecreasing, so without repeats the points pass every RocCurve check
+    return _trusted(RocCurve, tuple(k for k, _ in groupby(pts)), steps)
 
 
 def roc_is_concave(curve: RocCurve, mode: str = MODE_FLOAT, tol: float = PRODUCT_RTOL) -> OrderVerdict:
@@ -191,7 +197,8 @@ def odc_curve(q1: UnivariateDist, q2: UnivariateDist) -> OdcCurve:
     values = [c2[j] / steps[3] if c2[j] <= steps[3] else 1.0 for j in at]
     # distinct rationals can collapse to one float level: keep the later value
     curve = dict(zip(_walk(steps, 0), values))
-    return OdcCurve(tuple(curve), tuple(curve.values()), bool(dominated), steps)
+    # the walk runs from 0 to 1, so its distinct levels pass every OdcCurve check
+    return _trusted(OdcCurve, tuple(curve), tuple(curve.values()), dominated, steps)
 
 
 def odc_is_convex(curve: OdcCurve, mode: str = MODE_FLOAT, tol: float = PRODUCT_RTOL) -> OrderVerdict:

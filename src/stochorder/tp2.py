@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distributions import (NEG_INF, POS_INF, BivariateDist, Interval, UnivariateDist, _frozen,
+from .distributions import (NEG_INF, POS_INF, BivariateDist, Interval, UnivariateDist, _derived, _frozen,
                             prefix_table)
 from .errors import DomainError, InvalidDistributionError, PreconditionError
 from .isotonic import (MODE_FLOAT, PRODUCT_RTOL, _check_mode, _interval_scan, _minor_scan,
@@ -321,7 +321,8 @@ def kernel_new(r: BivariateDist, xs=None, rule: str = "midpoint", selection=None
         if not bnd.in_range[i]:
             rows.append(marginal)
         elif bnd.in_crossing[i]:
-            rows.append(UnivariateDist.delta(sel_at[i]))
+            # UnivariateDist.delta on a selection checked to lie between two atoms
+            rows.append(_derived(UnivariateDist, (np.array([sel_at[i]]),), None, np.ones(1, dtype=object)))
         else:
             band = Interval.closed(float(bnd.s_se[i]), float(bnd.s_nw[i]))
             rows.append(truncate(west.rows[i], band))

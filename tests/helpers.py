@@ -8,6 +8,7 @@ definition, and their outputs are compared against the library verdicts.
 from __future__ import annotations
 
 import csv
+import io
 import itertools
 import json
 import math
@@ -18,8 +19,7 @@ import numpy as np
 from stochorder import (BivariateDist, DomainError, Interval, InvalidDistributionError, PreconditionError,
                         UnivariateDist)
 from stochorder import estimation
-from stochorder.distributions import (_atom_grid, _interval_slice, _text, _weights_from_decimal_strings,
-                                      prefix_table)
+from stochorder.distributions import _atom_grid, _interval_slice, _weights_from_decimal_strings, prefix_table
 from stochorder.isotonic import MODE_EXACT, MODE_FLOAT, PRODUCT_RTOL, _beyond, _cumulative
 from stochorder.orders import _boundaries, _fails, _holds, _merged_masses, _refined_axis
 from stochorder.tp2 import kernel_east, kernel_west
@@ -547,6 +547,36 @@ def grid_by_dict(xs, ys, masses, dtype=np.float64):
     return np.array(gx), np.array(gy), pmf
 
 
+class _Hashed(io.BufferedReader):
+    """A buffered binary file that feeds every byte the text wrapper reads from
+    it (through ``read`` and ``read1``) to ``digest``."""
+
+    def __init__(self, raw, digest):
+        super().__init__(raw)
+        self.digest = digest
+
+    def read(self, size=-1) -> bytes:
+        data = super().read(size)
+        self.digest.update(data)
+        return data
+
+    def read1(self, size=-1) -> bytes:
+        data = super().read1(size)
+        self.digest.update(data)
+        return data
+
+
+def streamed_text(path, digest, newline: str | None = None) -> io.TextIOWrapper:
+    """The UTF-8 text of the file at ``path``, streamed; every byte read is
+    fed to ``digest`` (a ``hashlib`` object) when one is given.  The loaders
+    read each file in one binary read, hash the bytes and decode them in
+    memory; kept to check that they decode, report and hash as a streamed
+    read does."""
+    raw = open(path, "rb", buffering=0)
+    stream = io.BufferedReader(raw) if digest is None else _Hashed(raw, digest)
+    return io.TextIOWrapper(stream, encoding="utf-8", newline=newline)
+
+
 def read_csv_by_rows(cls, path, *, exact: bool = False, digest=None):
     """The ``UnivariateDist`` or ``BivariateDist`` in a CSV file, read as the
     CSV readers read every file before numpy parsed float CSVs: the ``csv``
@@ -556,7 +586,7 @@ def read_csv_by_rows(cls, path, *, exact: bool = False, digest=None):
     ``csv`` path against."""
     bivariate = cls is BivariateDist
     header = ("x", "y", "prob") if bivariate else ("value", "prob")
-    with _text(path, digest, newline="") as fh:
+    with streamed_text(path, digest, newline="") as fh:
         rows = [row for row in csv.reader(fh) if row]
     if not rows or [f.strip() for f in rows[0]] != list(header):
         raise InvalidDistributionError(f"{path}: expected header {','.join(header)!r}")

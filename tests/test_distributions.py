@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import json
 import os
@@ -5,7 +6,7 @@ import tempfile
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from stochorder import (
@@ -13,11 +14,19 @@ from stochorder import (
     DomainError,
     Interval,
     InvalidDistributionError,
+    OdcCurve,
+    RocCurve,
+    StochOrderError,
     UnivariateDist,
+    kernel_east,
+    kernel_new,
+    kernel_west,
     left_support,
     marginals,
+    odc_curve,
+    roc_curve,
 )
-from stochorder import distributions
+from stochorder import distributions, kuiper, orders, roc, tp2
 from stochorder.distributions import (
     _atom_grid,
     _interval_slice,
@@ -573,8 +582,20 @@ def _empty_parts() -> BivariateDist:
                                       [[1, 0, 2], [0, 0, 0], [3, 0, 1]])
 
 
-#: (setup, exact build): the setup runs before the checks are counted
-ONE_CHECK_BUILDS = {
+def _tp2_weights() -> BivariateDist:
+    """A TP2 weighted grid whose ``kernel_new`` has truncated, point-mass
+    and marginal rows at its default points."""
+    return BivariateDist.from_weights([1.0, 2.0, 3.0], [1.0, 2.0, 3.0], [[2, 1, 0], [1, 1, 0], [0, 1, 3]])
+
+
+def _weight_pair() -> tuple[UnivariateDist, UnivariateDist]:
+    return (UnivariateDist.from_weights([1.0, 2.0, 3.0], [1, 0, 2]),
+            UnivariateDist.from_weights([2.0, 3.0, 4.0], [1, 2, 3]))
+
+
+#: (setup, exact build) of the builds from user input: the setup runs
+#: before the checks are counted
+USER_INPUT_BUILDS = {
     "univariate-from-weights": (lambda: None,
                                 lambda _: UnivariateDist.from_weights([2.0, 1.0, 2.0], [1, 2, 3])),
     "bivariate-from-weights": (lambda: None, lambda _: _empty_parts()),
@@ -583,25 +604,35 @@ ONE_CHECK_BUILDS = {
     "bivariate-from-dict": (lambda: {"x_support": [1, 2], "y_support": [1, 2],
                                      "pmf": [["0.1", "0.2"], ["0.3", "0.4"]]},
                             lambda d: BivariateDist.from_dict(d, exact=True)),
-    "univariate-canonical": (lambda: UnivariateDist.from_weights([1.0, 2.0, 3.0], [1, 0, 2]),
-                             UnivariateDist.canonical),
+    # counts drawn by the package, handed to the public constructor
+    "sample-counts": (lambda: _empty_parts().canonical(), lambda r: sample_counts(r, 50, 3)),
+}
+
+#: (setup, exact build) of the builds from a checked distribution
+DERIVED_BUILDS = {
+    "univariate-canonical": (lambda: _weight_pair()[0], UnivariateDist.canonical),
     "bivariate-canonical": (_empty_parts, BivariateDist.canonical),
     "marginal-x": (_empty_parts, BivariateDist.marginal_x),
     "marginal-y": (_empty_parts, BivariateDist.marginal_y),
     "conditional-row-zero-cell": (_empty_parts, lambda r: r.conditional_row(1.0)),
-    # these two canonicalize their input first, as a build of its own
     "refine-grid": (lambda: _empty_parts().canonical(), refine_grid),
-    "sample-counts": (lambda: _empty_parts().canonical(), lambda r: sample_counts(r, 50, 3)),
+    "truncate": (lambda: _weight_pair()[1], lambda q: truncate(q, Interval.closed(2.5, 4.0))),
+    "kernel-new-rows": (lambda: _tp2_weights().canonical(), lambda r: kernel_new(r, mode="exact")),
+    "kernel-west-rows": (lambda: _tp2_weights().canonical(), kernel_west),
+    "roc-curve": (_weight_pair, lambda pair: roc_curve(*pair)),
+    "odc-curve": (_weight_pair, lambda pair: odc_curve(*pair)),
 }
 
 
 class TestOneWeightCheck:
-    """Every exact build checks its integer weights once: the constructor is
-    the one check, and no builder checks them first or rebuilds its result."""
+    """Integer weights are checked once, where they enter the package: a
+    build from user input checks them exactly once, in the class
+    constructor, and a build from a checked distribution runs no
+    constructor check at all."""
 
-    @pytest.mark.parametrize("name", sorted(ONE_CHECK_BUILDS))
-    def test_one_check_per_build(self, name, monkeypatch):
-        setup, build = ONE_CHECK_BUILDS[name]
+    @pytest.mark.parametrize("name", sorted(USER_INPUT_BUILDS))
+    def test_one_check_per_user_input_build(self, name, monkeypatch):
+        setup, build = USER_INPUT_BUILDS[name]
         made = setup()
         calls = []
         check = distributions._checked_weights
@@ -609,6 +640,134 @@ class TestOneWeightCheck:
                             lambda *args: calls.append(args) or check(*args))
         out = build(made)
         assert len(calls) == 1 and out.weights.tolist() == check(*calls[0])[0].tolist()
+
+    @pytest.mark.parametrize("name", sorted(DERIVED_BUILDS))
+    def test_no_check_in_a_derived_build(self, name, monkeypatch):
+        setup, build = DERIVED_BUILDS[name]
+        made = setup()
+        calls = []
+        check = distributions._checked_weights
+        monkeypatch.setattr(distributions, "_checked_weights",
+                            lambda *args: calls.append(args) or check(*args))
+        for cls in (UnivariateDist, BivariateDist, RocCurve, OdcCurve):
+            monkeypatch.setattr(cls, "__post_init__",
+                                lambda self, real=cls.__post_init__: calls.append(self) or real(self))
+        out = build(made)
+        assert out is not made and calls == []
+
+
+def _fields(obj) -> tuple:
+    """Every field of a distribution or curve, arrays as dtype, shape,
+    writeability and bytes (an object array's items by ``repr``), the rest
+    by ``repr``, which tells -0.0 from 0.0 and a numpy float from a Python
+    one; and a distribution's cumulative masses, computed when first read."""
+    out = []
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if isinstance(value, np.ndarray):
+            data = repr(value.tolist()) if value.dtype == object else value.tobytes()
+            value = (value.dtype.str, value.shape, value.flags.writeable, data)
+        out.append(repr(value))
+    if isinstance(obj, UnivariateDist):
+        out += [obj._cum.tobytes(), obj._suffix.tobytes()]
+    return tuple(out)
+
+
+def _run(build):
+    """``build()``, or the class and message of the package error it raises."""
+    try:
+        return build()
+    except StochOrderError as exc:
+        return type(exc), str(exc)
+
+
+def _same(derived, public) -> None:
+    if isinstance(public, tuple):
+        assert derived == public
+    else:
+        assert type(derived) is type(public) and _fields(derived) == _fields(public)
+
+
+@contextlib.contextmanager
+def checked_against_the_constructor():
+    """Every derived build, of a distribution or a curve, also built by the
+    public class constructor on the same arrays; the two must give equal
+    fields bit for bit, or raise the same error.  Yields the list of builds
+    compared."""
+    compared = []
+    real_derived, real_trusted = distributions._derived, roc._trusted
+
+    def derived(cls, supports, floats, weights=None, is_probability=True):
+        public = _run(lambda: cls(*supports, floats, weights, is_probability))
+        got = _run(lambda: real_derived(cls, supports, floats, weights, is_probability))
+        _same(got, public)
+        compared.append(cls)
+        if isinstance(got, tuple):
+            raise got[0](got[1])
+        return got
+
+    def trusted(cls, *values):
+        got = real_trusted(cls, *values)
+        _same(got, _run(lambda: cls(*values)))
+        compared.append(cls)
+        return got
+
+    with pytest.MonkeyPatch.context() as m:
+        for module in (distributions, orders, kuiper, tp2):
+            m.setattr(module, "_derived", derived)
+        m.setattr(roc, "_trusted", trusted)
+        yield compared
+
+
+#: float totals at and just inside or outside 1 +- MASS_TOL
+EDGE_TOTALS = st.sampled_from([1.0, 1 - 1e-9, 1 + 1e-9, 1 - 0.999e-9, 1 + 0.999e-9, 1 - 1.001e-9,
+                               1 + 1.001e-9])
+
+
+@st.composite
+def edge_grids(draw, ndim: int):
+    """``mode_grids``, and float probabilities rescaled to a total at the
+    edge of ``MASS_TOL`` where the constructor accepts them."""
+    d = draw(mode_grids(ndim))
+    if d.weights is not None or not d.is_probability or not draw(st.booleans()):
+        return d
+    masses = d.probs if ndim == 1 else d.pmf
+    scaled = masses / masses.sum() * draw(EDGE_TOTALS)
+    assume(abs(float(scaled.sum()) - 1.0) <= distributions.MASS_TOL)
+    return (UnivariateDist(d.support, scaled) if ndim == 1
+            else BivariateDist(d.x_support, d.y_support, scaled))
+
+
+class TestDerivedBuilds:
+    """Each build from a checked distribution equals the public constructor
+    on the same arrays, bit for bit, or raises what it raises."""
+
+    @given(edge_grids(2))
+    @settings(max_examples=300, deadline=None)
+    def test_bivariate_builds(self, r):
+        with checked_against_the_constructor() as compared:
+            for build in (BivariateDist.canonical, BivariateDist.marginal_x, BivariateDist.marginal_y,
+                          refine_grid, kernel_west, kernel_east):
+                _run(lambda: build(r))
+            if r.is_probability:  # the TP2 check's float products overflow on cells near 1e300
+                _run(lambda: kernel_new(r, mode=r.mode))
+            for x in r.x_support.tolist():
+                _run(lambda: r.conditional_row(x))
+        assert compared
+
+    @given(edge_grids(1), edge_grids(1),
+           st.lists(st.tuples(ENDS, ENDS, st.booleans(), st.booleans()), max_size=4))
+    @settings(max_examples=300, deadline=None)
+    def test_univariate_builds_and_curves(self, q1, q2, ends):
+        intervals = [Interval(a, b, lc and abs(a) < np.inf, rc and abs(b) < np.inf)
+                     for a, b, lc, rc in ends if a <= b]
+        with checked_against_the_constructor() as compared:
+            _run(q1.canonical)
+            for iv in intervals:
+                _run(lambda: truncate(q1, iv))
+            for curve in (roc_curve, odc_curve):
+                _run(lambda: curve(q1, q2))
+        assert RocCurve in compared and OdcCurve in compared
 
 
 def _representations(weights: list) -> dict:

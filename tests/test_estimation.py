@@ -132,7 +132,7 @@ def cell_masses(draw) -> np.ndarray:
 
 
 def cumulative(masses: np.ndarray) -> np.ndarray:
-    """The normalized cumulative pmf, built as ``_draw_cells`` builds it."""
+    """The normalized cumulative pmf, built as ``_CellStreams`` builds it."""
     cum = np.cumsum(masses)
     return cum / cum[-1]
 
@@ -173,14 +173,15 @@ def lifted(u: np.ndarray) -> np.ndarray:
 
 def lookup(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
     """``_cell_index`` of all the draws ``u`` at once, through ``cum``'s guide table."""
-    guide = estimation._guide(cum, u.size)
+    guide = estimation._guide(cum, estimation._table_size(cum.size, u.size))
     return estimation._cell_index(cum, guide, u, (u * (guide.size - 1)).astype(np.intp))
 
 
 def stream_cells(cum: np.ndarray, u: np.ndarray) -> np.ndarray:
     """The cells the stream's block loop maps the draws ``u`` to, joined."""
     gen = Replay(u)
-    cells = np.concatenate(list(estimation._cell_blocks(cum, u.size, gen)))
+    guide = estimation._guide(cum, estimation._table_size(cum.size, u.size))
+    cells = np.concatenate(list(estimation._cell_blocks(cum, guide, u.size, gen)))
     assert gen.at == u.size
     return cells
 
@@ -213,7 +214,8 @@ class TestCellIndex:
         k = estimation.BLOCK + 3
         cum = cumulative(np.random.default_rng(3).random(k))
         u = np.resize(np.concatenate([edge_draws(cum), np.random.default_rng(4).random(5000)]), 2 * k + 1)
-        blocks = list(estimation._cell_blocks(cum, u.size, Replay(u)))
+        guide = estimation._guide(cum, estimation._table_size(k, u.size))
+        blocks = list(estimation._cell_blocks(cum, guide, u.size, Replay(u)))
         assert [idx.size for idx in blocks] == [k, k, 1]
         np.testing.assert_array_equal(np.concatenate(blocks), cell_index_searchsorted(cum, lifted(u)))
 
@@ -269,9 +271,9 @@ class TestHarnessesCountCells:
     @pytest.mark.parametrize("n_list", [[100_000, 0], [5, -1], [0], [5, 10**13]])
     def test_sample_sizes_checked_before_any_draw(self, monkeypatch, n_list):
         drawn = []
-        real = estimation._draw_cells
-        monkeypatch.setattr(estimation, "_draw_cells",
-                            lambda r, n, seed: drawn.append(n) or real(r, n, seed))
+        real = estimation._CellStreams.blocks
+        monkeypatch.setattr(estimation._CellStreams, "blocks",
+                            lambda self, n, seed: drawn.append(n) or real(self, n, seed))
         with pytest.raises(DomainError, match="sample size"):
             bracket_check(diag_uniform(5), {"n_list": n_list, "seed": 1}, 0.5, 2.0, 4.0)
         with pytest.raises(DomainError, match="sample size"):
@@ -279,11 +281,38 @@ class TestHarnessesCountCells:
         assert drawn == []
 
 
+    @pytest.mark.parametrize("harness", ["bracket", "uniform"])
+    def test_one_cumulative_pmf_and_one_guide_table_per_size(self, monkeypatch, harness):
+        """A harness call computes the truth's cumulative pmf once and builds
+        one guide table per distinct table size; each stream's counts equal
+        a fresh count of that stream."""
+        r = banded_tp2(5)
+        # 25 cells: tables of 25, 200 and 200 buckets for these sizes
+        n_list = [10, 1000, 5000]
+        streams, guides, counted = [], [], []
+        init, guide, counts = (estimation._CellStreams.__init__, estimation._guide,
+                               estimation._CellStreams.counts)
+        monkeypatch.setattr(estimation._CellStreams, "__init__",
+                            lambda self, r: streams.append(r) or init(self, r))
+        monkeypatch.setattr(estimation, "_guide", lambda cum, m: guides.append(m) or guide(cum, m))
+        monkeypatch.setattr(estimation._CellStreams, "counts", lambda self, n, seed: counted.append(
+            (self.r, n, seed, counts(self, n, seed))) or counted[-1][-1])
+        if harness == "bracket":
+            bracket_check(r, {"n_list": n_list, "seed": 3}, 0.5, 2.0, 4.0)
+        else:
+            uniform_convergence_check(r, 0.5, (2.0, 4.0), n_list, [1, 2])
+        monkeypatch.undo()
+        assert len(streams) == 1 and guides == [25, 200]
+        assert len(counted) == len(n_list) * (1 if harness == "bracket" else 2)
+        for canon, n, seed, got in counted:
+            expected = sample_counts(r, n, seed)
+            assert same_dist(empirical_of_counts(canon.x_support, canon.y_support, got), expected)
+
     def test_seeds_checked_before_any_draw(self, monkeypatch):
         drawn = []
-        real = estimation._draw_cells
-        monkeypatch.setattr(estimation, "_draw_cells",
-                            lambda r, n, seed: drawn.append(seed) or real(r, n, seed))
+        real = estimation._CellStreams.blocks
+        monkeypatch.setattr(estimation._CellStreams, "blocks",
+                            lambda self, n, seed: drawn.append(seed) or real(self, n, seed))
         with pytest.raises(DomainError, match="seed must be nonnegative, got -3"):
             bracket_check(diag_uniform(5), {"n_list": [10], "seed": -3}, 0.5, 2.0, 4.0)
         with pytest.raises(DomainError, match="seed must be nonnegative, got -1"):

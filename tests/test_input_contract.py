@@ -24,7 +24,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import read_csv_by_rows, weight_list
+from helpers import read_csv_by_rows, streamed_text, weight_list
 from stochorder import BivariateDist, InvalidDistributionError, UnivariateDist, distributions, kuiper
 from stochorder.cli import main
 from stochorder.fixtures import antidiag
@@ -520,6 +520,76 @@ def test_bad_coordinate_reads_as_in_json(bad, exact):
         assert_input_error(*from_csv)
         assert from_csv == run_on(f"{name}.json", json.dumps(payload), argv[name])
         assert "values must be numbers" in from_csv[2]
+
+
+# ---------------------------------------------------------------------------
+# one read per input
+# ---------------------------------------------------------------------------
+
+#: where the text wrapper of a streamed read splits its chunks
+CHUNK = 8192
+
+
+def _padded(fmt: str, at: int, middle: bytes, tail: bytes = b"") -> bytes:
+    """A univariate file of format ``fmt`` whose bytes ``middle`` start at
+    offset ``at``: a CSV pads zero-mass rows and a row's trailing spaces
+    before it, a JSON file an extra string key; ``tail`` follows it, before
+    the end of the row or string."""
+    if fmt == "csv":
+        head = b"value,prob\n2,0.5\n" + b"1,0\n" * ((at - 40) // 4)
+        return head + b"1,0.5" + b" " * (at - len(head) - 5) + middle + tail + b"\n"
+    head = b'{"support": [1, 2], "probs": [0.5, 0.5], "pad": "'
+    return head + b"x" * (at - len(head)) + middle + tail + b'"}\n'
+
+
+#: (case, file bytes per format): each parses or fails as a streamed read of
+#: its text does
+READ_CASES = [
+    ("byte order mark", lambda fmt: b"\xef\xbb\xbf" + _padded(fmt, 60, b"")),
+    ("cr line ends, later syntax error",
+     lambda fmt: (b"value,prob\r1,0.5\r2,0.5\r3,0.5,\r" if fmt == "csv"
+                  else b'{\r"support": [1, 2],\r"probs": [0.5,\r0.5],\r}\r')),
+    ("crlf line ends, later syntax error",
+     lambda fmt: (b"value,prob\r\n1,0.5\r\n2,0.5\r\n3,0.5,\r\n" if fmt == "csv"
+                  else b'{\r\n"support": [1, 2],\r\n"probs": [0.5,\r\n0.5],\r\n}\r\n')),
+    ("two-byte character across the chunk end", lambda fmt: _padded(fmt, CHUNK - 1, "\u00a0".encode())),
+    ("three-byte character across the chunk end", lambda fmt: _padded(fmt, CHUNK - 2, "\u2003".encode())),
+    ("undecodable byte in the first chunk", lambda fmt: _padded(fmt, 100, b"\xff")),
+    ("undecodable byte ending the first chunk", lambda fmt: _padded(fmt, CHUNK - 1, b"\xff")),
+    ("undecodable byte starting the second chunk", lambda fmt: _padded(fmt, CHUNK, b"\xff")),
+    ("truncated character across the chunk end", lambda fmt: _padded(fmt, CHUNK - 1, b"\xe2\x80")),
+    ("undecodable byte past the first chunk", lambda fmt: _padded(fmt, CHUNK + 1000, b"\xff")),
+]
+
+
+def read_text_streamed(path, digest, newline):
+    """The loaders' text as a streamed read gave it: a CSV joined line by
+    line, a JSON file read whole, both decoded by the text wrapper."""
+    with streamed_text(path, digest, newline) as fh:
+        return "".join(fh) if newline == "" else fh.read()
+
+
+@pytest.mark.parametrize("exact", [False, True])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("case, make", READ_CASES, ids=[c[0] for c in READ_CASES])
+def test_one_read_keeps_what_a_streamed_read_gave(tmp_path, monkeypatch, case, make, fmt, exact):
+    """Each input is read in one binary read, hashed whole and decoded in
+    memory: the report's digest is the sha256 of the file's bytes, and the
+    exit code, report and message equal a streamed read's."""
+    data = make(fmt)
+    path = tmp_path / f"q.{fmt}"
+    path.write_bytes(data)
+    argv = [str(path) if a == "{}" else a for a in check_st_argv(exact)]
+    got = run_main(argv)
+    digest = hashlib.sha256()
+    with contextlib.suppress(Exception):  # noqa: BLE001 -- only the digest is read
+        distributions.load_univariate(path, exact=exact, digest=digest)
+    assert digest.hexdigest() == hashlib.sha256(data).hexdigest()
+    if got[0] in (0, 3):
+        assert json.loads(got[1])["inputs"]["q1"] == "sha256:" + hashlib.sha256(data).hexdigest()
+    monkeypatch.setattr(distributions, "_read_text", read_text_streamed)
+    assert got == run_main(argv)
+    assert (got[0] == 2) == (case.startswith(("byte order", "cr", "undecodable", "truncated")))
 
 
 # ---------------------------------------------------------------------------

@@ -41,12 +41,17 @@ input is built here from fixed seeds, so two checkouts time the same work:
   gives them; ``canonical()`` of a fresh 3x3 grid with an empty row (its
   build, then its build plus ``canonical()``); and that build plus exact
   ``check_tp2`` ``pmf-adjacent``, as acceptance criterion 06 runs each grid;
-* the CSV loaders, each load hashed into a fresh sha256 as the CLI hashes
-  it: ``load_bivariate`` on a 100x100 grid (uniform random cells from seed
-  100, normalized) in float mode and with ``exact=True``, which reads the
-  decimal text through the ``csv`` module, and ``load_univariate`` on 2,000
+* the loaders, each load hashed into a fresh sha256 as the CLI hashes
+  it: ``load_bivariate`` on a 100x100 CSV grid (uniform random cells from
+  seed 100, normalized) in float mode and with ``exact=True``, which reads
+  the decimal text through the ``csv`` module, ``load_univariate`` on 2,000
   atoms (seed 2000), both written by the package's CSV writers to a
-  temporary directory;
+  temporary directory, and ``load_bivariate`` with ``exact=True`` on the
+  integer weights of the 32x32 TP2 grid below as a JSON file, as the
+  ``verdict-exact`` workload writes its inputs;
+* the builds from checked distributions: ``kernel_new`` of the 32x32 TP2
+  grid below in float and exact mode (its TP2 check, boundaries and rows),
+  and ``roc_curve`` and ``odc_curve`` of the 2,000-atom float pair below;
 * the report writer ``cli._json_text`` on two reports built as the CLI
   builds them: ``roc`` of the 2,000-atom float pair above (2,001 points) and
   ``kernel --flavor new`` of the 32x32 float TP2 grid above (2,016 triples
@@ -87,7 +92,7 @@ sys.path[:0] = [os.path.join(ROOT, "src")]
 import numpy as np  # noqa: E402
 from stochorder import (BivariateDist, GridSignedMeasure, UnivariateDist, bracket_check,  # noqa: E402
                         check_lr, check_st, check_st_condition, check_tp2, cli, estimation, kernel_new,
-                        kuiper, kuiper_norm, quantile_curve, roc_curve, tp2_project,
+                        kuiper, kuiper_norm, odc_curve, quantile_curve, roc_curve, tp2_project,
                         uniform_convergence_check)
 from stochorder.distributions import (load_bivariate, load_univariate, write_bivariate_csv,  # noqa: E402
                                       write_univariate_csv)
@@ -277,6 +282,24 @@ def parse_cases(tmp: str):
            lambda: load_bivariate(grid, exact=True, digest=hashlib.sha256()))
     yield ("load_univariate", f"{CSV_ATOMS} atoms CSV, float",
            lambda: load_univariate(atoms, digest=hashlib.sha256()))
+    weights = os.path.join(tmp, "r.json")
+    r = tp2_grid(REPORT_GRID, "exact")
+    with open(weights, "w", encoding="utf-8") as fh:
+        json.dump({"x_support": r.x_support.tolist(), "y_support": r.y_support.tolist(),
+                   "weights": r.weights.tolist()}, fh)
+    yield ("load_bivariate", f"{REPORT_GRID}x{REPORT_GRID} JSON weights, exact",
+           lambda: load_bivariate(weights, exact=True, digest=hashlib.sha256()))
+
+
+def derived_cases():
+    """(layer, input, call) of every timed build from checked distributions."""
+    for mode in MODES:
+        r = tp2_grid(REPORT_GRID, mode)
+        yield ("kernel_new", f"{REPORT_GRID}x{REPORT_GRID}, {mode}",
+               lambda r=r, mode=mode: kernel_new(r, mode=mode))
+    q1, q2 = pair(REPORT_ATOMS, "float")
+    yield "roc_curve", f"{REPORT_ATOMS} atoms, float", lambda: roc_curve(q1, q2)
+    yield "odc_curve", f"{REPORT_ATOMS} atoms, float", lambda: odc_curve(q1, q2)
 
 
 def writer_cases():
@@ -299,7 +322,8 @@ def timed_cases(tmp: str):
     order the entries are printed; kind is "verdict" for a verdict whose
     holding is checked first, "count" for an entry whose traced peak is
     added, else ""."""
-    for layer, text, call in (*cases(), *harness_cases(), *parse_cases(tmp), *writer_cases()):
+    for layer, text, call in (*cases(), *harness_cases(), *parse_cases(tmp), *derived_cases(),
+                              *writer_cases()):
         yield layer, text, call, 1, ""
     for layer, text, call in verdict_cases():
         yield layer, text, call, VERDICT_CALLS, "verdict"
