@@ -627,33 +627,26 @@ DERIVED_BUILDS = {
 class TestOneWeightCheck:
     """Integer weights are checked once, where they enter the package: a
     build from user input checks them exactly once, in the class
-    constructor, and a build from a checked distribution runs no
-    constructor check at all."""
+    constructor, and a build from a checked distribution (whose weights were
+    checked when it was built) runs no constructor check at all."""
 
-    @pytest.mark.parametrize("name", sorted(USER_INPUT_BUILDS))
-    def test_one_check_per_user_input_build(self, name, monkeypatch):
-        setup, build = USER_INPUT_BUILDS[name]
+    @pytest.mark.parametrize("name", sorted(USER_INPUT_BUILDS.keys() | DERIVED_BUILDS.keys()))
+    def test_one_check_per_build(self, name, monkeypatch):
+        derived = name in DERIVED_BUILDS
+        setup, build = (DERIVED_BUILDS if derived else USER_INPUT_BUILDS)[name]
         made = setup()
-        calls = []
-        check = distributions._checked_weights
-        monkeypatch.setattr(distributions, "_checked_weights",
-                            lambda *args: calls.append(args) or check(*args))
-        out = build(made)
-        assert len(calls) == 1 and out.weights.tolist() == check(*calls[0])[0].tolist()
-
-    @pytest.mark.parametrize("name", sorted(DERIVED_BUILDS))
-    def test_no_check_in_a_derived_build(self, name, monkeypatch):
-        setup, build = DERIVED_BUILDS[name]
-        made = setup()
-        calls = []
+        calls, built = [], []
         check = distributions._checked_weights
         monkeypatch.setattr(distributions, "_checked_weights",
                             lambda *args: calls.append(args) or check(*args))
         for cls in (UnivariateDist, BivariateDist, RocCurve, OdcCurve):
             monkeypatch.setattr(cls, "__post_init__",
-                                lambda self, real=cls.__post_init__: calls.append(self) or real(self))
+                                lambda self, real=cls.__post_init__: built.append(self) or real(self))
         out = build(made)
-        assert out is not made and calls == []
+        if derived:
+            assert out is not made and calls == built == []
+        else:
+            assert len(calls) == 1 and out.weights.tolist() == check(*calls[0])[0].tolist()
 
 
 def _fields(obj) -> tuple:
