@@ -583,8 +583,8 @@ def _empty_parts() -> BivariateDist:
 
 
 def _tp2_weights() -> BivariateDist:
-    """A TP2 weighted grid whose ``kernel_new`` has truncated, point-mass
-    and marginal rows at its default points."""
+    """A TP2 weighted grid whose ``kernel_new`` has truncated rows and a
+    point-mass row at its default points."""
     return BivariateDist.from_weights([1.0, 2.0, 3.0], [1.0, 2.0, 3.0], [[2, 1, 0], [1, 1, 0], [0, 1, 3]])
 
 
