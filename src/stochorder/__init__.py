@@ -9,10 +9,8 @@ from .distributions import (
     BivariateDist,
     Interval,
     UnivariateDist,
-    left_support,
     load_bivariate,
     load_univariate,
-    marginals,
 )
 from .errors import (
     DomainError,
@@ -31,16 +29,13 @@ from .estimation import (
     uniform_convergence_check,
 )
 from .isotonic import (
-    CrossCompareResult,
     IsotonicDensity,
-    cross_compare,
     maximal_isotonic_density,
     minimal_isotonic_density,
 )
 from .kuiper import (
     GridSignedMeasure,
     ProjectionResult,
-    consistency_bound,
     kuiper_norm,
     refine_grid,
     signed_difference,
@@ -68,7 +63,6 @@ __all__ = [
     "Boundaries",
     "BracketReport",
     "ConditionalDensity",
-    "CrossCompareResult",
     "DomainError",
     "GridSignedMeasure",
     "Interval",
@@ -91,17 +85,13 @@ __all__ = [
     "check_st_condition",
     "check_tp2",
     "conditional_density",
-    "consistency_bound",
-    "cross_compare",
     "empirical",
     "kernel_east",
     "kernel_new",
     "kernel_west",
     "kuiper_norm",
-    "left_support",
     "load_bivariate",
     "load_univariate",
-    "marginals",
     "maximal_isotonic_density",
     "minimal_isotonic_density",
     "odc_curve",

@@ -38,10 +38,11 @@ from .fixtures import (
     unif_delta_kernel,
 )
 from .isotonic import MODE_EXACT, MODE_FLOAT, PRODUCT_RTOL
-from .kuiper import kuiper_norm, signed_difference, tp2_project
-from .orders import check_lr, check_st
+from .kuiper import KUIPER_METHODS, kuiper_norm, signed_difference, tp2_project
+from .orders import LR_METHODS, check_lr, check_st
 from .roc import odc_curve, odc_is_convex, roc_curve, roc_is_concave
-from .tp2 import boundaries, check_tp2, kernel_east, kernel_new, kernel_west
+from .tp2 import (SELECTION_RULES, TP2_METHODS, boundaries, check_tp2, kernel_east, kernel_new,
+                  kernel_west)
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -420,8 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check-lr", help="likelihood ratio order verdict")
     p.add_argument("--q1", required=True)
     p.add_argument("--q2", required=True)
-    p.add_argument("--method", default="ratio",
-                   choices=["ratio", "pairwise", "intervals", "conditional-st"])
+    p.add_argument("--method", default="ratio", choices=LR_METHODS)
     _add_common(p)
     p.set_defaults(func=_cmd_check_order)
 
@@ -443,8 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     tp2_sub = p.add_subparsers(dest="tp2_cmd", required=True)
     pc = tp2_sub.add_parser("check")
     pc.add_argument("--r", required=True)
-    pc.add_argument("--method", default="pmf-allpairs",
-                    choices=["pmf-allpairs", "pmf-adjacent", "intervals"])
+    pc.add_argument("--method", default="pmf-allpairs", choices=TP2_METHODS)
     _add_common(pc)
     pc.set_defaults(func=_cmd_tp2_check)
     pp = tp2_sub.add_parser("project")
@@ -457,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("kernel", help="conditional kernel rows")
     p.add_argument("--r", required=True)
     p.add_argument("--flavor", required=True, choices=["w", "e", "new"])
-    p.add_argument("--rule", default="midpoint", choices=["nw", "se", "midpoint"])
+    p.add_argument("--rule", default="midpoint", choices=SELECTION_RULES)
     p.add_argument("--x", default=None, help="comma-separated evaluation points")
     _add_common(p)
     p.set_defaults(func=_cmd_kernel)
@@ -473,7 +472,7 @@ def build_parser() -> argparse.ArgumentParser:
     kd = k_sub.add_parser("dist")
     kd.add_argument("--a", required=True)
     kd.add_argument("--b", required=True)
-    kd.add_argument("--method", default="kadane", choices=["brute", "kadane"])
+    kd.add_argument("--method", default="kadane", choices=KUIPER_METHODS)
     _add_common(kd)
     kd.set_defaults(func=_cmd_kuiper_dist)
 

@@ -95,7 +95,7 @@ class Interval:
         object.__setattr__(self, "left", left)
         object.__setattr__(self, "right", right)
 
-    # The four constructors named after their bracket shapes.
+    # The two constructors named after their bracket shapes.
     @classmethod
     def open_closed(cls, a, b) -> "Interval":
         """(a, b]"""
@@ -105,16 +105,6 @@ class Interval:
     def closed(cls, a, b) -> "Interval":
         """[a, b]"""
         return cls(a, b, True, True)
-
-    @classmethod
-    def open(cls, a, b) -> "Interval":
-        """(a, b)"""
-        return cls(a, b, False, False)
-
-    @classmethod
-    def closed_open(cls, a, b) -> "Interval":
-        """[a, b)"""
-        return cls(a, b, True, False)
 
     def contains(self, x: float) -> bool:
         lo_ok = x >= self.left if self.left_closed else x > self.left
@@ -446,10 +436,6 @@ class UnivariateDist:
         """``MODE_EXACT`` when integer weights are carried, else ``MODE_FLOAT``."""
         return MODE_FLOAT if self.weights is None else MODE_EXACT
 
-    @property
-    def total_weight(self) -> int:
-        return self.masses(MODE_EXACT).sum()
-
     def canonical(self) -> "UnivariateDist":
         """Drop zero-mass atoms (duplicates are already merged on construction)."""
         masses = self.masses(self.mode)
@@ -503,16 +489,6 @@ class UnivariateDist:
             return float(self.support[-1])
         return POS_INF
 
-    def max_quantile(self, alpha: float) -> float:
-        """max{y : mass strictly below y <= alpha} (for alpha in (0, 1))."""
-        alpha = float(alpha)
-        if math.isnan(alpha) or alpha < 0.0 or alpha > 1.0:
-            raise DomainError(f"quantile level must lie in [0, 1], got {alpha!r}")
-        i = int(_quantile_index(self._cum, alpha, largest=True))
-        if i < len(self):
-            return float(self.support[i])
-        return float(self.support[-1])
-
     # -- interval masses ----------------------------------------------------
 
     def interval_mass(self, iv: Interval) -> float:
@@ -522,14 +498,6 @@ class UnivariateDist:
         base = 0.0 if lo == 0 else float(self._cum[lo - 1])
         return float(self._cum[hi - 1]) - base
 
-    def interval_weight(self, iv: Interval) -> int:
-        lo, hi = _interval_slice(self.support, iv)
-        return sum(self.masses(MODE_EXACT)[lo:hi])
-
-
-def left_support(q: UnivariateDist) -> tuple[float, ...]:
-    """Atoms carrying positive mass; for finite support these exhaust the mass."""
-    return tuple(q.canonical().support.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -611,17 +579,9 @@ class BivariateDist:
         return (int(self.x_support.size), int(self.y_support.size))
 
     @property
-    def total_mass(self) -> float:
-        return float(self.pmf.sum())
-
-    @property
     def mode(self) -> str:
         """``MODE_EXACT`` when integer weights are carried, else ``MODE_FLOAT``."""
         return MODE_FLOAT if self.weights is None else MODE_EXACT
-
-    @property
-    def total_weight(self) -> int:
-        return self.cells(MODE_EXACT).sum()
 
     def cells(self, mode: str) -> np.ndarray:
         """Cell masses in the numbers of the comparison mode: the integer
@@ -662,7 +622,7 @@ class BivariateDist:
         return _derived(BivariateDist, (self.x_support[rows], self.y_support[cols]), self.pmf[block],
                         None if self.weights is None else self.weights[block], self.is_probability)
 
-    # -- marginals, conditionals, range --------------------------------------
+    # -- marginals and conditionals -------------------------------------------
 
     # The supports are already sorted and distinct, so the marginals and
     # conditional rows are built once on their positive-mass atoms.
@@ -688,25 +648,6 @@ class BivariateDist:
             raise DomainError(f"first-marginal atom {x!r} has zero mass")
         return _on_positive_atoms(self.y_support, row if self.mode == MODE_EXACT else row / mass,
                                   self.mode)
-
-    def range_x(self) -> Interval:
-        """Smallest closed interval carrying all first-marginal mass."""
-        rows = np.flatnonzero(self.pmf.sum(axis=1) > 0)
-        if rows.size == 0:
-            raise InvalidDistributionError("all first-marginal mass is zero")
-        return Interval.closed(float(self.x_support[rows[0]]), float(self.x_support[rows[-1]]))
-
-    # -- rectangle masses -----------------------------------------------------
-
-    def rect_prob(self, ix: Interval, iy: Interval) -> float:
-        """Mass of the rectangle, summed over its cell block (an empty block is 0.0)."""
-        lo_i, hi_i = _interval_slice(self.x_support, ix)
-        lo_j, hi_j = _interval_slice(self.y_support, iy)
-        return float(self.pmf[lo_i:hi_i, lo_j:hi_j].sum())
-
-
-def marginals(r: BivariateDist) -> tuple[UnivariateDist, UnivariateDist]:
-    return r.marginal_x(), r.marginal_y()
 
 
 # ---------------------------------------------------------------------------
@@ -837,12 +778,6 @@ def write_bivariate_csv(r: BivariateDist, path) -> None:
 def read_bivariate_csv(path, *, exact: bool = False, digest=None) -> BivariateDist:
     return _read_csv(BivariateDist, path, ("x", "y", "prob"), ("x_support", "y_support"), exact,
                      digest)
-
-
-def write_univariate_json(q: UnivariateDist, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(q.to_dict(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 def load_univariate(path, *, exact: bool = False, digest=None) -> UnivariateDist:

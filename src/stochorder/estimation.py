@@ -231,12 +231,6 @@ class QuantileCurve:
     points: tuple[tuple[float, float], ...]
     flavor: str
 
-    def value_at(self, x: float) -> float:
-        for px, q in self.points:
-            if px == x:
-                return q
-        raise DomainError(f"{x!r} is not an evaluation point of this curve")
-
 
 def quantile_curve(r: BivariateDist, beta: float, flavor: str = "west-min", xs=None) -> QuantileCurve:
     """Conditional quantile curve of the chosen kernel flavor, read from the grid."""

@@ -4,9 +4,7 @@
 of products lhs <= rhs, with a relative float slack or exactly on integers,
 and every verdict in the package is one ``first_violation`` pass over the
 mode's mass array.  ``scan_dtype`` picks the numbers a pass runs on: float64,
-int64 where every product fits, or Python ints.  ``cross_compare`` decides
-r2/r1 <= s2/s1 on the extended half-line [0, inf] through the cross products
-r2*s1 <= r1*s2, so no division (and no 0/0 or inf) ever occurs.
+int64 where every product fits, or Python ints.
 
 The minor and interval verdicts are one chunked scan, ``_scan``.  Its masses
 are direct sums, never differences of cumulative sums: a float mass on n atoms
@@ -55,12 +53,20 @@ def first_violation(lhs: np.ndarray, rhs: np.ndarray, mode: str = MODE_FLOAT,
 #: largest weight whose products with any other such weight fit in int64
 INT64_FACTOR_MAX = isqrt(2**63 - 1)
 
+#: largest float factor whose products, plus a slack below 1, stay finite
+FLOAT_FACTOR_MAX = 2.0**511
+
 
 def scan_dtype(mode: str, bound) -> type:
-    """The numbers a ``first_violation`` pass runs on: float64 in float mode;
-    in exact mode int64 when ``bound``, the largest factor of its products, is
+    """The numbers a ``first_violation`` pass runs on, given ``bound``, the
+    largest factor of its products: float64 in float mode, where a bound
+    above ``FLOAT_FACTOR_MAX`` is a DomainError, as its products could
+    overflow to inf and compare equal; in exact mode int64 when the bound is
     at most ``INT64_FACTOR_MAX``, else Python ints."""
     if mode != MODE_EXACT:
+        if bound > FLOAT_FACTOR_MAX:
+            raise DomainError(f"float products of factors up to {float(bound)!r} could overflow; "
+                              "scale the masses down")
         return np.float64
     return np.int64 if bound <= INT64_FACTOR_MAX else object
 
@@ -156,30 +162,6 @@ def _interval_scan(h: np.ndarray, mode: str, tol: float, by_last: bool = False):
 
     return _scan(comb(nx + 1, 3), rows, comb(ny + 1, 3),
                  lambda lo, hi: _triples(ny + 1, lo, hi, by_last), mode, tol)
-
-
-@dataclass(frozen=True)
-class CrossCompareResult:
-    """Outcome of a cross-multiplied ratio comparison.
-
-    ``le`` reports r2/r1 <= s2/s1; ``degenerate`` flags inputs where one of
-    the pairs is (0, 0), for which the ratio reading is vacuous although the
-    product inequality is still evaluated.
-    """
-
-    le: bool
-    degenerate: bool
-
-
-def cross_compare(r1, r2, s1, s2, mode: str = MODE_FLOAT, tol: float = PRODUCT_RTOL) -> CrossCompareResult:
-    """Decide r2/r1 <= s2/s1 in [0, inf] via r2*s1 <= r1*s2."""
-    _check_mode(mode)
-    if min(r1, r2, s1, s2) < 0:
-        raise DomainError("cross_compare expects nonnegative inputs")
-    degenerate = (r1 == 0 and r2 == 0) or (s1 == 0 and s2 == 0)
-    lhs, rhs = np.array([[r2 * s1], [r1 * s2]], dtype=object if mode == MODE_EXACT else np.float64)
-    le = first_violation(lhs, rhs, mode, tol) is None
-    return CrossCompareResult(le=le, degenerate=degenerate)
 
 
 # ---------------------------------------------------------------------------

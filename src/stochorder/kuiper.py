@@ -224,7 +224,7 @@ def refine_grid(r: BivariateDist) -> BivariateDist:
 
     # the total is kept, so the embedded floats are w / total in exact mode too
     return _derived(BivariateDist, (xg, yg), embedded(r.pmf),
-                    None if r.weights is None else embedded(r.weights))
+                    None if r.weights is None else embedded(r.weights), r.is_probability)
 
 
 @dataclass(frozen=True, eq=False)
@@ -501,18 +501,3 @@ def tp2_project(r_hat: BivariateDist, *, seed: int = 42, restarts: int = 8,
         },
         seed=seed,
     )
-
-
-def consistency_bound(true_to_empirical: float, projection_distance: float) -> float:
-    """Triangle bound for the projected distribution against the truth.
-
-    Returns the sum of the two distances; when the projection is a minimizer
-    (so its distance does not exceed the first argument) the sum is at most
-    twice the first argument, which is asserted.
-    """
-    if true_to_empirical < 0 or projection_distance < 0:
-        raise DomainError("distances must be nonnegative")
-    bound = projection_distance + true_to_empirical
-    if projection_distance <= true_to_empirical:
-        assert bound <= 2.0 * true_to_empirical + 1e-15
-    return bound

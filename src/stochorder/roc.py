@@ -48,9 +48,8 @@ class RocCurve:
     corners (0, 0) and (1, 1) are always present.  ``steps`` holds each merged
     atom's q1 and q2 mass, from the top, then the two totals (1.0 for floats);
     None marks a curve built from its points alone, scored on their
-    differences.  ``exact_points`` reads integer steps as rationals.  The
-    constructor checks these invariants; ``roc_curve``, whose points hold
-    them by construction, skips the checks.
+    differences.  The constructor checks these invariants; ``roc_curve``,
+    whose points hold them by construction, skips the checks.
     """
 
     points: tuple[tuple[float, float], ...]
@@ -68,11 +67,6 @@ class RocCurve:
         if any(not (0.0 <= u <= 1.0 and 0.0 <= v <= 1.0) for u, v in pts):
             raise InvalidDistributionError("ROC points must lie in the unit square")
         object.__setattr__(self, "points", pts)
-
-    @property
-    def exact_points(self) -> tuple[tuple[Fraction, Fraction], ...] | None:
-        u = _exact_view(self.steps, 0)
-        return None if u is None else tuple(zip(u, _exact_view(self.steps, 1)))
 
 
 @dataclass(frozen=True, eq=False)

@@ -74,12 +74,6 @@ class Kernel:
             raise DomainError(f"{x!r} is not an evaluation point of this kernel")
         return self.rows[i]
 
-    def cdf(self, x: float, y: float) -> float:
-        return self.row_at(x).cdf(y)
-
-    def survival(self, x: float, y: float) -> float:
-        return self.row_at(x).survival(y)
-
 
 @dataclass(frozen=True, eq=False)
 class Boundaries:
@@ -340,9 +334,6 @@ class ConditionalDensity:
     def __post_init__(self):
         object.__setattr__(self, "ys", _frozen(self.ys))
         object.__setattr__(self, "values", _frozen(self.values))
-
-    def pairs(self) -> list[tuple[float, float]]:
-        return list(zip(self.ys.tolist(), self.values.tolist()))
 
 
 def conditional_density(knew: Kernel, x: float, r: BivariateDist) -> ConditionalDensity:

@@ -19,7 +19,8 @@ import numpy as np
 from stochorder import (BivariateDist, DomainError, Interval, InvalidDistributionError, PreconditionError,
                         UnivariateDist)
 from stochorder import estimation
-from stochorder.distributions import _atom_grid, _interval_slice, _weights_from_decimal_strings, prefix_table
+from stochorder.distributions import (QUANTILE_ATOL, _atom_grid, _interval_slice,
+                                      _weights_from_decimal_strings, prefix_table)
 from stochorder.isotonic import MODE_EXACT, MODE_FLOAT, PRODUCT_RTOL, _beyond, _cumulative
 from stochorder.orders import _boundaries, _fails, _holds, _merged_masses, _refined_axis
 from stochorder.tp2 import kernel_east, kernel_west
@@ -248,7 +249,7 @@ def st_condition_serial(r: BivariateDist, mode: str = MODE_FLOAT, tol: float = P
 
 def fractions(q: UnivariateDist) -> list[Fraction]:
     """Exact normalized masses; requires integer weights."""
-    return [Fraction(w, q.total_weight) for w in q.weights]
+    return [Fraction(w, q.weights.sum()) for w in q.weights]
 
 
 def exact_lr_oracle(q1: UnivariateDist, q2: UnivariateDist) -> bool:
@@ -322,7 +323,7 @@ def literal_maximal_density(mu: UnivariateDist, nu: UnivariateDist, x: float) ->
     for b in bounds:
         if b <= x:
             continue
-        iv = Interval.closed_open(x, b)
+        iv = Interval(x, b, True, False)  # [x, b)
         m = mu.interval_mass(iv)
         n = nu.interval_mass(iv)
         if m > 0:
@@ -886,7 +887,7 @@ def _pair_masses(q1: UnivariateDist, q2: UnivariateDist):
     """The pair's mode (exact only if both carry integer weights) and the
     totals its masses are read over: the weight sums, or 1.0 for floats."""
     if q1.weights is not None and q2.weights is not None:
-        return MODE_EXACT, q1.total_weight, q2.total_weight
+        return MODE_EXACT, q1.weights.sum(), q2.weights.sum()
     return MODE_FLOAT, 1.0, 1.0
 
 
@@ -1007,7 +1008,23 @@ def west_quantiles_by_kernel(r: BivariateDist, xs, beta: float, east: bool = Fal
     ``UnivariateDist`` per point, the path of the harnesses and of
     ``quantile_curve`` before they read quantiles from the grid."""
     rows = (kernel_east if east else kernel_west)(r, xs).rows
-    return [row.quantile(beta) for row in rows], [row.max_quantile(beta) for row in rows]
+    return [row.quantile(beta) for row in rows], [max_quantile(row, beta) for row in rows]
+
+
+def max_quantile(q: UnivariateDist, beta: float) -> float:
+    """max{y : mass strictly below y <= beta}, with the absolute slack
+    ``QUANTILE_ATOL``: the atom after the last whose cumulative mass is at
+    most beta + slack, or the last atom when there is none after it."""
+    i = int(np.searchsorted(np.cumsum(q.probs), beta + QUANTILE_ATOL, side="right"))
+    return float(q.support[min(i, len(q) - 1)])
+
+
+def rect_prob(r: BivariateDist, ix: Interval, iy: Interval) -> float:
+    """Mass of the rectangle ix x iy, summed over its cell block (an empty
+    block is 0.0)."""
+    lo_i, hi_i = _interval_slice(r.x_support, ix)
+    lo_j, hi_j = _interval_slice(r.y_support, iy)
+    return float(r.pmf[lo_i:hi_i, lo_j:hi_j].sum())
 
 
 # ---------------------------------------------------------------------------
@@ -1094,7 +1111,7 @@ def refine_grid_by_mode(r: BivariateDist) -> BivariateDist:
         weights = np.zeros(pmf.shape, dtype=object)
         weights[1::2, 1::2] = np.array(r.weights, dtype=object)
         weights = weights.tolist()
-    return BivariateDist(xg, yg, pmf, weights)
+    return BivariateDist(xg, yg, pmf, weights, r.is_probability)
 
 
 def truncate_by_mode(q: UnivariateDist, iv: Interval) -> UnivariateDist:

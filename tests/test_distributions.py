@@ -21,22 +21,18 @@ from stochorder import (
     kernel_east,
     kernel_new,
     kernel_west,
-    left_support,
-    marginals,
     odc_curve,
     roc_curve,
 )
 from stochorder import distributions, kuiper, orders, roc, tp2
 from stochorder.distributions import (
     _atom_grid,
-    _interval_slice,
     load_bivariate,
     load_univariate,
     read_bivariate_csv,
     read_univariate_csv,
     write_bivariate_csv,
     write_univariate_csv,
-    write_univariate_json,
 )
 from stochorder.isotonic import IsotonicDensity
 from stochorder.kuiper import GridSignedMeasure, refine_grid
@@ -44,7 +40,7 @@ from stochorder.orders import truncate
 from stochorder.tp2 import Boundaries, ConditionalDensity, Kernel
 from helpers import (canonical_by_mode, conditional_row_by_mode, drop_empty_atoms_by_mode,
                      grid_by_dict, marginal_x_by_mode, marginal_y_by_mode, merge_pairs_by_loop,
-                     refine_grid_by_mode, sample_counts, truncate_by_mode, weight_list)
+                     rect_prob, refine_grid_by_mode, sample_counts, truncate_by_mode, weight_list)
 
 NEG_INF = float("-inf")
 POS_INF = float("inf")
@@ -118,7 +114,7 @@ class TestIntervalMass:
 
     def test_open_interval(self):
         q = UnivariateDist.from_pairs([1, 2, 3], [0.2, 0.3, 0.5])
-        assert q.interval_mass(Interval.open(1, 3)) == pytest.approx(0.3, abs=1e-15)
+        assert q.interval_mass(Interval(1, 3, False, False)) == pytest.approx(0.3, abs=1e-15)
 
     def test_half_line_matches_cdf(self):
         q = UnivariateDist.from_pairs([-1, 0.5, 2], [0.25, 0.25, 0.5])
@@ -138,35 +134,11 @@ class TestIntervalMass:
         with pytest.raises(DomainError):
             Interval.open_closed(0, POS_INF)
 
-    def test_interval_weight_matches_mass(self):
-        q = UnivariateDist.from_weights([1, 2, 3], [1, 2, 5])
-        for iv in (Interval.open_closed(1, 3), Interval.closed(1, 2), Interval.open(1, 3)):
-            assert q.interval_weight(iv) / 8 == pytest.approx(q.interval_mass(iv), abs=1e-15)
-        with pytest.raises(DomainError):
-            UnivariateDist.from_pairs([0.0], [1.0]).interval_weight(Interval.closed(0, 1))
 
-
-class TestRangeAndMarginals:
-    def test_range_of_uniform_grid(self):
-        r = BivariateDist.from_weights([1, 2, 3], [1, 2, 3], [[1] * 3] * 3)
-        iv = r.range_x()
-        assert (iv.left, iv.right) == (1.0, 3.0)
-        assert iv.left_closed and iv.right_closed
-
-    def test_range_single_atom(self):
-        r = BivariateDist.from_weights([0.0], [0.0], [[1]])
-        iv = r.range_x()
-        assert (iv.left, iv.right) == (0.0, 0.0)
-
-    def test_range_spans_gaps(self):
-        r = BivariateDist.from_weights([1.0, 5.0], [0.0], [[1], [1]])
-        iv = r.range_x()
-        assert (iv.left, iv.right) == (1.0, 5.0)
-        assert iv.contains(3.0)
-
+class TestMarginalsAndConditionalRows:
     def test_marginals_of_point_mass(self):
         r = BivariateDist.from_weights([0.0], [1.0], [[1]])
-        p, q = marginals(r)
+        p, q = r.marginal_x(), r.marginal_y()
         assert p.support.tolist() == [0.0] and p.probs.tolist() == [1.0]
         assert q.support.tolist() == [1.0] and q.probs.tolist() == [1.0]
 
@@ -181,20 +153,14 @@ class TestRangeAndMarginals:
         with pytest.raises(DomainError):
             r.conditional_row(2.0)
 
-    def test_left_support_carries_all_mass(self):
-        q = coin()
-        atoms = left_support(q)
-        assert atoms == (0.0, 1.0)
-        assert sum(q.atom_prob(a) for a in atoms) == 1.0
-
     def test_marginal_totals_match_pmf(self):
         rng = np.random.default_rng(3)
         pmf = rng.random((3, 4))
         pmf /= pmf.sum()
         r = BivariateDist(np.arange(3.0), np.arange(4.0), pmf)
-        p, q = marginals(r)
-        assert p.total_mass == pytest.approx(r.total_mass, abs=1e-12)
-        assert q.total_mass == pytest.approx(r.total_mass, abs=1e-12)
+        p, q = r.marginal_x(), r.marginal_y()
+        assert p.total_mass == pytest.approx(r.pmf.sum(), abs=1e-12)
+        assert q.total_mass == pytest.approx(r.pmf.sum(), abs=1e-12)
 
     def test_rect_prob_empty_blocks_are_exactly_zero(self):
         # 2-D inclusion-exclusion on a prefix table gave -5.55e-17 for the
@@ -209,7 +175,7 @@ class TestRangeAndMarginals:
                         if any(weights[i][j] for i in range(i0, i1 + 1) for j in range(j0, j1 + 1)):
                             continue
                         empty += 1
-                        mass = r.rect_prob(Interval.closed(i0, i1), Interval.closed(j0, j1))
+                        mass = rect_prob(r, Interval.closed(i0, i1), Interval.closed(j0, j1))
                         assert mass == 0.0 and not np.signbit(mass)
         assert empty == 8
 
@@ -347,7 +313,7 @@ class TestIO:
     def test_json_roundtrip_with_weights(self, tmp_path):
         q = UnivariateDist.from_weights([0, 1], [1, 2])
         path = tmp_path / "q.json"
-        write_univariate_json(q, path)
+        path.write_text(json.dumps(q.to_dict()))
         back = load_univariate(path)
         assert back.weights.tolist() == [1, 2]
 
@@ -550,10 +516,6 @@ class TestOneMassPath:
         for i, x in enumerate(r.x_support.tolist()):
             assert_same(outcome(r.conditional_row, x), outcome(conditional_row_by_mode, r, i))
         assert_same(outcome(refine_grid, r), outcome(refine_grid_by_mode, r))
-        if r.weights is None:
-            assert outcome(lambda: r.total_weight) is DomainError
-        else:
-            assert r.total_weight == sum(map(sum, r.weights))
 
     @given(mode_grids(1), st.lists(st.tuples(ENDS, ENDS, st.booleans(), st.booleans()), max_size=4))
     # truncated to [1, 2], (1/5) / (4/5) is 0.25 and (3/5) / (4/5) is 0.7499999999999999,
@@ -567,13 +529,6 @@ class TestOneMassPath:
                      for a, b, lc, rc in ends if a <= b]
         for iv in intervals:
             assert_same(outcome(truncate, q, iv), outcome(truncate_by_mode, q, iv))
-            if q.weights is not None:
-                lo, hi = _interval_slice(q.support, iv)
-                assert q.interval_weight(iv) == sum(q.weights[lo:hi])
-        if q.weights is None:
-            assert outcome(lambda: q.total_weight) is DomainError
-        else:
-            assert q.total_weight == sum(q.weights)
 
 
 def _empty_parts() -> BivariateDist:
@@ -742,8 +697,7 @@ class TestDerivedBuilds:
             for build in (BivariateDist.canonical, BivariateDist.marginal_x, BivariateDist.marginal_y,
                           refine_grid, kernel_west, kernel_east):
                 _run(lambda: build(r))
-            if r.is_probability:  # the TP2 check's float products overflow on cells near 1e300
-                _run(lambda: kernel_new(r, mode=r.mode))
+            _run(lambda: kernel_new(r, mode=r.mode))
             for x in r.x_support.tolist():
                 _run(lambda: r.conditional_row(x))
         assert compared
@@ -827,12 +781,12 @@ class TestWeightArray:
         q = r.marginal_x()
         assert q.masses("exact") is q.weights and not q.weights.flags.writeable
 
-    def test_total_weight_is_a_python_int(self):
+    def test_weights_sum_to_a_python_int(self):
         big = 2**70
         r = BivariateDist.from_weights([1.0, 2.0], [1.0], np.array([[big], [1]], dtype=object))
-        assert type(r.total_weight) is int and r.total_weight == big + 1
+        assert type(r.weights.sum()) is int and r.weights.sum() == big + 1
         q = UnivariateDist.from_weights([1.0, 2.0], np.array([3, 4], dtype=np.int64))
-        assert type(q.total_weight) is int and q.total_weight == 7
+        assert type(q.weights.sum()) is int and q.weights.sum() == 7
 
     @pytest.mark.parametrize("build", [
         lambda: UnivariateDist.from_weights([1.0, 2.0], [True, 1]),

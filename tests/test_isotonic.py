@@ -10,10 +10,10 @@ from stochorder import (
     InvalidDistributionError,
     PreconditionError,
     UnivariateDist,
-    cross_compare,
     maximal_isotonic_density,
     minimal_isotonic_density,
 )
+from stochorder.isotonic import first_violation
 from helpers import (
     atom_ratios_serial,
     literal_maximal_density,
@@ -22,26 +22,29 @@ from helpers import (
 )
 
 
-class TestCrossCompare:
-    def test_zero_over_positive_le_one(self):
-        out = cross_compare(1, 0, 1, 1)
-        assert out.le and not out.degenerate
+def ratio_le(r1, r2, s1, s2, mode: str = "float") -> bool:
+    """r2/r1 <= s2/s1 in [0, inf] as one ``first_violation`` call on the
+    one-element cross products r2*s1 <= r1*s2 (Python ints in exact mode)."""
+    lhs, rhs = np.array([[r2 * s1], [r1 * s2]], dtype=object if mode == "exact" else np.float64)
+    return first_violation(lhs, rhs, mode) is None
 
-    def test_infinite_ratio_not_le_one(self):
-        out = cross_compare(0, 1, 1, 1)
-        assert not out.le and not out.degenerate
 
-    def test_equal_ratios(self):
-        out = cross_compare(2, 1, 4, 2)
-        assert out.le and not out.degenerate
+class TestFirstViolation:
+    @pytest.mark.parametrize("mode", ["float", "exact"])
+    def test_zero_over_positive_le_one(self, mode):
+        assert ratio_le(1, 0, 1, 1, mode)
 
-    def test_degenerate_pair_flagged(self):
-        assert cross_compare(0, 0, 1, 1).degenerate
-        assert cross_compare(1, 1, 0, 0).degenerate
+    @pytest.mark.parametrize("mode", ["float", "exact"])
+    def test_infinite_ratio_not_le_one(self, mode):
+        assert not ratio_le(0, 1, 1, 1, mode)
+
+    @pytest.mark.parametrize("mode", ["float", "exact"])
+    def test_equal_ratios(self, mode):
+        assert ratio_le(2, 1, 4, 2, mode)
 
     def test_exact_mode_has_no_slack(self):
-        assert not cross_compare(10**9, 10**9 + 1, 1, 1, mode="exact").le
-        assert cross_compare(10**9 + 1, 10**9, 1, 1, mode="exact").le
+        assert not ratio_le(10**9, 10**9 + 1, 1, 1, "exact")
+        assert ratio_le(10**9 + 1, 10**9, 1, 1, "exact")
 
     def test_agrees_with_rational_oracle(self):
         rng = np.random.default_rng(2024)
@@ -50,14 +53,14 @@ class TestCrossCompare:
             if (r1 == 0 and r2 == 0) or (s1 == 0 and s2 == 0):
                 continue
             expected = Fraction(r2) * Fraction(s1) <= Fraction(r1) * Fraction(s2)
-            assert cross_compare(r1, r2, s1, s2, mode="exact").le == expected
-            assert cross_compare(float(r1), float(r2), float(s1), float(s2)).le == expected
+            assert ratio_le(r1, r2, s1, s2, "exact") == expected
+            assert ratio_le(float(r1), float(r2), float(s1), float(s2)) == expected
 
-    @given(st.integers(0, 100), st.integers(0, 100), st.integers(0, 100), st.integers(0, 100))
+    @given(st.integers(0, 100), st.integers(0, 100), st.integers(0, 100), st.integers(0, 100),
+           st.sampled_from(["float", "exact"]))
     @settings(max_examples=300, deadline=None)
-    def test_matches_fraction_comparison(self, r1, r2, s1, s2):
-        out = cross_compare(r1, r2, s1, s2, mode="exact")
-        assert out.le == (r2 * s1 <= r1 * s2)
+    def test_matches_fraction_comparison(self, r1, r2, s1, s2, mode):
+        assert ratio_le(r1, r2, s1, s2, mode) == (r2 * s1 <= r1 * s2)
 
 
 def simple_pair():

@@ -16,7 +16,6 @@ from stochorder import (
     Interval,
     InvalidDistributionError,
     check_tp2,
-    consistency_bound,
     kuiper_norm,
     refine_grid,
     signed_difference,
@@ -26,7 +25,7 @@ from stochorder import kuiper
 from stochorder.distributions import prefix_table
 from stochorder.fixtures import antidiag, diag_uniform
 from helpers import (_norm_kadane, all_rectangles_norm, band_norm_by_row_ranges, pattern_search_serial,
-                     random_supermodular_tp2, row_ranges)
+                     random_supermodular_tp2, rect_prob, row_ranges)
 
 METHODS = ("brute", "kadane")
 
@@ -264,6 +263,12 @@ class TestRefineGrid:
         np.testing.assert_allclose(ref.pmf[1::2, 1::2], r.pmf)
         assert ref.pmf.sum() == pytest.approx(1.0)
 
+    def test_finite_measure_stays_a_finite_measure(self):
+        r = BivariateDist([1, 2], [1, 2], [[1e-300, 0], [0, 0]], is_probability=False)
+        ref = refine_grid(r)
+        assert ref.shape == (3, 3) and not ref.is_probability
+        assert ref.pmf[1, 1] == 1e-300 and ref.pmf.sum() == 1e-300
+
     def test_refinement_preserves_distances(self):
         r = antidiag()
         assert kuiper_norm(signed_difference(r, refine_grid(r)), "brute") == 0.0
@@ -282,16 +287,16 @@ class TestRefineGrid:
         xs = r_hat.x_support.tolist()
         ys = r_hat.y_support.tolist()
         closed = max(
-            r_hat.rect_prob(Interval.closed(a, b), Interval.closed(c, d))
-            - r_tilde.rect_prob(Interval.closed(a, b), Interval.closed(c, d))
+            rect_prob(r_hat, Interval.closed(a, b), Interval.closed(c, d))
+            - rect_prob(r_tilde, Interval.closed(a, b), Interval.closed(c, d))
             for a, b in itertools.combinations_with_replacement(xs, 2)
             for c, d in itertools.combinations_with_replacement(ys, 2)
         )
         xo = [xs[0] - 1.0] + xs + [xs[-1] + 1.0]
         yo = [ys[0] - 1.0] + ys + [ys[-1] + 1.0]
         open_ = max(
-            r_tilde.rect_prob(Interval.open(a, b), Interval.open(c, d))
-            - r_hat.rect_prob(Interval.open(a, b), Interval.open(c, d))
+            rect_prob(r_tilde, Interval(a, b, False, False), Interval(c, d, False, False))
+            - rect_prob(r_hat, Interval(a, b, False, False), Interval(c, d, False, False))
             for a, b in itertools.combinations(xo, 2)
             for c, d in itertools.combinations(yo, 2)
         )
@@ -653,16 +658,6 @@ class TestStackedSearch:
 
 
 class TestConsistencyBound:
-    def test_arithmetic(self):
-        assert consistency_bound(0.1, 0.05) == pytest.approx(0.15)
-
-    def test_boundary(self):
-        assert consistency_bound(0.1, 0.1) == pytest.approx(0.2)
-
-    def test_negative_rejected(self):
-        with pytest.raises(DomainError):
-            consistency_bound(-0.1, 0.0)
-
     def test_end_to_end_projection_satisfies_bound(self):
         rng = np.random.default_rng(300)
         truth = random_supermodular_tp2(rng, 3, 3)
@@ -672,7 +667,7 @@ class TestConsistencyBound:
         res = tp2_project(r_hat, seed=11, restarts=3)
         d_true = float(kuiper_norm(signed_difference(truth, r_hat), "brute"))
         if res.distance <= d_true:
-            bound = consistency_bound(d_true, res.distance)
+            bound = d_true + res.distance  # the triangle inequality
             d_out = float(
                 kuiper_norm(signed_difference(res.distribution, refine_grid(truth)), "brute")
             )

@@ -22,13 +22,17 @@ from fractions import Fraction
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stochorder import BivariateDist, UnivariateDist, check_lr, check_st, check_st_condition, check_tp2
+from stochorder import (BivariateDist, DomainError, UnivariateDist, check_lr, check_st, check_st_condition,
+                        check_tp2, kernel_new, odc_curve, odc_is_convex, roc_curve, roc_is_concave)
 from stochorder import isotonic
 from stochorder.isotonic import INT64_FACTOR_MAX, MODE_EXACT, MODE_FLOAT, PRODUCT_RTOL, _pairs
 from stochorder.isotonic import _interval_ratio_condition, _triples, scan_dtype
+from stochorder.orders import LR_METHODS
+from stochorder.tp2 import TP2_METHODS
 
 from stochorder.isotonic import _cumulative
 
@@ -391,6 +395,62 @@ class TestTinyMassesKeepTheirDigits:
     def test_gaussian_kernels_of_20_and_30_rows(self):
         for n in (20, 30):
             assert check_tp2(gaussian_kernel(n, 0.2), "intervals").holds
+
+
+#: finite measures whose float cross products overflow: the first fails TP2
+#: (2e600 > 1e600), the second, diagonal once canonical, holds
+HUGE_GRIDS = [[[1e300, 2e300], [1e300, 1e300]], [[0, 0], [1e300, 0], [0, 1e300]]]
+
+
+def huge_grid(cells, scale: float = 1.0) -> BivariateDist:
+    cells = np.array(cells) * scale
+    return BivariateDist(np.arange(1.0, len(cells) + 1), [1.0, 2.0], cells, is_probability=False)
+
+
+def huge_pair(scale: float = 1.0):
+    """Rows of the first huge grid as univariate measures: q2 / q1 falls."""
+    return (UnivariateDist([1.0, 2.0], [1e300 * scale, 2e300 * scale], is_probability=False),
+            UnivariateDist([1.0, 2.0], [1e300 * scale, 1e300 * scale], is_probability=False))
+
+
+class TestFloatProductsNeverOverflow:
+    """A float pass whose factors could square past the float range raises
+    DomainError instead of comparing inf with inf; the same grids scaled to
+    ordinary masses keep their verdicts, and exact mode scores them all."""
+
+    @pytest.mark.parametrize("cells", HUGE_GRIDS)
+    def test_tp2_and_st_condition(self, cells):
+        for check, methods in ((check_tp2, TP2_METHODS), (check_st_condition, [None])):
+            for method in methods:
+                args = () if method is None else (method,)
+                r = huge_grid(cells)
+                with pytest.raises(DomainError):
+                    check(r, *args)
+                small = check(huge_grid(cells, 1e-300), *args).holds
+                weights = [[round(v / 1e300) * 10**300 for v in row] for row in cells]
+                exact = BivariateDist.from_weights(r.x_support, r.y_support, weights)
+                assert check(exact, *args, MODE_EXACT).holds == small == (cells is HUGE_GRIDS[1])
+        with pytest.raises(DomainError):
+            kernel_new(huge_grid(HUGE_GRIDS[1]))
+
+    def test_lr_and_curves(self):
+        q1, q2 = huge_pair()
+        small = huge_pair(1e-300)
+        for method in LR_METHODS:
+            with pytest.raises(DomainError):
+                check_lr(q1, q2, method)
+            assert not check_lr(*small, method).holds
+        for curve, verdict_of in ((roc_curve, roc_is_concave), (odc_curve, odc_is_convex)):
+            with pytest.raises(DomainError):
+                verdict_of(curve(q1, q2))
+            assert not verdict_of(curve(*small)).holds
+
+    def test_factors_up_to_the_bound_score(self):
+        edge = isotonic.FLOAT_FACTOR_MAX
+        r = huge_grid([[edge, edge], [edge, edge]])
+        assert check_tp2(r, "pmf-allpairs").holds and check_tp2(r, "pmf-adjacent").holds
+        with pytest.raises(DomainError):
+            check_tp2(huge_grid([[np.nextafter(edge, np.inf), edge], [edge, edge]]), "pmf-allpairs")
 
 
 class TestPairs:

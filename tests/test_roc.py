@@ -57,11 +57,11 @@ class TestRocCurve:
         with pytest.raises(Exception):
             RocCurve(((0.0, 0.0), (0.5, 0.8), (0.6, 0.2), (1.0, 1.0)))
 
-    def test_exact_points_present_for_weighted_inputs(self):
+    def test_weighted_inputs_give_integer_steps(self):
         q1 = UnivariateDist.from_weights([0, 1], [1, 1])
         q2 = UnivariateDist.from_weights([0, 1], [1, 2])
         curve = roc_curve(q1, q2)
-        assert curve.exact_points is not None
+        assert curve.steps == ((1, 1), (2, 1), 2, 3)
         assert roc_is_concave(curve, mode="exact").holds
 
 
@@ -202,7 +202,6 @@ class TestAgainstFractionOracles:
         curve = roc_curve(q1, q2)
         points, exact_points = roc_curve_fractions(q1, q2)
         assert repr(curve.points) == repr(points)
-        assert curve.exact_points == exact_points
         for mode in modes_of(exact_points):
             oracle = (roc_concave_by_triples(exact_points, mode, tol) if mode == MODE_EXACT
                       else roc_concave_by_steps(q1, q2, mode, tol))

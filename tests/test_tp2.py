@@ -463,7 +463,7 @@ class TestConditionalDensity:
         assert h1.values.tolist() == pytest.approx([1.5, 0.5], abs=1e-12)
         assert h2.values.tolist() == pytest.approx([2.0 / 3.0, 4.0 / 3.0], abs=1e-12)
         for dens in (h1, h2):
-            total = sum(v * q.atom_prob(y) for y, v in dens.pairs())
+            total = sum(v * q.atom_prob(y) for y, v in zip(dens.ys, dens.values))
             assert total == pytest.approx(1.0, abs=1e-12)
         # TP2 in the evaluation point and the second coordinate
         assert h2.values[0] * h1.values[1] <= h1.values[0] * h2.values[1] + 1e-12
@@ -477,7 +477,7 @@ class TestConditionalDensity:
             if crossing:
                 continue
             dens = conditional_density(kern, x, r)
-            for y, v in dens.pairs():
+            for y, v in zip(dens.ys, dens.values):
                 if y < s_se or y > s_nw:
                     assert v == 0.0
 
