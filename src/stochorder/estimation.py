@@ -171,13 +171,6 @@ def sample(r: BivariateDist, n: int, seed) -> np.ndarray:
     return out
 
 
-def _count_grid(r: BivariateDist, n: int, seed) -> tuple[BivariateDist, np.ndarray]:
-    """The canonical ``r`` and the seeded sample's draws per cell of its grid."""
-    (n,), (seed,) = _sample_sizes([n]), _seeds([seed])
-    streams = _CellStreams(r)
-    return streams.r, streams.counts(n, seed)
-
-
 def _row_quantiles(r: BivariateDist, cells: np.ndarray, xs, beta: float,
                    east: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """The minimal and the maximal beta-quantile (0 < beta < 1) of each row of

@@ -23,6 +23,7 @@ from stochorder.distributions import (QUANTILE_ATOL, _atom_grid, _interval_slice
                                       _weights_from_decimal_strings, prefix_table)
 from stochorder.isotonic import MODE_EXACT, MODE_FLOAT, PRODUCT_RTOL, _beyond, _cumulative
 from stochorder.orders import _boundaries, _fails, _holds, _merged_masses, _refined_axis
+from stochorder.roc import _exact_view
 from stochorder.tp2 import kernel_east, kernel_west
 
 
@@ -805,6 +806,13 @@ def roc_curve_fractions(q1: UnivariateDist, q2: UnivariateDist):
     return tuple(sorted({(float(u), float(v)) for u, v in exact_pts})), exact_pts
 
 
+def roc_exact_points(curve) -> tuple | None:
+    """The curve's integer steps read as rational points, as
+    ``roc_curve_fractions`` builds them; None for float steps."""
+    u = _exact_view(curve.steps, 0)
+    return None if u is None else tuple(zip(u, _exact_view(curve.steps, 1)))
+
+
 def roc_concave_by_triples(pts, mode: str = MODE_FLOAT, tol: float = PRODUCT_RTOL):
     """ROC concavity as a loop over consecutive triples of ``pts`` (floats,
     or ``Fraction`` pairs in exact mode), one ``products_le`` each."""
@@ -989,16 +997,23 @@ def sample_at_once(r: BivariateDist, n: int, seed) -> np.ndarray:
 
 
 def count_grid_at_once(r: BivariateDist, n: int, seed) -> tuple[BivariateDist, np.ndarray]:
-    """``estimation._count_grid`` from the one-shot stream: one ``bincount``."""
+    """``count_grid`` from the one-shot stream: one ``bincount``."""
     r, idx = draw_cells_at_once(r, n, seed)
     return r, np.bincount(idx, minlength=r.pmf.size).reshape(r.shape)
+
+
+def count_grid(r: BivariateDist, n: int, seed) -> tuple[BivariateDist, np.ndarray]:
+    """The canonical ``r`` and the draws per cell of its grid of n draws
+    from the seed's stream, as a harness counts them."""
+    streams = estimation._CellStreams(r)
+    return streams.r, streams.counts(n, seed)
 
 
 def sample_counts(r: BivariateDist, n: int, seed) -> BivariateDist:
     """``empirical(sample(r, n, seed))``, counted per cell without the draws:
     the convergence harnesses' sample before they read quantiles from the
     count grid."""
-    r, counts = estimation._count_grid(r, n, seed)
+    r, counts = count_grid(r, n, seed)
     return empirical_of_counts(r.x_support, r.y_support, counts)
 
 

@@ -20,9 +20,9 @@ from stochorder import (
 from stochorder import estimation
 from stochorder.distributions import QUANTILE_ATOL, _quantile_index
 from stochorder.fixtures import antidiag, banded_tp2, diag_uniform, random_tp2
-from helpers import (cell_index_by_guide, cell_index_searchsorted, count_grid_at_once, empirical_by_dict,
-                     empirical_of_counts, random_supermodular_tp2, sample_at_once, sample_counts,
-                     max_quantile, weight_list, west_quantiles_by_kernel)
+from helpers import (cell_index_by_guide, cell_index_searchsorted, count_grid, count_grid_at_once,
+                     empirical_by_dict, empirical_of_counts, random_supermodular_tp2, sample_at_once,
+                     sample_counts, max_quantile, weight_list, west_quantiles_by_kernel)
 
 
 def product_2x2() -> BivariateDist:
@@ -223,7 +223,7 @@ class TestCellIndex:
            st.one_of(st.integers(0, 2**32), st.tuples(st.integers(0, 1000), st.integers(0, 5))))
     @settings(max_examples=100, deadline=None)
     def test_counts_and_draws_equal_the_one_shot_stream(self, r, n, seed):
-        canon, counts = estimation._count_grid(r, n, seed)
+        canon, counts = count_grid(r, n, seed)
         oracle, expected = count_grid_at_once(r, n, seed)
         assert same_dist(canon, oracle)
         assert counts.dtype == expected.dtype and counts.tolist() == expected.tolist()
@@ -235,7 +235,7 @@ class TestCellIndex:
         # antidiag's first cell (1, 1) has no mass; u = 0.0 must not land there
         monkeypatch.setattr(estimation, "_philox", lambda seed: Replay(np.zeros(n)))
         assert sample(antidiag(), n, 0).tolist() == [[1.0, 2.0]] * n
-        canon, counts = estimation._count_grid(antidiag(), n, 0)
+        canon, counts = count_grid(antidiag(), n, 0)
         assert (canon.x_support.tolist(), canon.y_support.tolist()) == ([1.0, 2.0], [1.0, 2.0])
         assert counts.tolist() == [[0, n], [0, 0]]
 
@@ -243,7 +243,7 @@ class TestCellIndex:
         # drawing 10**6 cells at once held about 25 MB of n-sized arrays; the
         # block loop holds one block and the guide table, and sample its output
         r = random_tp2(np.random.default_rng(20), 20, 20)
-        for call, bound in ((lambda: estimation._count_grid(r, 10**6, 1), 0),
+        for call, bound in ((lambda: count_grid(r, 10**6, 1), 0),
                             (lambda: sample(r, 10**5, 1), 16 * 10**5)):
             tracemalloc.start()
             try:
@@ -392,7 +392,7 @@ class TestGridQuantiles:
     @given(sparse_dists(), st.integers(1, 300), st.integers(0, 2**32), BETAS, st.data())
     @settings(max_examples=200, deadline=None)
     def test_sample_grids_equal_the_kernel_on_the_sample(self, r, n, seed, beta, data):
-        canon, counts = estimation._count_grid(r, n, seed)
+        canon, counts = count_grid(r, n, seed)
         xs = data.draw(eval_points(canon.x_support))
         got = grid_quantiles(canon.x_support, canon.y_support, counts, xs, beta)
         assert got == west_quantiles_by_kernel(sample_counts(r, n, seed), xs, beta)
@@ -455,7 +455,7 @@ class TestGridQuantiles:
         xs = (r.x_support + 0.5).tolist()
         for seed in range(20):
             for beta in (1e-13, 0.5, 1 - 1e-13):
-                canon, counts = estimation._count_grid(r, n, (seed, 0))
+                canon, counts = count_grid(r, n, (seed, 0))
                 got = grid_quantiles(canon.x_support, canon.y_support, counts, xs, beta)
                 assert got == west_quantiles_by_kernel(sample_counts(r, n, (seed, 0)), xs, beta)
 

@@ -29,6 +29,7 @@ from helpers import (
     roc_concave_by_steps,
     roc_concave_by_triples,
     roc_curve_fractions,
+    roc_exact_points,
 )
 
 
@@ -202,6 +203,7 @@ class TestAgainstFractionOracles:
         curve = roc_curve(q1, q2)
         points, exact_points = roc_curve_fractions(q1, q2)
         assert repr(curve.points) == repr(points)
+        assert roc_exact_points(curve) == exact_points
         for mode in modes_of(exact_points):
             oracle = (roc_concave_by_triples(exact_points, mode, tol) if mode == MODE_EXACT
                       else roc_concave_by_steps(q1, q2, mode, tol))

@@ -26,7 +26,6 @@ ALLOWED = {
     "distributions.UnivariateDist.survival": "public API the README documents",
     "distributions.UnivariateDist.quantile": "public API the README documents",
     "estimation.empirical": "public API the README documents",
-    "estimation._count_grid": "the harness count path that tools/layer_times.py times alone",
     "fixtures.banded_tp2": "called by acceptance criteria 09 and 10",
     "fixtures.random_tp2": "called by acceptance criteria 07 and 09",
     "isotonic.minimal_isotonic_density": "called by acceptance criterion 11",

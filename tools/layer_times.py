@@ -31,7 +31,7 @@ input is built here from fixed seeds, so two checkouts time the same work:
   ``bracket_check`` also once with all three sample sizes in its n_list;
 * ``quantile_curve`` ``west-min`` and ``east-max`` at beta 0.5 on the
   default grid of the 20 x 20 float truth above;
-* the harnesses' count path ``estimation._count_grid`` on that 20 x 20
+* the harnesses' count path ``_CellStreams(r).counts`` on that 20 x 20
   truth with 10**5, 10**6 and 10**7 draws (seed 1), and on 100x100 and
   1000x1000 grids (uniform random cells from seed n, normalized) with 10**5
   and 10**6 draws, each also with the peak of the memory ``tracemalloc``
@@ -257,14 +257,14 @@ def count_cases():
     """(layer, input, call) of every timed count path."""
     r = random_tp2(np.random.default_rng(CURVE_TRUTH), CURVE_TRUTH, CURVE_TRUTH)
     for n in COUNT_DRAWS:
-        yield ("_count_grid", f"{CURVE_TRUTH}x{CURVE_TRUTH}, float, n={n}",
-               lambda n=n: estimation._count_grid(r, n, 1))
+        yield ("_CellStreams.counts", f"{CURVE_TRUTH}x{CURVE_TRUTH}, float, n={n}",
+               lambda n=n: estimation._CellStreams(r).counts(n, 1))
     for k in COUNT_GRIDS:
         pmf = np.random.default_rng(k).random((k, k))
         grid = BivariateDist(np.arange(k, dtype=float), np.arange(k, dtype=float), pmf / pmf.sum())
         for n in LARGE_COUNT_DRAWS:
-            yield ("_count_grid", f"{k}x{k}, float, n={n}",
-                   lambda grid=grid, n=n: estimation._count_grid(grid, n, 1))
+            yield ("_CellStreams.counts", f"{k}x{k}, float, n={n}",
+                   lambda grid=grid, n=n: estimation._CellStreams(grid).counts(n, 1))
 
 
 def parse_cases(tmp: str):
